@@ -3,9 +3,8 @@
 The package minimizes a local relaxation of the free energy over families of
 reduced density matrices whose entropy is accounted for through per-site
 conditional entropies on Markov shields. It also solves the dual fixed-point
-(belief propagation) equations on chains, provides exact small-system
-oracles, and implements reconstruction of global states from shield-local
-marginals.
+(belief propagation) equations on chains and provides exact small-system
+oracles.
 """
 
 from medbound.opalg import (

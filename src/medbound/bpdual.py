@@ -16,8 +16,17 @@ assumed, which shifts the fixed point on non-commuting chains.
 
 Messages are positive definite operators on the n-site overlaps, normalized
 to unit trace after every update (normalization absorbs the scalar
-multipliers). Damping is a convex combination in log space, which preserves
-positivity exactly. Open chains use identity messages beyond both ends.
+multipliers). The fixed-point loop carries each message as its unit-trace
+log: an update adds the incoming logs to log Lambda_k, takes one
+eigendecomposition of the cluster belief, logs only the marginals it sends
+and subtracts the incoming logs. Damping is a convex combination of the old
+and new logs, which preserves positivity exactly; one eigendecomposition of
+the mix gives the normalized message and the shift that normalizes its log.
+Inside the loop `EIG_FLOOR` clamps only the logs of the cluster marginals;
+message logs are never clamped. `BPState.messages` holds the normalized
+exponentials: the residual (largest trace-distance change) is measured on
+them, and `beliefs_from_messages` logs them again, with the clamp. Open
+chains use identity messages beyond both ends.
 """
 
 from __future__ import annotations
@@ -143,61 +152,67 @@ def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> B
 # message algebra
 # ---------------------------------------------------------------------------
 
-def _normalize(mat: np.ndarray) -> np.ndarray:
-    return sym(mat) / float(np.real(np.trace(mat)))
+def _normalized_exp(log_mat: np.ndarray):
+    """exp(log_mat) scaled to unit trace, and the log of the scale (the
+    log-sum-exp of the eigenvalues), so the unit-trace log is
+    log_mat - scale * I."""
+    vals, vecs = np.linalg.eigh(sym(log_mat))
+    w = np.exp(vals - vals[-1])
+    total = w.sum()
+    return sym((vecs * (w / total)) @ vecs.conj().T), float(vals[-1]) + math.log(total)
 
 
-def _identity_message(dim: int) -> np.ndarray:
-    return np.eye(dim) / dim
+def _message_log(mat: np.ndarray) -> np.ndarray:
+    """Unclamped log of a positive definite message."""
+    vals, vecs = np.linalg.eigh(sym(mat))
+    if vals[0] <= 0.0:
+        raise ValueError("incoming message is singular")
+    return sym((vecs * np.log(vals)) @ vecs.conj().T)
 
 
-def _cluster_state_log(problem, key, m_right_in, m_left_in):
+def _cluster_state_log(problem, key, log_right_in, log_left_in):
     """log of the unnormalized belief: log Lambda + embedded message logs."""
     n = problem.n
     dims = (2,) * (n + 1)
     first = tuple(range(n))
     last = tuple(range(1, n + 1))
     log_rho = np.array(problem.log_lambda[key])
-    if m_right_in is not None:
-        log_rho = log_rho + embed_mat(logm_psd(m_right_in, EIG_FLOOR), dims, first)
-    if m_left_in is not None:
-        log_rho = log_rho + embed_mat(logm_psd(m_left_in, EIG_FLOOR), dims, last)
+    if log_right_in is not None:
+        log_rho = log_rho + embed_mat(log_right_in, dims, first)
+    if log_left_in is not None:
+        log_rho = log_rho + embed_mat(log_left_in, dims, last)
     return sym(log_rho)
 
 
-def _normalized_exp(log_mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(sym(log_mat))
-    w = np.exp(vals - vals[-1])
-    return sym((vecs * (w / w.sum())) @ vecs.conj().T)
+def _outgoing_logs(problem, key, log_right_in, log_left_in, sides, retain_inverse):
+    """Logs (up to a scalar) of the outgoing messages of one cluster.
 
-
-def _outgoing(problem, key, m_right_in, m_left_in, retain_inverse):
-    """Both outgoing messages of one cluster from its incoming pair."""
+    The incoming logs come from the left (right-moving, on the first n
+    sites) and from the right (left-moving, on the last n sites), None
+    beyond an open end. `sides` names the outgoing directions wanted:
+    "L" goes to the left neighbour, "R" to the right one."""
     n = problem.n
     dims = (2,) * (n + 1)
-    first = tuple(range(n))
-    last = tuple(range(1, n + 1))
-    if retain_inverse:
-        rho = _normalized_exp(_cluster_state_log(problem, key, m_right_in, m_left_in))
-        marg_first = ptrace_mat(rho, dims, first)
-        marg_last = ptrace_mat(rho, dims, last)
-        log_left = logm_psd(marg_first, EIG_FLOOR)
-        if m_right_in is not None:
-            log_left = log_left - logm_psd(m_right_in, EIG_FLOOR)
-        log_right = logm_psd(marg_last, EIG_FLOOR)
-        if m_left_in is not None:
-            log_right = log_right - logm_psd(m_left_in, EIG_FLOOR)
-        out_left = _normalized_exp(log_left)
-        out_right = _normalized_exp(log_right)
-    else:
-        # the cancellation assumed when partial trace and the log-space
-        # product are treated as commuting: each outgoing message sees only
-        # the message arriving from the opposite side
-        rho_l = _normalized_exp(_cluster_state_log(problem, key, None, m_left_in))
-        rho_r = _normalized_exp(_cluster_state_log(problem, key, m_right_in, None))
-        out_left = _normalize(ptrace_mat(rho_l, dims, first))
-        out_right = _normalize(ptrace_mat(rho_r, dims, last))
-    return out_left, out_right
+    out = {}
+    rho = None
+    for side in sides:
+        keep, inverse = ((tuple(range(n)), log_right_in) if side == "L"
+                         else (tuple(range(1, n + 1)), log_left_in))
+        if retain_inverse:
+            if rho is None:
+                rho, _ = _normalized_exp(
+                    _cluster_state_log(problem, key, log_right_in, log_left_in))
+            out[side] = logm_psd(ptrace_mat(rho, dims, keep), EIG_FLOOR)
+            if inverse is not None:
+                out[side] = out[side] - inverse
+        else:
+            # the cancellation assumed when partial trace and the log-space
+            # product are treated as commuting: each outgoing message sees only
+            # the message arriving from the opposite side
+            seen = (None, log_left_in) if side == "L" else (log_right_in, None)
+            rho_side, _ = _normalized_exp(_cluster_state_log(problem, key, *seen))
+            out[side] = logm_psd(ptrace_mat(rho_side, dims, keep), EIG_FLOOR)
+    return out
 
 
 def _incoming(problem, messages, key):
@@ -214,22 +229,12 @@ def bp_update(k, state: BPState, problem: BPProblem,
               config: BPConfig | None = None) -> dict:
     """Outgoing messages of cluster k given the current state (undamped)."""
     config = config or BPConfig()
-    m_right_in, m_left_in = _incoming(problem, state.messages, k)
-    for m in (m_right_in, m_left_in):
-        if m is not None and np.linalg.eigvalsh(sym(m))[0] <= 0.0:
-            raise ValueError("incoming message is singular")
-    out_left, out_right = _outgoing(problem, k, m_right_in, m_left_in,
-                                    config.retain_inverse)
+    logs = [None if m is None else _message_log(m)
+            for m in _incoming(problem, state.messages, k)]
+    out = _outgoing_logs(problem, k, *logs, ("L", "R"), config.retain_inverse)
     if problem.kind == "ti":
-        return {"L": out_left, "R": out_right}
-    return {("L", k): out_left, ("R", k): out_right}
-
-
-def _damp(old: np.ndarray, new: np.ndarray, alpha: float) -> np.ndarray:
-    if alpha >= 1.0:
-        return _normalize(new)
-    log_mix = (1.0 - alpha) * logm_psd(old, EIG_FLOOR) + alpha * logm_psd(new, EIG_FLOOR)
-    return _normalized_exp(log_mix)
+        return {side: _normalized_exp(log)[0] for side, log in out.items()}
+    return {(side, k): _normalized_exp(log)[0] for side, log in out.items()}
 
 
 def _trace_distance_mat(a: np.ndarray, b: np.ndarray) -> float:
@@ -246,38 +251,33 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
     config = config or BPConfig()
     dim = 2 ** problem.n
     if problem.kind == "ti":
-        messages = {"L": _identity_message(dim), "R": _identity_message(dim)}
+        names = ["L", "R"]
+        steps = [(("L", "R"), "ti")]
     else:
         # keyed by sender: ('R', k) goes k -> k+1, ('L', k) goes k -> k-1
         keys = problem.cluster_keys
-        messages = {}
-        for k in keys[:-1]:
-            messages[("R", k)] = _identity_message(dim)
-        for k in keys[1:]:
-            messages[("L", k)] = _identity_message(dim)
-
-    state = BPState(messages=messages, residual=math.inf, iterations=0,
-                    converged=False, meta={"schedule": problem.meta.get("schedule")})
+        names = [("R", k) for k in keys[:-1]] + [("L", k) for k in keys[1:]]
+        steps = ([(("R",), k) for k in keys[:-1]]
+                 + [(("L",), k) for k in reversed(keys[1:])])
+    logs = {name: np.eye(dim) * -math.log(dim) for name in names}
+    state = BPState(messages={name: np.eye(dim) / dim for name in names},
+                    residual=math.inf, iterations=0, converged=False,
+                    meta={"schedule": problem.meta.get("schedule")})
+    alpha = config.damping
     for it in range(1, config.max_iters + 1):
         residual = 0.0
-        if problem.kind == "ti":
-            new = bp_update("ti", state, problem, config)
-            for name in ("L", "R"):
-                mixed = _damp(state.messages[name], new[name], config.damping)
+        for sides, k in steps:
+            out = _outgoing_logs(problem, k, *_incoming(problem, logs, k), sides,
+                                 config.retain_inverse)
+            for side, log_new in out.items():
+                name = side if problem.kind == "ti" else (side, k)
+                # damping: convex mix of the logs, then one eigh gives the
+                # unit-trace message and the shift that normalizes its log
+                mix = (1.0 - alpha) * logs[name] + alpha * log_new
+                mixed, scale = _normalized_exp(mix)
                 residual = max(residual, _trace_distance_mat(mixed, state.messages[name]))
                 state.messages[name] = mixed
-        else:
-            keys = problem.cluster_keys
-            for k in keys[:-1]:        # forward sweep: right-moving
-                new = bp_update(k, state, problem, config)[("R", k)]
-                mixed = _damp(state.messages[("R", k)], new, config.damping)
-                residual = max(residual, _trace_distance_mat(mixed, state.messages[("R", k)]))
-                state.messages[("R", k)] = mixed
-            for k in reversed(keys[1:]):   # backward sweep: left-moving
-                new = bp_update(k, state, problem, config)[("L", k)]
-                mixed = _damp(state.messages[("L", k)], new, config.damping)
-                residual = max(residual, _trace_distance_mat(mixed, state.messages[("L", k)]))
-                state.messages[("L", k)] = mixed
+                logs[name] = mix - scale * np.eye(dim)
         state.residual = residual
         state.iterations = it
         if residual <= config.tol_residual:
@@ -290,24 +290,19 @@ def beliefs_from_messages(state: BPState, problem: BPProblem):
     """Cluster beliefs rho_k and overlap beliefs sigma_k.
 
     sigma_k comes from the product of the two messages crossing the edge,
-    which is the stationarity condition for the overlap state."""
-    n = problem.n
-    dims = (2,) * (n + 1)
+    which is the stationarity condition for the overlap state. Message
+    eigenvalues that underflowed in the loop are clamped at EIG_FLOOR."""
+    logs = {name: logm_psd(m, EIG_FLOOR) for name, m in state.messages.items()}
     beliefs = {}
     overlaps = {}
+    for k in problem.cluster_keys:
+        beliefs[k], _ = _normalized_exp(
+            _cluster_state_log(problem, k, *_incoming(problem, logs, k)))
     if problem.kind == "ti":
-        mR, mL = state.messages["R"], state.messages["L"]
-        beliefs["ti"] = _normalized_exp(_cluster_state_log(problem, "ti", mR, mL))
-        overlaps["ti"] = _normalized_exp(logm_psd(mL, EIG_FLOOR) + logm_psd(mR, EIG_FLOOR))
+        overlaps["ti"], _ = _normalized_exp(logs["L"] + logs["R"])
         return beliefs, overlaps
-    keys = problem.cluster_keys
-    for k in keys:
-        m_right_in, m_left_in = _incoming(problem, state.messages, k)
-        beliefs[k] = _normalized_exp(_cluster_state_log(problem, k, m_right_in, m_left_in))
-    for k in keys[1:]:
-        overlaps[k] = _normalized_exp(
-            logm_psd(state.messages[("L", k)], EIG_FLOOR)
-            + logm_psd(state.messages[("R", k - 1)], EIG_FLOOR))
+    for k in problem.cluster_keys[1:]:
+        overlaps[k], _ = _normalized_exp(logs[("L", k)] + logs[("R", k - 1)])
     return beliefs, overlaps
 
 

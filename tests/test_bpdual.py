@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from medbound.bpdual import (
+    _normalized_exp,
+    _outgoing_logs,
     BPConfig,
     BPState,
     beliefs_from_messages,
@@ -17,11 +21,12 @@ from medbound.bpdual import (
 )
 from medbound.lattice import LatticeSpec, ModelSpec, build_lattice, finite_geometry, total_hamiltonian
 from medbound.med import SolverConfig, minimize_finite, minimize_ti
-from medbound.opalg import ptrace_mat, sym, trace_distance, DensityMatrix, SiteSpace
+from medbound.opalg import EIG_FLOOR, embed_mat, logm_psd, ptrace_mat, sym, trace_distance, DensityMatrix, SiteSpace
 from medbound.oracle import exact_free_energy, gibbs_state, ising_transfer_free_energy
 
 HEIS = ModelSpec("heisenberg")
 ISING = ModelSpec("classical_ising")
+TFIM = ModelSpec("tfim", J=1.0, g=1.0)
 LN2 = math.log(2.0)
 
 
@@ -119,6 +124,20 @@ class TestFixedPoint:
         exact = exact_free_energy(total_hamiltonian(terms, sites), t)
         assert abs(f_bp - exact.f_total) <= 1e-8
 
+    def test_tfim_n5_low_temperature_converges(self):
+        # the smallest message eigenvalues come close to EIG_FLOOR here, and
+        # the loop must still reach the residual tolerance
+        t = 0.3
+        prob = bp_ti_problem(TFIM, 5, t)
+        state = bp_fixed_point(prob, BPConfig(max_iters=1000))
+        assert state.converged
+        f = bp_free_energy(state, prob)
+        # free-fermion free energy per site of the critical chain
+        integral, _ = quad(lambda k: math.log(2.0 * math.cosh(2.0 * math.sin(k / 2.0) / t)),
+                           0.0, math.pi, epsabs=1e-13, epsrel=1e-13)
+        f_exact = -t * integral / math.pi
+        assert -1.2859632 < f < f_exact
+
     def test_periodic_chain_rejected(self):
         with pytest.raises(ValueError):
             bp_chain_problem(LatticeSpec("chain", 6, boundary="periodic"), HEIS, 2, 1.0)
@@ -173,6 +192,79 @@ class TestUpdate:
             bp_update("ti", state, prob)
 
 
+def _random_positive(rng, dim):
+    w = rng.standard_normal((dim, dim))
+    m = scipy.linalg.expm(sym(w + w.T))
+    return m / np.trace(m).real
+
+
+def _unit_exp(log_mat):
+    vals, vecs = np.linalg.eigh(sym(log_mat))
+    w = np.exp(vals - vals[-1])
+    return sym((vecs * (w / w.sum())) @ vecs.T)
+
+
+def _density_matrix_update(prob, m_right, m_left, retain, damping):
+    """One damped step on density-matrix messages: every use of a message
+    takes its clamped log, and the damped mix is exponentiated."""
+    n = prob.n
+    dims = (2,) * (n + 1)
+    first, last = tuple(range(n)), tuple(range(1, n + 1))
+
+    def belief(mr, ml):
+        log_rho = prob.log_lambda["ti"]
+        if mr is not None:
+            log_rho = log_rho + embed_mat(logm_psd(mr, EIG_FLOOR), dims, first)
+        if ml is not None:
+            log_rho = log_rho + embed_mat(logm_psd(ml, EIG_FLOOR), dims, last)
+        return _unit_exp(log_rho)
+
+    if retain:
+        rho = belief(m_right, m_left)
+        new = {"L": _unit_exp(logm_psd(ptrace_mat(rho, dims, first), EIG_FLOOR)
+                              - logm_psd(m_right, EIG_FLOOR)),
+               "R": _unit_exp(logm_psd(ptrace_mat(rho, dims, last), EIG_FLOOR)
+                              - logm_psd(m_left, EIG_FLOOR))}
+    else:
+        new = {"L": ptrace_mat(belief(None, m_left), dims, first),
+               "R": ptrace_mat(belief(m_right, None), dims, last)}
+    old = {"L": m_left, "R": m_right}
+    damped = {name: _unit_exp((1.0 - damping) * logm_psd(old[name], EIG_FLOOR)
+                              + damping * logm_psd(new[name], EIG_FLOOR))
+              for name in ("L", "R")}
+    return new, damped
+
+
+class TestLogSpaceStep:
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+           retain=st.booleans(), damping=st.sampled_from([0.5, 1.0]))
+    def test_matches_density_matrix_path(self, n, seed, retain, damping):
+        rng = np.random.default_rng(seed)
+        prob = bp_ti_problem(HEIS, n, 1.0)
+        ham = rng.standard_normal((2 ** (n + 1), 2 ** (n + 1)))
+        prob.log_lambda["ti"] = -sym(ham + ham.T)
+        state = identity_state(prob)
+        for name in ("L", "R"):
+            state.messages[name] = _random_positive(rng, 2 ** n)
+        cfg = BPConfig(damping=damping, retain_inverse=retain)
+        new_ref, damped_ref = _density_matrix_update(
+            prob, state.messages["R"], state.messages["L"], retain, damping)
+
+        new = bp_update("ti", state, prob, cfg)
+        # log-space path: unit-trace logs in, damped mix of logs out
+        logs = {name: scipy.linalg.logm(m).real for name, m in state.messages.items()}
+        out = _outgoing_logs(prob, "ti", logs["R"], logs["L"], ("L", "R"), retain)
+        for name in ("L", "R"):
+            assert np.max(np.abs(new[name] - new_ref[name])) <= 1e-10
+            mix = (1.0 - damping) * logs[name] + damping * out[name]
+            mixed, scale = _normalized_exp(mix)
+            assert np.max(np.abs(mixed - damped_ref[name])) <= 1e-10
+            # the shifted mix is the unit-trace log carried to the next step
+            unit_log = mix - scale * np.eye(2 ** n)
+            assert np.max(np.abs(unit_log - scipy.linalg.logm(mixed).real)) <= 1e-8
+
+
 class TestBeliefs:
     def test_identity_messages_give_bare_gibbs(self):
         t = 0.9
@@ -182,6 +274,16 @@ class TestBeliefs:
         ham = -t * prob.log_lambda["ti"]
         ref = gibbs_state(ham, t)
         assert np.max(np.abs(beliefs["ti"] - ref.mat)) <= 1e-10
+
+    def test_underflowed_message_is_clamped(self):
+        # at low T a message eigenvalue can underflow to zero in the loop;
+        # the beliefs still exist, with its log clamped
+        prob = bp_ti_problem(HEIS, 1, 1.0)
+        state = identity_state(prob)
+        state.messages["L"] = np.diag([1.0, 0.0])
+        beliefs, overlaps = beliefs_from_messages(state, prob)
+        assert abs(np.trace(beliefs["ti"]) - 1.0) <= 1e-12
+        assert np.all(np.isfinite(overlaps["ti"]))
 
     def test_product_hamiltonian_product_beliefs(self):
         t = 0.7
