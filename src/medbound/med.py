@@ -11,11 +11,26 @@ Solver design: each cluster state is parametrized as rho = exp(G)/Tr exp(G)
 over a Hermitian G, which builds positivity and normalization into the
 coordinates. Consistency constraints are handled by an augmented Lagrangian
 with geometric penalty growth; the smooth inner problems go to scipy's
-limited-memory quasi-Newton (or nonlinear CG) with an analytic gradient.
-The chain rule through the exponential map uses the divided-difference
-kernel of exp on the eigenbasis of G. When every cluster Hamiltonian is
-real the whole iteration stays in real symmetric matrices, which roughly
-halves the parameter count and speeds up the eigensolver.
+limited-memory quasi-Newton with an analytic gradient. The chain rule
+through the exponential map uses the divided-difference kernel of exp on
+the eigenbasis of G. When every cluster Hamiltonian is real the whole
+iteration stays in real symmetric matrices, which roughly halves the
+parameter count and speeds up the eigensolver.
+
+When every cluster Hamiltonian conserves the charge q (the sum of the local
+basis indices of a basis state, the S^z count for spins), G is restricted
+to its charge sectors: only the in-sector entries are parameters, and each
+G and each shield marginal is diagonalized one sector at a time. This is
+exact. The objective is convex and invariant under u^{(x)n} with
+u = exp(i theta n), n the local basis index, and the consistency
+constraints map to themselves under it, so averaging a minimizer over theta
+gives a minimizer that commutes with the charge. The dense iteration would
+stay in that subspace too in exact arithmetic (it starts at G = 0 and its
+gradients are invariant); in floating point it drifts out of it. States,
+marginals, multipliers and the gradient pullback stay dense matrices, with
+exact zeros off the sectors. A problem in which some cluster Hamiltonian
+breaks the charge keeps one sector per matrix, which is the plain dense
+iteration.
 """
 
 from __future__ import annotations
@@ -81,7 +96,6 @@ class SolverConfig:
     penalty_init: float = 1.0
     penalty_growth: float = 2.0
     seed: int = 0
-    method: str = "lbfgs"          # lbfgs | cg
     track_inner: bool = False
 
     def __post_init__(self):
@@ -89,8 +103,6 @@ class SolverConfig:
             raise ValueError("tolerances and penalty must be positive")
         if self.penalty_growth <= 1:
             raise ValueError("penalty_growth must exceed 1")
-        if self.method not in ("lbfgs", "cg"):
-            raise ValueError(f"unknown inner method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -284,25 +296,105 @@ def multi_patch_problem(geos) -> MedProblem:
 
 
 # ---------------------------------------------------------------------------
+# charge sectors
+# ---------------------------------------------------------------------------
+
+class _Blocks:
+    """Basis indices of one matrix grouped by charge and stacked by sector
+    size: `stacks` holds one (k, b) index array per sector size b."""
+
+    __slots__ = ("charge", "stacks", "_plan")
+
+    def __init__(self, charge: np.ndarray):
+        self.charge = charge
+        by_size: dict = {}
+        for c in np.unique(charge):
+            idx = np.flatnonzero(charge == c)
+            by_size.setdefault(idx.size, []).append(idx)
+        self.stacks = tuple(np.array(by_size[b]) for b in sorted(by_size))
+        # gather indices of each stack and the columns its eigenvectors fill
+        plan = []
+        pos = 0
+        for idx in self.stacks:
+            k, b = idx.shape
+            cols = np.arange(pos, pos + k * b).reshape(k, b)
+            plan.append((idx[:, :, None], idx[:, None, :], cols, cols[:, None, :]))
+            pos += k * b
+        self._plan = tuple(plan)
+
+    def eigh(self, A: np.ndarray):
+        """Eigenpairs of a matrix that vanishes off the sectors: one batched
+        eigh per sector size, the eigenvectors placed in a dense
+        block-diagonal U (eigenvalues in sector order, not sorted)."""
+        vals = np.empty(A.shape[0])
+        U = np.zeros_like(A)
+        for rows, cols, pos, pos_cols in self._plan:
+            w, v = np.linalg.eigh(A[rows, cols])
+            vals[pos] = w
+            U[rows, pos_cols] = v
+        return vals, U
+
+
+def _charges(dims) -> np.ndarray:
+    """Charge of every basis state: the sum of its local basis indices."""
+    return np.indices(tuple(dims)).reshape(len(dims), -1).sum(axis=0)
+
+
+def _conserves_charge(var: VarSpec) -> bool:
+    if var.ham is None:
+        return True
+    q = _charges(var.dims)
+    return not np.any(var.ham[q[:, None] != q[None, :]])
+
+
+def _problem_sectors(problem: MedProblem, one_sector: bool = False) -> dict:
+    """Per variable key: (cluster blocks, shield-marginal blocks or None).
+
+    Charge sectors when every cluster Hamiltonian conserves the charge,
+    otherwise (or with `one_sector`, for states not built by the solver) one
+    sector per matrix."""
+    by_charge = not one_sector and all(_conserves_charge(v) for v in problem.variables)
+
+    def blocks(dims):
+        return _Blocks(_charges(dims) if by_charge else np.zeros(int(np.prod(dims)), int))
+
+    return {v.key: (blocks(v.dims),
+                    blocks([v.dims[a] for a in v.shield_axes]) if v.shield_axes else None)
+            for v in problem.variables}
+
+
+# ---------------------------------------------------------------------------
 # objective evaluation
 # ---------------------------------------------------------------------------
 
 class _State:
-    """Eigendata of one cluster state rho = exp(G)/Z."""
+    """Eigendata of one cluster state rho = U diag(p) U^dagger. States built
+    from exponential coordinates, rho = exp(G)/Z, also keep the shifted
+    eigenvalues gs of G (max 0) and Z = sum exp(gs)."""
 
     __slots__ = ("p", "U", "gs", "z", "rho")
 
-    def __init__(self, G):
-        vals, vecs = np.linalg.eigh(G)
-        gs = vals - vals[-1]
+    def __init__(self, p, U, rho, gs=None, z=None):
+        self.p = p
+        self.U = U
+        self.rho = rho
+        self.gs = gs
+        self.z = z
+
+    @classmethod
+    def from_g(cls, G: np.ndarray, blocks: _Blocks) -> "_State":
+        vals, U = blocks.eigh(G)
+        gs = vals - vals.max()
         w = np.exp(gs)
         z = float(w.sum())
         p = w / z
-        self.p = p
-        self.U = vecs
-        self.gs = gs
-        self.z = z
-        self.rho = sym((vecs * p) @ vecs.conj().T)
+        return cls(p, U, sym((U * p) @ U.conj().T), gs, z)
+
+    @classmethod
+    def from_rho(cls, mat: np.ndarray) -> "_State":
+        rho = sym(mat)
+        p, U = np.linalg.eigh(rho)
+        return cls(np.maximum(p, 0.0), U, rho)
 
 
 def _exp_dd_kernel(gs: np.ndarray) -> np.ndarray:
@@ -333,13 +425,15 @@ def _log_eig(p, U):
     return sym((U * np.log(np.maximum(p, LOG_FLOOR))) @ U.conj().T)
 
 
-def _cluster_terms(var: VarSpec, st: _State, T: float, want_grad: bool):
-    """Energy, shield-conditional entropy, and the matrix derivative wrt rho."""
+def _cluster_terms(var: VarSpec, st: _State, T: float, want_grad: bool,
+                   shield: _Blocks | None):
+    """Energy, shield-conditional entropy, and the matrix derivative wrt rho.
+    `shield` gives the sectors of the shield marginal."""
     e = trace_product(st.rho, var.ham) if var.ham is not None else 0.0
     s_c = entropy_from_probs(st.p)
     if var.shield_axes:
         marg = ptrace_mat(st.rho, var.dims, var.shield_axes)
-        pm, Um = np.linalg.eigh(sym(marg))
+        pm, Um = shield.eigh(sym(marg))
         s_m = entropy_from_probs(pm)
     else:
         s_m = 0.0
@@ -356,7 +450,7 @@ def _cluster_terms(var: VarSpec, st: _State, T: float, want_grad: bool):
 
 def _al_eval(problem: MedProblem, T: float, states: dict, t: float | None,
              eq_mults: list, ineq_mults: np.ndarray | None, pen: float,
-             want_grad: bool):
+             want_grad: bool, sectors: dict):
     """Augmented-Lagrangian value (and gradient pieces) at one point."""
     npatch = problem.n_patches
     patch_f = np.zeros(npatch)
@@ -366,7 +460,7 @@ def _al_eval(problem: MedProblem, T: float, states: dict, t: float | None,
     obj_M = {}
     for v in problem.variables:
         st = states[v.key]
-        value, e, s, M = _cluster_terms(v, st, T, want_grad)
+        value, e, s, M = _cluster_terms(v, st, T, want_grad, sectors[v.key][1])
         patch_f[v.patch] += value
         patch_e[v.patch] += e
         patch_s[v.patch] += s
@@ -436,13 +530,23 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class _Packer:
-    def __init__(self, problem: MedProblem, real_mode: bool, with_t: bool):
+    """Diagonal and in-sector upper-triangle entries of each cluster's G as
+    one real vector; entries between different sectors are not parameters."""
+
+    def __init__(self, problem: MedProblem, real_mode: bool, with_t: bool, sectors: dict):
         self.keys = [v.key for v in problem.variables]
         self.dims = [v.dim for v in problem.variables]
         self.real = real_mode
         self.with_t = with_t
-        self.iu = [np.triu_indices(d, 1) for d in self.dims]
-        sizes = [d + (1 if real_mode else 2) * (d * (d - 1) // 2) for d in self.dims]
+        self.iu = []        # in-sector upper-triangle entries, sector by sector
+        for key, d in zip(self.keys, self.dims):
+            q = sectors[key][0].charge
+            i, j = np.triu_indices(d, 1)
+            keep = q[i] == q[j]
+            i, j = i[keep], j[keep]
+            order = np.argsort(q[i], kind="stable")
+            self.iu.append((i[order], j[order]))
+        sizes = [d + (1 if real_mode else 2) * iu[0].size for d, iu in zip(self.dims, self.iu)]
         offs = np.cumsum([1 if with_t else 0] + sizes)
         self.slices = [slice(int(a), int(b)) for a, b in zip(offs[:-1], offs[1:])]
         self.n = int(offs[-1])
@@ -451,7 +555,7 @@ class _Packer:
         x = np.zeros(self.n)
         if self.with_t:
             x[0] = t
-        for key, d, iu, sl in zip(self.keys, self.dims, self.iu, self.slices):
+        for key, iu, sl in zip(self.keys, self.iu, self.slices):
             H = mats[key]
             off = H[iu]
             parts = [np.real(np.diagonal(H)), _SQRT2 * np.real(off)]
@@ -465,7 +569,7 @@ class _Packer:
         t = float(x[0]) if self.with_t else None
         for key, d, iu, sl in zip(self.keys, self.dims, self.iu, self.slices):
             v = x[sl]
-            n_off = d * (d - 1) // 2
+            n_off = iu[0].size
             H = np.zeros((d, d)) if self.real else np.zeros((d, d), dtype=complex)
             off = v[d:d + n_off] / _SQRT2
             if not self.real:
@@ -507,7 +611,11 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     config = config or SolverConfig()
     real_mode = _is_real_problem(problem)
     with_t = problem.n_patches > 1
-    packer = _Packer(problem, real_mode, with_t)
+    sectors = _problem_sectors(problem)
+    packer = _Packer(problem, real_mode, with_t, sectors)
+
+    def states_of(gm):
+        return {k: _State.from_g(g, sectors[k][0]) for k, g in gm.items()}
 
     if warm is not None:
         gmats = {k: np.array(v) for k, v in warm["g"].items()}
@@ -523,9 +631,8 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         t0 = None
 
     if with_t and t0 is None:
-        states0 = {k: _State(g) for k, g in gmats.items()}
-        probe = _al_eval(problem, T, states0, 0.0, eq_mults, np.zeros(problem.n_patches),
-                         1.0, want_grad=False)
+        probe = _al_eval(problem, T, states_of(gmats), 0.0, eq_mults,
+                         np.zeros(problem.n_patches), 1.0, want_grad=False, sectors=sectors)
         t0 = float(np.max(probe["patch_f"]))
 
     pen = config.penalty_init
@@ -533,13 +640,12 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     inner_trace = [] if config.track_inner else None
     total_inner = 0
     converged = False
-    scipy_method = "L-BFGS-B" if config.method == "lbfgs" else "CG"
 
     def make_fun(eq_m, in_m, p):
         def fun(xv):
             gm, tv = packer.unpack(xv)
-            states = {k: _State(g) for k, g in gm.items()}
-            out = _al_eval(problem, T, states, tv, eq_m, in_m, p, want_grad=True)
+            out = _al_eval(problem, T, states_of(gm), tv, eq_m, in_m, p,
+                           want_grad=True, sectors=sectors)
             grad = packer.pack(out["grads"], out["grad_t"])
             return out["al"], grad
         return fun
@@ -560,11 +666,8 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
 
             def callback(xk, _trace=trace, _fun=fun):
                 _trace.append(_fun(xk)[0])
-        options = {"maxiter": config.max_inner, "gtol": gtol}
-        if scipy_method == "L-BFGS-B":
-            options["ftol"] = 1e-16
-            options["maxcor"] = 25
-        res = _scipy_minimize(fun, x, jac=True, method=scipy_method,
+        options = {"maxiter": config.max_inner, "gtol": gtol, "ftol": 1e-16, "maxcor": 25}
+        res = _scipy_minimize(fun, x, jac=True, method="L-BFGS-B",
                               options=options, callback=callback)
         x = res.x
         total_inner += int(res.nit)
@@ -573,9 +676,8 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
             inner_trace.append(trace)
 
         gmats, t_val = packer.unpack(x)
-        states = {k: _State(g) for k, g in gmats.items()}
-        out = _al_eval(problem, T, states, t_val, eq_mults, ineq_mults, pen,
-                       want_grad=False)
+        out = _al_eval(problem, T, states_of(gmats), t_val, eq_mults, ineq_mults, pen,
+                       want_grad=False, sectors=sectors)
         res_inf = out["res_inf"]
         if with_t:
             res_inf = max(res_inf, float(np.max(np.maximum(0.0, out["patch_f"] - t_val))))
@@ -596,8 +698,9 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
             pen = min(pen * config.penalty_growth, 1e9)
 
     gmats, t_val = packer.unpack(x)
-    states = {k: _State(g) for k, g in gmats.items()}
-    out = _al_eval(problem, T, states, t_val, eq_mults, ineq_mults, pen, want_grad=False)
+    states = states_of(gmats)
+    out = _al_eval(problem, T, states, t_val, eq_mults, ineq_mults, pen, want_grad=False,
+                   sectors=sectors)
     binding = int(np.argmax(out["patch_f"]))
     f_raw = float(out["patch_f"][binding])
     e_raw = float(out["patch_e"][binding])
@@ -616,7 +719,6 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         "warm": warm_out,
         "patch_f": out["patch_f"] / norm,
         "penalty": pen,
-        "method": config.method,
         "verified": bool(converged),
     }
     if inner_trace is not None:
@@ -642,16 +744,7 @@ def _states_from_vars(variables: ClusterVariables, problem: MedProblem) -> dict:
     out = {}
     for v in problem.variables:
         rho = variables.states[v.key]
-        mat = rho.mat if hasattr(rho, "mat") else np.asarray(rho)
-        st = _State.__new__(_State)
-        p, U = np.linalg.eigh(sym(mat))
-        p = np.maximum(p, 0.0)
-        st.p = p
-        st.U = U
-        st.gs = None
-        st.z = None
-        st.rho = sym(mat)
-        out[v.key] = st
+        out[v.key] = _State.from_rho(rho.mat if hasattr(rho, "mat") else np.asarray(rho))
     return out
 
 
@@ -660,9 +753,10 @@ def markov_free_energy(variables: ClusterVariables, problem: MedProblem, T: floa
     translation-invariant mode and total otherwise. With several patches the
     binding (largest) patch value is returned."""
     states = _states_from_vars(variables, problem)
+    dense = _problem_sectors(problem, one_sector=True)
     vals = np.zeros(problem.n_patches)
     for v in problem.variables:
-        value, _, _, _ = _cluster_terms(v, states[v.key], T, want_grad=False)
+        value, _, _, _ = _cluster_terms(v, states[v.key], T, False, dense[v.key][1])
         vals[v.patch] += value
     return float(np.max(vals))
 
@@ -671,9 +765,10 @@ def free_energy_gradient(variables: ClusterVariables, problem: MedProblem, T: fl
     """Euclidean gradient with respect to each cluster state:
     H + T (ln rho - embed(ln rho_shield))."""
     states = _states_from_vars(variables, problem)
+    dense = _problem_sectors(problem, one_sector=True)
     grads = {}
     for v in problem.variables:
-        _, _, _, M = _cluster_terms(v, states[v.key], T, want_grad=True)
+        _, _, _, M = _cluster_terms(v, states[v.key], T, True, dense[v.key][1])
         grads[v.key] = M
     return grads
 
@@ -686,26 +781,15 @@ def exponential_value_and_grad(gmats: dict, problem: MedProblem, T: float):
     """
     if problem.n_patches != 1:
         raise ValueError("exponential gradient helper is single-patch only")
-    states = {k: _State(np.asarray(g)) for k, g in gmats.items()}
+    dense = _problem_sectors(problem, one_sector=True)
+    states = {k: _State.from_g(np.asarray(g), dense[k][0]) for k, g in gmats.items()}
     value = 0.0
     grads = {}
     for v in problem.variables:
-        val, _, _, M = _cluster_terms(v, states[v.key], T, want_grad=True)
+        val, _, _, M = _cluster_terms(v, states[v.key], T, True, dense[v.key][1])
         value += val
         grads[v.key] = _pullback(M, states[v.key])
     return value, grads
-
-
-def constraint_residuals(variables: ClusterVariables, problem: MedProblem):
-    states = _states_from_vars(variables, problem)
-    out = []
-    for c in problem.constraints:
-        va = problem.var(c.left_key)
-        vb = problem.var(c.right_key)
-        ma = ptrace_mat(states[c.left_key].rho, va.dims, c.left_axes)
-        mb = ptrace_mat(states[c.right_key].rho, vb.dims, c.right_axes)
-        out.append(float(np.max(np.abs(ma - mb))))
-    return out
 
 
 # ---------------------------------------------------------------------------

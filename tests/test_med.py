@@ -1,18 +1,28 @@
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medbound.lattice import (
+    PAULI_X,
     LatticeSpec,
     ModelSpec,
     ti_chain_geometry,
+    ti_square_geometry,
     finite_geometry,
     total_hamiltonian,
 )
 from medbound.med import (
     ClusterVariables,
+    MedProblem,
     SolverConfig,
+    _al_eval,
+    _Packer,
+    _problem_sectors,
+    _State,
     exponential_value_and_grad,
     finite_problem,
     free_energy_gradient,
@@ -39,6 +49,8 @@ from medbound.oracle import exact_free_energy, gibbs_state, ising_transfer_free_
 LN2 = math.log(2.0)
 HEIS = ModelSpec("heisenberg")
 ISING = ModelSpec("classical_ising")
+TFIM = ModelSpec("tfim", J=1.0, g=1.0)
+SQUARE_TEMPLATE_6 = ((-1, 0), (-2, 0), (-3, 0), (-1, 1), (0, 1), (1, 1))
 
 TIGHT = SolverConfig(tol_gradient=1e-7, tol_constraint=1e-8, max_inner=3000)
 
@@ -332,3 +344,163 @@ class TestInvariants:
                    for k in states1}
             fmix = markov_free_energy(ClusterVariables(mix, prob.constraints), prob, t)
             assert fmix <= lam * f1 + (1 - lam) * f2 + 1e-10
+
+
+def charges(n_sites):
+    """Number of up spins (basis index 1) of each basis state."""
+    return np.indices((2,) * n_sites).reshape(n_sites, -1).sum(axis=0)
+
+
+def sector_sizes(blocks):
+    """Sizes of the charge sectors, in charge order."""
+    return tuple(int(c) for c in np.unique(blocks.charge, return_counts=True)[1])
+
+
+def off_sector(n_sites):
+    q = charges(n_sites)
+    return q[:, None] != q[None, :]
+
+
+class TestSectors:
+    def test_heisenberg_chain_sizes(self):
+        prob = ti_problem(ti_chain_geometry(HEIS, 2))
+        cluster, shield = _problem_sectors(prob)[prob.variables[0].key]
+        assert sector_sizes(cluster) == (1, 3, 3, 1)
+        assert sector_sizes(shield) == (1, 2, 1)
+        assert [s.shape for s in cluster.stacks] == [(2, 1), (2, 3)]
+
+    def test_square6_packs_in_sector_entries_only(self):
+        prob = ti_problem(ti_square_geometry(HEIS, SQUARE_TEMPLATE_6))
+        sectors = _problem_sectors(prob)
+        cluster, shield = sectors[prob.variables[0].key]
+        assert [s.shape for s in cluster.stacks] == [(2, 1), (2, 7), (2, 21), (2, 35)]
+        assert sector_sizes(shield) == (1, 6, 15, 20, 15, 6, 1)
+        assert _Packer(prob, True, False, sectors).n == 1780
+        dense = _problem_sectors(prob, one_sector=True)
+        assert _Packer(prob, True, False, dense).n == 128 * 129 // 2
+
+    def test_tfim_has_one_sector(self):
+        prob = ti_problem(ti_chain_geometry(TFIM, 2))
+        cluster, shield = _problem_sectors(prob)[prob.variables[0].key]
+        assert sector_sizes(cluster) == (8,)
+        assert sector_sizes(shield) == (4,)
+
+    def test_one_breaking_cluster_gives_one_sector_everywhere(self):
+        multi = multi_patch_problem([ti_chain_geometry(HEIS, 2), ti_chain_geometry(TFIM, 1)])
+        geo = finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1)
+        fin = finite_problem(geo)
+        # a transverse field on the top site of one cluster breaks the charge
+        first = fin.variables[0]
+        field_on_top = np.kron(np.eye(first.dim // 2), PAULI_X)
+        broken = dataclasses.replace(first, ham=first.ham + field_on_top)
+        fin = MedProblem(variables=(broken,) + fin.variables[1:],
+                         constraints=fin.constraints, site_norm=fin.site_norm)
+        for prob in (multi, fin):
+            for v in prob.variables:
+                cluster, shield = _problem_sectors(prob)[v.key]
+                assert sector_sizes(cluster) == (v.dim,)
+                if v.shield_axes:
+                    assert len(sector_sizes(shield)) == 1
+        # without the broken cluster the same lattice has sectors
+        plain = finite_problem(geo)
+        sectors = _problem_sectors(plain)
+        assert all(len(sector_sizes(sectors[v.key][0])) > 1 for v in plain.variables)
+
+    def test_iterates_stay_in_sectors(self):
+        # dense iterates drift off the sectors by roundoff (3.1e-5 here);
+        # sector iterates keep exact zeros there and reach the same bound
+        res = minimize_ti(HEIS, 4, 0.5)
+        assert res.converged
+        g = res.meta["warm"]["g"]["ti"]
+        assert np.all(g[off_sector(5)] == 0.0)
+        assert abs(res.f_per_site - (-0.5385956078726468)) <= 1e-6
+
+
+def _ptrace(rho, dims, keep):
+    n = len(dims)
+    order = list(keep) + [i for i in range(n) if i not in keep]
+    dk = int(np.prod([dims[i] for i in keep]))
+    dd = rho.shape[0] // dk
+    t = rho.reshape(dims + dims).transpose(order + [n + i for i in order])
+    return np.einsum("ajbj->ab", t.reshape(dk, dd, dk, dd))
+
+
+def _embed(mat, dims, axes):
+    n = len(dims)
+    order = list(axes) + [i for i in range(n) if i not in axes]
+    d = int(np.prod(dims))
+    big = np.kron(mat, np.eye(d // mat.shape[0])).reshape([dims[i] for i in order] * 2)
+    back = [order.index(i) for i in range(n)]
+    return big.transpose(back + [b + n for b in back]).reshape(d, d)
+
+
+def _dense_al_reference(problem, T, gmats, mults, pen):
+    """The augmented Lagrangian and its gradient in G, on full matrices."""
+    value = 0.0
+    eig, Ms = {}, {}
+    for v in problem.variables:
+        w, U = np.linalg.eigh(gmats[v.key])
+        p = np.exp(w - w.max())
+        p /= p.sum()
+        rho = (U * p) @ U.T
+        eig[v.key] = (w, U, p, rho)
+        value += np.sum(v.ham * rho) + T * np.sum(p * np.log(p))
+        M = v.ham + T * (U * np.log(p)) @ U.T
+        if v.shield_axes:
+            pm, Um = np.linalg.eigh(_ptrace(rho, v.dims, v.shield_axes))
+            value -= T * np.sum(pm * np.log(pm))
+            M = M - T * _embed((Um * np.log(pm)) @ Um.T, v.dims, v.shield_axes)
+        Ms[v.key] = M
+    for c, y in zip(problem.constraints, mults):
+        va, vb = problem.var(c.left_key), problem.var(c.right_key)
+        R = (_ptrace(eig[c.left_key][3], va.dims, c.left_axes)
+             - _ptrace(eig[c.right_key][3], vb.dims, c.right_axes))
+        value += np.sum(y * R) + 0.5 * pen * np.sum(R * R)
+        Ms[c.left_key] = Ms[c.left_key] + _embed(y + pen * R, va.dims, c.left_axes)
+        Ms[c.right_key] = Ms[c.right_key] - _embed(y + pen * R, vb.dims, c.right_axes)
+    grads = {}
+    for key, (w, U, p, rho) in eig.items():
+        # d rho / d G through divided differences of exp on the eigenbasis
+        a, b = w[:, None] - w.max(), w[None, :] - w.max()
+        gap = a - b
+        close = np.abs(gap) < 1e-9
+        K = np.where(close, np.exp(a), (np.exp(a) - np.exp(b)) / np.where(close, 1.0, gap))
+        K /= np.exp(w - w.max()).sum()
+        Mt = U.T @ Ms[key] @ U
+        grads[key] = U @ (K * Mt) @ U.T - np.sum(Ms[key] * rho) * rho
+    return value, grads
+
+
+def _random_conserving(rng, n_sites, scale):
+    d = 2 ** n_sites
+    a = scale * rng.standard_normal((d, d))
+    return np.where(off_sector(n_sites), 0.0, 0.5 * (a + a.T))
+
+
+class TestSectorEvaluation:
+    PROBLEMS = {
+        "ti n=1": lambda: ti_problem(ti_chain_geometry(HEIS, 1)),
+        "ti n=2": lambda: ti_problem(ti_chain_geometry(HEIS, 2)),
+        "open N=4 r=2": lambda: finite_problem(
+            finite_geometry(LatticeSpec("chain", 4), HEIS, radius=2)),
+    }
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(PROBLEMS)), seed=st.integers(0, 2 ** 32 - 1),
+           T=st.sampled_from([0.3, 1.0]), pen=st.floats(0.5, 20.0),
+           scale=st.sampled_from([0.3, 1.5]))
+    def test_al_eval_matches_dense_reference(self, name, seed, T, pen, scale):
+        prob = self.PROBLEMS[name]()
+        rng = np.random.default_rng(seed)
+        gmats = {v.key: _random_conserving(rng, len(v.dims), scale) for v in prob.variables}
+        mults = [_random_conserving(rng, len(c.left_axes), scale) for c in prob.constraints]
+        sectors = _problem_sectors(prob)
+        assert all(len(sector_sizes(s[0])) > 1 for s in sectors.values())
+        states = {k: _State.from_g(g, sectors[k][0]) for k, g in gmats.items()}
+        out = _al_eval(prob, T, states, None, mults, None, pen, want_grad=True,
+                       sectors=sectors)
+        value, grads = _dense_al_reference(prob, T, gmats, mults, pen)
+        assert abs(out["al"] - value) <= 1e-12 * max(1.0, abs(value))
+        for key, grad in grads.items():
+            assert np.max(np.abs(out["grads"][key] - grad)) <= 1e-12
+            assert np.all(out["grads"][key][off_sector(len(prob.var(key).dims))] == 0.0)
