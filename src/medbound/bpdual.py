@@ -24,9 +24,11 @@ and new logs, which preserves positivity exactly; one eigendecomposition of
 the mix gives the normalized message and the shift that normalizes its log.
 Inside the loop `EIG_FLOOR` clamps only the logs of the cluster marginals;
 message logs are never clamped. `BPState.messages` holds the normalized
-exponentials: the residual (largest trace-distance change) is measured on
-them, and `beliefs_from_messages` logs them again, with the clamp. Open
-chains use identity messages beyond both ends.
+exponentials, on which the residual (largest trace-distance change) is
+measured, and `BPState.logs` the unit-trace logs the loop carried, from
+which `beliefs_from_messages` builds the beliefs. A state given only
+messages has them logged again, with the clamp. Open chains use identity
+messages beyond both ends.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ class BPState:
     iterations: int
     converged: bool
     meta: dict = field(default_factory=dict)
+    logs: dict | None = field(default=None, repr=False)     # unit-trace message logs
 
 
 @dataclass(eq=False)
@@ -262,7 +265,7 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
     logs = {name: np.eye(dim) * -math.log(dim) for name in names}
     state = BPState(messages={name: np.eye(dim) / dim for name in names},
                     residual=math.inf, iterations=0, converged=False,
-                    meta={"schedule": problem.meta.get("schedule")})
+                    meta={"schedule": problem.meta.get("schedule")}, logs=logs)
     alpha = config.damping
     for it in range(1, config.max_iters + 1):
         residual = 0.0
@@ -290,9 +293,12 @@ def beliefs_from_messages(state: BPState, problem: BPProblem):
     """Cluster beliefs rho_k and overlap beliefs sigma_k.
 
     sigma_k comes from the product of the two messages crossing the edge,
-    which is the stationarity condition for the overlap state. Message
-    eigenvalues that underflowed in the loop are clamped at EIG_FLOOR."""
-    logs = {name: logm_psd(m, EIG_FLOOR) for name, m in state.messages.items()}
+    which is the stationarity condition for the overlap state. The message
+    logs are the ones the fixed-point loop carried; a state without them has
+    its messages logged, with eigenvalues clamped at EIG_FLOOR."""
+    logs = state.logs
+    if logs is None:
+        logs = {name: logm_psd(m, EIG_FLOOR) for name, m in state.messages.items()}
     beliefs = {}
     overlaps = {}
     for k in problem.cluster_keys:

@@ -441,6 +441,9 @@ def finite_geometry(spec: LatticeSpec, model: ModelSpec, radius: int | None = No
         radius = spec.w
     nbh = neighborhood_map(spec, radius=radius, template=template)
     shields = {k: markov_shield(k, ordering, nbh[k]) for k in ordering}
+    largest = max(len(s.cluster) for s in shields.values())
+    if 2 ** largest > CLUSTER_DIM_GUARD:
+        raise ValueError(f"cluster dimension 2^{largest} exceeds guard {CLUSTER_DIM_GUARD}")
     assignment = assign_terms(shields, terms, ordering)
     hams = {k: _cluster_matrix(shields[k].cluster, assignment[k]) for k in ordering}
     pos = {s: i for i, s in enumerate(ordering)}

@@ -13,36 +13,46 @@ coordinates. Consistency constraints are handled by an augmented Lagrangian
 with geometric penalty growth; the smooth inner problems go to scipy's
 limited-memory quasi-Newton with an analytic gradient. The chain rule
 through the exponential map uses the divided-difference kernel of exp on
-the eigenbasis of G. When every cluster Hamiltonian is real the whole
+the eigenbasis of G. Each inner problem is solved in coordinates fixed at
+its start (`_Frame`) that rescale G, in the eigenbasis of the start point,
+by the inverse square root of that kernel: the entropy's curvature in G
+(the Kubo-Mori metric) shrinks with the weights of the states involved, and
+the rescaling evens it out. When every cluster Hamiltonian is real the whole
 iteration stays in real symmetric matrices, which roughly halves the
 parameter count and speeds up the eigensolver.
 
 When every cluster Hamiltonian conserves the charge q (the sum of the local
 basis indices of a basis state, the S^z count for spins), G is restricted
-to its charge sectors: only the in-sector entries are parameters, and each
-G and each shield marginal is diagonalized one sector at a time. This is
+to its charge sectors: only the in-sector entries are parameters. This is
 exact. The objective is convex and invariant under u^{(x)n} with
 u = exp(i theta n), n the local basis index, and the consistency
 constraints map to themselves under it, so averaging a minimizer over theta
 gives a minimizer that commutes with the charge. The dense iteration would
 stay in that subspace too in exact arithmetic (it starts at G = 0 and its
-gradients are invariant); in floating point it drifts out of it. States,
-marginals, multipliers and the gradient pullback stay dense matrices, with
-exact zeros off the sectors. A problem in which some cluster Hamiltonian
-breaks the charge keeps one sector per matrix, which is the plain dense
-iteration.
+gradients are invariant); in floating point it drifts out of it. A problem
+in which some cluster Hamiltonian breaks the charge keeps one sector per
+matrix, which is the plain dense iteration.
+
+Each problem is compiled once, at its first solve, into a block layout
+(`_Compiled`): G, the states, the shield marginals, the multipliers and the
+gradient are carried as charge-sector blocks, stacked by block size across
+all clusters, and the partial traces and their adjoint embeddings are index
+maps. One objective evaluation therefore makes a fixed number of batched
+calls per block size, however many clusters, constraints and sectors the
+problem has. Dense matrices appear only at the interface: warm starts,
+returned states and the public gradient helpers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from medbound.lattice import (
-    CLUSTER_DIM_GUARD,
     FiniteGeometry,
     ModelSpec,
     TIGeometry,
@@ -50,7 +60,10 @@ from medbound.lattice import (
     ti_chain_geometry,
     ti_square_geometry,
 )
-from medbound.opalg import (
+# ptrace_mat and entropy_from_probs are no longer called here; they stay
+# attributes of this module because perfbench/tracing.py wraps them by name
+from medbound.opalg import (  # noqa: F401
+    ENTROPY_CUTOFF,
     DensityMatrix,
     SiteSpace,
     embed_mat,
@@ -89,13 +102,17 @@ LOG_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """`tol_gradient` bounds the largest entry of the inner gradient in the
+    preconditioned coordinates of `_Frame`; `tol_constraint` bounds the
+    largest entry of the constraint residuals. The reported bound can lie
+    about |multipliers| x `tol_constraint` below the optimum."""
+
     tol_gradient: float = 1e-6
-    tol_constraint: float = 1e-6
+    tol_constraint: float = 1e-7
     max_outer: int = 50
     max_inner: int = 500
     penalty_init: float = 1.0
     penalty_growth: float = 2.0
-    seed: int = 0
     track_inner: bool = False
 
     def __post_init__(self):
@@ -139,6 +156,8 @@ class MedProblem:
     n_patches: int = 1
     site_norm: float = 1.0      # divide totals by this for per-site numbers
     meta: dict = field(default_factory=dict)
+    # layouts built by `_compiled`, keyed by whether they use charge sectors
+    _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self._vmap = {v.key: v for v in self.variables}
@@ -207,8 +226,6 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 def ti_problem(geo: TIGeometry, patch: int = 0, key: object = "ti") -> MedProblem:
-    if geo.dim > CLUSTER_DIM_GUARD:
-        raise ValueError(f"cluster dimension {geo.dim} exceeds guard {CLUSTER_DIM_GUARD}")
     var = VarSpec(key=key, labels=geo.labels, dims=geo.dims, ham=geo.ham,
                   shield_axes=geo.shield_axes, patch=patch)
     cons = tuple(Constraint(key, left, key, right) for left, right in geo.constraints)
@@ -221,8 +238,6 @@ def finite_problem(geo: FiniteGeometry, patch: int = 0) -> MedProblem:
     for k in geo.sites:
         labels = geo.cluster_labels(k)
         dims = (2,) * len(labels)
-        if int(np.prod(dims)) > CLUSTER_DIM_GUARD:
-            raise ValueError("cluster dimension exceeds guard")
         variables.append(VarSpec(key=k, labels=labels, dims=dims, ham=geo.hams[k],
                                  shield_axes=tuple(range(len(labels) - 1)),
                                  patch=patch))
@@ -303,7 +318,7 @@ class _Blocks:
     """Basis indices of one matrix grouped by charge and stacked by sector
     size: `stacks` holds one (k, b) index array per sector size b."""
 
-    __slots__ = ("charge", "stacks", "_plan")
+    __slots__ = ("charge", "stacks")
 
     def __init__(self, charge: np.ndarray):
         self.charge = charge
@@ -312,27 +327,6 @@ class _Blocks:
             idx = np.flatnonzero(charge == c)
             by_size.setdefault(idx.size, []).append(idx)
         self.stacks = tuple(np.array(by_size[b]) for b in sorted(by_size))
-        # gather indices of each stack and the columns its eigenvectors fill
-        plan = []
-        pos = 0
-        for idx in self.stacks:
-            k, b = idx.shape
-            cols = np.arange(pos, pos + k * b).reshape(k, b)
-            plan.append((idx[:, :, None], idx[:, None, :], cols, cols[:, None, :]))
-            pos += k * b
-        self._plan = tuple(plan)
-
-    def eigh(self, A: np.ndarray):
-        """Eigenpairs of a matrix that vanishes off the sectors: one batched
-        eigh per sector size, the eigenvectors placed in a dense
-        block-diagonal U (eigenvalues in sector order, not sorted)."""
-        vals = np.empty(A.shape[0])
-        U = np.zeros_like(A)
-        for rows, cols, pos, pos_cols in self._plan:
-            w, v = np.linalg.eigh(A[rows, cols])
-            vals[pos] = w
-            U[rows, pos_cols] = v
-        return vals, U
 
 
 def _charges(dims) -> np.ndarray:
@@ -347,63 +341,100 @@ def _conserves_charge(var: VarSpec) -> bool:
     return not np.any(var.ham[q[:, None] != q[None, :]])
 
 
-def _problem_sectors(problem: MedProblem, one_sector: bool = False) -> dict:
-    """Per variable key: (cluster blocks, shield-marginal blocks or None).
+def _sector_blocks(dims, by_charge: bool) -> _Blocks:
+    return _Blocks(_charges(dims) if by_charge else np.zeros(int(np.prod(dims)), int))
 
-    Charge sectors when every cluster Hamiltonian conserves the charge,
-    otherwise (or with `one_sector`, for states not built by the solver) one
-    sector per matrix."""
-    by_charge = not one_sector and all(_conserves_charge(v) for v in problem.variables)
 
-    def blocks(dims):
-        return _Blocks(_charges(dims) if by_charge else np.zeros(int(np.prod(dims)), int))
+class _Stack(NamedTuple):
+    """The blocks of one size b: `shape` is (k, b, b), `flat` and `eig` the
+    slices of the block and eigenvalue vectors they fill, `owner` the matrix
+    each block belongs to."""
 
-    return {v.key: (blocks(v.dims),
-                    blocks([v.dims[a] for a in v.shield_axes]) if v.shield_axes else None)
-            for v in problem.variables}
+    shape: tuple
+    flat: slice
+    eig: slice
+    owner: np.ndarray
+
+
+def _stack(blocks):
+    """Lay the sector blocks of several matrices (None: no matrix) out in one
+    flat vector, blocks of equal size next to each other and each matrix's
+    blocks in its own order. Returns the stacks and, per flat entry, its
+    matrix, row and column, and per eigenvalue its matrix."""
+    sizes = sorted({s.shape[1] for bl in blocks if bl is not None for s in bl.stacks})
+    stacks, owner, rows, cols, eig_owner = [], [], [], [], []
+    pos = epos = 0
+    for b in sizes:
+        parts = [(m, s) for m, bl in enumerate(blocks) if bl is not None
+                 for s in bl.stacks if s.shape[1] == b]
+        idx = np.concatenate([s for _, s in parts])
+        own = np.concatenate([np.full(len(s), m) for m, s in parts])
+        k = len(idx)
+        stacks.append(_Stack((k, b, b), slice(pos, pos + k * b * b),
+                             slice(epos, epos + k * b), own))
+        rows.append(np.broadcast_to(idx[:, :, None], (k, b, b)).ravel())
+        cols.append(np.broadcast_to(idx[:, None, :], (k, b, b)).ravel())
+        owner.append(np.repeat(own, b * b))
+        eig_owner.append(np.repeat(own, b))
+        pos += k * b * b
+        epos += k * b
+
+    def cat(parts):
+        return np.concatenate(parts) if parts else np.zeros(0, int)
+    return stacks, cat(owner), cat(rows), cat(cols), cat(eig_owner)
 
 
 # ---------------------------------------------------------------------------
-# objective evaluation
+# the compiled problem
 # ---------------------------------------------------------------------------
 
-class _State:
-    """Eigendata of one cluster state rho = U diag(p) U^dagger. States built
-    from exponential coordinates, rho = exp(G)/Z, also keep the shifted
-    eigenvalues gs of G (max 0) and Z = sum exp(gs)."""
+_SQRT2 = math.sqrt(2.0)
 
-    __slots__ = ("p", "U", "gs", "z", "rho")
 
-    def __init__(self, p, U, rho, gs=None, z=None):
-        self.p = p
-        self.U = U
-        self.rho = rho
-        self.gs = gs
-        self.z = z
+def _dag(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
-    @classmethod
-    def from_g(cls, G: np.ndarray, blocks: _Blocks) -> "_State":
-        vals, U = blocks.eigh(G)
-        gs = vals - vals.max()
-        w = np.exp(gs)
-        z = float(w.sum())
-        p = w / z
-        return cls(p, U, sym((U * p) @ U.conj().T), gs, z)
 
-    @classmethod
-    def from_rho(cls, mat: np.ndarray) -> "_State":
-        rho = sym(mat)
-        p, U = np.linalg.eigh(rho)
-        return cls(np.maximum(p, 0.0), U, rho)
+def _scatter(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of the weights whose index is i."""
+    if np.iscomplexobj(weights):
+        return np.bincount(index, weights.real, n) + 1j * np.bincount(index, weights.imag, n)
+    return np.bincount(index, weights, n)
+
+
+def _re_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise Re(conj(a) b): summed over a matrix, Re Tr(a b) for Hermitian a."""
+    return np.real(a.conj() * b)
+
+
+def _neg_xlogx(p: np.ndarray) -> np.ndarray:
+    """-p ln p, with 0 for p at or below the entropy cutoff."""
+    q = np.where(p > ENTROPY_CUTOFF, p, 1.0)
+    return -q * np.log(q)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Hermitian part of every block of a (k, b, b) stack."""
+    return 0.5 * (a + _dag(a))
+
+
+def _from_eig(stacks, vecs, vals, n: int) -> np.ndarray:
+    """Flat blocks of the Hermitian part of U diag(vals) U^dagger."""
+    out = np.empty(n, dtype=vecs[0].dtype if vecs else float)
+    for st, v in zip(stacks, vecs):
+        k, b, _ = st.shape
+        out[st.flat] = _herm((v * vals[st.eig].reshape(k, 1, b)) @ _dag(v)).ravel()
+    return out
 
 
 def _exp_dd_kernel(gs: np.ndarray) -> np.ndarray:
-    """Divided differences (e^a - e^b)/(a - b) with the confluent diagonal.
+    """Divided differences (e^a - e^b)/(a - b) with the confluent diagonal,
+    for every block of a (k, b) stack of eigenvalues.
 
     The eigenvalues are shifted so gs <= 0, which keeps everything bounded;
     nearly equal pairs switch to a series to avoid cancellation."""
-    a = gs[:, None]
-    b = gs[None, :]
+    a = gs[:, :, None]
+    b = gs[:, None, :]
     diff = a - b
     small = np.abs(diff) < 1e-7
     safe = np.where(small, 1.0, diff)
@@ -412,192 +443,378 @@ def _exp_dd_kernel(gs: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _pullback(M: np.ndarray, st: _State) -> np.ndarray:
-    """Hermitian gradient with respect to G of rho -> Tr(M rho)."""
-    Mt = st.U.conj().T @ M @ st.U
-    K = _exp_dd_kernel(st.gs) / st.z
-    W = st.U @ (K * Mt) @ st.U.conj().T
-    tr_m_rho = float(np.real(np.sum(np.diagonal(Mt) * st.p)))
-    return sym(W - tr_m_rho * st.rho)
+def _eigh_stacks(stacks, flat: np.ndarray, n_eig: int):
+    """One batched eigh per stack: all eigenvalues as one vector, and the
+    eigenvectors stack by stack."""
+    vals = np.empty(n_eig)
+    vecs = []
+    for st in stacks:
+        w, v = np.linalg.eigh(flat[st.flat].reshape(st.shape))
+        vals[st.eig] = w.ravel()
+        vecs.append(v)
+    return vals, vecs
 
 
-def _log_eig(p, U):
-    return sym((U * np.log(np.maximum(p, LOG_FLOOR))) @ U.conj().T)
+class _Eig(NamedTuple):
+    """Eigendata of all cluster states: eigenvectors per stack, and over all
+    blocks the weights p and the states rho (flat). States built from
+    exponential coordinates, rho = exp(G)/Z, also keep the eigenvalues gs of
+    G shifted to max 0 per cluster and Z per cluster."""
+
+    vecs: list
+    p: np.ndarray
+    rho: np.ndarray
+    gs: np.ndarray | None = None
+    z: np.ndarray | None = None
 
 
-def _cluster_terms(var: VarSpec, st: _State, T: float, want_grad: bool,
-                   shield: _Blocks | None):
-    """Energy, shield-conditional entropy, and the matrix derivative wrt rho.
-    `shield` gives the sectors of the shield marginal."""
-    e = trace_product(st.rho, var.ham) if var.ham is not None else 0.0
-    s_c = entropy_from_probs(st.p)
-    if var.shield_axes:
-        marg = ptrace_mat(st.rho, var.dims, var.shield_axes)
-        pm, Um = shield.eigh(sym(marg))
-        s_m = entropy_from_probs(pm)
-    else:
-        s_m = 0.0
-    value = e - T * (s_c - s_m)
-    M = None
-    if want_grad:
-        M = T * _log_eig(st.p, st.U)
-        if var.ham is not None:
-            M = M + var.ham
-        if var.shield_axes:
-            M = M - T * embed_mat(_log_eig(pm, Um), var.dims, var.shield_axes)
-    return value, e, s_c - s_m, M
+class _Terms(NamedTuple):
+    """Per cluster: energy e, conditional entropy s and value e - T s; the
+    eigendata of the shield marginals and the constraint residuals R."""
+
+    e: np.ndarray
+    s: np.ndarray
+    value: np.ndarray
+    sh_vals: np.ndarray
+    sh_vecs: list
+    R: np.ndarray
 
 
-def _al_eval(problem: MedProblem, T: float, states: dict, t: float | None,
-             eq_mults: list, ineq_mults: np.ndarray | None, pen: float,
-             want_grad: bool, sectors: dict):
-    """Augmented-Lagrangian value (and gradient pieces) at one point."""
-    npatch = problem.n_patches
-    patch_f = np.zeros(npatch)
-    patch_e = np.zeros(npatch)
-    patch_s = np.zeros(npatch)
-    grads_M = {v.key: None for v in problem.variables} if want_grad else None
-    obj_M = {}
-    for v in problem.variables:
-        st = states[v.key]
-        value, e, s, M = _cluster_terms(v, st, T, want_grad, sectors[v.key][1])
-        patch_f[v.patch] += value
-        patch_e[v.patch] += e
-        patch_s[v.patch] += s
-        if want_grad:
-            obj_M[v.key] = M
+class _Compiled:
+    """A problem laid out once for the objective evaluation.
 
-    # equality constraints between marginals
-    eq_R = []
-    res_inf = 0.0
-    con_M = {v.key: None for v in problem.variables}
-    al_con = 0.0
-    for c, y in zip(problem.constraints, eq_mults):
-        va = problem.var(c.left_key)
-        vb = problem.var(c.right_key)
-        ma = ptrace_mat(states[c.left_key].rho, va.dims, c.left_axes)
-        mb = ptrace_mat(states[c.right_key].rho, vb.dims, c.right_axes)
-        R = sym(ma - mb)
-        eq_R.append(R)
-        res_inf = max(res_inf, float(np.max(np.abs(R))))
-        al_con += trace_product(y, R) + 0.5 * pen * trace_product(R, R)
-        if want_grad:
-            C = y + pen * R
-            piece = embed_mat(C, va.dims, c.left_axes)
-            con_M[c.left_key] = piece if con_M[c.left_key] is None else con_M[c.left_key] + piece
-            piece = embed_mat(C, vb.dims, c.right_axes)
-            con_M[c.right_key] = (-piece if con_M[c.right_key] is None
-                                  else con_M[c.right_key] - piece)
+    - Blocks: every charge-sector block of every cluster state is a run of a
+      flat vector; blocks of one size b from all clusters sit together and
+      are read as a (k, b, b) stack, so one evaluation makes a fixed number
+      of batched calls per block size.
+    - Marginals: the shield marginals (stacked by block size the same way)
+      and the in-sector entries of every constraint residual form a second
+      flat vector. All partial traces onto it are one index map: block entry
+      `src` adds `sign` times itself to marginal entry `tgt`. The embedding,
+      its adjoint, reads the same map backwards. Both are bincounts.
+    - Owners: the cluster of each block entry and eigenvalue, so
+      per-cluster shifts, Z, entropies and per-patch sums are bincounts.
+    - Packing: the real parameter vector holds t first (several patches
+      only), then per cluster the diagonal of G and its in-sector upper
+      triangle sector by sector, imaginary parts after real ones.
+      `unpack` gathers the blocks of G from it; `pack` is its adjoint on
+      Hermitian blocks.
+    Dense matrices appear only at the edges: `to_dense`/`from_dense` and
+    the multiplier conversions."""
 
-    if npatch == 1:
-        al = float(patch_f[0]) + al_con
-        mu = np.array([1.0])
-        grad_t = None
-    else:
-        # epigraph: minimize t subject to F_k <= t
-        g = patch_f - t
-        shifted = ineq_mults + pen * g
-        mu = np.maximum(0.0, shifted)
-        al = float(t) + float(np.sum(mu ** 2 - ineq_mults ** 2) / (2.0 * pen)) + al_con
-        grad_t = 1.0 - float(mu.sum())
+    def __init__(self, problem: MedProblem, by_charge: bool):
+        variables = problem.variables
+        self.keys = [v.key for v in variables]
+        self.dims = [v.dim for v in variables]
+        self.n_vars = len(variables)
+        self.n_patches = problem.n_patches
+        self.with_t = problem.n_patches > 1
+        self.real = _is_real_problem(problem)
+        self.patch = np.array([v.patch for v in variables], dtype=int)
+        self.sectors = {v.key: (_sector_blocks(v.dims, by_charge),
+                                _sector_blocks([v.dims[a] for a in v.shield_axes], by_charge)
+                                if v.shield_axes else None)
+                        for v in variables}
 
-    grads = None
-    if want_grad:
-        grads = {}
-        for v in problem.variables:
-            M = obj_M[v.key] * mu[v.patch]
-            if con_M[v.key] is not None:
-                M = M + con_M[v.key]
-            grads[v.key] = _pullback(M, states[v.key])
-    return {
-        "al": al,
-        "patch_f": patch_f,
-        "patch_e": patch_e,
-        "patch_s": patch_s,
-        "eq_R": eq_R,
-        "res_inf": res_inf,
-        "mu": mu,
-        "grads": grads,
-        "grad_t": grad_t,
-    }
+        self.stacks, self.owner, self.rows, self.cols, self.eig_owner = _stack(
+            [self.sectors[k][0] for k in self.keys])
+        self.n_flat = self.owner.size
+        self.var_flat = [np.flatnonzero(self.owner == m) for m in range(self.n_vars)]
+        self.patch_flat = self.patch[self.owner]
+        # eigenvalues grouped by cluster, for the per-cluster maximum
+        self.eig_sort = np.argsort(self.eig_owner, kind="stable")
+        self.eig_starts = np.searchsorted(self.eig_owner[self.eig_sort], np.arange(self.n_vars))
+        self.ham = np.zeros(self.n_flat, dtype=float if self.real else complex)
+        for m, v in enumerate(variables):
+            if v.ham is not None:
+                sel = self.var_flat[m]
+                self.ham[sel] = v.ham[self.rows[sel], self.cols[sel]]
 
+        # shield marginals, then constraint residual entries
+        self.sh_stacks, sh_owner, sh_rows, sh_cols, self.sh_eig_owner = _stack(
+            [self.sectors[k][1] for k in self.keys])
+        self.n_sh = sh_owner.size
+        self.sh_patch = self.patch[sh_owner]
+        src, tgt, sign = [], [], []
 
-# ---------------------------------------------------------------------------
-# packing Hermitian matrices into real vectors (isometric for Tr(AB))
-# ---------------------------------------------------------------------------
+        def traced(m, axes, labels, s):
+            # embedding the (1-based) entry labels of a marginal puts on
+            # every block entry the marginal entry its partial trace feeds
+            v = variables[m]
+            sel = self.var_flat[m]
+            hit = embed_mat(labels, v.dims, axes)[self.rows[sel], self.cols[sel]]
+            keep = hit > 0
+            src.append(sel[keep])
+            tgt.append(hit[keep].astype(int) - 1)
+            sign.append(np.full(int(keep.sum()), s))
 
-_SQRT2 = math.sqrt(2.0)
+        for m, v in enumerate(variables):
+            if v.shield_axes:
+                d_sh = int(np.prod([v.dims[a] for a in v.shield_axes]))
+                mine = np.flatnonzero(sh_owner == m)
+                labels = np.zeros((d_sh, d_sh))
+                labels[sh_rows[mine], sh_cols[mine]] = mine + 1
+                traced(m, v.shield_axes, labels, 1.0)
+        index = {k: m for m, k in enumerate(self.keys)}
+        self.con_entries = []       # per constraint: dim, rows, cols, slice of the residuals
+        pos = 0
+        for c in problem.constraints:
+            dims = [problem.var(c.left_key).dims[a] for a in c.left_axes]
+            d = int(np.prod(dims))
+            q = _sector_blocks(dims, by_charge).charge
+            ea, eb = np.nonzero(q[:, None] == q[None, :])
+            labels = np.zeros((d, d))
+            labels[ea, eb] = self.n_sh + pos + 1 + np.arange(ea.size)
+            self.con_entries.append((d, ea, eb, slice(pos, pos + ea.size)))
+            traced(index[c.left_key], c.left_axes, labels, 1.0)
+            traced(index[c.right_key], c.right_axes, labels, -1.0)
+            pos += ea.size
+        self.n_con = pos
+        self.src = np.concatenate(src) if src else np.zeros(0, int)
+        self.tgt = np.concatenate(tgt) if tgt else np.zeros(0, int)
+        self.sign = np.concatenate(sign) if sign else np.zeros(0)
+        self._packing(variables)
 
-
-class _Packer:
-    """Diagonal and in-sector upper-triangle entries of each cluster's G as
-    one real vector; entries between different sectors are not parameters."""
-
-    def __init__(self, problem: MedProblem, real_mode: bool, with_t: bool, sectors: dict):
-        self.keys = [v.key for v in problem.variables]
-        self.dims = [v.dim for v in problem.variables]
-        self.real = real_mode
-        self.with_t = with_t
-        self.iu = []        # in-sector upper-triangle entries, sector by sector
-        for key, d in zip(self.keys, self.dims):
-            q = sectors[key][0].charge
+    def _packing(self, variables):
+        width = 1 if self.real else 2
+        off = 1 if self.with_t else 0
+        up, lo, wu, wl = [], [], [], []     # pack: x = wu F[up] + wl F[lo]
+        self.u_src = np.zeros(width * self.n_flat, int)     # unpack: F = u_coef x[u_src]
+        self.u_coef = np.zeros(width * self.n_flat)
+        for m, v in enumerate(variables):
+            d = v.dim
+            q = self.sectors[v.key][0].charge
             i, j = np.triu_indices(d, 1)
             keep = q[i] == q[j]
-            i, j = i[keep], j[keep]
-            order = np.argsort(q[i], kind="stable")
-            self.iu.append((i[order], j[order]))
-        sizes = [d + (1 if real_mode else 2) * iu[0].size for d, iu in zip(self.dims, self.iu)]
-        offs = np.cumsum([1 if with_t else 0] + sizes)
-        self.slices = [slice(int(a), int(b)) for a, b in zip(offs[:-1], offs[1:])]
-        self.n = int(offs[-1])
+            order = np.argsort(q[i][keep], kind="stable")
+            i, j = i[keep][order], j[keep][order]
+            n_off = i.size
+            sel = self.var_flat[m]
+            r, c = self.rows[sel], self.cols[sel]
+            fpos = np.full((d, d), -1)
+            fpos[r, c] = sel
+            diag = fpos[np.arange(d), np.arange(d)]
+            half = np.concatenate([np.full(d, 0.5), np.full(n_off, 0.5 * _SQRT2)])
+            rank = np.zeros((d, d), int)
+            rank[i, j] = rank[j, i] = np.arange(n_off)
+            on_diag = r == c
+            re_src = off + np.where(on_diag, r, d + rank[r, c])
+            re_coef = np.where(on_diag, 1.0, 1.0 / _SQRT2)
+            if self.real:
+                up += [diag, fpos[i, j]]
+                lo += [diag, fpos[j, i]]
+                wu.append(half)
+                wl.append(half)
+                self.u_src[sel] = re_src
+                self.u_coef[sel] = re_coef
+            else:
+                up += [2 * diag, 2 * fpos[i, j], 2 * fpos[i, j] + 1]
+                lo += [2 * diag, 2 * fpos[j, i], 2 * fpos[j, i] + 1]
+                wu += [half, np.full(n_off, 0.5 * _SQRT2)]
+                wl += [half, np.full(n_off, -0.5 * _SQRT2)]
+                self.u_src[2 * sel] = re_src
+                self.u_coef[2 * sel] = re_coef
+                self.u_src[2 * sel + 1] = np.where(on_diag, re_src, off + d + n_off + rank[r, c])
+                self.u_coef[2 * sel + 1] = np.where(on_diag, 0.0,
+                                                    np.where(r < c, 1.0, -1.0) / _SQRT2)
+            off += d + width * n_off
+        self.n = off
+        self.p_up = np.concatenate(up)
+        self.p_lo = np.concatenate(lo)
+        self.p_wu = np.concatenate(wu)
+        self.p_wl = np.concatenate(wl)
 
-    def pack(self, mats: dict, t: float | None = None) -> np.ndarray:
-        x = np.zeros(self.n)
+    # -- packed parameters ---------------------------------------------------
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        g = self.u_coef * x[self.u_src]
+        return g if self.real else g.view(complex)
+
+    def pack(self, flat: np.ndarray, t: float | None = None) -> np.ndarray:
+        f = flat if self.real else flat.view(float)
+        x = np.empty(self.n)
+        x[self.n - self.p_up.size:] = self.p_wu * f[self.p_up] + self.p_wl * f[self.p_lo]
         if self.with_t:
             x[0] = t
-        for key, iu, sl in zip(self.keys, self.iu, self.slices):
-            H = mats[key]
-            off = H[iu]
-            parts = [np.real(np.diagonal(H)), _SQRT2 * np.real(off)]
-            if not self.real:
-                parts.append(_SQRT2 * np.imag(off))
-            x[sl] = np.concatenate(parts)
         return x
 
-    def unpack(self, x: np.ndarray):
-        mats = {}
-        t = float(x[0]) if self.with_t else None
-        for key, d, iu, sl in zip(self.keys, self.dims, self.iu, self.slices):
-            v = x[sl]
-            n_off = iu[0].size
-            H = np.zeros((d, d)) if self.real else np.zeros((d, d), dtype=complex)
-            off = v[d:d + n_off] / _SQRT2
-            if not self.real:
-                off = off + 1j * v[d + n_off:] / _SQRT2
-            H[iu] = off
-            H = H + H.conj().T
-            H[np.diag_indices(d)] = v[:d]
-            mats[key] = H
-        return mats, t
+    # -- dense edges -----------------------------------------------------------
+
+    def to_dense(self, flat: np.ndarray) -> dict:
+        out = {}
+        for key, d, sel in zip(self.keys, self.dims, self.var_flat):
+            mat = np.zeros((d, d), dtype=flat.dtype)
+            mat[self.rows[sel], self.cols[sel]] = flat[sel]
+            out[key] = mat
+        return out
+
+    def from_dense(self, mats: dict, dtype) -> np.ndarray:
+        flat = np.empty(self.n_flat, dtype=dtype)
+        for key, sel in zip(self.keys, self.var_flat):
+            flat[sel] = np.asarray(mats[key])[self.rows[sel], self.cols[sel]]
+        return flat
+
+    def mults_to_dense(self, y: np.ndarray) -> list:
+        out = []
+        for d, ea, eb, sl in self.con_entries:
+            mat = np.zeros((d, d), dtype=y.dtype)
+            mat[ea, eb] = y[sl]
+            out.append(mat)
+        return out
+
+    def mults_from_dense(self, mats) -> np.ndarray:
+        y = np.zeros(self.n_con, dtype=float if self.real else complex)
+        for (_, ea, eb, sl), mat in zip(self.con_entries, mats):
+            y[sl] = np.asarray(mat)[ea, eb]
+        return y
+
+    # -- evaluation ------------------------------------------------------------
+
+    def eig_from_g(self, g: np.ndarray) -> _Eig:
+        vals, vecs = _eigh_stacks(self.stacks, g, self.eig_owner.size)
+        top = np.maximum.reduceat(vals[self.eig_sort], self.eig_starts)
+        gs = vals - top[self.eig_owner]
+        w = np.exp(gs)
+        z = np.bincount(self.eig_owner, w, self.n_vars)
+        p = w / z[self.eig_owner]
+        return _Eig(vecs, p, _from_eig(self.stacks, vecs, p, self.n_flat), gs, z)
+
+    def eig_from_rho(self, rho: np.ndarray) -> _Eig:
+        vals, vecs = _eigh_stacks(self.stacks, rho, self.eig_owner.size)
+        return _Eig(vecs, np.maximum(vals, 0.0), rho)
+
+    def terms(self, eig: _Eig, T: float) -> _Terms:
+        marg = _scatter(self.tgt, eig.rho[self.src] * self.sign, self.n_sh + self.n_con)
+        sh_vals, sh_vecs = _eigh_stacks(self.sh_stacks, marg, self.sh_eig_owner.size)
+        e = np.bincount(self.owner, _re_prod(self.ham, eig.rho), self.n_vars)
+        s = (np.bincount(self.eig_owner, _neg_xlogx(eig.p), self.n_vars)
+             - np.bincount(self.sh_eig_owner, _neg_xlogx(sh_vals), self.n_vars))
+        return _Terms(e, s, e - T * s, sh_vals, sh_vecs, marg[self.n_sh:])
+
+    def euclid(self, eig: _Eig, tm: _Terms, T: float, mu: np.ndarray,
+               coef: np.ndarray) -> np.ndarray:
+        """Derivative wrt rho: mu (H + T log rho - T embed log rho_shield),
+        plus the residual map's adjoint applied to `coef`."""
+        logs = _from_eig(self.sh_stacks, tm.sh_vecs,
+                         np.log(np.maximum(tm.sh_vals, LOG_FLOOR)), self.n_sh)
+        weights = np.concatenate([(-T * mu[self.sh_patch]) * logs, coef])
+        own = (self.ham + T * _from_eig(self.stacks, eig.vecs,
+                                        np.log(np.maximum(eig.p, LOG_FLOOR)), self.n_flat))
+        return (mu[self.patch_flat] * own
+                + _scatter(self.src, weights[self.tgt] * self.sign, self.n_flat))
+
+    def pullback(self, eig: _Eig, M: np.ndarray) -> np.ndarray:
+        """Hermitian gradient wrt G of rho -> Tr(M rho), block by block."""
+        tr = np.bincount(self.owner, _re_prod(M, eig.rho), self.n_vars)
+        grad = np.empty(self.n_flat, dtype=np.result_type(M, eig.rho))
+        for st, v in zip(self.stacks, eig.vecs):
+            k, b, _ = st.shape
+            mt = _dag(v) @ M[st.flat].reshape(st.shape) @ v
+            kern = _exp_dd_kernel(eig.gs[st.eig].reshape(k, b)) / eig.z[st.owner][:, None, None]
+            rho = eig.rho[st.flat].reshape(st.shape)
+            w = v @ (kern * mt) @ _dag(v) - tr[st.owner][:, None, None] * rho
+            grad[st.flat] = _herm(w).ravel()
+        return grad
+
+    def al_eval(self, x: np.ndarray, T: float, y: np.ndarray, ineq: np.ndarray | None,
+                pen: float, want_grad: bool, frame: _Frame | None = None) -> dict:
+        """Augmented-Lagrangian value (and packed gradient) at x, read in the
+        packed coordinates of G or, with `frame`, in that frame's."""
+        eig = self.eig_from_g(self.unpack(x) if frame is None else frame.g(x))
+        tm = self.terms(eig, T)
+        R = tm.R
+        patch_f = np.bincount(self.patch, tm.value, self.n_patches)
+        al_con = trace_product(y, R) + 0.5 * pen * trace_product(R, R)
+        if not self.with_t:
+            al = float(patch_f[0]) + al_con
+            mu = np.ones(1)
+            grad_t = None
+        else:
+            # epigraph: minimize t subject to F_k <= t
+            t = float(x[0])
+            mu = np.maximum(0.0, ineq + pen * (patch_f - t))
+            al = t + float(np.sum(mu ** 2 - ineq ** 2) / (2.0 * pen)) + al_con
+            grad_t = 1.0 - float(mu.sum())
+        out = {
+            "al": al,
+            "patch_f": patch_f,
+            "eq_R": R,
+            "res_inf": float(np.max(np.abs(R))) if R.size else 0.0,
+            "mu": mu,
+            "eig": eig,
+            "terms": tm,
+        }
+        if want_grad:
+            grad = self.pullback(eig, self.euclid(eig, tm, T, mu, y + pen * R))
+            out["grad"] = self.pack(grad if frame is None else frame.grad(grad), grad_t)
+        return out
 
 
-# ---------------------------------------------------------------------------
-# solver
-# ---------------------------------------------------------------------------
+# largest stretch the frame gives one direction: metric weights below 1e-6 of
+# the top one count as 1e-6
+_FRAME_CAP = 1e3
 
-def _zero_mults(problem: MedProblem, real_mode: bool):
-    dtype = float if real_mode else complex
-    mults = []
-    for c in problem.constraints:
-        va = problem.var(c.left_key)
-        d = int(np.prod([va.dims[i] for i in c.left_axes]))
-        mults.append(np.zeros((d, d), dtype=dtype))
-    return mults
+
+class _Frame:
+    """Preconditioned coordinates for one inner solve, fixed at its start G0.
+
+    Block by block G = G0 + U0 (S o X) U0^dagger, with X unpacked from the
+    inner variables (t, if any, is not scaled), U0 the eigenvectors of G0 and
+    S_ab = min(k_ab^(-1/2), _FRAME_CAP), where k_ab is the divided difference
+    of exp at the shifted eigenvalues a, b of G0 (1 on the top pair). Near a
+    minimizer the Hessian of the objective in G is close to T times the
+    Kubo-Mori metric, which is k_ab / Z on the (a, b) entries in the
+    eigenbasis of G (less a rank-one term): directions along small
+    eigenvalues of rho are nearly flat in G, and the frame stretches them to
+    the curvature of the rest. The change is linear, so the inner problem
+    stays smooth and convex; the gradient is S o (U0^dagger grad_G U0)."""
+
+    def __init__(self, comp: _Compiled, x0: np.ndarray):
+        self.comp = comp
+        self.g0 = comp.unpack(x0)
+        eig = comp.eig_from_g(self.g0)
+        self.vecs = eig.vecs
+        self.scales = []
+        for st in comp.stacks:
+            k, b, _ = st.shape
+            kern = _exp_dd_kernel(eig.gs[st.eig].reshape(k, b))
+            self.scales.append(1.0 / np.sqrt(np.maximum(kern, _FRAME_CAP ** -2)))
+
+    def g(self, x: np.ndarray) -> np.ndarray:
+        comp = self.comp
+        step = comp.unpack(x)
+        g = self.g0.copy()
+        for st, v, S in zip(comp.stacks, self.vecs, self.scales):
+            g[st.flat] += (v @ (S * step[st.flat].reshape(st.shape)) @ _dag(v)).ravel()
+        return g
+
+    def grad(self, grad: np.ndarray) -> np.ndarray:
+        out = np.empty_like(grad)
+        for st, v, S in zip(self.comp.stacks, self.vecs, self.scales):
+            out[st.flat] = (S * (_dag(v) @ grad[st.flat].reshape(st.shape) @ v)).ravel()
+        return out
 
 
 def _is_real_problem(problem: MedProblem) -> bool:
     return all(v.ham is None or not np.iscomplexobj(v.ham) for v in problem.variables)
 
+
+def _compiled(problem: MedProblem, one_sector: bool = False) -> _Compiled:
+    """The problem's layout, built on first use and cached on the problem.
+
+    Charge sectors when every cluster Hamiltonian conserves the charge,
+    otherwise (or with `one_sector`, for states not built by the solver) one
+    sector per matrix."""
+    by_charge = not one_sector and all(_conserves_charge(v) for v in problem.variables)
+    comp = problem._layouts.get(by_charge)
+    if comp is None:
+        comp = problem._layouts[by_charge] = _Compiled(problem, by_charge)
+    return comp
+
+
+# ---------------------------------------------------------------------------
+# solver
+# ---------------------------------------------------------------------------
 
 def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
           warm: dict | None = None) -> MedResult:
@@ -609,45 +826,37 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     if T < 0:
         raise ValueError("temperature must be nonnegative")
     config = config or SolverConfig()
-    real_mode = _is_real_problem(problem)
-    with_t = problem.n_patches > 1
-    sectors = _problem_sectors(problem)
-    packer = _Packer(problem, real_mode, with_t, sectors)
-
-    def states_of(gm):
-        return {k: _State.from_g(g, sectors[k][0]) for k, g in gm.items()}
-
+    comp = _compiled(problem)
+    with_t = comp.with_t
+    dtype = float if comp.real else complex
     if warm is not None:
-        gmats = {k: np.array(v) for k, v in warm["g"].items()}
-        eq_mults = [np.array(m) for m in warm["eq_mults"]]
+        x = comp.pack(comp.from_dense(warm["g"], dtype), 0.0)
+        eq_mults = comp.mults_from_dense(warm["eq_mults"])
         ineq_mults = (np.array(warm["ineq_mults"]) if warm.get("ineq_mults") is not None
                       else (np.ones(problem.n_patches) / problem.n_patches if with_t else None))
         t0 = warm.get("t")
     else:
-        dtype = float if real_mode else complex
-        gmats = {v.key: np.zeros((v.dim, v.dim), dtype=dtype) for v in problem.variables}
-        eq_mults = _zero_mults(problem, real_mode)
+        x = np.zeros(comp.n)
+        eq_mults = np.zeros(comp.n_con, dtype=dtype)
         ineq_mults = np.ones(problem.n_patches) / problem.n_patches if with_t else None
         t0 = None
 
-    if with_t and t0 is None:
-        probe = _al_eval(problem, T, states_of(gmats), 0.0, eq_mults,
-                         np.zeros(problem.n_patches), 1.0, want_grad=False, sectors=sectors)
-        t0 = float(np.max(probe["patch_f"]))
+    if with_t:
+        if t0 is None:
+            probe = comp.al_eval(x, T, eq_mults, np.zeros(problem.n_patches), 1.0,
+                                 want_grad=False)
+            t0 = float(np.max(probe["patch_f"]))
+        x[0] = t0
 
     pen = config.penalty_init
-    x = packer.pack(gmats, t0)
     inner_trace = [] if config.track_inner else None
     total_inner = 0
     converged = False
 
-    def make_fun(eq_m, in_m, p):
+    def make_fun(eq_m, in_m, p, frame):
         def fun(xv):
-            gm, tv = packer.unpack(xv)
-            out = _al_eval(problem, T, states_of(gm), tv, eq_m, in_m, p,
-                           want_grad=True, sectors=sectors)
-            grad = packer.pack(out["grads"], out["grad_t"])
-            return out["al"], grad
+            out = comp.al_eval(xv, T, eq_m, in_m, p, want_grad=True, frame=frame)
+            return out["al"], out["grad"]
         return fun
 
     # tolerance schedule: the inner gradient target and the feasibility target
@@ -659,28 +868,33 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     n_outer = config.max_outer if have_cons else 1
     for outer in range(n_outer):
         gtol = max(omega, config.tol_gradient)
-        fun = make_fun(eq_mults, ineq_mults, pen)
+        frame = _Frame(comp, x)
+        fun = make_fun(eq_mults, ineq_mults, pen, frame)
+        x_in = np.zeros(comp.n)
+        if with_t:
+            x_in[0] = x[0]
         callback = None
         if config.track_inner:
             trace = []
 
             def callback(xk, _trace=trace, _fun=fun):
                 _trace.append(_fun(xk)[0])
-        options = {"maxiter": config.max_inner, "gtol": gtol, "ftol": 1e-16, "maxcor": 25}
-        res = _scipy_minimize(fun, x, jac=True, method="L-BFGS-B",
+        # the first trial step has unit length in the frame, which can
+        # overshoot by orders of magnitude; maxls leaves room to come back
+        options = {"maxiter": config.max_inner, "gtol": gtol, "ftol": 1e-16, "maxcor": 25,
+                   "maxls": 50}
+        res = _scipy_minimize(fun, x_in, jac=True, method="L-BFGS-B",
                               options=options, callback=callback)
-        x = res.x
+        x = comp.pack(frame.g(res.x), res.x[0] if with_t else None)
         total_inner += int(res.nit)
         inner_ok = float(np.max(np.abs(res.jac))) <= 5.0 * gtol
         if config.track_inner:
             inner_trace.append(trace)
 
-        gmats, t_val = packer.unpack(x)
-        out = _al_eval(problem, T, states_of(gmats), t_val, eq_mults, ineq_mults, pen,
-                       want_grad=False, sectors=sectors)
+        out = comp.al_eval(x, T, eq_mults, ineq_mults, pen, want_grad=False)
         res_inf = out["res_inf"]
         if with_t:
-            res_inf = max(res_inf, float(np.max(np.maximum(0.0, out["patch_f"] - t_val))))
+            res_inf = max(res_inf, float(np.max(np.maximum(0.0, out["patch_f"] - x[0]))))
         if not have_cons:
             converged = inner_ok
             break
@@ -689,7 +903,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
                     and gtol <= config.tol_gradient):
                 converged = True
                 break
-            eq_mults = [y + pen * R for y, R in zip(eq_mults, out["eq_R"])]
+            eq_mults = eq_mults + pen * out["eq_R"]
             if with_t:
                 ineq_mults = out["mu"]
             omega = max(0.2 * omega, config.tol_gradient)
@@ -697,36 +911,34 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         else:
             pen = min(pen * config.penalty_growth, 1e9)
 
-    gmats, t_val = packer.unpack(x)
-    states = states_of(gmats)
-    out = _al_eval(problem, T, states, t_val, eq_mults, ineq_mults, pen, want_grad=False,
-                   sectors=sectors)
-    binding = int(np.argmax(out["patch_f"]))
-    f_raw = float(out["patch_f"][binding])
-    e_raw = float(out["patch_e"][binding])
-    s_raw = float(out["patch_s"][binding])
+    out = comp.al_eval(x, T, eq_mults, ineq_mults, pen, want_grad=False)
+    t_val = float(x[0]) if with_t else None
+    patch_f = out["patch_f"]
+    binding = int(np.argmax(patch_f))
+    patch_e = np.bincount(comp.patch, out["terms"].e, problem.n_patches)
+    patch_s = np.bincount(comp.patch, out["terms"].s, problem.n_patches)
     norm = problem.site_norm
-    density = {v.key: DensityMatrix(SiteSpace(v.labels, v.dims), states[v.key].rho,
-                                    _checked=True)
+    rho = comp.to_dense(out["eig"].rho)
+    density = {v.key: DensityMatrix(SiteSpace(v.labels, v.dims), rho[v.key], _checked=True)
                for v in problem.variables}
     warm_out = {
-        "g": {k: np.array(v) for k, v in gmats.items()},
-        "eq_mults": [np.array(m) for m in eq_mults],
+        "g": comp.to_dense(comp.unpack(x)),
+        "eq_mults": comp.mults_to_dense(eq_mults),
         "ineq_mults": None if ineq_mults is None else np.array(ineq_mults),
         "t": t_val,
     }
     meta = {
         "warm": warm_out,
-        "patch_f": out["patch_f"] / norm,
+        "patch_f": patch_f / norm,
         "penalty": pen,
         "verified": bool(converged),
     }
     if inner_trace is not None:
         meta["inner_trace"] = inner_trace
     return MedResult(
-        f_per_site=f_raw / norm,
-        e_per_site=e_raw / norm,
-        s_m_per_site=s_raw / norm,
+        f_per_site=float(patch_f[binding]) / norm,
+        e_per_site=float(patch_e[binding]) / norm,
+        s_m_per_site=float(patch_s[binding]) / norm,
         variables=ClusterVariables(states=density, constraints=problem.constraints),
         residual=float(out["res_inf"]),
         iterations=total_inner,
@@ -740,37 +952,38 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
 # public evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _states_from_vars(variables: ClusterVariables, problem: MedProblem) -> dict:
-    out = {}
+def _dense_inputs(problem: MedProblem, mats: dict):
+    """The one-sector layout and the given matrices as its flat blocks."""
+    comp = _compiled(problem, one_sector=True)
+    mats = {v.key: np.asarray(mats[v.key]) for v in problem.variables}
+    dtype = np.result_type(float, *mats.values())
+    return comp, comp.from_dense(mats, dtype)
+
+
+def _rho_inputs(variables: ClusterVariables, problem: MedProblem):
+    mats = {}
     for v in problem.variables:
         rho = variables.states[v.key]
-        out[v.key] = _State.from_rho(rho.mat if hasattr(rho, "mat") else np.asarray(rho))
-    return out
+        mats[v.key] = sym(rho.mat if hasattr(rho, "mat") else np.asarray(rho))
+    comp, rho = _dense_inputs(problem, mats)
+    return comp, comp.eig_from_rho(rho)
 
 
 def markov_free_energy(variables: ClusterVariables, problem: MedProblem, T: float) -> float:
     """Cluster energy minus T times the shield-local entropy, per site in
     translation-invariant mode and total otherwise. With several patches the
     binding (largest) patch value is returned."""
-    states = _states_from_vars(variables, problem)
-    dense = _problem_sectors(problem, one_sector=True)
-    vals = np.zeros(problem.n_patches)
-    for v in problem.variables:
-        value, _, _, _ = _cluster_terms(v, states[v.key], T, False, dense[v.key][1])
-        vals[v.patch] += value
-    return float(np.max(vals))
+    comp, eig = _rho_inputs(variables, problem)
+    value = comp.terms(eig, T).value
+    return float(np.max(np.bincount(comp.patch, value, problem.n_patches)))
 
 
 def free_energy_gradient(variables: ClusterVariables, problem: MedProblem, T: float) -> dict:
     """Euclidean gradient with respect to each cluster state:
     H + T (ln rho - embed(ln rho_shield))."""
-    states = _states_from_vars(variables, problem)
-    dense = _problem_sectors(problem, one_sector=True)
-    grads = {}
-    for v in problem.variables:
-        _, _, _, M = _cluster_terms(v, states[v.key], T, True, dense[v.key][1])
-        grads[v.key] = M
-    return grads
+    comp, eig = _rho_inputs(variables, problem)
+    mu = np.ones(problem.n_patches)
+    return comp.to_dense(comp.euclid(eig, comp.terms(eig, T), T, mu, np.zeros(comp.n_con)))
 
 
 def exponential_value_and_grad(gmats: dict, problem: MedProblem, T: float):
@@ -781,15 +994,11 @@ def exponential_value_and_grad(gmats: dict, problem: MedProblem, T: float):
     """
     if problem.n_patches != 1:
         raise ValueError("exponential gradient helper is single-patch only")
-    dense = _problem_sectors(problem, one_sector=True)
-    states = {k: _State.from_g(np.asarray(g), dense[k][0]) for k, g in gmats.items()}
-    value = 0.0
-    grads = {}
-    for v in problem.variables:
-        val, _, _, M = _cluster_terms(v, states[v.key], T, True, dense[v.key][1])
-        value += val
-        grads[v.key] = _pullback(M, states[v.key])
-    return value, grads
+    comp, g = _dense_inputs(problem, gmats)
+    eig = comp.eig_from_g(g)
+    tm = comp.terms(eig, T)
+    M = comp.euclid(eig, tm, T, np.ones(1), np.zeros(comp.n_con))
+    return float(tm.value.sum()), comp.to_dense(comp.pullback(eig, M))
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,25 @@ class TestBeliefs:
         assert abs(np.trace(beliefs["ti"]) - 1.0) <= 1e-12
         assert np.all(np.isfinite(overlaps["ti"]))
 
+    def test_beliefs_use_the_carried_logs(self):
+        # at T = 0.1 the smallest message eigenvalues underflow: logged again
+        # with the EIG_FLOOR clamp, the messages give beliefs off by 0.499 in
+        # trace distance and f = -1.3448; the carried logs keep them consistent
+        prob = bp_ti_problem(TFIM, 4, 0.1)
+        state = bp_fixed_point(prob, BPConfig(max_iters=3000))
+        assert belief_consistency(state, prob) <= 1e-6
+        with pytest.warns(RuntimeWarning):
+            f = bp_free_energy(state, prob)
+        assert abs(f - (-1.28031)) <= 1e-4
+
+    def test_carried_logs_leave_converged_values(self):
+        prob = bp_ti_problem(TFIM, 4, 0.3)
+        state = bp_fixed_point(prob)
+        assert state.converged
+        f_carried = bp_free_energy(state, prob)
+        state.logs = None
+        assert abs(bp_free_energy(state, prob) - f_carried) <= 1e-12
+
     def test_product_hamiltonian_product_beliefs(self):
         t = 0.7
         model = ModelSpec("tfim", J=0.0, g=0.9)

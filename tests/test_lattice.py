@@ -235,3 +235,17 @@ class TestFiniteGeometry:
             axes = tuple(idx[s] for s in geo.cluster_labels(k))
             rebuilt = rebuilt + embed_mat(geo.hams[k], space_dims, axes)
         assert np.allclose(h, rebuilt)
+
+    def test_cluster_guard_runs_before_any_cluster_matrix(self, monkeypatch):
+        # a 13-site cluster is 2^13 > CLUSTER_DIM_GUARD; the check must come
+        # before the dense cluster Hamiltonians are built
+        import medbound.lattice as lattice
+        built = []
+
+        def record(labels, terms, dims=None):
+            built.append(len(labels))
+            return np.zeros((1, 1))
+        monkeypatch.setattr(lattice, "_cluster_matrix", record)
+        with pytest.raises(ValueError, match="exceeds guard"):
+            finite_geometry(LatticeSpec("chain", 13), HEIS, radius=12)
+        assert built == []

@@ -19,10 +19,8 @@ from medbound.med import (
     ClusterVariables,
     MedProblem,
     SolverConfig,
-    _al_eval,
-    _Packer,
-    _problem_sectors,
-    _State,
+    _compiled,
+    _Frame,
     exponential_value_and_grad,
     finite_problem,
     free_energy_gradient,
@@ -364,24 +362,28 @@ def off_sector(n_sites):
 class TestSectors:
     def test_heisenberg_chain_sizes(self):
         prob = ti_problem(ti_chain_geometry(HEIS, 2))
-        cluster, shield = _problem_sectors(prob)[prob.variables[0].key]
+        cluster, shield = _compiled(prob).sectors[prob.variables[0].key]
         assert sector_sizes(cluster) == (1, 3, 3, 1)
         assert sector_sizes(shield) == (1, 2, 1)
         assert [s.shape for s in cluster.stacks] == [(2, 1), (2, 3)]
 
     def test_square6_packs_in_sector_entries_only(self):
         prob = ti_problem(ti_square_geometry(HEIS, SQUARE_TEMPLATE_6))
-        sectors = _problem_sectors(prob)
-        cluster, shield = sectors[prob.variables[0].key]
+        comp = _compiled(prob)
+        cluster, shield = comp.sectors[prob.variables[0].key]
         assert [s.shape for s in cluster.stacks] == [(2, 1), (2, 7), (2, 21), (2, 35)]
         assert sector_sizes(shield) == (1, 6, 15, 20, 15, 6, 1)
-        assert _Packer(prob, True, False, sectors).n == 1780
-        dense = _problem_sectors(prob, one_sector=True)
-        assert _Packer(prob, True, False, dense).n == 128 * 129 // 2
+        assert comp.n == 1780
+        # every block of one size is one stack: four cluster and four shield sizes
+        assert [st.shape for st in comp.stacks] == [(2, 1, 1), (2, 7, 7), (2, 21, 21),
+                                                     (2, 35, 35)]
+        assert [st.shape[0] for st in comp.sh_stacks] == [2, 2, 2, 1]
+        assert _compiled(prob, one_sector=True).n == 128 * 129 // 2
+        assert _compiled(prob) is comp
 
     def test_tfim_has_one_sector(self):
         prob = ti_problem(ti_chain_geometry(TFIM, 2))
-        cluster, shield = _problem_sectors(prob)[prob.variables[0].key]
+        cluster, shield = _compiled(prob).sectors[prob.variables[0].key]
         assert sector_sizes(cluster) == (8,)
         assert sector_sizes(shield) == (4,)
 
@@ -397,13 +399,13 @@ class TestSectors:
                          constraints=fin.constraints, site_norm=fin.site_norm)
         for prob in (multi, fin):
             for v in prob.variables:
-                cluster, shield = _problem_sectors(prob)[v.key]
+                cluster, shield = _compiled(prob).sectors[v.key]
                 assert sector_sizes(cluster) == (v.dim,)
                 if v.shield_axes:
                     assert len(sector_sizes(shield)) == 1
         # without the broken cluster the same lattice has sectors
         plain = finite_problem(geo)
-        sectors = _problem_sectors(plain)
+        sectors = _compiled(plain).sectors
         assert all(len(sector_sizes(sectors[v.key][0])) > 1 for v in plain.variables)
 
     def test_iterates_stay_in_sectors(self):
@@ -434,28 +436,43 @@ def _embed(mat, dims, axes):
     return big.transpose(back + [b + n for b in back]).reshape(d, d)
 
 
-def _dense_al_reference(problem, T, gmats, mults, pen):
-    """The augmented Lagrangian and its gradient in G, on full matrices."""
-    value = 0.0
+def _re_tr(a, b):
+    """Re Tr(a b) for Hermitian a, b."""
+    return float(np.real(np.sum(a.conj() * b)))
+
+
+def _dense_al_reference(problem, T, gmats, mults, pen, t=None, ineq=None):
+    """The augmented Lagrangian and its gradients in G (and t), on full
+    matrices, one cluster and one constraint at a time."""
     eig, Ms = {}, {}
+    patch_f = np.zeros(problem.n_patches)
     for v in problem.variables:
         w, U = np.linalg.eigh(gmats[v.key])
         p = np.exp(w - w.max())
         p /= p.sum()
-        rho = (U * p) @ U.T
+        rho = (U * p) @ U.conj().T
         eig[v.key] = (w, U, p, rho)
-        value += np.sum(v.ham * rho) + T * np.sum(p * np.log(p))
-        M = v.ham + T * (U * np.log(p)) @ U.T
+        value = _re_tr(v.ham, rho) + T * np.sum(p * np.log(p))
+        M = v.ham + T * (U * np.log(p)) @ U.conj().T
         if v.shield_axes:
             pm, Um = np.linalg.eigh(_ptrace(rho, v.dims, v.shield_axes))
             value -= T * np.sum(pm * np.log(pm))
-            M = M - T * _embed((Um * np.log(pm)) @ Um.T, v.dims, v.shield_axes)
+            M = M - T * _embed((Um * np.log(pm)) @ Um.conj().T, v.dims, v.shield_axes)
+        patch_f[v.patch] += value
         Ms[v.key] = M
+    if problem.n_patches == 1:
+        value, mu, grad_t = patch_f[0], np.ones(1), None
+    else:
+        mu = np.maximum(0.0, ineq + pen * (patch_f - t))
+        value = t + np.sum(mu ** 2 - ineq ** 2) / (2.0 * pen)
+        grad_t = 1.0 - mu.sum()
+    for v in problem.variables:
+        Ms[v.key] = mu[v.patch] * Ms[v.key]
     for c, y in zip(problem.constraints, mults):
         va, vb = problem.var(c.left_key), problem.var(c.right_key)
         R = (_ptrace(eig[c.left_key][3], va.dims, c.left_axes)
              - _ptrace(eig[c.right_key][3], vb.dims, c.right_axes))
-        value += np.sum(y * R) + 0.5 * pen * np.sum(R * R)
+        value += _re_tr(y, R) + 0.5 * pen * _re_tr(R, R)
         Ms[c.left_key] = Ms[c.left_key] + _embed(y + pen * R, va.dims, c.left_axes)
         Ms[c.right_key] = Ms[c.right_key] - _embed(y + pen * R, vb.dims, c.right_axes)
     grads = {}
@@ -466,15 +483,49 @@ def _dense_al_reference(problem, T, gmats, mults, pen):
         close = np.abs(gap) < 1e-9
         K = np.where(close, np.exp(a), (np.exp(a) - np.exp(b)) / np.where(close, 1.0, gap))
         K /= np.exp(w - w.max()).sum()
-        Mt = U.T @ Ms[key] @ U
-        grads[key] = U @ (K * Mt) @ U.T - np.sum(Ms[key] * rho) * rho
-    return value, grads
+        Mt = U.conj().T @ Ms[key] @ U
+        grads[key] = U @ (K * Mt) @ U.conj().T - _re_tr(Ms[key], rho) * rho
+    return value, grads, grad_t
 
 
-def _random_conserving(rng, n_sites, scale):
-    d = 2 ** n_sites
+def _conserves(problem):
+    return all(not np.any(v.ham[off_sector(len(v.dims))]) for v in problem.variables)
+
+
+def _pack_reference(problem, mats, t=None):
+    """Per cluster: the diagonal, then the in-sector upper triangle sector by
+    sector (times sqrt 2), then its imaginary parts for complex problems."""
+    by_charge = _conserves(problem)
+    complex_ = any(np.iscomplexobj(v.ham) for v in problem.variables)
+    parts = [] if t is None else [np.array([t])]
+    for v in problem.variables:
+        m = mats[v.key]
+        q = charges(len(v.dims)) if by_charge else np.zeros(v.dim, int)
+        i, j = np.triu_indices(v.dim, 1)
+        keep = q[i] == q[j]
+        order = np.argsort(q[i][keep], kind="stable")
+        i, j = i[keep][order], j[keep][order]
+        parts += [np.real(np.diagonal(m)), math.sqrt(2.0) * np.real(m[i, j])]
+        if complex_:
+            parts.append(math.sqrt(2.0) * np.imag(m[i, j]))
+    return np.concatenate(parts)
+
+
+def _rotated(geo, phase=math.pi / 4):
+    """The same cluster with every site rotated by diag(1, e^{i phase})."""
+    n = len(geo.dims)
+    u = np.diag([1.0, np.exp(1j * phase)])
+    full = u
+    for _ in range(n - 1):
+        full = np.kron(full, u)
+    return dataclasses.replace(geo, ham=full @ geo.ham @ full.conj().T)
+
+
+def _random_herm(rng, d, scale, mask, complex_):
     a = scale * rng.standard_normal((d, d))
-    return np.where(off_sector(n_sites), 0.0, 0.5 * (a + a.T))
+    if complex_:
+        a = a + 1j * scale * rng.standard_normal((d, d))
+    return np.where(mask, 0.5 * (a + a.conj().T), 0.0)
 
 
 class TestSectorEvaluation:
@@ -483,24 +534,89 @@ class TestSectorEvaluation:
         "ti n=2": lambda: ti_problem(ti_chain_geometry(HEIS, 2)),
         "open N=4 r=2": lambda: finite_problem(
             finite_geometry(LatticeSpec("chain", 4), HEIS, radius=2)),
+        # 6 clusters of 5 sizes (d = 2 ... 32), 14 constraints
+        "ring N=6 r=2": lambda: finite_problem(
+            finite_geometry(LatticeSpec("chain", 6, boundary="periodic"), HEIS, radius=2)),
+        # two patches: the epigraph variable t and the patch weights mu
+        "two patches": lambda: multi_patch_problem(
+            [ti_chain_geometry(HEIS, 1), ti_chain_geometry(HEIS, 2)]),
+        # complex Hamiltonians, one sector (TFIM) and charge sectors (Heisenberg)
+        "complex tfim n=2": lambda: ti_problem(_rotated(ti_chain_geometry(TFIM, 2))),
+        "complex heis n=2": lambda: ti_problem(_rotated(ti_chain_geometry(HEIS, 2))),
     }
 
-    @settings(derandomize=True, max_examples=30, deadline=None)
+    def _point(self, prob, rng, scale):
+        by_charge = _conserves(prob)
+        complex_ = any(np.iscomplexobj(v.ham) for v in prob.variables)
+
+        def mask(n):
+            return ~off_sector(n) if by_charge else np.ones((2 ** n, 2 ** n), bool)
+        gmats = {v.key: _random_herm(rng, v.dim, scale, mask(len(v.dims)), complex_)
+                 for v in prob.variables}
+        mults = [_random_herm(rng, 2 ** len(c.left_axes), scale, mask(len(c.left_axes)),
+                              complex_) for c in prob.constraints]
+        t = ineq = None
+        if prob.n_patches > 1:
+            t = float(rng.standard_normal())
+            ineq = rng.uniform(0.0, 1.0, prob.n_patches)
+        return gmats, mults, t, ineq
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(PROBLEMS)), seed=st.integers(0, 2 ** 32 - 1),
            T=st.sampled_from([0.3, 1.0]), pen=st.floats(0.5, 20.0),
            scale=st.sampled_from([0.3, 1.5]))
     def test_al_eval_matches_dense_reference(self, name, seed, T, pen, scale):
         prob = self.PROBLEMS[name]()
         rng = np.random.default_rng(seed)
-        gmats = {v.key: _random_conserving(rng, len(v.dims), scale) for v in prob.variables}
-        mults = [_random_conserving(rng, len(c.left_axes), scale) for c in prob.constraints]
-        sectors = _problem_sectors(prob)
-        assert all(len(sector_sizes(s[0])) > 1 for s in sectors.values())
-        states = {k: _State.from_g(g, sectors[k][0]) for k, g in gmats.items()}
-        out = _al_eval(prob, T, states, None, mults, None, pen, want_grad=True,
-                       sectors=sectors)
-        value, grads = _dense_al_reference(prob, T, gmats, mults, pen)
+        gmats, mults, t, ineq = self._point(prob, rng, scale)
+        comp = _compiled(prob)
+        if _conserves(prob):
+            assert all(len(sector_sizes(s[0])) > 1 for s in comp.sectors.values())
+        out = comp.al_eval(_pack_reference(prob, gmats, t), T, comp.mults_from_dense(mults),
+                           ineq, pen, want_grad=True)
+        value, grads, grad_t = _dense_al_reference(prob, T, gmats, mults, pen, t, ineq)
         assert abs(out["al"] - value) <= 1e-12 * max(1.0, abs(value))
-        for key, grad in grads.items():
-            assert np.max(np.abs(out["grads"][key] - grad)) <= 1e-12
-            assert np.all(out["grads"][key][off_sector(len(prob.var(key).dims))] == 0.0)
+        expect = _pack_reference(prob, grads, grad_t)
+        assert np.max(np.abs(out["grad"] - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["ring N=6 r=2", "two patches", "complex heis n=2"])
+    def test_frame_is_a_linear_change_of_variables(self, name, rng):
+        # the frame's gradient is the adjoint of its map applied to grad_G,
+        # and central differences of the framed objective match it
+        prob = self.PROBLEMS[name]()
+        comp = _compiled(prob)
+        gmats, mults, t, ineq = self._point(prob, rng, 1.5)
+        frame = _Frame(comp, _pack_reference(prob, gmats, t))
+        step = 0.1 * rng.standard_normal(comp.n)
+        gamma = comp.from_dense({k: rng.standard_normal(g.shape) for k, g in gmats.items()},
+                                frame.g0.dtype)
+        gamma = comp.from_dense({k: g + g.conj().T for k, g in comp.to_dense(gamma).items()},
+                                gamma.dtype)
+        lhs = float(np.dot(comp.pack(frame.grad(gamma), 0.0), step))
+        rhs = float(np.real(np.vdot(gamma, frame.g(step) - frame.g0)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+        y = comp.mults_from_dense(mults)
+        x0 = np.zeros(comp.n)
+        if t is not None:
+            x0[0] = t
+        out = comp.al_eval(x0, 0.7, y, ineq, 3.0, want_grad=True, frame=frame)
+        d = rng.standard_normal(comp.n)
+        eps = 1e-6
+        fp = comp.al_eval(x0 + eps * d, 0.7, y, ineq, 3.0, want_grad=False, frame=frame)["al"]
+        fm = comp.al_eval(x0 - eps * d, 0.7, y, ineq, 3.0, want_grad=False, frame=frame)["al"]
+        assert abs((fp - fm) / (2 * eps) - out["grad"] @ d) <= 1e-6 * max(1.0, abs(fp))
+
+
+class TestComplexMode:
+    def test_rotated_tfim_matches_real_bound(self):
+        # u = diag(1, e^{i pi/4}) on every site maps the consistency
+        # constraints to themselves, so the bound cannot change; the rotated
+        # Hamiltonian has imaginary parts of 0.71 and runs in complex mode
+        geo = ti_chain_geometry(TFIM, 2)
+        rot = _rotated(geo)
+        assert abs(np.max(np.abs(rot.ham.imag)) - math.sqrt(0.5)) <= 1e-12
+        real = solve(ti_problem(geo), 1.0, TIGHT)
+        cplx = solve(ti_problem(rot), 1.0, TIGHT)
+        assert real.converged and cplx.converged
+        assert np.iscomplexobj(cplx.meta["warm"]["g"]["ti"])
+        assert abs(cplx.f_per_site - real.f_per_site) <= 2e-7
