@@ -47,12 +47,12 @@ from medbound.opalg import (
     logm_psd,
     ptrace_mat,
     sym,
+    trace_distance,
     trace_product,
 )
 
 __all__ = [
     "BPConfig",
-    "Message",
     "BPState",
     "BPProblem",
     "bp_ti_problem",
@@ -77,13 +77,6 @@ class BPConfig:
             raise ValueError("damping must be in (0, 1]")
         if self.tol_residual <= 0 or self.max_iters < 1:
             raise ValueError("bad tolerance or iteration limit")
-
-
-@dataclass(frozen=True)
-class Message:
-    direction: str      # "left" | "right"
-    sites: tuple
-    mat: np.ndarray = field(repr=False)
 
 
 @dataclass(eq=False)
@@ -240,10 +233,6 @@ def bp_update(k, state: BPState, problem: BPProblem,
     return {(side, k): _normalized_exp(log)[0] for side, log in out.items()}
 
 
-def _trace_distance_mat(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(sym(a - b))).sum())
-
-
 def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPState:
     """Iterate the message equations to a fixed point.
 
@@ -278,7 +267,7 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
                 # unit-trace message and the shift that normalizes its log
                 mix = (1.0 - alpha) * logs[name] + alpha * log_new
                 mixed, scale = _normalized_exp(mix)
-                residual = max(residual, _trace_distance_mat(mixed, state.messages[name]))
+                residual = max(residual, trace_distance(mixed, state.messages[name]))
                 state.messages[name] = mixed
                 logs[name] = mix - scale * np.eye(dim)
         state.residual = residual
@@ -324,17 +313,17 @@ def belief_consistency(state: BPState, problem: BPProblem) -> float:
     if problem.kind == "ti":
         rho = beliefs["ti"]
         sig = overlaps["ti"]
-        worst = max(_trace_distance_mat(ptrace_mat(rho, dims, first), sig),
-                    _trace_distance_mat(ptrace_mat(rho, dims, last), sig))
+        worst = max(trace_distance(ptrace_mat(rho, dims, first), sig),
+                    trace_distance(ptrace_mat(rho, dims, last), sig))
         return worst
     keys = problem.cluster_keys
     for k in keys:
         rho = beliefs[k]
         if k in overlaps:
-            worst = max(worst, _trace_distance_mat(
+            worst = max(worst, trace_distance(
                 ptrace_mat(rho, dims, first), overlaps[k]))
         if k + 1 in overlaps:
-            worst = max(worst, _trace_distance_mat(
+            worst = max(worst, trace_distance(
                 ptrace_mat(rho, dims, last), overlaps[k + 1]))
     return worst
 

@@ -66,33 +66,30 @@ class ShieldTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    kind: str                      # chain | square | ti_chain | ti_square
+    kind: str                      # chain | square
     extent: tuple | int | None = None
     boundary: str = "open"         # open | periodic
     w: int = 1                     # locality radius of the Hamiltonian
 
     def __post_init__(self):
-        if self.kind not in ("chain", "square", "ti_chain", "ti_square"):
+        if self.kind not in ("chain", "square"):
             raise ValueError(f"unsupported lattice kind {self.kind!r}")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"unsupported boundary {self.boundary!r}")
         if self.w < 1:
             raise ValueError("locality radius w must be >= 1")
-        if self.kind in ("chain", "square"):
-            if self.extent is None:
-                raise ValueError("finite lattices need an extent")
-            if self.n_sites < 2:
-                raise ValueError("finite lattices need at least 2 sites")
+        if self.extent is None:
+            raise ValueError("finite lattices need an extent")
+        if self.n_sites < 2:
+            raise ValueError("finite lattices need at least 2 sites")
 
     @property
     def shape(self) -> tuple:
         if self.kind == "chain":
             return (int(self.extent),)
-        if self.kind == "square":
-            if isinstance(self.extent, (int, np.integer)):
-                return (int(self.extent), int(self.extent))
-            return tuple(int(e) for e in self.extent)
-        raise ValueError("infinite lattices have no shape")
+        if isinstance(self.extent, (int, np.integer)):
+            return (int(self.extent), int(self.extent))
+        return tuple(int(e) for e in self.extent)
 
     @property
     def n_sites(self) -> int:
@@ -167,10 +164,8 @@ def _raster_key(site):
 def sites_of(spec: LatticeSpec):
     if spec.kind == "chain":
         return list(range(spec.shape[0]))
-    if spec.kind == "square":
-        nx, ny = spec.shape
-        return sorted(((x, y) for x in range(nx) for y in range(ny)), key=_raster_key)
-    raise ValueError(f"cannot enumerate sites of {spec.kind!r}")
+    nx, ny = spec.shape
+    return sorted(((x, y) for x in range(nx) for y in range(ny)), key=_raster_key)
 
 
 def lattice_distance(spec: LatticeSpec, a, b) -> int:
@@ -208,8 +203,6 @@ def _bonds(spec: LatticeSpec):
 
 def build_lattice(spec: LatticeSpec, model: ModelSpec):
     """All nearest-neighbor terms plus the default raster ordering."""
-    if spec.kind not in ("chain", "square"):
-        raise ValueError(f"build_lattice needs a finite lattice, got {spec.kind!r}")
     ordering = tuple(sites_of(spec))
     terms = []
     for bond in _bonds(spec):

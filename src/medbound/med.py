@@ -64,8 +64,6 @@ from medbound.lattice import (
 # attributes of this module because perfbench/tracing.py wraps them by name
 from medbound.opalg import (  # noqa: F401
     ENTROPY_CUTOFF,
-    DensityMatrix,
-    SiteSpace,
     embed_mat,
     entropy_from_probs,
     ptrace_mat,
@@ -225,10 +223,10 @@ class BoundResult:
 # problem constructors
 # ---------------------------------------------------------------------------
 
-def ti_problem(geo: TIGeometry, patch: int = 0, key: object = "ti") -> MedProblem:
-    var = VarSpec(key=key, labels=geo.labels, dims=geo.dims, ham=geo.ham,
+def ti_problem(geo: TIGeometry, patch: int = 0) -> MedProblem:
+    var = VarSpec(key="ti", labels=geo.labels, dims=geo.dims, ham=geo.ham,
                   shield_axes=geo.shield_axes, patch=patch)
-    cons = tuple(Constraint(key, left, key, right) for left, right in geo.constraints)
+    cons = tuple(Constraint("ti", left, "ti", right) for left, right in geo.constraints)
     return MedProblem(variables=(var,), constraints=cons, n_patches=1,
                       site_norm=1.0, meta=dict(geo.meta))
 
@@ -253,61 +251,40 @@ def multi_patch_problem(geos) -> MedProblem:
     geos = list(geos)
     if not geos:
         raise ValueError("need at least one patch")
-    if all(isinstance(g, TIGeometry) for g in geos):
-        variables = []
-        constraints = []
-        for p, geo in enumerate(geos):
-            key = ("patch", p)
-            sub = ti_problem(geo, patch=p, key=key)
-            variables.extend(sub.variables)
-            constraints.extend(sub.constraints)
-        # cross-patch agreement on shared offsets
-        for p in range(len(geos)):
-            for q in range(p + 1, len(geos)):
-                a, b = geos[p], geos[q]
-                shared = [lab for lab in a.labels if lab in set(b.labels)]
-                if not shared:
-                    continue
-                idx_a = {lab: i for i, lab in enumerate(a.labels)}
-                idx_b = {lab: i for i, lab in enumerate(b.labels)}
-                constraints.append(Constraint(("patch", p), tuple(idx_a[s] for s in shared),
-                                              ("patch", q), tuple(idx_b[s] for s in shared)))
-        meta = {"kind": "multi_patch", "patches": [dict(g.meta) for g in geos]}
-        return MedProblem(variables=tuple(variables), constraints=tuple(constraints),
-                          n_patches=len(geos), site_norm=1.0, meta=meta)
-    if all(isinstance(g, FiniteGeometry) for g in geos):
+    finite = all(isinstance(g, FiniteGeometry) for g in geos)
+    if finite:
         if len({g.sites for g in geos}) != 1:
             raise ValueError("finite patches must share the same lattice")
-        variables = []
-        constraints = []
-        for p, geo in enumerate(geos):
-            for k in geo.sites:
-                labels = geo.cluster_labels(k)
-                variables.append(VarSpec(key=("patch", p, k), labels=labels,
-                                         dims=(2,) * len(labels), ham=geo.hams[k],
-                                         shield_axes=tuple(range(len(labels) - 1)),
-                                         patch=p))
-            for a, ax_a, b, ax_b in geo.constraints:
-                constraints.append(Constraint(("patch", p, a), ax_a, ("patch", p, b), ax_b))
-        pos = {s: i for i, s in enumerate(geos[0].sites)}
-        for p in range(len(geos)):
-            for q in range(p + 1, len(geos)):
-                for ka in geos[p].sites:
-                    ca = geos[p].cluster_labels(ka)
-                    idx_a = {lab: i for i, lab in enumerate(ca)}
-                    for kb in geos[q].sites:
-                        cb = geos[q].cluster_labels(kb)
-                        shared = sorted(set(ca) & set(cb), key=pos.get)
-                        if not shared:
-                            continue
-                        idx_b = {lab: i for i, lab in enumerate(cb)}
+        subs = [finite_problem(g, patch=p) for p, g in enumerate(geos)]
+    elif all(isinstance(g, TIGeometry) for g in geos):
+        subs = [ti_problem(g, patch=p) for p, g in enumerate(geos)]
+    else:
+        raise ValueError("patches must be all translation-invariant or all finite")
+
+    def rekey(p, k):
+        # a TI patch has one cluster, a finite patch one per site
+        return ("patch", p, k) if finite else ("patch", p)
+    patches = [[replace(v, key=rekey(p, v.key)) for v in sub.variables]
+               for p, sub in enumerate(subs)]
+    constraints = [Constraint(rekey(p, c.left_key), c.left_axes,
+                              rekey(p, c.right_key), c.right_axes)
+                   for p, sub in enumerate(subs) for c in sub.constraints]
+    # cross-patch agreement on shared sites, taken in the first cluster's
+    # order (cluster labels are in site order)
+    for p in range(len(patches)):
+        for q in range(p + 1, len(patches)):
+            for a in patches[p]:
+                for b in patches[q]:
+                    shared = [lab for lab in a.labels if lab in b.labels]
+                    if shared:
                         constraints.append(Constraint(
-                            ("patch", p, ka), tuple(idx_a[s] for s in shared),
-                            ("patch", q, kb), tuple(idx_b[s] for s in shared)))
-        meta = {"kind": "multi_patch_finite", "patches": [dict(g.meta) for g in geos]}
-        return MedProblem(variables=tuple(variables), constraints=tuple(constraints),
-                          n_patches=len(geos), site_norm=float(geos[0].n_sites), meta=meta)
-    raise ValueError("patches must be all translation-invariant or all finite")
+                            a.key, tuple(a.labels.index(s) for s in shared),
+                            b.key, tuple(b.labels.index(s) for s in shared)))
+    meta = {"kind": "multi_patch_finite" if finite else "multi_patch",
+            "patches": [dict(g.meta) for g in geos]}
+    return MedProblem(variables=tuple(v for vs in patches for v in vs),
+                      constraints=tuple(constraints), n_patches=len(geos),
+                      site_norm=subs[0].site_norm, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +867,10 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         inner_ok = float(np.max(np.abs(res.jac))) <= 5.0 * gtol
         if config.track_inner:
             inner_trace.append(trace)
+        # an inner solve that takes no step and misses its gradient target
+        # would be repeated unchanged by every later outer iteration
+        if res.nit == 0 and not inner_ok:
+            break
 
         out = comp.al_eval(x, T, eq_mults, ineq_mults, pen, want_grad=False)
         res_inf = out["res_inf"]
@@ -918,9 +899,6 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     patch_e = np.bincount(comp.patch, out["terms"].e, problem.n_patches)
     patch_s = np.bincount(comp.patch, out["terms"].s, problem.n_patches)
     norm = problem.site_norm
-    rho = comp.to_dense(out["eig"].rho)
-    density = {v.key: DensityMatrix(SiteSpace(v.labels, v.dims), rho[v.key], _checked=True)
-               for v in problem.variables}
     warm_out = {
         "g": comp.to_dense(comp.unpack(x)),
         "eq_mults": comp.mults_to_dense(eq_mults),
@@ -939,7 +917,8 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         f_per_site=float(patch_f[binding]) / norm,
         e_per_site=float(patch_e[binding]) / norm,
         s_m_per_site=float(patch_s[binding]) / norm,
-        variables=ClusterVariables(states=density, constraints=problem.constraints),
+        variables=ClusterVariables(states=comp.to_dense(out["eig"].rho),
+                                   constraints=problem.constraints),
         residual=float(out["res_inf"]),
         iterations=total_inner,
         converged=converged,
@@ -961,10 +940,7 @@ def _dense_inputs(problem: MedProblem, mats: dict):
 
 
 def _rho_inputs(variables: ClusterVariables, problem: MedProblem):
-    mats = {}
-    for v in problem.variables:
-        rho = variables.states[v.key]
-        mats[v.key] = sym(rho.mat if hasattr(rho, "mat") else np.asarray(rho))
+    mats = {v.key: sym(np.asarray(variables.states[v.key])) for v in problem.variables}
     comp, rho = _dense_inputs(problem, mats)
     return comp, comp.eig_from_rho(rho)
 
@@ -1040,8 +1016,8 @@ def temperature_sweep(problem: MedProblem, t_grid, config: SolverConfig | None =
     """Solve on a temperature grid, descending from high T with warm starts
     (the high-T optimum is near the maximally mixed state)."""
     t_grid = [float(t) for t in t_grid]
-    if any(t <= 0 for t in t_grid) or sorted(t_grid) != t_grid:
-        raise ValueError("temperature grid must be positive and ascending")
+    if any(t <= 0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("temperature grid must be positive and strictly ascending")
     results = {}
     warms = {}
     warm = None

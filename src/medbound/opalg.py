@@ -1,126 +1,41 @@
-"""Dense Hermitian operator algebra on labeled tensor-product spaces.
+"""Dense array kernels for Hermitian matrices on tensor-product spaces.
 
-Operators and states live on a :class:`SiteSpace`, an ordered collection of
-labeled sites with local dimensions. All matrix functions go through explicit
-eigendecompositions; storage is dense throughout (cluster matrices stay small
-enough that full spectra are needed anyway).
+A matrix on n sites is a plain ``ndarray`` of shape (d, d) with
+d = prod(dims); the kernels address sites by axis position in ``dims``.
+All matrix functions go through explicit eigendecompositions; storage is
+dense throughout (cluster matrices stay small enough that full spectra are
+needed anyway).
 
 Entropies are in nats. The convention ``0 ln 0 = 0`` is applied to
-eigenvalues below ``ENTROPY_CUTOFF``; logarithms of positive operators clamp
+eigenvalues below ``ENTROPY_CUTOFF``; logarithms of positive matrices clamp
 eigenvalues at a configurable floor so that rank-deficient marginals stay
 usable.
-
-Everything here is immutable after construction and safe to share across
-threads; operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SiteSpace",
-    "HermitianOperator",
-    "DensityMatrix",
-    "Spectrum",
-    "eigh",
-    "matrix_exp",
-    "matrix_log",
-    "partial_trace",
-    "embed_local",
-    "vn_entropy",
-    "conditional_entropy",
-    "cmi",
-    "odot",
+    "sym",
+    "ptrace_mat",
+    "embed_mat",
+    "trace_product",
+    "eigh_herm",
+    "entropy_from_probs",
+    "entropy_mat",
+    "logm_psd",
     "trace_distance",
 ]
 
-HERMITICITY_RTOL = 1e-8     # rejection threshold for non-Hermitian input
 EIG_FLOOR = 1e-12           # default eigenvalue clamp inside logarithms
 ENTROPY_CUTOFF = 1e-14      # eigenvalues at or below this contribute 0 nats
 NEG_EIG_TOL = 1e-10         # how negative a "positive" spectrum may be
 
 
-class SiteSpace:
-    """Ordered, labeled tensor factors. ``dims[i]`` is the local dimension
-    of ``labels[i]``; the total dimension is the product."""
-
-    __slots__ = ("labels", "dims", "_index")
-
-    def __init__(self, labels, dims=2):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate site labels in {labels!r}")
-        if isinstance(dims, (int, np.integer)):
-            dims = (int(dims),) * len(labels)
-        else:
-            dims = tuple(int(d) for d in dims)
-        if len(dims) != len(labels):
-            raise ValueError("dims and labels length mismatch")
-        if any(d < 1 for d in dims):
-            raise ValueError("local dimensions must be >= 1")
-        self.labels = labels
-        self.dims = dims
-        self._index = {lab: i for i, lab in enumerate(labels)}
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.labels else 1
-
-    def __len__(self):
-        return len(self.labels)
-
-    def axis(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown site label {label!r}") from None
-
-    def axes(self, labels) -> tuple:
-        return tuple(self.axis(l) for l in labels)
-
-    def subspace(self, labels) -> "SiteSpace":
-        labels = tuple(labels)
-        return SiteSpace(labels, tuple(self.dims[self.axis(l)] for l in labels))
-
-    def union(self, other: "SiteSpace") -> "SiteSpace":
-        """Merge preserving this space's order, appending sites only in `other`."""
-        labels = list(self.labels)
-        dims = list(self.dims)
-        for lab, d in zip(other.labels, other.dims):
-            if lab in self._index:
-                if self.dims[self._index[lab]] != d:
-                    raise ValueError(f"dimension mismatch on shared site {lab!r}")
-            else:
-                labels.append(lab)
-                dims.append(d)
-        return SiteSpace(labels, dims)
-
-    def __eq__(self, other):
-        return (isinstance(other, SiteSpace)
-                and self.labels == other.labels and self.dims == other.dims)
-
-    def __hash__(self):
-        return hash((self.labels, self.dims))
-
-    def __repr__(self):
-        return f"SiteSpace(labels={self.labels!r}, dims={self.dims!r})"
-
-
-# ---------------------------------------------------------------------------
-# array-level kernels (no label bookkeeping; axes are positions)
-# ---------------------------------------------------------------------------
-
 def sym(mat: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M†)/2."""
     return 0.5 * (mat + mat.conj().T)
-
-
-def hermiticity_defect(mat: np.ndarray) -> float:
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    return float(np.linalg.norm(mat - mat.conj().T)) / scale
 
 
 # reshape/transpose plans for partial traces and embeddings are cached per
@@ -212,205 +127,6 @@ def logm_psd(mat: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     return sym((vecs * logs) @ vecs.conj().T)
 
 
-def expm_herm(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = eigh_herm(mat)
-    return sym((vecs * np.exp(vals)) @ vecs.conj().T)
-
-
-def combine_odot(parts, dims, floor: float = EIG_FLOOR) -> np.ndarray:
-    """exp of a signed sum of embedded logs.
-
-    `parts` is an iterable of ``(mat, axes, sign)``: each positive operator is
-    logged (with eigenvalue floor), embedded onto the full space described by
-    `dims` along `axes`, and accumulated with the given sign before a single
-    exponential. Identity factors contribute log I = 0, so operators on
-    different supports combine without extra bookkeeping.
-    """
-    d = int(np.prod(dims, dtype=np.int64))
-    acc = None
-    for mat, axes, sign in parts:
-        if float(np.linalg.norm(mat)) == 0.0:
-            raise ValueError("odot operand is the zero operator")
-        piece = embed_mat(logm_psd(mat, floor), dims, axes)
-        acc = sign * piece if acc is None else acc + sign * piece
-    if acc is None:
-        return np.eye(d)
-    return expm_herm(acc)
-
-
-# ---------------------------------------------------------------------------
-# typed operators
-# ---------------------------------------------------------------------------
-
-class HermitianOperator:
-    """Dense Hermitian operator on a labeled space.
-
-    Construction symmetrizes the matrix and rejects inputs whose
-    anti-Hermitian part exceeds ``HERMITICITY_RTOL`` relative to the norm.
-    """
-
-    __slots__ = ("space", "mat")
-
-    def __init__(self, space: SiteSpace, mat, *, _checked=False):
-        mat = np.asarray(mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] != space.dim:
-            raise ValueError(f"matrix dim {mat.shape[0]} != space dim {space.dim}")
-        if not _checked and hermiticity_defect(mat) > HERMITICITY_RTOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        self.space = space
-        self.mat = sym(mat)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def expectation(self, rho: "DensityMatrix") -> float:
-        if rho.space != self.space:
-            raise ValueError("space mismatch in expectation value")
-        return float(np.real(np.trace(rho.mat @ self.mat)))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(labels={self.space.labels!r}, dim={self.dim})"
-
-
-class DensityMatrix(HermitianOperator):
-    """Unit-trace positive-semidefinite Hermitian operator.
-
-    Validates trace within 1e-10 and eigenvalues above ``-NEG_EIG_TOL``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, space: SiteSpace, mat, *, _checked=False):
-        super().__init__(space, mat, _checked=_checked)
-        tr = float(np.real(np.trace(self.mat)))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace {tr!r} is not 1 within 1e-10")
-        lo = float(np.linalg.eigvalsh(self.mat)[0])
-        if lo < -NEG_EIG_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e} below tolerance")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues with the corresponding unitary of eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(op: HermitianOperator) -> Spectrum:
-    """Full spectrum of a Hermitian operator, eigenvalues ascending."""
-    vals, vecs = np.linalg.eigh(op.mat)
-    return Spectrum(vals, vecs)
-
-
-def matrix_exp(op: HermitianOperator) -> HermitianOperator:
-    """exp(H) through the eigendecomposition; the result is positive definite."""
-    return HermitianOperator(op.space, expm_herm(op.mat), _checked=True)
-
-
-def matrix_log(op: HermitianOperator, floor: float = EIG_FLOOR) -> HermitianOperator:
-    """log of a positive-semidefinite operator with eigenvalue clamping.
-
-    Eigenvalues below `floor` are clamped to `floor` before the log. Negative
-    eigenvalues beyond tolerance are rejected.
-    """
-    return HermitianOperator(op.space, logm_psd(op.mat, floor), _checked=True)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the `keep` sites (result ordered as given)."""
-    keep = tuple(keep)
-    axes = rho.space.axes(keep)
-    red = ptrace_mat(rho.mat, rho.space.dims, axes)
-    return DensityMatrix(rho.space.subspace(keep), red, _checked=True)
-
-
-def embed_local(op: HermitianOperator, target: SiteSpace) -> HermitianOperator:
-    """Tensor `op` with the identity on the remaining sites of `target`."""
-    for lab in op.space.labels:
-        if lab not in target.labels:
-            raise ValueError(f"operator site {lab!r} not in target space")
-    axes = target.axes(op.space.labels)
-    return HermitianOperator(target, embed_mat(op.mat, target.dims, axes), _checked=True)
-
-
-def vn_entropy(rho: DensityMatrix) -> float:
-    """von Neumann entropy -Tr(rho ln rho) in nats."""
-    return entropy_mat(rho.mat)
-
-
-def conditional_entropy(rho: DensityMatrix, x) -> float:
-    """S(X|Y) = S(XY) - S(Y) with Y the complement of X inside rho's space."""
-    x = tuple(x)
-    for lab in x:
-        rho.space.axis(lab)
-    y = tuple(l for l in rho.space.labels if l not in x)
-    if not x or not y:
-        raise ValueError("X must be a non-empty strict subset of the state's sites")
-    s_xy = entropy_mat(rho.mat)
-    s_y = entropy_mat(ptrace_mat(rho.mat, rho.space.dims, rho.space.axes(y)))
-    return s_xy - s_y
-
-
-def cmi(rho: DensityMatrix, a, b, c) -> float:
-    """Conditional mutual information I(A;C|B) = S(AB)+S(BC)-S(B)-S(ABC)."""
-    a, b, c = tuple(a), tuple(b), tuple(c)
-    parts = a + b + c
-    if len(set(parts)) != len(parts):
-        raise ValueError("A, B, C must be disjoint")
-    if set(parts) != set(rho.space.labels):
-        raise ValueError("A, B, C must cover the state's sites")
-    if not a or not c:
-        raise ValueError("A and C must be non-empty")
-    dims = rho.space.dims
-    ax = rho.space.axes
-    s_abc = entropy_mat(rho.mat)
-    s_ab = entropy_mat(ptrace_mat(rho.mat, dims, ax(a + b)))
-    s_bc = entropy_mat(ptrace_mat(rho.mat, dims, ax(b + c)))
-    s_b = entropy_mat(ptrace_mat(rho.mat, dims, ax(b))) if b else 0.0
-    return s_ab + s_bc - s_b - s_abc
-
-
-def odot(a: HermitianOperator, b: HermitianOperator, *,
-         invert_b: bool = False, floor: float = EIG_FLOOR) -> HermitianOperator:
-    """Log-space product exp(log A + log B) of positive operators.
-
-    Operands on different supports are first embedded into the joint space
-    with identity factors. ``invert_b`` subtracts log B instead, realizing
-    the product with B inverse.
-    """
-    space = a.space.union(b.space)
-    parts = [
-        (a.mat, space.axes(a.space.labels), 1.0),
-        (b.mat, space.axes(b.space.labels), -1.0 if invert_b else 1.0),
-    ]
-    return HermitianOperator(space, combine_odot(parts, space.dims, floor), _checked=True)
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) ||rho - sigma||_1."""
-    if rho.space.dims != sigma.space.dims:
-        raise ValueError("space mismatch in trace distance")
-    vals = np.linalg.eigvalsh(sym(rho.mat - sigma.mat))
-    return 0.5 * float(np.abs(vals).sum())
-
-
-def random_density(space: SiteSpace, rng, rank: int | None = None) -> DensityMatrix:
-    """Random state from a Haar purification: partial trace of a random pure
-    state on space x ancilla of dimension `rank` (defaults to full rank)."""
-    d = space.dim
-    r = d if rank is None else int(rank)
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    m = g @ g.conj().T
-    m /= np.real(np.trace(m))
-    return DensityMatrix(space, m, _checked=True)
-
-
-def random_hermitian(space: SiteSpace, rng, scale: float = 1.0) -> HermitianOperator:
-    d = space.dim
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return HermitianOperator(space, scale * sym(g), _checked=True)
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2) ||a - b||_1 of Hermitian a, b."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(sym(a - b))).sum())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from medbound.opalg import DensityMatrix, SiteSpace, entropy_from_probs, sym
+from medbound.opalg import entropy_from_probs, sym
 
 __all__ = [
     "ExactResult",
@@ -29,7 +29,7 @@ DIM_GUARD = 2 ** 14
 
 
 def _as_matrix(h) -> np.ndarray:
-    mat = h.mat if hasattr(h, "mat") else np.asarray(h)
+    mat = np.asarray(h)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
     # the guard reads only the shape and runs before sym copies the matrix,
@@ -50,7 +50,6 @@ class ExactResult:
     s_total: float
     ground_energy: float
     n_sites: int
-    gibbs: DensityMatrix | None = None
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:
@@ -66,7 +65,7 @@ def _spectrum(mat: np.ndarray):
     return np.linalg.eigh(mat)
 
 
-def gibbs_state(h, T: float) -> DensityMatrix:
+def gibbs_state(h, T: float) -> np.ndarray:
     """exp(-H/T)/Z through the spectrum of H."""
     mat = _as_matrix(h)
     if T <= 0:
@@ -74,20 +73,10 @@ def gibbs_state(h, T: float) -> DensityMatrix:
     vals, vecs = _spectrum(mat)
     w = np.exp(-(vals - vals[0]) / T)
     p = w / w.sum()
-    rho = (vecs * p) @ vecs.conj().T
-    space = h.space if hasattr(h, "space") else _qubit_space(mat.shape[0])
-    return DensityMatrix(space, rho, _checked=True)
+    return (vecs * p) @ vecs.conj().T
 
 
-def _qubit_space(dim: int) -> SiteSpace:
-    n = int(round(np.log2(dim)))
-    if 2 ** n != dim:
-        raise ValueError(f"cannot infer a qubit space for dimension {dim}")
-    return SiteSpace(tuple(range(n)))
-
-
-def exact_free_energy(h, T: float, n_sites: int | None = None,
-                      keep_gibbs: bool = False) -> ExactResult:
+def exact_free_energy(h, T: float, n_sites: int | None = None) -> ExactResult:
     """F = -T ln Tr exp(-H/T); E and S come from the same spectrum."""
     mat = _as_matrix(h)
     if T <= 0:
@@ -103,7 +92,6 @@ def exact_free_energy(h, T: float, n_sites: int | None = None,
     s = entropy_from_probs(p)
     if n_sites is None:
         n_sites = int(round(np.log2(mat.shape[0])))
-    gibbs = gibbs_state(h, T) if keep_gibbs else None
     return ExactResult(
         T=T,
         f_total=f,
@@ -112,7 +100,6 @@ def exact_free_energy(h, T: float, n_sites: int | None = None,
         s_total=s,
         ground_energy=float(vals[0]),
         n_sites=n_sites,
-        gibbs=gibbs,
     )
 
 

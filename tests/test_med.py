@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
+import medbound.med as med
 from medbound.lattice import (
     PAULI_X,
     LatticeSpec,
@@ -35,8 +37,6 @@ from medbound.med import (
     ti_problem,
 )
 from medbound.opalg import (
-    DensityMatrix,
-    SiteSpace,
     embed_mat,
     entropy_mat,
     ptrace_mat,
@@ -54,20 +54,20 @@ TIGHT = SolverConfig(tol_gradient=1e-7, tol_constraint=1e-8, max_inner=3000)
 
 
 def ti_vars(problem, mat):
-    key = problem.variables[0].key
-    space = SiteSpace(problem.variables[0].labels, problem.variables[0].dims)
-    return ClusterVariables(states={key: DensityMatrix(space, mat)},
+    return ClusterVariables(states={problem.variables[0].key: mat},
                             constraints=problem.constraints)
+
+
+def site_axes(geo, labels):
+    return tuple(geo.sites.index(s) for s in labels)
 
 
 def gibbs_chain_marginals(n, model, T, geo):
     h = total_hamiltonian(geo.terms, geo.sites)
     rho = gibbs_state(h, T)
-    states = {}
-    for k in geo.sites:
-        labels = geo.cluster_labels(k)
-        red = ptrace_mat(rho.mat, rho.space.dims, rho.space.axes(labels))
-        states[k] = DensityMatrix(SiteSpace(labels), red)
+    dims = (2,) * len(geo.sites)
+    states = {k: ptrace_mat(rho, dims, site_axes(geo, geo.cluster_labels(k)))
+              for k in geo.sites}
     return rho, states
 
 
@@ -78,12 +78,11 @@ class TestMarkovFreeEnergy:
         for t in (0.3, 1.0, 4.0):
             assert abs(markov_free_energy(mixed, prob, t) + t * LN2) <= 1e-12
 
-    def test_t_zero_is_cluster_energy(self, rng):
+    def test_t_zero_is_cluster_energy(self, random_state):
         prob = ti_problem(ti_chain_geometry(HEIS, 2))
-        from medbound.opalg import random_density
-        rho = random_density(SiteSpace(prob.variables[0].labels), rng)
-        v = ti_vars(prob, rho.mat)
-        e = trace_product(rho.mat, prob.variables[0].ham)
+        rho = random_state(prob.variables[0].dim)
+        v = ti_vars(prob, rho)
+        e = trace_product(rho, prob.variables[0].ham)
         assert abs(markov_free_energy(v, prob, 0.0) - e) <= 1e-12
 
     def test_global_gibbs_cross_check(self):
@@ -97,14 +96,14 @@ class TestMarkovFreeEnergy:
         val = markov_free_energy(variables, prob, t)
 
         h = total_hamiltonian(geo.terms, geo.sites)
-        e = trace_product(rho.mat, h)
+        e = trace_product(rho, h)
         s_m = 0.0
-        dims = rho.space.dims
+        dims = (2,) * len(geo.sites)
         for k in geo.sites:
             cluster = geo.cluster_labels(k)
             shield = cluster[:-1]
-            s_c = entropy_mat(ptrace_mat(rho.mat, dims, rho.space.axes(cluster)))
-            s_sh = entropy_mat(ptrace_mat(rho.mat, dims, rho.space.axes(shield))) if shield else 0.0
+            s_c = entropy_mat(ptrace_mat(rho, dims, site_axes(geo, cluster)))
+            s_sh = entropy_mat(ptrace_mat(rho, dims, site_axes(geo, shield))) if shield else 0.0
             s_m += s_c - s_sh
         assert abs(val - (e - t * s_m)) <= 1e-10
 
@@ -140,11 +139,10 @@ class TestGradient:
         _, grads = exponential_value_and_grad({"c": -geo.ham / t}, prob, t)
         assert np.max(np.abs(grads["c"])) <= 1e-10
 
-    def test_t_zero_euclidean_gradient_is_hamiltonian(self, rng):
+    def test_t_zero_euclidean_gradient_is_hamiltonian(self, random_state):
         prob = ti_problem(ti_chain_geometry(HEIS, 1))
-        from medbound.opalg import random_density
-        rho = random_density(SiteSpace(prob.variables[0].labels), rng)
-        grads = free_energy_gradient(ti_vars(prob, rho.mat), prob, 0.0)
+        rho = random_state(prob.variables[0].dim)
+        grads = free_energy_gradient(ti_vars(prob, rho), prob, 0.0)
         key = prob.variables[0].key
         assert np.allclose(grads[key], prob.variables[0].ham)
 
@@ -249,6 +247,44 @@ class TestSweep:
         with pytest.raises(ValueError):
             temperature_sweep(prob, [1.0, 0.5], SolverConfig())
 
+    def test_repeated_temperature_rejected_before_any_solve(self, monkeypatch):
+        # a repeated temperature would be solved and then divide by zero in
+        # the specific heat's divided differences
+        calls = []
+        monkeypatch.setattr(med, "solve", lambda *args, **kwargs: calls.append(args))
+        prob = ti_problem(ti_chain_geometry(HEIS, 1))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            temperature_sweep(prob, [0.5, 1.0, 1.0, 2.0])
+        assert not calls
+
+
+class TestStalledInnerSolve:
+    @staticmethod
+    def stub_minimizer(monkeypatch, jac_value):
+        # an inner solve that stays at its start point with a fixed gradient
+        calls = []
+
+        def minimize(fun, x0, **kwargs):
+            calls.append(1)
+            return OptimizeResult(x=np.array(x0), nit=0, jac=np.full(len(x0), jac_value))
+        monkeypatch.setattr(med, "_scipy_minimize", minimize)
+        return calls
+
+    def test_stall_ends_the_outer_loop(self, monkeypatch):
+        calls = self.stub_minimizer(monkeypatch, 1.0)
+        res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0, SolverConfig(max_outer=7))
+        assert len(calls) == 1
+        assert not res.converged
+
+    def test_zero_steps_on_target_are_not_a_stall(self, monkeypatch):
+        # the maximally mixed start is feasible for a TI chain, so an inner
+        # solve that meets its gradient target without a step is legitimate;
+        # the outer loop tightens the target until it reaches tol_gradient
+        calls = self.stub_minimizer(monkeypatch, 0.0)
+        res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0)
+        assert len(calls) > 1
+        assert res.converged
+
 
 class TestGroundEnergyBound:
     def test_single_system_bound_reaches_e0(self):
@@ -302,6 +338,28 @@ class TestMultiPatch:
         assert res.converged
         assert res.f_per_site >= max(f_a, f_b) - 1e-6
 
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    def test_finite_patches(self, t):
+        spec = LatticeSpec("chain", 5)
+        g1 = finite_geometry(spec, HEIS, radius=1)
+        g2 = finite_geometry(spec, HEIS, radius=2)
+        f1 = solve(finite_problem(g1), t).f_per_site
+        f2 = solve(finite_problem(g2), t).f_per_site
+        double = solve(multi_patch_problem([g1, g1]), t)
+        assert double.converged
+        assert abs(double.f_per_site - f1) <= 1e-8
+        mixed = solve(multi_patch_problem([g1, g2]), t)
+        assert mixed.converged
+        assert mixed.f_per_site >= max(f1, f2) - 1e-6
+
+    def test_mixed_or_mismatched_patches_rejected(self):
+        g5 = finite_geometry(LatticeSpec("chain", 5), HEIS, radius=1)
+        g4 = finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1)
+        with pytest.raises(ValueError, match="all translation-invariant or all finite"):
+            multi_patch_problem([ti_chain_geometry(HEIS, 1), g5])
+        with pytest.raises(ValueError, match="same lattice"):
+            multi_patch_problem([g5, g4])
+
 
 class TestInvariants:
     def test_inner_loop_monotone(self):
@@ -326,20 +384,11 @@ class TestInvariants:
         prob = finite_problem(geo)
         t = 0.8
         _, states1 = gibbs_chain_marginals(4, HEIS, 0.6, geo)
-        h_rand = total_hamiltonian(geo.terms, geo.sites)
-        import medbound.oracle as oracle
-        rho2 = oracle.gibbs_state(h_rand, 1.7)
-        states2 = {}
-        for k in geo.sites:
-            labels = geo.cluster_labels(k)
-            red = ptrace_mat(rho2.mat, rho2.space.dims, rho2.space.axes(labels))
-            states2[k] = DensityMatrix(SiteSpace(labels), red)
+        _, states2 = gibbs_chain_marginals(4, HEIS, 1.7, geo)
         f1 = markov_free_energy(ClusterVariables(states1, prob.constraints), prob, t)
         f2 = markov_free_energy(ClusterVariables(states2, prob.constraints), prob, t)
         for lam in (0.25, 0.5, 0.75):
-            mix = {k: DensityMatrix(states1[k].space,
-                                    lam * states1[k].mat + (1 - lam) * states2[k].mat)
-                   for k in states1}
+            mix = {k: lam * states1[k] + (1 - lam) * states2[k] for k in states1}
             fmix = markov_free_energy(ClusterVariables(mix, prob.constraints), prob, t)
             assert fmix <= lam * f1 + (1 - lam) * f2 + 1e-10
 
