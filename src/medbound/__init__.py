@@ -6,8 +6,9 @@ conditional entropies on Markov shields (`medbound.med`). It also solves the
 dual fixed-point (belief propagation) equations on chains
 (`medbound.bpdual`) and provides exact small-system oracles
 (`medbound.oracle`). States and Hamiltonians are plain arrays throughout;
-`medbound.opalg` holds the kernels they share, and `medbound.lattice` builds
-the cluster geometries.
+`medbound.opalg` holds the dense kernels, `medbound.layout` the
+charge-sector block layout both solvers iterate on, and `medbound.lattice`
+builds the cluster geometries.
 """
 
 __version__ = "0.1.0"

@@ -29,6 +29,28 @@ measured, and `BPState.logs` the unit-trace logs the loop carried, from
 which `beliefs_from_messages` builds the beliefs. A state given only
 messages has them logged again, with the clamp. Open chains use identity
 messages beyond both ends.
+
+Layout. Each public call compiles the problem once (`_Layout`) onto the
+charge-sector blocks of `medbound.layout`: cluster logs, beliefs, messages
+and message logs are flat vectors of in-sector entries, one row per matrix,
+and every matrix function is one batched call per block size over all the
+rows it acts on (the two messages of a translation-invariant chain, or all
+beliefs at once). Embedding an incoming log on the first or last n sites of
+a cluster is one gather, with a zero slot for the entries it does not
+reach, and the partial trace onto those sites reads the same index map
+backwards as one bincount. Dense matrices appear only at the interface:
+`BPState`, `bp_update` and the belief functions take and return them.
+
+The restriction to sectors is exact. When log Lambda_k commutes with the
+total charge, so does every iterate: the identity start messages commute
+with it, the sum of commuting logs and its exponential commute with it, the
+partial trace of a charge-commuting state commutes with the charge of the
+sites it keeps, and logs, differences, damping mixes and normalization keep
+that. The dense iteration would therefore stay block diagonal in exact
+arithmetic; the block iteration keeps the off-sector zeros exact. Sectors
+are used when every log Lambda_k, and every message a caller passes in, is
+exactly zero off them; otherwise the same code runs with one sector per
+matrix.
 """
 
 from __future__ import annotations
@@ -39,15 +61,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from medbound.lattice import LatticeSpec, ModelSpec, build_lattice, ti_chain_geometry
-from medbound.opalg import (
+# build_lattice, ptrace_mat, logm_psd, sym and entropy_mat are no longer
+# called here; they stay attributes of this module because
+# perfbench/tracing.py wraps them by name
+from medbound.lattice import (  # noqa: F401
+    LatticeSpec,
+    ModelSpec,
+    build_lattice,
+    finite_geometry,
+    ti_chain_geometry,
+)
+from medbound.layout import (
+    _conserves_charge,
+    _eigh_stacks,
+    _eigvalsh_stacks,
+    _from_eig,
+    _neg_xlogx,
+    _scatter,
+    _sector_blocks,
+    _stack,
+)
+from medbound.opalg import (  # noqa: F401
     EIG_FLOOR,
     embed_mat,
     entropy_mat,
     logm_psd,
     ptrace_mat,
     sym,
-    trace_distance,
     trace_product,
 )
 
@@ -105,8 +145,8 @@ class BPProblem:
 
 def bp_ti_problem(model: ModelSpec, n: int, T: float) -> BPProblem:
     """Translation-invariant chain with an n-site window (cluster of n+1)."""
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
     geo = ti_chain_geometry(model, int(n))
     return BPProblem(kind="ti", n=int(n), T=T,
                      log_lambda={"ti": -geo.ham / T},
@@ -115,122 +155,265 @@ def bp_ti_problem(model: ModelSpec, n: int, T: float) -> BPProblem:
 
 
 def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> BPProblem:
-    """Finite open chain: clusters are the length-(n+1) windows; terms that
-    end before the first full window are folded into the first cluster."""
+    """Finite open chain: clusters are the length-(n+1) windows. Terms go to
+    clusters by the lattice's highest-site rule (`finite_geometry` with
+    radius n); the clusters of the sites before the first full window are
+    summed into it."""
     if spec.kind != "chain" or spec.boundary != "open":
         raise ValueError("the dual solver runs on finite open chains (or ti)")
-    if T <= 0:
-        raise ValueError("temperature must be positive")
-    terms, sites = build_lattice(spec, model)
+    if not 0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
     n = int(n)
-    n_sites = len(sites)
+    n_sites = spec.n_sites
     if n < 1 or n + 1 > n_sites:
         raise ValueError("window must satisfy 1 <= n <= N-1")
-    clusters = {k: tuple(range(k - n, k + 1)) for k in range(n, n_sites)}
-    log_lambda = {}
-    for k, labels in clusters.items():
-        idx = {s: i for i, s in enumerate(labels)}
-        dims = (2,) * len(labels)
-        ham = np.zeros((2 ** len(labels), 2 ** len(labels)))
-        for t in terms:
-            top = max(t.support)
-            target = max(top, n)
-            if target != k:
-                continue
-            ham = ham + embed_mat(t.mat, dims, tuple(idx[s] for s in t.support))
-        log_lambda[k] = -sym(ham) / T
-    return BPProblem(kind="chain", n=n, T=T, log_lambda=log_lambda,
-                     clusters=clusters,
+    geo = finite_geometry(spec, model, radius=n)
+    window = (2,) * (n + 1)
+    first_ham = sum(embed_mat(geo.hams[j], window, tuple(range(j + 1))) for j in range(n + 1))
+    hams = {n: first_ham, **{k: geo.hams[k] for k in range(n + 1, n_sites)}}
+    return BPProblem(kind="chain", n=n, T=T,
+                     log_lambda={k: -ham / T for k, ham in hams.items()},
+                     clusters={k: tuple(range(k - n, k + 1)) for k in hams},
                      meta={"model": model, "schedule": "forward-backward sweep"})
 
 
 # ---------------------------------------------------------------------------
-# message algebra
+# the compiled problem
 # ---------------------------------------------------------------------------
 
-def _normalized_exp(log_mat: np.ndarray):
-    """exp(log_mat) scaled to unit trace, and the log of the scale (the
-    log-sum-exp of the eigenvalues), so the unit-trace log is
-    log_mat - scale * I."""
-    vals, vecs = np.linalg.eigh(sym(log_mat))
-    w = np.exp(vals - vals[-1])
-    total = w.sum()
-    return sym((vecs * (w / total)) @ vecs.conj().T), float(vals[-1]) + math.log(total)
+class _Space:
+    """Block layout of one matrix on `n_sites` qubits. A batch of matrices
+    is a (c, n) array, one flat vector of in-sector entries per row."""
 
+    def __init__(self, n_sites: int, by_charge: bool):
+        self.dim = 2 ** n_sites
+        self.stacks, _, self.rows, self.cols, _ = _stack(
+            [_sector_blocks((2,) * n_sites, by_charge)])
+        self.n = self.rows.size
+        self.diag = (self.rows == self.cols).astype(float)
 
-def _message_log(mat: np.ndarray) -> np.ndarray:
-    """Unclamped log of a positive definite message."""
-    vals, vecs = np.linalg.eigh(sym(mat))
-    if vals[0] <= 0.0:
-        raise ValueError("incoming message is singular")
-    return sym((vecs * np.log(vals)) @ vecs.conj().T)
+    def flat(self, mat) -> np.ndarray:
+        return np.asarray(mat)[self.rows, self.cols]
 
+    def dense(self, flat: np.ndarray) -> np.ndarray:
+        mat = np.zeros((self.dim, self.dim), dtype=flat.dtype)
+        mat[self.rows, self.cols] = flat
+        return mat
 
-def _cluster_state_log(problem, key, log_right_in, log_left_in):
-    """log of the unnormalized belief: log Lambda + embedded message logs."""
-    n = problem.n
-    dims = (2,) * (n + 1)
-    first = tuple(range(n))
-    last = tuple(range(1, n + 1))
-    log_rho = np.array(problem.log_lambda[key])
-    if log_right_in is not None:
-        log_rho = log_rho + embed_mat(log_right_in, dims, first)
-    if log_left_in is not None:
-        log_rho = log_rho + embed_mat(log_left_in, dims, last)
-    return sym(log_rho)
+    def exp(self, log: np.ndarray):
+        """Per row: exp(log) scaled to unit trace, its eigenvalues, and the
+        log of the scale (the log-sum-exp of the eigenvalues of log, shape
+        (c, 1)), so the unit-trace log is log - scale * I."""
+        vals, vecs = _eigh_stacks(self.stacks, log, self.dim)
+        top = vals.max(axis=-1, keepdims=True)
+        w = np.exp(vals - top)
+        total = w.sum(axis=-1, keepdims=True)
+        p = w / total
+        return _from_eig(self.stacks, vecs, p, self.n), p, top + np.log(total)
 
-
-def _outgoing_logs(problem, key, log_right_in, log_left_in, sides, retain_inverse):
-    """Logs (up to a scalar) of the outgoing messages of one cluster.
-
-    The incoming logs come from the left (right-moving, on the first n
-    sites) and from the right (left-moving, on the last n sites), None
-    beyond an open end. `sides` names the outgoing directions wanted:
-    "L" goes to the left neighbour, "R" to the right one."""
-    n = problem.n
-    dims = (2,) * (n + 1)
-    out = {}
-    rho = None
-    for side in sides:
-        keep, inverse = ((tuple(range(n)), log_right_in) if side == "L"
-                         else (tuple(range(1, n + 1)), log_left_in))
-        if retain_inverse:
-            if rho is None:
-                rho, _ = _normalized_exp(
-                    _cluster_state_log(problem, key, log_right_in, log_left_in))
-            out[side] = logm_psd(ptrace_mat(rho, dims, keep), EIG_FLOOR)
-            if inverse is not None:
-                out[side] = out[side] - inverse
+    def log(self, flat: np.ndarray, floor: float | None = None) -> np.ndarray:
+        """Per row: log of a positive matrix, eigenvalues clamped at `floor`;
+        without a floor a singular matrix raises ValueError."""
+        vals, vecs = _eigh_stacks(self.stacks, flat, self.dim)
+        if floor is None:
+            if vals.min() <= 0.0:
+                raise ValueError("message is singular")
         else:
-            # the cancellation assumed when partial trace and the log-space
-            # product are treated as commuting: each outgoing message sees only
-            # the message arriving from the opposite side
-            seen = (None, log_left_in) if side == "L" else (log_right_in, None)
-            rho_side, _ = _normalized_exp(_cluster_state_log(problem, key, *seen))
-            out[side] = logm_psd(ptrace_mat(rho_side, dims, keep), EIG_FLOOR)
-    return out
+            vals = np.maximum(vals, floor)
+        return _from_eig(self.stacks, vecs, np.log(vals), self.n)
+
+    def eigvals(self, flat: np.ndarray) -> np.ndarray:
+        return _eigvalsh_stacks(self.stacks, flat, self.dim)
+
+    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per row: the trace distance (1/2) ||a - b||_1."""
+        return 0.5 * np.abs(self.eigvals(a - b)).sum(axis=-1)
 
 
-def _incoming(problem, messages, key):
-    """(from-left right-moving, from-right left-moving) or None at the ends."""
-    if problem.kind == "ti":
-        return messages["R"], messages["L"]
-    keys = problem.cluster_keys
-    m_right_in = messages[("R", key - 1)] if key > keys[0] else None
-    m_left_in = messages[("L", key + 1)] if key < keys[-1] else None
-    return m_right_in, m_left_in
+class _Layout:
+    """A BP problem laid out for one public call.
 
+    - `cluster`/`msg`: block layouts of the (n+1)-site cluster matrices and
+      the n-site messages; `lam` holds log Lambda_k, one row per cluster.
+    - Message store: the logs of all messages, one row each in `names`
+      order, plus a zero row standing for "no message" (beyond an open end)
+      and a zero column, the slot of the cluster entries an embedding does
+      not reach.
+    - `first`/`last`: for every cluster entry, the message entry embedded
+      on the first or last n sites lands on (the zero slot where none
+      does); the partial trace onto those sites is the same map read
+      backwards."""
+
+    def __init__(self, problem: BPProblem, by_charge: bool):
+        n = problem.n
+        self.cluster = c = _Space(n + 1, by_charge)
+        self.msg = m = _Space(n, by_charge)
+        self.keys = problem.cluster_keys
+        self.lam = np.array([c.flat(problem.log_lambda[k]) for k in self.keys])
+        labels = np.zeros((m.dim, m.dim))
+        labels[m.rows, m.cols] = np.arange(1, m.n + 1)
+        window = (2,) * (n + 1)
+        maps = []
+        for axes in (range(n), range(1, n + 1)):
+            hit = embed_mat(labels, window, tuple(axes))[c.rows, c.cols].astype(int)
+            maps.append(np.where(hit > 0, hit - 1, m.n))
+        self.first, self.last = maps
+        # each side's partial trace: the reached cluster entries and their targets
+        self.traced = {side: (np.flatnonzero(mp < m.n), mp[mp < m.n])
+                       for side, mp in (("L", self.first), ("R", self.last))}
+
+        if problem.kind == "ti":
+            self.names = ["L", "R"]
+            incoming = [("R", "L")]
+            overlaps = [("L", "R")]
+        else:
+            keys = self.keys
+            # keyed by sender: ('R', k) goes k -> k+1, ('L', k) goes k -> k-1
+            self.names = [("R", k) for k in keys[:-1]] + [("L", k) for k in keys[1:]]
+            incoming = [(("R", k - 1) if k > keys[0] else None,
+                         ("L", k + 1) if k < keys[-1] else None) for k in keys]
+            overlaps = [(("L", k), ("R", k - 1)) for k in keys[1:]]
+        self.none = len(self.names)
+        self.row = {name: i for i, name in enumerate(self.names)}
+        self.row[None] = self.none
+        # per cluster: store rows of the message from the left (on the first
+        # n sites) and of the message from the right (on the last n sites)
+        self.incoming = np.array([[self.row[a], self.row[b]] for a, b in incoming])
+        self.overlaps = np.array([[self.row[a], self.row[b]] for a, b in overlaps])
+        self._steps: dict = {}
+
+    # -- dense edges -----------------------------------------------------------
+
+    def flats(self, mats: dict) -> np.ndarray:
+        """Dense messages (or logs) keyed by name, as rows in `names` order."""
+        return np.array([self.msg.flat(mats[name]) for name in self.names])
+
+    def dense(self, flats: np.ndarray) -> dict:
+        return {name: self.msg.dense(f) for name, f in zip(self.names, flats)}
+
+    def store(self, logs: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.none + 1, self.msg.n + 1),
+                       dtype=np.result_type(logs, self.lam))
+        out[:-1, :-1] = logs
+        return out
+
+    # -- kernels -----------------------------------------------------------------
+
+    def gathers(self, from_left, from_right):
+        """Flat store indices that embed the logs in the store rows
+        `from_left` (on the first n sites) and `from_right` (on the last n),
+        one cluster row per entry."""
+        width = self.msg.n + 1
+        return (from_left[:, None] * width + self.first,
+                from_right[:, None] * width + self.last)
+
+    @staticmethod
+    def cluster_logs(store, lam, gathers) -> np.ndarray:
+        """log Lambda plus the embedded incoming logs."""
+        left, right = gathers
+        return lam + store.take(left) + store.take(right)
+
+    def trace_plan(self, rows, sides):
+        """Index map of a batch of marginals: marginal j is the partial trace
+        of cluster row rows[j] onto the sites that side sides[j] sends on
+        ("L": the first n, "R": the last n)."""
+        src, tgt = [], []
+        for j, (row, side) in enumerate(zip(rows, sides)):
+            idx, hit = self.traced[side]
+            src.append(idx + row * self.cluster.n)
+            tgt.append(hit + j * self.msg.n)
+        return np.concatenate(src), np.concatenate(tgt), len(sides)
+
+    def trace(self, rho: np.ndarray, plan) -> np.ndarray:
+        src, tgt, count = plan
+        return _scatter(tgt, rho.take(src), count * self.msg.n).reshape(count, self.msg.n)
+
+    def _step(self, i: int, sides, retain: bool):
+        key = (i, sides, retain)
+        plan = self._steps.get(key)
+        if plan is None:
+            left, right = self.incoming[i]
+            if retain:
+                # one belief serves every side; each side divides out the
+                # message it received from the neighbour it sends to
+                pairs = [(left, right)]
+                inverse = [left if side == "L" else right for side in sides]
+            else:
+                # each side sees only the message from the opposite side
+                pairs = [(self.none, right) if side == "L" else (left, self.none)
+                         for side in sides]
+                inverse = [self.none] * len(sides)
+            # with one belief every side traces it, else side j traces belief j
+            rows = [0] * len(sides) if retain else range(len(sides))
+            plan = self._steps[key] = (self.gathers(*np.array(pairs).T),
+                                       self.trace_plan(rows, sides), np.array(inverse))
+        return plan
+
+    def outgoing(self, store, i: int, sides, retain: bool) -> np.ndarray:
+        """Logs (up to a scalar) of the messages cluster i sends to `sides`
+        ("L": its left neighbour, "R": its right one), one row per side."""
+        gathers, traced, inverse = self._step(i, sides, retain)
+        rho, _, _ = self.cluster.exp(self.cluster_logs(store, self.lam[i], gathers))
+        logs = self.msg.log(self.trace(rho, traced), EIG_FLOOR)
+        return logs - store[inverse, :-1]
+
+    def damp(self, store, msgs, rows, out, alpha: float) -> None:
+        """Move the store rows `rows` a step `alpha` toward the new logs
+        `out`: the convex mix, shifted to unit trace, and its normalized
+        exponential into `msgs`."""
+        mix = (1.0 - alpha) * store[rows, :-1] + alpha * out
+        msgs[rows], _, scale = self.msg.exp(mix)
+        store[rows, :-1] = mix - scale * self.msg.diag
+
+    def beliefs(self, store):
+        """All cluster beliefs (rows, and their eigenvalues) and overlap
+        beliefs, from the message logs in `store`."""
+        rho, p, _ = self.cluster.exp(self.cluster_logs(
+            store, self.lam, self.gathers(self.incoming[:, 0], self.incoming[:, 1])))
+        sigma, _, _ = self.msg.exp(store[self.overlaps[:, 0], :-1]
+                                   + store[self.overlaps[:, 1], :-1])
+        return rho, p, sigma
+
+
+def _compile(problem: BPProblem, messages=(), one_sector: bool = False) -> _Layout:
+    """Charge sectors when every log Lambda and every given message is
+    exactly zero off them (and not `one_sector`), else one sector per
+    matrix."""
+    n = problem.n
+    by_charge = (not one_sector
+                 and _conserves_charge(np.array(list(problem.log_lambda.values())),
+                                       (2,) * (n + 1))
+                 and all(_conserves_charge(m, (2,) * n) for m in messages))
+    return _Layout(problem, by_charge)
+
+
+def _state_store(state: BPState, problem: BPProblem):
+    """The layout of a state's problem and its message-log store: the logs
+    the loop carried, or the messages logged with the EIG_FLOOR clamp."""
+    mats = state.logs if state.logs is not None else state.messages
+    lay = _compile(problem, mats.values())
+    flats = lay.flats(mats)
+    if state.logs is None:
+        flats = lay.msg.log(flats, EIG_FLOOR)
+    return lay, lay.store(flats)
+
+
+# ---------------------------------------------------------------------------
+# solver
+# ---------------------------------------------------------------------------
 
 def bp_update(k, state: BPState, problem: BPProblem,
               config: BPConfig | None = None) -> dict:
-    """Outgoing messages of cluster k given the current state (undamped)."""
+    """Outgoing messages of cluster k given the current state (undamped).
+    A singular message in the state raises ValueError."""
     config = config or BPConfig()
-    logs = [None if m is None else _message_log(m)
-            for m in _incoming(problem, state.messages, k)]
-    out = _outgoing_logs(problem, k, *logs, ("L", "R"), config.retain_inverse)
-    if problem.kind == "ti":
-        return {side: _normalized_exp(log)[0] for side, log in out.items()}
-    return {(side, k): _normalized_exp(log)[0] for side, log in out.items()}
+    lay = _compile(problem, state.messages.values())
+    store = lay.store(lay.msg.log(lay.flats(state.messages)))
+    sides = ("L", "R")
+    out = lay.outgoing(store, lay.keys.index(k), sides, config.retain_inverse)
+    msgs, _, _ = lay.msg.exp(out)
+    names = sides if problem.kind == "ti" else [(side, k) for side in sides]
+    return {name: lay.msg.dense(m) for name, m in zip(names, msgs)}
 
 
 def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPState:
@@ -240,43 +423,44 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
     (left-moving); the translation-invariant pair is updated jointly.
     The residual is the largest trace-distance change per full round.
     """
-    config = config or BPConfig()
-    dim = 2 ** problem.n
-    if problem.kind == "ti":
-        names = ["L", "R"]
-        steps = [(("L", "R"), "ti")]
-    else:
-        # keyed by sender: ('R', k) goes k -> k+1, ('L', k) goes k -> k-1
-        keys = problem.cluster_keys
-        names = [("R", k) for k in keys[:-1]] + [("L", k) for k in keys[1:]]
-        steps = ([(("R",), k) for k in keys[:-1]]
-                 + [(("L",), k) for k in reversed(keys[1:])])
-    logs = {name: np.eye(dim) * -math.log(dim) for name in names}
-    state = BPState(messages={name: np.eye(dim) / dim for name in names},
-                    residual=math.inf, iterations=0, converged=False,
-                    meta={"schedule": problem.meta.get("schedule")}, logs=logs)
-    alpha = config.damping
-    for it in range(1, config.max_iters + 1):
-        residual = 0.0
-        for sides, k in steps:
-            out = _outgoing_logs(problem, k, *_incoming(problem, logs, k), sides,
-                                 config.retain_inverse)
-            for side, log_new in out.items():
-                name = side if problem.kind == "ti" else (side, k)
-                # damping: convex mix of the logs, then one eigh gives the
-                # unit-trace message and the shift that normalizes its log
-                mix = (1.0 - alpha) * logs[name] + alpha * log_new
-                mixed, scale = _normalized_exp(mix)
-                residual = max(residual, trace_distance(mixed, state.messages[name]))
-                state.messages[name] = mixed
-                logs[name] = mix - scale * np.eye(dim)
-        state.residual = residual
-        state.iterations = it
-        if residual <= config.tol_residual:
-            state.converged = True
-            break
-    return state
+    return _iterate(_compile(problem), problem, config or BPConfig())
 
+
+def _iterate(lay: _Layout, problem: BPProblem, config: BPConfig) -> BPState:
+    m = lay.msg
+    if problem.kind == "ti":
+        steps = [(0, ("L", "R"))]
+    else:
+        last = len(lay.keys) - 1
+        steps = ([(i, ("R",)) for i in range(last)]
+                 + [(i, ("L",)) for i in range(last, 0, -1)])
+    # store rows of the messages each step sends
+    steps = [(i, sides, np.array([lay.row[side if problem.kind == "ti" else (side, lay.keys[i])]
+                                  for side in sides]))
+             for i, sides in steps]
+    n_msgs = len(lay.names)
+    store = lay.store(np.tile(-math.log(m.dim) * m.diag, (n_msgs, 1)))
+    msgs = np.tile(m.diag / m.dim, (n_msgs, 1)).astype(store.dtype)
+    residual, it, converged = math.inf, 0, False
+    for it in range(1, config.max_iters + 1):
+        # a round sends every message once, so its largest change is
+        # measured against the messages the round started from
+        before = msgs.copy()
+        for i, sides, rows in steps:
+            out = lay.outgoing(store, i, sides, config.retain_inverse)
+            lay.damp(store, msgs, rows, out, config.damping)
+        residual = float(m.distance(msgs, before).max())
+        if residual <= config.tol_residual:
+            converged = True
+            break
+    return BPState(messages=lay.dense(msgs), residual=residual, iterations=it,
+                   converged=converged, meta={"schedule": problem.meta.get("schedule")},
+                   logs=lay.dense(store[:-1, :-1]))
+
+
+# ---------------------------------------------------------------------------
+# beliefs and the free energy
+# ---------------------------------------------------------------------------
 
 def beliefs_from_messages(state: BPState, problem: BPProblem):
     """Cluster beliefs rho_k and overlap beliefs sigma_k.
@@ -285,47 +469,28 @@ def beliefs_from_messages(state: BPState, problem: BPProblem):
     which is the stationarity condition for the overlap state. The message
     logs are the ones the fixed-point loop carried; a state without them has
     its messages logged, with eigenvalues clamped at EIG_FLOOR."""
-    logs = state.logs
-    if logs is None:
-        logs = {name: logm_psd(m, EIG_FLOOR) for name, m in state.messages.items()}
-    beliefs = {}
-    overlaps = {}
-    for k in problem.cluster_keys:
-        beliefs[k], _ = _normalized_exp(
-            _cluster_state_log(problem, k, *_incoming(problem, logs, k)))
-    if problem.kind == "ti":
-        overlaps["ti"], _ = _normalized_exp(logs["L"] + logs["R"])
-        return beliefs, overlaps
-    for k in problem.cluster_keys[1:]:
-        overlaps[k], _ = _normalized_exp(logs[("L", k)] + logs[("R", k - 1)])
-    return beliefs, overlaps
+    lay, store = _state_store(state, problem)
+    rho, _, sigma = lay.beliefs(store)
+    beliefs = {k: lay.cluster.dense(r) for k, r in zip(lay.keys, rho)}
+    edges = ["ti"] if problem.kind == "ti" else lay.keys[1:]
+    return beliefs, {k: lay.msg.dense(s) for k, s in zip(edges, sigma)}
 
 
 def belief_consistency(state: BPState, problem: BPProblem) -> float:
     """Largest trace distance between cluster marginals and the overlap
     beliefs; at an exact fixed point this vanishes."""
-    n = problem.n
-    dims = (2,) * (n + 1)
-    first = tuple(range(n))
-    last = tuple(range(1, n + 1))
-    beliefs, overlaps = beliefs_from_messages(state, problem)
-    worst = 0.0
+    lay, store = _state_store(state, problem)
+    rho, _, sigma = lay.beliefs(store)
     if problem.kind == "ti":
-        rho = beliefs["ti"]
-        sig = overlaps["ti"]
-        worst = max(trace_distance(ptrace_mat(rho, dims, first), sig),
-                    trace_distance(ptrace_mat(rho, dims, last), sig))
-        return worst
-    keys = problem.cluster_keys
-    for k in keys:
-        rho = beliefs[k]
-        if k in overlaps:
-            worst = max(worst, trace_distance(
-                ptrace_mat(rho, dims, first), overlaps[k]))
-        if k + 1 in overlaps:
-            worst = max(worst, trace_distance(
-                ptrace_mat(rho, dims, last), overlaps[k + 1]))
-    return worst
+        # both marginals of the one cluster against the one overlap
+        pairs = [(0, "L", 0), (0, "R", 0)]
+    else:
+        last = len(lay.keys) - 1
+        pairs = ([(i, "L", i - 1) for i in range(1, last + 1)]
+                 + [(i, "R", i) for i in range(last)])
+    cl, sides, ov = zip(*pairs)
+    marg = lay.trace(rho, lay.trace_plan(cl, sides))
+    return float(lay.msg.distance(marg, sigma[list(ov)]).max())
 
 
 def bp_free_energy(state: BPState, problem: BPProblem) -> float:
@@ -334,24 +499,13 @@ def bp_free_energy(state: BPState, problem: BPProblem) -> float:
     if not state.converged:
         warnings.warn("evaluating the free energy on a non-converged state",
                       RuntimeWarning, stacklevel=2)
-    n = problem.n
-    dims = (2,) * (n + 1)
-    first = tuple(range(n))
     T = problem.T
-    beliefs, _ = beliefs_from_messages(state, problem)
-    if problem.kind == "ti":
-        rho = beliefs["ti"]
-        ham = -T * problem.log_lambda["ti"]
-        e = trace_product(rho, ham)
-        s = entropy_mat(rho) - entropy_mat(ptrace_mat(rho, dims, first))
-        return e - T * s
-    keys = problem.cluster_keys
-    e = 0.0
-    s_m = 0.0
-    for k in keys:
-        rho = beliefs[k]
-        e += trace_product(rho, -T * problem.log_lambda[k])
-        s_m += entropy_mat(rho)
-        if k > keys[0]:
-            s_m -= entropy_mat(ptrace_mat(rho, dims, first))
-    return e - T * s_m
+    lay, store = _state_store(state, problem)
+    rho, p, _ = lay.beliefs(store)
+    e = trace_product(rho, -T * lay.lam)
+    # every cluster but the first of a finite chain has the first n sites
+    # as its shield
+    shielded = range(len(rho)) if problem.kind == "ti" else range(1, len(rho))
+    shields = lay.msg.eigvals(lay.trace(rho, lay.trace_plan(shielded, ["L"] * len(shielded))))
+    s = float(_neg_xlogx(p).sum() - _neg_xlogx(shields).sum())
+    return e - T * s

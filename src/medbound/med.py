@@ -34,12 +34,13 @@ in which some cluster Hamiltonian breaks the charge keeps one sector per
 matrix, which is the plain dense iteration.
 
 Each problem is compiled once, at its first solve, into a block layout
-(`_Compiled`): G, the states, the shield marginals, the multipliers and the
-gradient are carried as charge-sector blocks, stacked by block size across
-all clusters, and the partial traces and their adjoint embeddings are index
-maps. One objective evaluation therefore makes a fixed number of batched
-calls per block size, however many clusters, constraints and sectors the
-problem has. Dense matrices appear only at the interface: warm starts,
+(`_Compiled`, on the sector-stack kernels of `medbound.layout`, which the
+BP solver shares): G, the states, the shield marginals, the multipliers and
+the gradient are carried as charge-sector blocks, stacked by block size
+across all clusters, and the partial traces and their adjoint embeddings are
+index maps. One objective evaluation therefore makes a fixed number of
+batched calls per block size, however many clusters, constraints and
+sectors the problem has. Dense matrices appear only at the interface: warm starts,
 returned states and the public gradient helpers.
 """
 
@@ -60,10 +61,20 @@ from medbound.lattice import (
     ti_chain_geometry,
     ti_square_geometry,
 )
+from medbound.layout import (
+    _conserves_charge,
+    _dag,
+    _eigh_stacks,
+    _from_eig,
+    _herm,
+    _neg_xlogx,
+    _scatter,
+    _sector_blocks,
+    _stack,
+)
 # ptrace_mat and entropy_from_probs are no longer called here; they stay
 # attributes of this module because perfbench/tracing.py wraps them by name
 from medbound.opalg import (  # noqa: F401
-    ENTROPY_CUTOFF,
     embed_mat,
     entropy_from_probs,
     ptrace_mat,
@@ -288,120 +299,15 @@ def multi_patch_problem(geos) -> MedProblem:
 
 
 # ---------------------------------------------------------------------------
-# charge sectors
-# ---------------------------------------------------------------------------
-
-class _Blocks:
-    """Basis indices of one matrix grouped by charge and stacked by sector
-    size: `stacks` holds one (k, b) index array per sector size b."""
-
-    __slots__ = ("charge", "stacks")
-
-    def __init__(self, charge: np.ndarray):
-        self.charge = charge
-        by_size: dict = {}
-        for c in np.unique(charge):
-            idx = np.flatnonzero(charge == c)
-            by_size.setdefault(idx.size, []).append(idx)
-        self.stacks = tuple(np.array(by_size[b]) for b in sorted(by_size))
-
-
-def _charges(dims) -> np.ndarray:
-    """Charge of every basis state: the sum of its local basis indices."""
-    return np.indices(tuple(dims)).reshape(len(dims), -1).sum(axis=0)
-
-
-def _conserves_charge(var: VarSpec) -> bool:
-    if var.ham is None:
-        return True
-    q = _charges(var.dims)
-    return not np.any(var.ham[q[:, None] != q[None, :]])
-
-
-def _sector_blocks(dims, by_charge: bool) -> _Blocks:
-    return _Blocks(_charges(dims) if by_charge else np.zeros(int(np.prod(dims)), int))
-
-
-class _Stack(NamedTuple):
-    """The blocks of one size b: `shape` is (k, b, b), `flat` and `eig` the
-    slices of the block and eigenvalue vectors they fill, `owner` the matrix
-    each block belongs to."""
-
-    shape: tuple
-    flat: slice
-    eig: slice
-    owner: np.ndarray
-
-
-def _stack(blocks):
-    """Lay the sector blocks of several matrices (None: no matrix) out in one
-    flat vector, blocks of equal size next to each other and each matrix's
-    blocks in its own order. Returns the stacks and, per flat entry, its
-    matrix, row and column, and per eigenvalue its matrix."""
-    sizes = sorted({s.shape[1] for bl in blocks if bl is not None for s in bl.stacks})
-    stacks, owner, rows, cols, eig_owner = [], [], [], [], []
-    pos = epos = 0
-    for b in sizes:
-        parts = [(m, s) for m, bl in enumerate(blocks) if bl is not None
-                 for s in bl.stacks if s.shape[1] == b]
-        idx = np.concatenate([s for _, s in parts])
-        own = np.concatenate([np.full(len(s), m) for m, s in parts])
-        k = len(idx)
-        stacks.append(_Stack((k, b, b), slice(pos, pos + k * b * b),
-                             slice(epos, epos + k * b), own))
-        rows.append(np.broadcast_to(idx[:, :, None], (k, b, b)).ravel())
-        cols.append(np.broadcast_to(idx[:, None, :], (k, b, b)).ravel())
-        owner.append(np.repeat(own, b * b))
-        eig_owner.append(np.repeat(own, b))
-        pos += k * b * b
-        epos += k * b
-
-    def cat(parts):
-        return np.concatenate(parts) if parts else np.zeros(0, int)
-    return stacks, cat(owner), cat(rows), cat(cols), cat(eig_owner)
-
-
-# ---------------------------------------------------------------------------
 # the compiled problem
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def _dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
-
-
-def _scatter(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """out[i] = sum of the weights whose index is i."""
-    if np.iscomplexobj(weights):
-        return np.bincount(index, weights.real, n) + 1j * np.bincount(index, weights.imag, n)
-    return np.bincount(index, weights, n)
-
-
 def _re_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise Re(conj(a) b): summed over a matrix, Re Tr(a b) for Hermitian a."""
     return np.real(a.conj() * b)
-
-
-def _neg_xlogx(p: np.ndarray) -> np.ndarray:
-    """-p ln p, with 0 for p at or below the entropy cutoff."""
-    q = np.where(p > ENTROPY_CUTOFF, p, 1.0)
-    return -q * np.log(q)
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part of every block of a (k, b, b) stack."""
-    return 0.5 * (a + _dag(a))
-
-
-def _from_eig(stacks, vecs, vals, n: int) -> np.ndarray:
-    """Flat blocks of the Hermitian part of U diag(vals) U^dagger."""
-    out = np.empty(n, dtype=vecs[0].dtype if vecs else float)
-    for st, v in zip(stacks, vecs):
-        k, b, _ = st.shape
-        out[st.flat] = _herm((v * vals[st.eig].reshape(k, 1, b)) @ _dag(v)).ravel()
-    return out
 
 
 def _exp_dd_kernel(gs: np.ndarray) -> np.ndarray:
@@ -418,18 +324,6 @@ def _exp_dd_kernel(gs: np.ndarray) -> np.ndarray:
     direct = (np.exp(a) - np.exp(b)) / safe
     series = np.exp(0.5 * (a + b)) * (1.0 + diff * diff / 24.0)
     return np.where(small, series, direct)
-
-
-def _eigh_stacks(stacks, flat: np.ndarray, n_eig: int):
-    """One batched eigh per stack: all eigenvalues as one vector, and the
-    eigenvectors stack by stack."""
-    vals = np.empty(n_eig)
-    vecs = []
-    for st in stacks:
-        w, v = np.linalg.eigh(flat[st.flat].reshape(st.shape))
-        vals[st.eig] = w.ravel()
-        vecs.append(v)
-    return vals, vecs
 
 
 class _Eig(NamedTuple):
@@ -782,7 +676,8 @@ def _compiled(problem: MedProblem, one_sector: bool = False) -> _Compiled:
     Charge sectors when every cluster Hamiltonian conserves the charge,
     otherwise (or with `one_sector`, for states not built by the solver) one
     sector per matrix."""
-    by_charge = not one_sector and all(_conserves_charge(v) for v in problem.variables)
+    by_charge = not one_sector and all(_conserves_charge(v.ham, v.dims)
+                                       for v in problem.variables)
     comp = problem._layouts.get(by_charge)
     if comp is None:
         comp = problem._layouts[by_charge] = _Compiled(problem, by_charge)
@@ -800,8 +695,8 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     `warm` is the ``meta['warm']`` entry of a previous result for the same
     problem; it seeds both the cluster states and the constraint multipliers.
     """
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0 <= T < math.inf:
+        raise ValueError("temperature must be finite and nonnegative")
     config = config or SolverConfig()
     comp = _compiled(problem)
     with_t = comp.with_t
@@ -1016,8 +911,9 @@ def temperature_sweep(problem: MedProblem, t_grid, config: SolverConfig | None =
     """Solve on a temperature grid, descending from high T with warm starts
     (the high-T optimum is near the maximally mixed state)."""
     t_grid = [float(t) for t in t_grid]
-    if any(t <= 0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("temperature grid must be positive and strictly ascending")
+    if (any(not 0 < t < math.inf for t in t_grid)
+            or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
+        raise ValueError("temperature grid must be positive, finite and strictly ascending")
     results = {}
     warms = {}
     warm = None

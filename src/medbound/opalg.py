@@ -10,6 +10,10 @@ Entropies are in nats. The convention ``0 ln 0 = 0`` is applied to
 eigenvalues below ``ENTROPY_CUTOFF``; logarithms of positive matrices clamp
 eigenvalues at a configurable floor so that rank-deficient marginals stay
 usable.
+
+These kernels serve problem construction, the oracles and the tests. Both
+solvers iterate on the charge-sector block layout of `medbound.layout`,
+whose index maps are built here with `embed_mat`.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ seconds-to-minutes range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ def _spectrum(mat: np.ndarray):
 def gibbs_state(h, T: float) -> np.ndarray:
     """exp(-H/T)/Z through the spectrum of H."""
     mat = _as_matrix(h)
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
     vals, vecs = _spectrum(mat)
     w = np.exp(-(vals - vals[0]) / T)
     p = w / w.sum()
@@ -79,8 +80,8 @@ def gibbs_state(h, T: float) -> np.ndarray:
 def exact_free_energy(h, T: float, n_sites: int | None = None) -> ExactResult:
     """F = -T ln Tr exp(-H/T); E and S come from the same spectrum."""
     mat = _as_matrix(h)
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
     if _is_diagonal(mat):
         vals = np.sort(np.real(np.diagonal(mat)))
     else:
@@ -106,8 +107,8 @@ def exact_free_energy(h, T: float, n_sites: int | None = None) -> ExactResult:
 def ising_transfer_free_energy(J: float = 1.0, h: float = 0.0, T: float = 1.0) -> float:
     """Per-site free energy of the infinite classical Ising chain
     H = -J sum s_i s_{i+1} - h sum s_i, from the largest transfer eigenvalue."""
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
     beta = 1.0 / T
     if h == 0.0:
         return -T * np.log(2.0 * np.cosh(beta * J))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from medbound.bpdual import (
-    _normalized_exp,
-    _outgoing_logs,
+    _compile,
+    _iterate,
     BPConfig,
     BPState,
     beliefs_from_messages,
@@ -28,6 +28,12 @@ HEIS = ModelSpec("heisenberg")
 ISING = ModelSpec("classical_ising")
 TFIM = ModelSpec("tfim", J=1.0, g=1.0)
 LN2 = math.log(2.0)
+
+
+def charge_mask(n_sites):
+    """True on the entries of a matrix on n_sites qubits inside its S^z sectors."""
+    q = np.indices((2,) * n_sites).reshape(n_sites, -1).sum(axis=0)
+    return q[:, None] == q[None, :]
 
 
 def identity_state(problem):
@@ -143,6 +149,34 @@ class TestFixedPoint:
             bp_chain_problem(LatticeSpec("chain", 6, boundary="periodic"), HEIS, 2, 1.0)
 
 
+class TestProblems:
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_ti_nonfinite_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            bp_ti_problem(HEIS, 2, t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_chain_nonfinite_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            bp_chain_problem(LatticeSpec("chain", 6), HEIS, 2, t)
+
+    @pytest.mark.parametrize("model", [HEIS, TFIM], ids=["heis", "tfim"])
+    @pytest.mark.parametrize("n_sites, n", [(6, 1), (6, 2), (7, 3)])
+    def test_chain_clusters_follow_the_lattice_rule(self, model, n_sites, n):
+        # every window past the first holds exactly the lattice's cluster of
+        # its top site, and the windows add up to the chain Hamiltonian
+        spec = LatticeSpec("chain", n_sites)
+        prob = bp_chain_problem(spec, model, n, 1.0)
+        geo = finite_geometry(spec, model, radius=n)
+        hams = {k: -lam for k, lam in prob.log_lambda.items()}
+        assert sorted(hams) == list(range(n, n_sites))
+        for k in range(n + 1, n_sites):
+            assert np.array_equal(hams[k], geo.hams[k])
+        total = sum(embed_mat(hams[k], (2,) * n_sites, prob.clusters[k]) for k in hams)
+        terms, sites = build_lattice(spec, model)
+        assert np.array_equal(total, total_hamiltonian(terms, sites))
+
+
 class TestUpdate:
     def test_identity_fixed_point_at_zero_hamiltonian(self):
         prob = bp_ti_problem(ModelSpec("classical_ising", J=0.0), 2, 1.0)
@@ -152,28 +186,14 @@ class TestUpdate:
         for m in out.values():
             assert np.linalg.norm(m - np.eye(dim) / dim) <= 1e-12
 
-    def test_against_independent_multiplier_form(self, rng):
-        # one update on a random window-1 chain, re-derived with scipy matrix
-        # functions in the multiplier (log-message) picture
-        t = 1.0
-        prob = bp_ti_problem(HEIS, 1, t)
-        ham = rng.standard_normal((4, 4))
-        ham = sym(ham + ham.T)
-        prob.log_lambda["ti"] = -ham / t
-        wa = rng.standard_normal((2, 2))
-        wb = rng.standard_normal((2, 2))
-        m_left = scipy.linalg.expm(sym(wa + wa.T))       # incoming from the right
-        m_right = scipy.linalg.expm(sym(wb + wb.T))      # incoming from the left
-        m_left /= np.trace(m_left).real
-        m_right /= np.trace(m_right).real
-        state = identity_state(prob)
-        state.messages["L"] = m_left
-        state.messages["R"] = m_right
-        out = bp_update("ti", state, prob)
-
+    @staticmethod
+    def multiplier_form(prob, m_left, m_right):
+        """One undamped update of a window-1 TI chain, re-derived with scipy
+        matrix functions in the multiplier (log-message) picture."""
         a_in = scipy.linalg.logm(m_left)
         b_in = scipy.linalg.logm(m_right)
-        rho = scipy.linalg.expm(-ham / t + np.kron(b_in, np.eye(2)) + np.kron(np.eye(2), a_in))
+        rho = scipy.linalg.expm(prob.log_lambda["ti"] + np.kron(b_in, np.eye(2))
+                                + np.kron(np.eye(2), a_in))
         rho /= np.trace(rho).real
         marg_first = ptrace_mat(rho, (2, 2), (0,))
         marg_last = ptrace_mat(rho, (2, 2), (1,))
@@ -181,8 +201,40 @@ class TestUpdate:
         ref_left /= np.trace(ref_left).real
         ref_right = scipy.linalg.expm(scipy.linalg.logm(marg_last) - a_in)
         ref_right /= np.trace(ref_right).real
+        return ref_left, ref_right
+
+    def check_against_multiplier_form(self, prob, m_left, m_right):
+        state = identity_state(prob)
+        state.messages["L"] = m_left        # incoming from the right
+        state.messages["R"] = m_right       # incoming from the left
+        out = bp_update("ti", state, prob)
+        ref_left, ref_right = self.multiplier_form(prob, m_left, m_right)
         assert np.max(np.abs(out["L"] - ref_left)) <= 1e-10
         assert np.max(np.abs(out["R"] - ref_right)) <= 1e-10
+
+    def test_against_independent_multiplier_form(self, rng):
+        # one update on a random window-1 chain
+        t = 1.0
+        prob = bp_ti_problem(HEIS, 1, t)
+        ham = rng.standard_normal((4, 4))
+        ham = sym(ham + ham.T)
+        prob.log_lambda["ti"] = -ham / t
+        self.check_against_multiplier_form(prob, _random_positive(rng, 2),
+                                           _random_positive(rng, 2))
+
+    def test_charge_breaking_problem_takes_one_sector(self, rng):
+        prob = bp_ti_problem(TFIM, 1, 0.7)
+        assert _compile(prob).msg.n == 4            # one 2 x 2 block
+        self.check_against_multiplier_form(prob, _random_positive(rng, 2),
+                                           _random_positive(rng, 2))
+
+    def test_charge_breaking_message_takes_one_sector(self, rng):
+        prob = bp_ti_problem(HEIS, 1, 0.7)
+        m_left = _random_positive(rng, 2)
+        m_right = np.diag([0.3, 0.7])
+        assert _compile(prob, [m_right]).msg.n == 2  # two 1 x 1 sectors
+        assert _compile(prob, [m_left, m_right]).msg.n == 4
+        self.check_against_multiplier_form(prob, m_left, m_right)
 
     def test_singular_message_rejected(self):
         prob = bp_ti_problem(HEIS, 1, 1.0)
@@ -192,9 +244,16 @@ class TestUpdate:
             bp_update("ti", state, prob)
 
 
-def _random_positive(rng, dim):
+def _random_positive(rng, dim, mask=None):
+    """Unit-trace exp of a random symmetric matrix; with `mask`, of its
+    entries on the mask only (then the result is 0 off the mask)."""
     w = rng.standard_normal((dim, dim))
-    m = scipy.linalg.expm(sym(w + w.T))
+    w = sym(w + w.T)
+    if mask is not None:
+        w = np.where(mask, w, 0.0)
+    m = scipy.linalg.expm(w)
+    if mask is not None:
+        m = np.where(mask, m, 0.0)
     return m / np.trace(m).real
 
 
@@ -204,65 +263,142 @@ def _unit_exp(log_mat):
     return sym((vecs * (w / w.sum())) @ vecs.T)
 
 
-def _density_matrix_update(prob, m_right, m_left, retain, damping):
+def _density_matrix_update(log_lambda, n, m_right, m_left, old, retain, damping):
     """One damped step on density-matrix messages: every use of a message
-    takes its clamped log, and the damped mix is exponentiated."""
-    n = prob.n
+    takes its clamped log, and the damped mix is exponentiated. `m_right`
+    arrives from the left on the first n sites and `m_left` from the right
+    on the last n (None beyond an open end); `old` holds the previous value
+    of each message sent ("L" to the left, "R" to the right)."""
     dims = (2,) * (n + 1)
     first, last = tuple(range(n)), tuple(range(1, n + 1))
 
     def belief(mr, ml):
-        log_rho = prob.log_lambda["ti"]
+        log_rho = log_lambda
         if mr is not None:
             log_rho = log_rho + embed_mat(logm_psd(mr, EIG_FLOOR), dims, first)
         if ml is not None:
             log_rho = log_rho + embed_mat(logm_psd(ml, EIG_FLOOR), dims, last)
         return _unit_exp(log_rho)
 
-    if retain:
-        rho = belief(m_right, m_left)
-        new = {"L": _unit_exp(logm_psd(ptrace_mat(rho, dims, first), EIG_FLOOR)
-                              - logm_psd(m_right, EIG_FLOOR)),
-               "R": _unit_exp(logm_psd(ptrace_mat(rho, dims, last), EIG_FLOOR)
-                              - logm_psd(m_left, EIG_FLOOR))}
-    else:
-        new = {"L": ptrace_mat(belief(None, m_left), dims, first),
-               "R": ptrace_mat(belief(m_right, None), dims, last)}
-    old = {"L": m_left, "R": m_right}
-    damped = {name: _unit_exp((1.0 - damping) * logm_psd(old[name], EIG_FLOOR)
-                              + damping * logm_psd(new[name], EIG_FLOOR))
-              for name in ("L", "R")}
+    new = {}
+    for side in old:
+        keep, inverse = (first, m_right) if side == "L" else (last, m_left)
+        if retain:
+            log_new = logm_psd(ptrace_mat(belief(m_right, m_left), dims, keep), EIG_FLOOR)
+            if inverse is not None:
+                log_new = log_new - logm_psd(inverse, EIG_FLOOR)
+            new[side] = _unit_exp(log_new)
+        else:
+            seen = (None, m_left) if side == "L" else (m_right, None)
+            new[side] = ptrace_mat(belief(*seen), dims, keep)
+    damped = {side: _unit_exp((1.0 - damping) * logm_psd(old[side], EIG_FLOOR)
+                              + damping * logm_psd(new[side], EIG_FLOOR))
+              for side in old}
     return new, damped
 
 
 class TestLogSpaceStep:
-    @settings(derandomize=True, max_examples=24, deadline=None)
+    @settings(derandomize=True, max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
-           retain=st.booleans(), damping=st.sampled_from([0.5, 1.0]))
-    def test_matches_density_matrix_path(self, n, seed, retain, damping):
+           retain=st.booleans(), damping=st.sampled_from([0.5, 1.0]),
+           conserving=st.booleans(), chain=st.booleans(), where=st.integers(0, 3))
+    def test_matches_density_matrix_path(self, n, seed, retain, damping, conserving,
+                                         chain, where):
+        # a random Hamiltonian and random messages, all charge-conserving (the
+        # sector path) or not (one sector per matrix); one step of the
+        # translation-invariant pair, or of one open-chain window
         rng = np.random.default_rng(seed)
-        prob = bp_ti_problem(HEIS, n, 1.0)
-        ham = rng.standard_normal((2 ** (n + 1), 2 ** (n + 1)))
-        prob.log_lambda["ti"] = -sym(ham + ham.T)
-        state = identity_state(prob)
-        for name in ("L", "R"):
-            state.messages[name] = _random_positive(rng, 2 ** n)
-        cfg = BPConfig(damping=damping, retain_inverse=retain)
+        cl_mask = charge_mask(n + 1) if conserving else None
+        m_mask = charge_mask(n) if conserving else None
+        if chain:
+            prob = bp_chain_problem(LatticeSpec("chain", n + 3), HEIS, n, 1.0)
+            keys = prob.cluster_keys
+            # window 0 only sends right, the last window only left
+            k, sides = [(keys[0], ("R",)), (keys[1], ("L",)), (keys[1], ("R",)),
+                        (keys[2], ("L",))][where]
+            names = [("R", j) for j in keys[:-1]] + [("L", j) for j in keys[1:]]
+            incoming = (("R", k - 1), ("L", k + 1))
+            sent = {side: (side, k) for side in sides}
+        else:
+            prob = bp_ti_problem(HEIS, n, 1.0)
+            k, sides, names = "ti", ("L", "R"), ["L", "R"]
+            incoming = ("R", "L")
+            sent = {"L": "L", "R": "R"}
+        for key in prob.cluster_keys:
+            ham = rng.standard_normal((2 ** (n + 1), 2 ** (n + 1)))
+            ham = sym(ham + ham.T)
+            prob.log_lambda[key] = -(ham if cl_mask is None else np.where(cl_mask, ham, 0.0))
+        messages = {name: _random_positive(rng, 2 ** n, m_mask) for name in names}
+        m_right, m_left = (messages.get(name) for name in incoming)
         new_ref, damped_ref = _density_matrix_update(
-            prob, state.messages["R"], state.messages["L"], retain, damping)
+            prob.log_lambda[k], n, m_right, m_left,
+            {side: messages[name] for side, name in sent.items()}, retain, damping)
 
-        new = bp_update("ti", state, prob, cfg)
+        cfg = BPConfig(damping=damping, retain_inverse=retain)
+        new = bp_update(k, BPState(messages=messages, residual=math.inf, iterations=0,
+                                   converged=False), prob, cfg)
         # log-space path: unit-trace logs in, damped mix of logs out
-        logs = {name: scipy.linalg.logm(m).real for name, m in state.messages.items()}
-        out = _outgoing_logs(prob, "ti", logs["R"], logs["L"], ("L", "R"), retain)
-        for name in ("L", "R"):
-            assert np.max(np.abs(new[name] - new_ref[name])) <= 1e-10
-            mix = (1.0 - damping) * logs[name] + damping * out[name]
-            mixed, scale = _normalized_exp(mix)
-            assert np.max(np.abs(mixed - damped_ref[name])) <= 1e-10
+        lay = _compile(prob, messages.values())
+        assert (lay.msg.n < 4 ** n) == conserving
+        logs = {name: scipy.linalg.logm(m).real for name, m in messages.items()}
+        store = lay.store(lay.flats(logs))
+        msgs = lay.flats(messages)
+        rows = np.array([lay.row[sent[side]] for side in sides])
+        out = lay.outgoing(store, prob.cluster_keys.index(k), sides, retain)
+        lay.damp(store, msgs, rows, out, damping)
+        for side, row in zip(sides, rows):
+            assert np.max(np.abs(new[sent[side]] - new_ref[side])) <= 1e-10
+            mixed = lay.msg.dense(msgs[row])
+            assert np.max(np.abs(mixed - damped_ref[side])) <= 1e-10
             # the shifted mix is the unit-trace log carried to the next step
-            unit_log = mix - scale * np.eye(2 ** n)
+            unit_log = lay.msg.dense(store[row, :-1])
             assert np.max(np.abs(unit_log - scipy.linalg.logm(mixed).real)) <= 1e-8
+
+
+class TestSectors:
+    def test_iterates_stay_in_sectors(self):
+        prob = bp_ti_problem(HEIS, 4, 0.5)
+        state = bp_fixed_point(prob)
+        assert state.converged
+        off_msg, off_cluster = ~charge_mask(4), ~charge_mask(5)
+        for name in ("L", "R"):
+            assert not np.any(state.messages[name][off_msg])
+            assert not np.any(state.logs[name][off_msg])
+        beliefs, overlaps = beliefs_from_messages(state, prob)
+        assert not np.any(beliefs["ti"][off_cluster])
+        assert not np.any(overlaps["ti"][off_msg])
+
+    @pytest.mark.parametrize("make", [lambda: bp_ti_problem(HEIS, 4, 0.5),
+                                      lambda: bp_chain_problem(LatticeSpec("chain", 8),
+                                                               HEIS, 3, 0.5)],
+                             ids=["ti n=4", "open N=8 n=3"])
+    def test_sectors_agree_with_one_sector(self, make):
+        prob = make()
+        cfg = BPConfig()
+        sectors = bp_fixed_point(prob, cfg)
+        dense = _iterate(_compile(prob, one_sector=True), prob, cfg)
+        assert sectors.converged and dense.converged
+        assert sectors.iterations == dense.iterations
+        for name, mat in sectors.messages.items():
+            assert np.max(np.abs(mat - dense.messages[name])) <= 1e-12
+            assert np.max(np.abs(sectors.logs[name] - dense.logs[name])) <= 1e-12
+        assert abs(bp_free_energy(sectors, prob) - bp_free_energy(dense, prob)) <= 1e-12
+
+
+    @pytest.mark.parametrize("model", [HEIS, TFIM], ids=["heis", "tfim"])
+    def test_rotated_problem_matches_real(self, model):
+        # u = diag(1, e^{0.7i}) on every site makes log Lambda complex; it
+        # commutes with the charge, so Heisenberg keeps its sectors
+        t = 0.5
+        prob = bp_ti_problem(model, 2, t)
+        f_real = bp_free_energy(bp_fixed_point(prob), prob)
+        u1 = np.diag([1.0, np.exp(0.7j)])
+        u = np.kron(np.kron(u1, u1), u1)
+        prob.log_lambda["ti"] = u @ prob.log_lambda["ti"] @ u.conj().T
+        state = bp_fixed_point(prob)
+        assert state.converged and np.iscomplexobj(state.messages["L"])
+        assert abs(bp_free_energy(state, prob) - f_real) <= 1e-10
+        assert belief_consistency(state, prob) <= 1e-7
 
 
 class TestBeliefs:

@@ -147,6 +147,19 @@ class TestGradient:
         assert np.allclose(grads[key], prob.variables[0].ham)
 
 
+class TestSolveTemperature:
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            solve(ti_problem(ti_chain_geometry(HEIS, 1)), t)
+
+    def test_zero_temperature_accepted(self):
+        # T = 0 is the ground-energy problem: the bound is the cluster energy
+        res = solve(ti_problem(ti_chain_geometry(ISING, 1)), 0.0,
+                    SolverConfig(max_outer=2, max_inner=20))
+        assert res.T == 0.0 and math.isfinite(res.f_per_site)
+
+
 class TestMinimizeTI:
     def test_classical_ising_exact(self):
         for t in (0.5, 1.0, 2.0):
@@ -255,6 +268,17 @@ class TestSweep:
         prob = ti_problem(ti_chain_geometry(HEIS, 1))
         with pytest.raises(ValueError, match="strictly ascending"):
             temperature_sweep(prob, [0.5, 1.0, 1.0, 2.0])
+        assert not calls
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_temperature_rejected_before_any_solve(self, monkeypatch, t):
+        # NaN passes every comparison, so it would scramble the descending
+        # order and fail only when its own solve is reached
+        calls = []
+        monkeypatch.setattr(med, "solve", lambda *args, **kwargs: calls.append(args))
+        prob = ti_problem(ti_chain_geometry(HEIS, 1))
+        with pytest.raises(ValueError, match="finite"):
+            temperature_sweep(prob, [0.5, t])
         assert not calls
 
 

@@ -41,6 +41,11 @@ class TestGibbsState:
         expected = sorted([math.exp(0.75) / z] + [math.exp(-0.25) / z] * 3)
         assert np.allclose(sorted(vals), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            gibbs_state(chain_hamiltonian(HEIS, 2), t)
+
     def test_dimension_guard(self):
         # a zero-stride view has the oversize shape but allocates nothing, so
         # only the guard's shape check stands between it and a dense copy
@@ -97,11 +102,21 @@ class TestExactFreeEnergy:
         for t in (0.05, 0.5, 5.0):
             assert exact_free_energy(h, t).s_total >= 0.0
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            exact_free_energy(chain_hamiltonian(HEIS, 2), t)
+
 
 class TestIsingTransfer:
     def test_closed_form_value(self):
         f = ising_transfer_free_energy(J=1.0, h=0.0, T=1.0)
         assert abs(f - (-1.1269280110429725)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            ising_transfer_free_energy(J=1.0, h=0.5, T=t)
 
     def test_high_temperature_asymptote(self):
         t = 1e4
