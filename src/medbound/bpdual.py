@@ -1,13 +1,21 @@
 """Fixed-point (belief propagation) solver for the chain dual.
 
-The stationarity conditions of the shield-local free energy on a chain turn
-into message equations between neighboring clusters: with Lambda_k the
-exponential of minus the cluster Hamiltonian (over T), and odot the log-space
-product,
+A BP problem is a `medbound.med.MedProblem` plus a temperature: chain
+windows of n+1 sites, each shielded by its first n (the first window of an
+open chain has no shield), and one constraint per overlap tying the last n
+sites of a window to the first n of the next; a constraint from a cluster
+to itself is the translation-invariant chain (`BPProblem` rejects any
+other shape). The stationarity conditions of its free energy turn into
+message equations between neighboring clusters: with Lambda_k the
+exponential of minus the cluster Hamiltonian (over T), and odot the
+log-space product,
 
     m_{k -> k-1}  prop  Tr_last(Lambda_k o m_{k+1->k} o m_{k-1->k}) o m_{k-1->k}^{-1}
     m_{k -> k+1}  prop  Tr_first(Lambda_k o m_{k+1->k} o m_{k-1->k}) o m_{k+1->k}^{-1}
     rho_k         prop  Lambda_k o m_{k+1->k} o m_{k-1->k}
+
+The bound is the MED objective of the same problem at the beliefs rho_k
+(`med.markov_free_energy`), so both solvers read one problem description.
 
 The inverse factors are retained; they only drop out when partial trace and
 the log-space product commute (classical case). `BPConfig.retain_inverse`
@@ -30,16 +38,15 @@ which `beliefs_from_messages` builds the beliefs. A state given only
 messages has them logged again, with the clamp. Open chains use identity
 messages beyond both ends.
 
-Layout. Each public call compiles the problem once (`_Layout`) onto the
-charge-sector blocks of `medbound.layout`: cluster logs, beliefs, messages
-and message logs are flat vectors of in-sector entries, one row per matrix,
-and every matrix function is one batched call per block size over all the
-rows it acts on (the two messages of a translation-invariant chain, or all
-beliefs at once). Embedding an incoming log on the first or last n sites of
-a cluster is one gather, with a zero slot for the entries it does not
-reach, and the partial trace onto those sites reads the same index map
+Layout. Each public call compiles the problem once (`_Layout`) onto one
+cluster and one message `_Flat` of `medbound.layout`: cluster logs,
+beliefs, messages and message logs are rows of flat vectors, and a matrix
+function is one batched call per block size over all the rows it acts on.
+Embedding an incoming log on the first or last n sites of a cluster is one
+gather, with a zero slot for the entries it does not reach; the partial
+trace onto those sites reads the same index map (`_Flat.trace_map`)
 backwards as one bincount. Dense matrices appear only at the interface:
-`BPState`, `bp_update` and the belief functions take and return them.
+`BPState`, `bp_update` and the belief functions.
 
 The restriction to sectors is exact. When log Lambda_k commutes with the
 total charge, so does every iterate: the identity start messages commute
@@ -48,9 +55,9 @@ partial trace of a charge-commuting state commutes with the charge of the
 sites it keeps, and logs, differences, damping mixes and normalization keep
 that. The dense iteration would therefore stay block diagonal in exact
 arithmetic; the block iteration keeps the off-sector zeros exact. Sectors
-are used when every log Lambda_k, and every message a caller passes in, is
-exactly zero off them; otherwise the same code runs with one sector per
-matrix.
+follow the primal solver's rule (`layout._by_charge`), with the messages a
+caller passes in checked too; otherwise the same code runs with one sector
+per matrix.
 """
 
 from __future__ import annotations
@@ -61,9 +68,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# build_lattice, ptrace_mat, logm_psd, sym and entropy_mat are no longer
-# called here; they stay attributes of this module because
-# perfbench/tracing.py wraps them by name
+# build_lattice, ptrace_mat, logm_psd, sym, trace_product and entropy_mat are
+# not called here; they stay attributes because perfbench/tracing.py wraps them
 from medbound.lattice import (  # noqa: F401
     LatticeSpec,
     ModelSpec,
@@ -71,15 +77,15 @@ from medbound.lattice import (  # noqa: F401
     finite_geometry,
     ti_chain_geometry,
 )
-from medbound.layout import (
-    _conserves_charge,
-    _eigh_stacks,
-    _eigvalsh_stacks,
-    _from_eig,
-    _neg_xlogx,
-    _scatter,
-    _sector_blocks,
-    _stack,
+from medbound.layout import _by_charge, _Flat, _scatter
+from medbound.med import (
+    ClusterVariables,
+    Constraint,
+    MedProblem,
+    VarSpec,
+    _is_count,
+    markov_free_energy,
+    ti_problem,
 )
 from medbound.opalg import (  # noqa: F401
     EIG_FLOOR,
@@ -115,8 +121,10 @@ class BPConfig:
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must be in (0, 1]")
-        if self.tol_residual <= 0 or self.max_iters < 1:
-            raise ValueError("bad tolerance or iteration limit")
+        if not 0 < self.tol_residual < math.inf:
+            raise ValueError("tol_residual must be positive and finite")
+        if not _is_count(self.max_iters):
+            raise ValueError("max_iters must be an integer >= 1")
 
 
 @dataclass(eq=False)
@@ -131,165 +139,136 @@ class BPState:
 
 @dataclass(eq=False)
 class BPProblem:
-    kind: str            # "ti" | "chain"
-    n: int
+    problem: MedProblem     # chain windows and their overlap constraints
     T: float
-    log_lambda: dict     # cluster key -> -H_k / T
-    clusters: dict       # cluster key -> site labels
     meta: dict = field(default_factory=dict)
 
-    @property
-    def cluster_keys(self):
-        return sorted(self.clusters) if self.kind == "chain" else ["ti"]
+    def __post_init__(self):
+        """Reject any other shape. One patch; windows of n+1 sites on one
+        dims tuple (first and last n sites alike), each with a Hamiltonian
+        and, but the first of an open chain, shielded by its first n sites;
+        each constraint ties a window's last n sites to the first n of the
+        next key (TI: its one window to itself)."""
+        if not 0 < self.T < math.inf:
+            raise ValueError("temperature must be positive and finite")
+        variables, constraints = self.problem.variables, self.problem.constraints
+        dims = tuple(variables[0].dims)
+        n = len(dims) - 1
+        first, last = tuple(range(n)), tuple(range(1, n + 1))
+        keys = [v.key for v in variables]
+        pairs = [(c.left_key, c.right_key) for c in constraints]
+        ti = len(keys) == 1 and pairs == [(keys[0], keys[0])]
+        if not (n >= 1 and self.problem.n_patches == 1 and dims[:n] == dims[1:]
+                and (ti or pairs == list(zip(keys, keys[1:])))
+                and all(tuple(c.left_axes) == last and tuple(c.right_axes) == first
+                        for c in constraints)
+                and all(tuple(v.dims) == dims and v.ham is not None
+                        and tuple(v.shield_axes) == (first if ti or i else ())
+                        for i, v in enumerate(variables))):
+            raise ValueError("BP runs on chain windows tied last n sites to first n")
 
 
 def bp_ti_problem(model: ModelSpec, n: int, T: float) -> BPProblem:
-    """Translation-invariant chain with an n-site window (cluster of n+1)."""
-    if not 0 < T < math.inf:
-        raise ValueError("temperature must be positive and finite")
-    geo = ti_chain_geometry(model, int(n))
-    return BPProblem(kind="ti", n=int(n), T=T,
-                     log_lambda={"ti": -geo.ham / T},
-                     clusters={"ti": geo.labels},
+    """Translation-invariant chain with an n-site window (cluster of n+1):
+    the problem `med.minimize_ti(model, n)` solves."""
+    return BPProblem(ti_problem(ti_chain_geometry(model, int(n))), T,
                      meta={"model": model, "schedule": "jacobi"})
 
 
 def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> BPProblem:
-    """Finite open chain: clusters are the length-(n+1) windows. Terms go to
-    clusters by the lattice's highest-site rule (`finite_geometry` with
-    radius n); the clusters of the sites before the first full window are
-    summed into it."""
+    """Finite open chain: clusters are the length-(n+1) windows k = n..N-1,
+    each but the first shielded by its first n sites. Terms go to clusters
+    by the lattice's highest-site rule (`finite_geometry` with radius n);
+    the clusters of the sites before the first full window are summed into
+    it."""
     if spec.kind != "chain" or spec.boundary != "open":
         raise ValueError("the dual solver runs on finite open chains (or ti)")
-    if not 0 < T < math.inf:
-        raise ValueError("temperature must be positive and finite")
     n = int(n)
     n_sites = spec.n_sites
     if n < 1 or n + 1 > n_sites:
         raise ValueError("window must satisfy 1 <= n <= N-1")
     geo = finite_geometry(spec, model, radius=n)
     window = (2,) * (n + 1)
-    first_ham = sum(embed_mat(geo.hams[j], window, tuple(range(j + 1))) for j in range(n + 1))
-    hams = {n: first_ham, **{k: geo.hams[k] for k in range(n + 1, n_sites)}}
-    return BPProblem(kind="chain", n=n, T=T,
-                     log_lambda={k: -ham / T for k, ham in hams.items()},
-                     clusters={k: tuple(range(k - n, k + 1)) for k in hams},
-                     meta={"model": model, "schedule": "forward-backward sweep"})
+    first, last = tuple(range(n)), tuple(range(1, n + 1))
+    hams = {n: sum(embed_mat(geo.hams[j], window, tuple(range(j + 1))) for j in range(n + 1)),
+            **{k: geo.hams[k] for k in range(n + 1, n_sites)}}
+    variables = tuple(VarSpec(key=k, labels=tuple(range(k - n, k + 1)), dims=window, ham=ham,
+                              shield_axes=first if k > n else ())
+                      for k, ham in hams.items())
+    constraints = tuple(Constraint(k - 1, last, k, first) for k in range(n + 1, n_sites))
+    return BPProblem(MedProblem(variables, constraints, site_norm=float(n_sites),
+                                meta=dict(geo.meta)),
+                     T, meta={"model": model, "schedule": "forward-backward sweep"})
 
 
 # ---------------------------------------------------------------------------
 # the compiled problem
 # ---------------------------------------------------------------------------
 
-class _Space:
-    """Block layout of one matrix on `n_sites` qubits. A batch of matrices
-    is a (c, n) array, one flat vector of in-sector entries per row."""
-
-    def __init__(self, n_sites: int, by_charge: bool):
-        self.dim = 2 ** n_sites
-        self.stacks, _, self.rows, self.cols, _ = _stack(
-            [_sector_blocks((2,) * n_sites, by_charge)])
-        self.n = self.rows.size
-        self.diag = (self.rows == self.cols).astype(float)
-
-    def flat(self, mat) -> np.ndarray:
-        return np.asarray(mat)[self.rows, self.cols]
-
-    def dense(self, flat: np.ndarray) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim), dtype=flat.dtype)
-        mat[self.rows, self.cols] = flat
-        return mat
-
-    def exp(self, log: np.ndarray):
-        """Per row: exp(log) scaled to unit trace, its eigenvalues, and the
-        log of the scale (the log-sum-exp of the eigenvalues of log, shape
-        (c, 1)), so the unit-trace log is log - scale * I."""
-        vals, vecs = _eigh_stacks(self.stacks, log, self.dim)
-        top = vals.max(axis=-1, keepdims=True)
-        w = np.exp(vals - top)
-        total = w.sum(axis=-1, keepdims=True)
-        p = w / total
-        return _from_eig(self.stacks, vecs, p, self.n), p, top + np.log(total)
-
-    def log(self, flat: np.ndarray, floor: float | None = None) -> np.ndarray:
-        """Per row: log of a positive matrix, eigenvalues clamped at `floor`;
-        without a floor a singular matrix raises ValueError."""
-        vals, vecs = _eigh_stacks(self.stacks, flat, self.dim)
-        if floor is None:
-            if vals.min() <= 0.0:
-                raise ValueError("message is singular")
-        else:
-            vals = np.maximum(vals, floor)
-        return _from_eig(self.stacks, vecs, np.log(vals), self.n)
-
-    def eigvals(self, flat: np.ndarray) -> np.ndarray:
-        return _eigvalsh_stacks(self.stacks, flat, self.dim)
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per row: the trace distance (1/2) ||a - b||_1."""
-        return 0.5 * np.abs(self.eigvals(a - b)).sum(axis=-1)
-
-
 class _Layout:
     """A BP problem laid out for one public call.
 
-    - `cluster`/`msg`: block layouts of the (n+1)-site cluster matrices and
-      the n-site messages; `lam` holds log Lambda_k, one row per cluster.
-    - Message store: the logs of all messages, one row each in `names`
-      order, plus a zero row standing for "no message" (beyond an open end)
-      and a zero column, the slot of the cluster entries an embedding does
-      not reach.
-    - `first`/`last`: for every cluster entry, the message entry embedded
-      on the first or last n sites lands on (the zero slot where none
-      does); the partial trace onto those sites is the same map read
-      backwards."""
+    - `cluster`/`msg`: block layouts of one (n+1)-site cluster matrix and
+      one n-site message, used with one row per matrix; `lam` holds
+      log Lambda_k = -H_k / T, one row per cluster.
+    - Messages: each constraint (a on its last n sites, b on its first n)
+      carries a -> b, named "R", and b -> a, named "L"; on an open chain the
+      name also holds the sender's key. The store holds their logs, one row
+      each in `names` order, plus a zero row standing for "no message"
+      (beyond an open end) and a zero column, the slot of the cluster
+      entries an embedding does not reach.
+    - `traced`: per side ("L": the first n sites, "R": the last n), the
+      cluster entries the partial trace onto those sites reads and the
+      message entries they feed; `first`/`last` read them backwards: for
+      every cluster entry, the message entry embedded there (else the zero
+      slot)."""
 
     def __init__(self, problem: BPProblem, by_charge: bool):
-        n = problem.n
-        self.cluster = c = _Space(n + 1, by_charge)
-        self.msg = m = _Space(n, by_charge)
-        self.keys = problem.cluster_keys
-        self.lam = np.array([c.flat(problem.log_lambda[k]) for k in self.keys])
-        labels = np.zeros((m.dim, m.dim))
-        labels[m.rows, m.cols] = np.arange(1, m.n + 1)
-        window = (2,) * (n + 1)
-        maps = []
-        for axes in (range(n), range(1, n + 1)):
-            hit = embed_mat(labels, window, tuple(axes))[c.rows, c.cols].astype(int)
-            maps.append(np.where(hit > 0, hit - 1, m.n))
-        self.first, self.last = maps
-        # each side's partial trace: the reached cluster entries and their targets
-        self.traced = {side: (np.flatnonzero(mp < m.n), mp[mp < m.n])
-                       for side, mp in (("L", self.first), ("R", self.last))}
+        variables = problem.problem.variables
+        n = len(variables[0].dims) - 1
+        self.cluster = c = _Flat([variables[0].dims], by_charge)
+        self.msg = m = _Flat([variables[0].dims[:n]], by_charge)
+        self.keys = [v.key for v in variables]
+        self.dim = int(np.prod(variables[0].dims[:n]))
+        self.diag = (m.rows == m.cols).astype(float)
+        self.lam = -c.from_dense([np.array([v.ham for v in variables])]) / problem.T
+        labels = m.to_dense(np.arange(1.0, m.n + 1.0))[0]
+        self.traced = {side: c.trace_map(0, labels, axes)
+                       for side, axes in (("L", range(n)), ("R", range(1, n + 1)))}
+        self.first, self.last = np.full((2, c.n), m.n)
+        for mp, (idx, hit) in zip((self.first, self.last), self.traced.values()):
+            mp[idx] = hit
 
-        if problem.kind == "ti":
-            self.names = ["L", "R"]
-            incoming = [("R", "L")]
-            overlaps = [("L", "R")]
-        else:
-            keys = self.keys
-            # keyed by sender: ('R', k) goes k -> k+1, ('L', k) goes k -> k-1
-            self.names = [("R", k) for k in keys[:-1]] + [("L", k) for k in keys[1:]]
-            incoming = [(("R", k - 1) if k > keys[0] else None,
-                         ("L", k + 1) if k < keys[-1] else None) for k in keys]
-            overlaps = [(("L", k), ("R", k - 1)) for k in keys[1:]]
+        constraints = problem.problem.constraints
+        self.ti = any(con.left_key == con.right_key for con in constraints)
+        index = {k: i for i, k in enumerate(self.keys)}
+        # per constraint: the sender and receiver index of its two messages
+        self.edges = [(index[con.left_key], index[con.right_key]) for con in constraints]
+        self.names = ([self.name("R", a) for a, _ in self.edges]
+                      + [self.name("L", b) for _, b in self.edges])
         self.none = len(self.names)
         self.row = {name: i for i, name in enumerate(self.names)}
-        self.row[None] = self.none
         # per cluster: store rows of the message from the left (on the first
         # n sites) and of the message from the right (on the last n sites)
-        self.incoming = np.array([[self.row[a], self.row[b]] for a, b in incoming])
-        self.overlaps = np.array([[self.row[a], self.row[b]] for a, b in overlaps])
+        self.incoming = np.full((len(self.keys), 2), self.none)
+        for j, (a, b) in enumerate(self.edges):
+            self.incoming[b, 0] = j
+            self.incoming[a, 1] = len(self.edges) + j
         self._steps: dict = {}
+
+    def name(self, side: str, i: int):
+        """The message cluster i sends to `side`."""
+        return side if self.ti else (side, self.keys[i])
 
     # -- dense edges -----------------------------------------------------------
 
     def flats(self, mats: dict) -> np.ndarray:
         """Dense messages (or logs) keyed by name, as rows in `names` order."""
-        return np.array([self.msg.flat(mats[name]) for name in self.names])
+        rows = np.reshape([mats[name] for name in self.names], (-1, self.dim, self.dim))
+        return self.msg.from_dense([rows])
 
     def dense(self, flats: np.ndarray) -> dict:
-        return {name: self.msg.dense(f) for name, f in zip(self.names, flats)}
+        return dict(zip(self.names, self.msg.to_dense(flats)[0]))
 
     def store(self, logs: np.ndarray) -> np.ndarray:
         out = np.zeros((self.none + 1, self.msg.n + 1),
@@ -298,6 +277,21 @@ class _Layout:
         return out
 
     # -- kernels -----------------------------------------------------------------
+
+    def log(self, flat: np.ndarray, floor: float | None = None) -> np.ndarray:
+        """Per row: log of a positive message, eigenvalues clamped at
+        `floor`; without a floor a singular message raises ValueError."""
+        vals, vecs = self.msg.eigh(flat)
+        if floor is None:
+            if np.any(vals <= 0.0):
+                raise ValueError("message is singular")
+        else:
+            vals = np.maximum(vals, floor)
+        return self.msg.from_eig(vecs, np.log(vals))
+
+    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per row: the trace distance (1/2) ||a - b||_1."""
+        return 0.5 * np.abs(self.msg.eigvals(a - b)).sum(axis=-1)
 
     def gathers(self, from_left, from_right):
         """Flat store indices that embed the logs in the store rows
@@ -317,7 +311,7 @@ class _Layout:
         """Index map of a batch of marginals: marginal j is the partial trace
         of cluster row rows[j] onto the sites that side sides[j] sends on
         ("L": the first n, "R": the last n)."""
-        src, tgt = [], []
+        src, tgt = [np.zeros(0, int)], [np.zeros(0, int)]
         for j, (row, side) in enumerate(zip(rows, sides)):
             idx, hit = self.traced[side]
             src.append(idx + row * self.cluster.n)
@@ -353,8 +347,8 @@ class _Layout:
         """Logs (up to a scalar) of the messages cluster i sends to `sides`
         ("L": its left neighbour, "R": its right one), one row per side."""
         gathers, traced, inverse = self._step(i, sides, retain)
-        rho, _, _ = self.cluster.exp(self.cluster_logs(store, self.lam[i], gathers))
-        logs = self.msg.log(self.trace(rho, traced), EIG_FLOOR)
+        rho = self.cluster.exp(self.cluster_logs(store, self.lam[i], gathers)).rho
+        logs = self.log(self.trace(rho, traced), EIG_FLOOR)
         return logs - store[inverse, :-1]
 
     def damp(self, store, msgs, rows, out, alpha: float) -> None:
@@ -362,29 +356,29 @@ class _Layout:
         `out`: the convex mix, shifted to unit trace, and its normalized
         exponential into `msgs`."""
         mix = (1.0 - alpha) * store[rows, :-1] + alpha * out
-        msgs[rows], _, scale = self.msg.exp(mix)
-        store[rows, :-1] = mix - scale * self.msg.diag
+        eig = self.msg.exp(mix)
+        msgs[rows] = eig.rho
+        store[rows, :-1] = mix - (eig.top + np.log(eig.z)) * self.diag
 
     def beliefs(self, store):
-        """All cluster beliefs (rows, and their eigenvalues) and overlap
-        beliefs, from the message logs in `store`."""
-        rho, p, _ = self.cluster.exp(self.cluster_logs(
-            store, self.lam, self.gathers(self.incoming[:, 0], self.incoming[:, 1])))
-        sigma, _, _ = self.msg.exp(store[self.overlaps[:, 0], :-1]
-                                   + store[self.overlaps[:, 1], :-1])
-        return rho, p, sigma
+        """All cluster beliefs and the overlap belief of every constraint,
+        from the message logs in `store`."""
+        rho = self.cluster.exp(self.cluster_logs(
+            store, self.lam, self.gathers(self.incoming[:, 0], self.incoming[:, 1]))).rho
+        # overlap j is crossed by the messages in store rows e + j ("L") and j ("R")
+        e = len(self.edges)
+        sigma = self.msg.exp(store[e:2 * e, :-1] + store[:e, :-1]).rho
+        return rho, sigma
 
 
 def _compile(problem: BPProblem, messages=(), one_sector: bool = False) -> _Layout:
-    """Charge sectors when every log Lambda and every given message is
-    exactly zero off them (and not `one_sector`), else one sector per
-    matrix."""
-    n = problem.n
-    by_charge = (not one_sector
-                 and _conserves_charge(np.array(list(problem.log_lambda.values())),
-                                       (2,) * (n + 1))
-                 and all(_conserves_charge(m, (2,) * n) for m in messages))
-    return _Layout(problem, by_charge)
+    """The layout on the sector rule of `layout._by_charge`: sectors when
+    every cluster Hamiltonian and every given message is exactly zero off
+    them (and not `one_sector`), else one sector per matrix."""
+    variables = problem.problem.variables
+    dims = variables[0].dims
+    pairs = [(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in messages]
+    return _Layout(problem, _by_charge(pairs, one_sector))
 
 
 def _state_store(state: BPState, problem: BPProblem):
@@ -394,7 +388,7 @@ def _state_store(state: BPState, problem: BPProblem):
     lay = _compile(problem, mats.values())
     flats = lay.flats(mats)
     if state.logs is None:
-        flats = lay.msg.log(flats, EIG_FLOOR)
+        flats = lay.log(flats, EIG_FLOOR)
     return lay, lay.store(flats)
 
 
@@ -408,12 +402,11 @@ def bp_update(k, state: BPState, problem: BPProblem,
     A singular message in the state raises ValueError."""
     config = config or BPConfig()
     lay = _compile(problem, state.messages.values())
-    store = lay.store(lay.msg.log(lay.flats(state.messages)))
+    store = lay.store(lay.log(lay.flats(state.messages)))
+    i = lay.keys.index(k)
     sides = ("L", "R")
-    out = lay.outgoing(store, lay.keys.index(k), sides, config.retain_inverse)
-    msgs, _, _ = lay.msg.exp(out)
-    names = sides if problem.kind == "ti" else [(side, k) for side in sides]
-    return {name: lay.msg.dense(m) for name, m in zip(names, msgs)}
+    out = lay.msg.exp(lay.outgoing(store, i, sides, config.retain_inverse)).rho
+    return {lay.name(side, i): mat for side, mat in zip(sides, lay.msg.to_dense(out)[0])}
 
 
 def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPState:
@@ -421,26 +414,25 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
 
     Finite chains sweep forward (right-moving messages) then backward
     (left-moving); the translation-invariant pair is updated jointly.
-    The residual is the largest trace-distance change per full round.
+    The residual is the largest trace-distance change per full round; a
+    problem without messages (a single window) converges in one round.
     """
     return _iterate(_compile(problem), problem, config or BPConfig())
 
 
 def _iterate(lay: _Layout, problem: BPProblem, config: BPConfig) -> BPState:
-    m = lay.msg
-    if problem.kind == "ti":
+    if lay.ti:
         steps = [(0, ("L", "R"))]
     else:
         last = len(lay.keys) - 1
         steps = ([(i, ("R",)) for i in range(last)]
                  + [(i, ("L",)) for i in range(last, 0, -1)])
     # store rows of the messages each step sends
-    steps = [(i, sides, np.array([lay.row[side if problem.kind == "ti" else (side, lay.keys[i])]
-                                  for side in sides]))
+    steps = [(i, sides, np.array([lay.row[lay.name(side, i)] for side in sides]))
              for i, sides in steps]
     n_msgs = len(lay.names)
-    store = lay.store(np.tile(-math.log(m.dim) * m.diag, (n_msgs, 1)))
-    msgs = np.tile(m.diag / m.dim, (n_msgs, 1)).astype(store.dtype)
+    store = lay.store(np.tile(-math.log(lay.dim) * lay.diag, (n_msgs, 1)))
+    msgs = np.tile(lay.diag / lay.dim, (n_msgs, 1)).astype(store.dtype)
     residual, it, converged = math.inf, 0, False
     for it in range(1, config.max_iters + 1):
         # a round sends every message once, so its largest change is
@@ -449,7 +441,7 @@ def _iterate(lay: _Layout, problem: BPProblem, config: BPConfig) -> BPState:
         for i, sides, rows in steps:
             out = lay.outgoing(store, i, sides, config.retain_inverse)
             lay.damp(store, msgs, rows, out, config.damping)
-        residual = float(m.distance(msgs, before).max())
+        residual = float(lay.distance(msgs, before).max(initial=0.0))
         if residual <= config.tol_residual:
             converged = True
             break
@@ -463,49 +455,38 @@ def _iterate(lay: _Layout, problem: BPProblem, config: BPConfig) -> BPState:
 # ---------------------------------------------------------------------------
 
 def beliefs_from_messages(state: BPState, problem: BPProblem):
-    """Cluster beliefs rho_k and overlap beliefs sigma_k.
+    """Cluster beliefs rho_k and overlap beliefs sigma_k (keyed by the
+    cluster right of the overlap).
 
     sigma_k comes from the product of the two messages crossing the edge,
     which is the stationarity condition for the overlap state. The message
     logs are the ones the fixed-point loop carried; a state without them has
     its messages logged, with eigenvalues clamped at EIG_FLOOR."""
     lay, store = _state_store(state, problem)
-    rho, _, sigma = lay.beliefs(store)
-    beliefs = {k: lay.cluster.dense(r) for k, r in zip(lay.keys, rho)}
-    edges = ["ti"] if problem.kind == "ti" else lay.keys[1:]
-    return beliefs, {k: lay.msg.dense(s) for k, s in zip(edges, sigma)}
+    rho, sigma = lay.beliefs(store)
+    beliefs = dict(zip(lay.keys, lay.cluster.to_dense(rho)[0]))
+    edges = [lay.keys[b] for _, b in lay.edges]
+    return beliefs, dict(zip(edges, lay.msg.to_dense(sigma)[0]))
 
 
 def belief_consistency(state: BPState, problem: BPProblem) -> float:
     """Largest trace distance between cluster marginals and the overlap
     beliefs; at an exact fixed point this vanishes."""
     lay, store = _state_store(state, problem)
-    rho, _, sigma = lay.beliefs(store)
-    if problem.kind == "ti":
-        # both marginals of the one cluster against the one overlap
-        pairs = [(0, "L", 0), (0, "R", 0)]
-    else:
-        last = len(lay.keys) - 1
-        pairs = ([(i, "L", i - 1) for i in range(1, last + 1)]
-                 + [(i, "R", i) for i in range(last)])
-    cl, sides, ov = zip(*pairs)
-    marg = lay.trace(rho, lay.trace_plan(cl, sides))
-    return float(lay.msg.distance(marg, sigma[list(ov)]).max())
+    rho, sigma = lay.beliefs(store)
+    # both clusters of every overlap: the right one's first n sites and the
+    # left one's last n against the overlap belief
+    rows = [i for a, b in lay.edges for i in (b, a)]
+    marg = lay.trace(rho, lay.trace_plan(rows, ["L", "R"] * len(lay.edges)))
+    return float(lay.distance(marg, np.repeat(sigma, 2, axis=0)).max(initial=0.0))
 
 
 def bp_free_energy(state: BPState, problem: BPProblem) -> float:
-    """Shield-local free energy evaluated at the beliefs (per site for the
+    """The MED objective of the problem at the beliefs (per site for the
     translation-invariant chain, total for a finite chain)."""
     if not state.converged:
         warnings.warn("evaluating the free energy on a non-converged state",
                       RuntimeWarning, stacklevel=2)
-    T = problem.T
-    lay, store = _state_store(state, problem)
-    rho, p, _ = lay.beliefs(store)
-    e = trace_product(rho, -T * lay.lam)
-    # every cluster but the first of a finite chain has the first n sites
-    # as its shield
-    shielded = range(len(rho)) if problem.kind == "ti" else range(1, len(rho))
-    shields = lay.msg.eigvals(lay.trace(rho, lay.trace_plan(shielded, ["L"] * len(shielded))))
-    s = float(_neg_xlogx(p).sum() - _neg_xlogx(shields).sum())
-    return e - T * s
+    beliefs, _ = beliefs_from_messages(state, problem)
+    prob = problem.problem
+    return markov_free_energy(ClusterVariables(beliefs, prob.constraints), prob, problem.T)

@@ -29,19 +29,22 @@ u = exp(i theta n), n the local basis index, and the consistency
 constraints map to themselves under it, so averaging a minimizer over theta
 gives a minimizer that commutes with the charge. The dense iteration would
 stay in that subspace too in exact arithmetic (it starts at G = 0 and its
-gradients are invariant); in floating point it drifts out of it. A problem
-in which some cluster Hamiltonian breaks the charge keeps one sector per
-matrix, which is the plain dense iteration.
+gradients are invariant); in floating point it drifts out of it. The rule
+is the one BP uses (`layout._by_charge`): a problem in which some cluster
+Hamiltonian breaks the charge keeps one sector per matrix, the plain dense
+iteration, and the public evaluation helpers also check the states or G
+they are given, so charge-conserving inputs (BP beliefs among them) are
+evaluated in sectors.
 
 Each problem is compiled once, at its first solve, into a block layout
-(`_Compiled`, on the sector-stack kernels of `medbound.layout`, which the
-BP solver shares): G, the states, the shield marginals, the multipliers and
+(`_Compiled`, on the `_Flat` class of `medbound.layout`, which the BP solver
+builds on too): G, the states, the shield marginals, the multipliers and
 the gradient are carried as charge-sector blocks, stacked by block size
 across all clusters, and the partial traces and their adjoint embeddings are
 index maps. One objective evaluation therefore makes a fixed number of
 batched calls per block size, however many clusters, constraints and
-sectors the problem has. Dense matrices appear only at the interface: warm starts,
-returned states and the public gradient helpers.
+sectors the problem has. Dense matrices appear only at the interface: warm
+starts, returned states and the public gradient helpers.
 """
 
 from __future__ import annotations
@@ -57,22 +60,20 @@ from medbound.lattice import (
     FiniteGeometry,
     ModelSpec,
     TIGeometry,
-    finite_geometry,
     ti_chain_geometry,
     ti_square_geometry,
 )
 from medbound.layout import (
-    _conserves_charge,
+    _Eig,
+    _Flat,
+    _by_charge,
     _dag,
-    _eigh_stacks,
-    _from_eig,
     _herm,
     _neg_xlogx,
     _scatter,
     _sector_blocks,
-    _stack,
 )
-# ptrace_mat and entropy_from_probs are no longer called here; they stay
+# ptrace_mat, embed_mat and entropy_from_probs are not called here; they stay
 # attributes of this module because perfbench/tracing.py wraps them by name
 from medbound.opalg import (  # noqa: F401
     embed_mat,
@@ -122,13 +123,20 @@ class SolverConfig:
     max_inner: int = 500
     penalty_init: float = 1.0
     penalty_growth: float = 2.0
-    track_inner: bool = False
 
     def __post_init__(self):
-        if min(self.tol_gradient, self.tol_constraint, self.penalty_init) <= 0:
-            raise ValueError("tolerances and penalty must be positive")
-        if self.penalty_growth <= 1:
-            raise ValueError("penalty_growth must exceed 1")
+        if not all(0 < x < math.inf for x in (self.tol_gradient, self.tol_constraint,
+                                               self.penalty_init)):
+            raise ValueError("tolerances and penalty must be positive and finite")
+        if not 1 < self.penalty_growth < math.inf:
+            raise ValueError("penalty_growth must be finite and exceed 1")
+        if not all(_is_count(x) for x in (self.max_outer, self.max_inner)):
+            raise ValueError("iteration limits must be integers >= 1")
+
+
+def _is_count(x) -> bool:
+    """An integer (not a bool) of at least 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass(frozen=True)
@@ -326,19 +334,6 @@ def _exp_dd_kernel(gs: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-class _Eig(NamedTuple):
-    """Eigendata of all cluster states: eigenvectors per stack, and over all
-    blocks the weights p and the states rho (flat). States built from
-    exponential coordinates, rho = exp(G)/Z, also keep the eigenvalues gs of
-    G shifted to max 0 per cluster and Z per cluster."""
-
-    vecs: list
-    p: np.ndarray
-    rho: np.ndarray
-    gs: np.ndarray | None = None
-    z: np.ndarray | None = None
-
-
 class _Terms(NamedTuple):
     """Per cluster: energy e, conditional entropy s and value e - T s; the
     eigendata of the shield marginals and the constraint residuals R."""
@@ -354,15 +349,15 @@ class _Terms(NamedTuple):
 class _Compiled:
     """A problem laid out once for the objective evaluation.
 
-    - Blocks: every charge-sector block of every cluster state is a run of a
-      flat vector; blocks of one size b from all clusters sit together and
-      are read as a (k, b, b) stack, so one evaluation makes a fixed number
-      of batched calls per block size.
-    - Marginals: the shield marginals (stacked by block size the same way)
-      and the in-sector entries of every constraint residual form a second
-      flat vector. All partial traces onto it are one index map: block entry
-      `src` adds `sign` times itself to marginal entry `tgt`. The embedding,
-      its adjoint, reads the same map backwards. Both are bincounts.
+    - Blocks: the cluster states are one `_Flat` (`cl`); blocks of one size
+      b from all clusters are read as one (k, b, b) stack, so one evaluation
+      makes a fixed number of batched calls per block size.
+    - Marginals: the shield marginals (a second `_Flat`, `sh`) and the
+      in-sector entries of every constraint residual form a second flat
+      vector. All partial traces onto it are one index map
+      (`_Flat.trace_map`): block entry `src` adds `sign` times itself to
+      marginal entry `tgt`. The embedding, its adjoint, reads the same map
+      backwards. Both are bincounts.
     - Owners: the cluster of each block entry and eigenvalue, so
       per-cluster shifts, Z, entropies and per-patch sums are bincounts.
     - Packing: the real parameter vector holds t first (several patches
@@ -370,62 +365,30 @@ class _Compiled:
       triangle sector by sector, imaginary parts after real ones.
       `unpack` gathers the blocks of G from it; `pack` is its adjoint on
       Hermitian blocks.
-    Dense matrices appear only at the edges: `to_dense`/`from_dense` and
+    Dense matrices appear only at the edges: the `_Flat` conversions and
     the multiplier conversions."""
 
     def __init__(self, problem: MedProblem, by_charge: bool):
         variables = problem.variables
         self.keys = [v.key for v in variables]
-        self.dims = [v.dim for v in variables]
         self.n_vars = len(variables)
         self.n_patches = problem.n_patches
         self.with_t = problem.n_patches > 1
         self.real = _is_real_problem(problem)
         self.patch = np.array([v.patch for v in variables], dtype=int)
-        self.sectors = {v.key: (_sector_blocks(v.dims, by_charge),
-                                _sector_blocks([v.dims[a] for a in v.shield_axes], by_charge)
-                                if v.shield_axes else None)
-                        for v in variables}
+        self.cl = cl = _Flat([v.dims for v in variables], by_charge)
+        self.sh = sh = _Flat([[v.dims[a] for a in v.shield_axes] if v.shield_axes else None
+                              for v in variables], by_charge)
+        self.patch_flat = self.patch[cl.owner]
+        self.ham = cl.from_dense([np.zeros((v.dim, v.dim)) if v.ham is None else v.ham
+                                  for v in variables], float if self.real else complex)
 
-        self.stacks, self.owner, self.rows, self.cols, self.eig_owner = _stack(
-            [self.sectors[k][0] for k in self.keys])
-        self.n_flat = self.owner.size
-        self.var_flat = [np.flatnonzero(self.owner == m) for m in range(self.n_vars)]
-        self.patch_flat = self.patch[self.owner]
-        # eigenvalues grouped by cluster, for the per-cluster maximum
-        self.eig_sort = np.argsort(self.eig_owner, kind="stable")
-        self.eig_starts = np.searchsorted(self.eig_owner[self.eig_sort], np.arange(self.n_vars))
-        self.ham = np.zeros(self.n_flat, dtype=float if self.real else complex)
-        for m, v in enumerate(variables):
-            if v.ham is not None:
-                sel = self.var_flat[m]
-                self.ham[sel] = v.ham[self.rows[sel], self.cols[sel]]
-
-        # shield marginals, then constraint residual entries
-        self.sh_stacks, sh_owner, sh_rows, sh_cols, self.sh_eig_owner = _stack(
-            [self.sectors[k][1] for k in self.keys])
-        self.n_sh = sh_owner.size
-        self.sh_patch = self.patch[sh_owner]
-        src, tgt, sign = [], [], []
-
-        def traced(m, axes, labels, s):
-            # embedding the (1-based) entry labels of a marginal puts on
-            # every block entry the marginal entry its partial trace feeds
-            v = variables[m]
-            sel = self.var_flat[m]
-            hit = embed_mat(labels, v.dims, axes)[self.rows[sel], self.cols[sel]]
-            keep = hit > 0
-            src.append(sel[keep])
-            tgt.append(hit[keep].astype(int) - 1)
-            sign.append(np.full(int(keep.sum()), s))
-
-        for m, v in enumerate(variables):
-            if v.shield_axes:
-                d_sh = int(np.prod([v.dims[a] for a in v.shield_axes]))
-                mine = np.flatnonzero(sh_owner == m)
-                labels = np.zeros((d_sh, d_sh))
-                labels[sh_rows[mine], sh_cols[mine]] = mine + 1
-                traced(m, v.shield_axes, labels, 1.0)
+        # shield marginals, then constraint residual entries: each partial
+        # trace is (cluster, axes, 1-based target labels, sign)
+        self.sh_patch = self.patch[sh.owner]
+        sh_labels = sh.to_dense(np.arange(1.0, sh.n + 1.0))
+        traces = [(m, v.shield_axes, sh_labels[m], 1.0)
+                  for m, v in enumerate(variables) if v.shield_axes]
         index = {k: m for m, k in enumerate(self.keys)}
         self.con_entries = []       # per constraint: dim, rows, cols, slice of the residuals
         pos = 0
@@ -435,33 +398,37 @@ class _Compiled:
             q = _sector_blocks(dims, by_charge).charge
             ea, eb = np.nonzero(q[:, None] == q[None, :])
             labels = np.zeros((d, d))
-            labels[ea, eb] = self.n_sh + pos + 1 + np.arange(ea.size)
+            labels[ea, eb] = self.sh.n + pos + 1 + np.arange(ea.size)
             self.con_entries.append((d, ea, eb, slice(pos, pos + ea.size)))
-            traced(index[c.left_key], c.left_axes, labels, 1.0)
-            traced(index[c.right_key], c.right_axes, labels, -1.0)
+            traces += [(index[c.left_key], c.left_axes, labels, 1.0),
+                       (index[c.right_key], c.right_axes, labels, -1.0)]
             pos += ea.size
         self.n_con = pos
-        self.src = np.concatenate(src) if src else np.zeros(0, int)
-        self.tgt = np.concatenate(tgt) if tgt else np.zeros(0, int)
-        self.sign = np.concatenate(sign) if sign else np.zeros(0)
+        src, tgt, sign = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+        for m, axes, labels, s in traces:
+            reached, hit = cl.trace_map(m, labels, axes)
+            src.append(reached)
+            tgt.append(hit)
+            sign.append(np.full(hit.size, s))
+        self.src, self.tgt, self.sign = map(np.concatenate, (src, tgt, sign))
         self._packing(variables)
 
     def _packing(self, variables):
         width = 1 if self.real else 2
         off = 1 if self.with_t else 0
         up, lo, wu, wl = [], [], [], []     # pack: x = wu F[up] + wl F[lo]
-        self.u_src = np.zeros(width * self.n_flat, int)     # unpack: F = u_coef x[u_src]
-        self.u_coef = np.zeros(width * self.n_flat)
+        self.u_src = np.zeros(width * self.cl.n, int)     # unpack: F = u_coef x[u_src]
+        self.u_coef = np.zeros(width * self.cl.n)
         for m, v in enumerate(variables):
             d = v.dim
-            q = self.sectors[v.key][0].charge
+            q = self.cl.blocks[m].charge
             i, j = np.triu_indices(d, 1)
             keep = q[i] == q[j]
             order = np.argsort(q[i][keep], kind="stable")
             i, j = i[keep][order], j[keep][order]
             n_off = i.size
-            sel = self.var_flat[m]
-            r, c = self.rows[sel], self.cols[sel]
+            sel = self.cl.sel[m]
+            r, c = self.cl.rows[sel], self.cl.cols[sel]
             fpos = np.full((d, d), -1)
             fpos[r, c] = sel
             diag = fpos[np.arange(d), np.arange(d)]
@@ -511,19 +478,8 @@ class _Compiled:
 
     # -- dense edges -----------------------------------------------------------
 
-    def to_dense(self, flat: np.ndarray) -> dict:
-        out = {}
-        for key, d, sel in zip(self.keys, self.dims, self.var_flat):
-            mat = np.zeros((d, d), dtype=flat.dtype)
-            mat[self.rows[sel], self.cols[sel]] = flat[sel]
-            out[key] = mat
-        return out
-
-    def from_dense(self, mats: dict, dtype) -> np.ndarray:
-        flat = np.empty(self.n_flat, dtype=dtype)
-        for key, sel in zip(self.keys, self.var_flat):
-            flat[sel] = np.asarray(mats[key])[self.rows[sel], self.cols[sel]]
-        return flat
+    def by_key(self, flat: np.ndarray) -> dict:
+        return dict(zip(self.keys, self.cl.to_dense(flat)))
 
     def mults_to_dense(self, y: np.ndarray) -> list:
         out = []
@@ -541,44 +497,33 @@ class _Compiled:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eig_from_g(self, g: np.ndarray) -> _Eig:
-        vals, vecs = _eigh_stacks(self.stacks, g, self.eig_owner.size)
-        top = np.maximum.reduceat(vals[self.eig_sort], self.eig_starts)
-        gs = vals - top[self.eig_owner]
-        w = np.exp(gs)
-        z = np.bincount(self.eig_owner, w, self.n_vars)
-        p = w / z[self.eig_owner]
-        return _Eig(vecs, p, _from_eig(self.stacks, vecs, p, self.n_flat), gs, z)
-
     def eig_from_rho(self, rho: np.ndarray) -> _Eig:
-        vals, vecs = _eigh_stacks(self.stacks, rho, self.eig_owner.size)
+        vals, vecs = self.cl.eigh(rho)
         return _Eig(vecs, np.maximum(vals, 0.0), rho)
 
     def terms(self, eig: _Eig, T: float) -> _Terms:
-        marg = _scatter(self.tgt, eig.rho[self.src] * self.sign, self.n_sh + self.n_con)
-        sh_vals, sh_vecs = _eigh_stacks(self.sh_stacks, marg, self.sh_eig_owner.size)
-        e = np.bincount(self.owner, _re_prod(self.ham, eig.rho), self.n_vars)
-        s = (np.bincount(self.eig_owner, _neg_xlogx(eig.p), self.n_vars)
-             - np.bincount(self.sh_eig_owner, _neg_xlogx(sh_vals), self.n_vars))
-        return _Terms(e, s, e - T * s, sh_vals, sh_vecs, marg[self.n_sh:])
+        marg = _scatter(self.tgt, eig.rho[self.src] * self.sign, self.sh.n + self.n_con)
+        sh_vals, sh_vecs = self.sh.eigh(marg)
+        e = np.bincount(self.cl.owner, _re_prod(self.ham, eig.rho), self.n_vars)
+        s = (np.bincount(self.cl.eig_owner, _neg_xlogx(eig.p), self.n_vars)
+             - np.bincount(self.sh.eig_owner, _neg_xlogx(sh_vals), self.n_vars))
+        return _Terms(e, s, e - T * s, sh_vals, sh_vecs, marg[self.sh.n:])
 
     def euclid(self, eig: _Eig, tm: _Terms, T: float, mu: np.ndarray,
                coef: np.ndarray) -> np.ndarray:
         """Derivative wrt rho: mu (H + T log rho - T embed log rho_shield),
         plus the residual map's adjoint applied to `coef`."""
-        logs = _from_eig(self.sh_stacks, tm.sh_vecs,
-                         np.log(np.maximum(tm.sh_vals, LOG_FLOOR)), self.n_sh)
+        logs = self.sh.from_eig(tm.sh_vecs, np.log(np.maximum(tm.sh_vals, LOG_FLOOR)))
         weights = np.concatenate([(-T * mu[self.sh_patch]) * logs, coef])
-        own = (self.ham + T * _from_eig(self.stacks, eig.vecs,
-                                        np.log(np.maximum(eig.p, LOG_FLOOR)), self.n_flat))
+        own = self.ham + T * self.cl.from_eig(eig.vecs, np.log(np.maximum(eig.p, LOG_FLOOR)))
         return (mu[self.patch_flat] * own
-                + _scatter(self.src, weights[self.tgt] * self.sign, self.n_flat))
+                + _scatter(self.src, weights[self.tgt] * self.sign, self.cl.n))
 
     def pullback(self, eig: _Eig, M: np.ndarray) -> np.ndarray:
         """Hermitian gradient wrt G of rho -> Tr(M rho), block by block."""
-        tr = np.bincount(self.owner, _re_prod(M, eig.rho), self.n_vars)
-        grad = np.empty(self.n_flat, dtype=np.result_type(M, eig.rho))
-        for st, v in zip(self.stacks, eig.vecs):
+        tr = np.bincount(self.cl.owner, _re_prod(M, eig.rho), self.n_vars)
+        grad = np.empty(self.cl.n, dtype=np.result_type(M, eig.rho))
+        for st, v in zip(self.cl.stacks, eig.vecs):
             k, b, _ = st.shape
             mt = _dag(v) @ M[st.flat].reshape(st.shape) @ v
             kern = _exp_dd_kernel(eig.gs[st.eig].reshape(k, b)) / eig.z[st.owner][:, None, None]
@@ -591,7 +536,7 @@ class _Compiled:
                 pen: float, want_grad: bool, frame: _Frame | None = None) -> dict:
         """Augmented-Lagrangian value (and packed gradient) at x, read in the
         packed coordinates of G or, with `frame`, in that frame's."""
-        eig = self.eig_from_g(self.unpack(x) if frame is None else frame.g(x))
+        eig = self.cl.exp(self.unpack(x) if frame is None else frame.g(x))
         tm = self.terms(eig, T)
         R = tm.R
         patch_f = np.bincount(self.patch, tm.value, self.n_patches)
@@ -643,10 +588,10 @@ class _Frame:
     def __init__(self, comp: _Compiled, x0: np.ndarray):
         self.comp = comp
         self.g0 = comp.unpack(x0)
-        eig = comp.eig_from_g(self.g0)
+        eig = comp.cl.exp(self.g0)
         self.vecs = eig.vecs
         self.scales = []
-        for st in comp.stacks:
+        for st in comp.cl.stacks:
             k, b, _ = st.shape
             kern = _exp_dd_kernel(eig.gs[st.eig].reshape(k, b))
             self.scales.append(1.0 / np.sqrt(np.maximum(kern, _FRAME_CAP ** -2)))
@@ -655,13 +600,13 @@ class _Frame:
         comp = self.comp
         step = comp.unpack(x)
         g = self.g0.copy()
-        for st, v, S in zip(comp.stacks, self.vecs, self.scales):
+        for st, v, S in zip(comp.cl.stacks, self.vecs, self.scales):
             g[st.flat] += (v @ (S * step[st.flat].reshape(st.shape)) @ _dag(v)).ravel()
         return g
 
     def grad(self, grad: np.ndarray) -> np.ndarray:
         out = np.empty_like(grad)
-        for st, v, S in zip(self.comp.stacks, self.vecs, self.scales):
+        for st, v, S in zip(self.comp.cl.stacks, self.vecs, self.scales):
             out[st.flat] = (S * (_dag(v) @ grad[st.flat].reshape(st.shape) @ v)).ravel()
         return out
 
@@ -670,17 +615,22 @@ def _is_real_problem(problem: MedProblem) -> bool:
     return all(v.ham is None or not np.iscomplexobj(v.ham) for v in problem.variables)
 
 
-def _compiled(problem: MedProblem, one_sector: bool = False) -> _Compiled:
+def _compiled(problem: MedProblem, mats: dict | None = None,
+              one_sector: bool = False) -> _Compiled:
     """The problem's layout, built on first use and cached on the problem.
 
-    Charge sectors when every cluster Hamiltonian conserves the charge,
-    otherwise (or with `one_sector`, for states not built by the solver) one
-    sector per matrix."""
-    by_charge = not one_sector and all(_conserves_charge(v.ham, v.dims)
-                                       for v in problem.variables)
+    Charge sectors when every cluster Hamiltonian, and every matrix of
+    `mats` (states or G keyed like the variables), conserves the charge
+    (`layout._by_charge`), otherwise one sector per matrix. A layout built
+    for given `mats` is not cached, so evaluation-only callers (BP) do not
+    keep every problem's maps alive."""
+    by_charge = _by_charge([(m, v.dims) for v in problem.variables
+                            for m in (v.ham, (mats or {}).get(v.key))], one_sector)
     comp = problem._layouts.get(by_charge)
     if comp is None:
-        comp = problem._layouts[by_charge] = _Compiled(problem, by_charge)
+        comp = _Compiled(problem, by_charge)
+        if mats is None:
+            problem._layouts[by_charge] = comp
     return comp
 
 
@@ -702,7 +652,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     with_t = comp.with_t
     dtype = float if comp.real else complex
     if warm is not None:
-        x = comp.pack(comp.from_dense(warm["g"], dtype), 0.0)
+        x = comp.pack(comp.cl.from_dense([warm["g"][k] for k in comp.keys], dtype), 0.0)
         eq_mults = comp.mults_from_dense(warm["eq_mults"])
         ineq_mults = (np.array(warm["ineq_mults"]) if warm.get("ineq_mults") is not None
                       else (np.ones(problem.n_patches) / problem.n_patches if with_t else None))
@@ -721,7 +671,6 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         x[0] = t0
 
     pen = config.penalty_init
-    inner_trace = [] if config.track_inner else None
     total_inner = 0
     converged = False
 
@@ -745,23 +694,14 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         x_in = np.zeros(comp.n)
         if with_t:
             x_in[0] = x[0]
-        callback = None
-        if config.track_inner:
-            trace = []
-
-            def callback(xk, _trace=trace, _fun=fun):
-                _trace.append(_fun(xk)[0])
         # the first trial step has unit length in the frame, which can
         # overshoot by orders of magnitude; maxls leaves room to come back
         options = {"maxiter": config.max_inner, "gtol": gtol, "ftol": 1e-16, "maxcor": 25,
                    "maxls": 50}
-        res = _scipy_minimize(fun, x_in, jac=True, method="L-BFGS-B",
-                              options=options, callback=callback)
+        res = _scipy_minimize(fun, x_in, jac=True, method="L-BFGS-B", options=options)
         x = comp.pack(frame.g(res.x), res.x[0] if with_t else None)
         total_inner += int(res.nit)
         inner_ok = float(np.max(np.abs(res.jac))) <= 5.0 * gtol
-        if config.track_inner:
-            inner_trace.append(trace)
         # an inner solve that takes no step and misses its gradient target
         # would be repeated unchanged by every later outer iteration
         if res.nit == 0 and not inner_ok:
@@ -795,7 +735,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     patch_s = np.bincount(comp.patch, out["terms"].s, problem.n_patches)
     norm = problem.site_norm
     warm_out = {
-        "g": comp.to_dense(comp.unpack(x)),
+        "g": comp.by_key(comp.unpack(x)),
         "eq_mults": comp.mults_to_dense(eq_mults),
         "ineq_mults": None if ineq_mults is None else np.array(ineq_mults),
         "t": t_val,
@@ -806,13 +746,11 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         "penalty": pen,
         "verified": bool(converged),
     }
-    if inner_trace is not None:
-        meta["inner_trace"] = inner_trace
     return MedResult(
         f_per_site=float(patch_f[binding]) / norm,
         e_per_site=float(patch_e[binding]) / norm,
         s_m_per_site=float(patch_s[binding]) / norm,
-        variables=ClusterVariables(states=comp.to_dense(out["eig"].rho),
+        variables=ClusterVariables(states=comp.by_key(out["eig"].rho),
                                    constraints=problem.constraints),
         residual=float(out["res_inf"]),
         iterations=total_inner,
@@ -827,11 +765,11 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
 # ---------------------------------------------------------------------------
 
 def _dense_inputs(problem: MedProblem, mats: dict):
-    """The one-sector layout and the given matrices as its flat blocks."""
-    comp = _compiled(problem, one_sector=True)
+    """The layout for the given matrices (in sectors when they and the
+    Hamiltonians conserve the charge) and the matrices as its flat blocks."""
     mats = {v.key: np.asarray(mats[v.key]) for v in problem.variables}
-    dtype = np.result_type(float, *mats.values())
-    return comp, comp.from_dense(mats, dtype)
+    comp = _compiled(problem, mats)
+    return comp, comp.cl.from_dense([mats[k] for k in comp.keys])
 
 
 def _rho_inputs(variables: ClusterVariables, problem: MedProblem):
@@ -854,7 +792,7 @@ def free_energy_gradient(variables: ClusterVariables, problem: MedProblem, T: fl
     H + T (ln rho - embed(ln rho_shield))."""
     comp, eig = _rho_inputs(variables, problem)
     mu = np.ones(problem.n_patches)
-    return comp.to_dense(comp.euclid(eig, comp.terms(eig, T), T, mu, np.zeros(comp.n_con)))
+    return comp.by_key(comp.euclid(eig, comp.terms(eig, T), T, mu, np.zeros(comp.n_con)))
 
 
 def exponential_value_and_grad(gmats: dict, problem: MedProblem, T: float):
@@ -866,10 +804,10 @@ def exponential_value_and_grad(gmats: dict, problem: MedProblem, T: float):
     if problem.n_patches != 1:
         raise ValueError("exponential gradient helper is single-patch only")
     comp, g = _dense_inputs(problem, gmats)
-    eig = comp.eig_from_g(g)
+    eig = comp.cl.exp(g)
     tm = comp.terms(eig, T)
     M = comp.euclid(eig, tm, T, np.ones(1), np.zeros(comp.n_con))
-    return float(tm.value.sum()), comp.to_dense(comp.pullback(eig, M))
+    return float(tm.value.sum()), comp.by_key(comp.pullback(eig, M))
 
 
 # ---------------------------------------------------------------------------

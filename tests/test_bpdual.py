@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from medbound.bpdual import (
     _compile,
     _iterate,
     BPConfig,
+    BPProblem,
     BPState,
     beliefs_from_messages,
     belief_consistency,
@@ -19,8 +21,24 @@ from medbound.bpdual import (
     bp_ti_problem,
     bp_update,
 )
-from medbound.lattice import LatticeSpec, ModelSpec, build_lattice, finite_geometry, total_hamiltonian
-from medbound.med import SolverConfig, minimize_finite, minimize_ti
+from medbound.lattice import (
+    LatticeSpec,
+    ModelSpec,
+    build_lattice,
+    finite_geometry,
+    ti_chain_geometry,
+    ti_square_geometry,
+    total_hamiltonian,
+)
+from medbound.med import (
+    MedProblem,
+    SolverConfig,
+    finite_problem,
+    minimize_finite,
+    minimize_ti,
+    solve,
+    ti_problem,
+)
 from medbound.opalg import EIG_FLOOR, embed_mat, logm_psd, ptrace_mat, sym, trace_distance
 from medbound.oracle import exact_free_energy, gibbs_state, ising_transfer_free_energy
 
@@ -36,14 +54,31 @@ def charge_mask(n_sites):
     return q[:, None] == q[None, :]
 
 
+def cluster_hams(problem):
+    """The cluster Hamiltonians of a BP problem, keyed like its clusters."""
+    return {v.key: v.ham for v in problem.problem.variables}
+
+
+def with_hams(problem, hams):
+    """The same chain windows and constraints with other cluster Hamiltonians."""
+    med = problem.problem
+    variables = tuple(dataclasses.replace(v, ham=hams[v.key]) for v in med.variables)
+    return BPProblem(MedProblem(variables, med.constraints, site_norm=med.site_norm),
+                     problem.T, problem.meta)
+
+
+def open_chain_with(edit):
+    """The MED problem of a six-site open Heisenberg chain (n = 2), its
+    windows and constraints passed through `edit`."""
+    med = bp_chain_problem(LatticeSpec("chain", 6), HEIS, 2, 1.0).problem
+    variables, constraints = edit(med.variables, med.constraints)
+    return MedProblem(variables, constraints, site_norm=med.site_norm)
+
+
 def identity_state(problem):
-    dim = 2 ** problem.n
-    if problem.kind == "ti":
-        msgs = {"L": np.eye(dim) / dim, "R": np.eye(dim) / dim}
-    else:
-        keys = problem.cluster_keys
-        msgs = {("R", k): np.eye(dim) / dim for k in keys[:-1]}
-        msgs.update({("L", k): np.eye(dim) / dim for k in keys[1:]})
+    """Maximally mixed messages of a translation-invariant chain."""
+    dim = problem.problem.variables[0].dim // 2
+    msgs = {"L": np.eye(dim) / dim, "R": np.eye(dim) / dim}
     return BPState(messages=msgs, residual=math.inf, iterations=0, converged=True)
 
 
@@ -148,6 +183,53 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             bp_chain_problem(LatticeSpec("chain", 6, boundary="periodic"), HEIS, 2, 1.0)
 
+    @pytest.mark.parametrize("n_sites, n", [(2, 1), (3, 2)])
+    def test_single_window_is_exact(self, n_sites, n):
+        # one window holds the whole chain: there are no messages, the fixed
+        # point is immediate and the bound is the exact free energy
+        spec = LatticeSpec("chain", n_sites)
+        prob = bp_chain_problem(spec, HEIS, n, 1.0)
+        state = bp_fixed_point(prob)
+        assert state.converged and state.iterations == 1 and state.residual == 0.0
+        assert state.messages == {}
+        terms, sites = build_lattice(spec, HEIS)
+        exact = exact_free_energy(total_hamiltonian(terms, sites), 1.0).f_total
+        assert abs(bp_free_energy(state, prob) - exact) <= 1e-12
+        if n_sites == 3:
+            assert abs(exact - (-2.288758575298)) <= 1e-12
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_tol_residual_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="tol_residual"):
+            BPConfig(tol_residual=value)
+
+    @pytest.mark.parametrize("value", [2.5, 0, True])
+    def test_max_iters_must_be_a_count(self, value):
+        with pytest.raises(ValueError, match="max_iters"):
+            BPConfig(max_iters=value)
+
+
+class TestSharedProblem:
+    # the primal solver minimises the very problem object BP solves the dual of
+    @pytest.mark.parametrize("make", [
+        lambda: bp_ti_problem(HEIS, 2, 1.0),
+        lambda: bp_ti_problem(TFIM, 2, 0.5),
+        lambda: bp_chain_problem(LatticeSpec("chain", 8), HEIS, 2, 0.5),
+        lambda: bp_chain_problem(LatticeSpec("chain", 6), TFIM, 1, 0.7),
+    ], ids=["ti heis n=2", "ti tfim n=2", "open heis N=8 n=2", "open tfim N=6 n=1"])
+    def test_primal_solve_matches_bp(self, make):
+        prob = make()
+        state = bp_fixed_point(prob)
+        assert state.converged
+        res = solve(prob.problem, prob.T, SolverConfig(tol_gradient=1e-7, tol_constraint=1e-8,
+                                                       max_inner=3000))
+        assert res.converged
+        # solve reports per site; bp_free_energy totals a finite chain
+        f_primal = res.f_per_site * prob.problem.site_norm
+        assert abs(f_primal - bp_free_energy(state, prob)) <= 1e-7
+
 
 class TestProblems:
     @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -160,6 +242,22 @@ class TestProblems:
         with pytest.raises(ValueError, match="temperature"):
             bp_chain_problem(LatticeSpec("chain", 6), HEIS, 2, t)
 
+    @pytest.mark.parametrize("build", [
+        # two self-constraints (x and y translates)
+        lambda: ti_problem(ti_square_geometry(HEIS)),
+        # a one-site overlap in a three-site window
+        lambda: ti_problem(ti_chain_geometry(HEIS, [-3, -1])),
+        # windows of growing size
+        lambda: finite_problem(finite_geometry(LatticeSpec("chain", 5), HEIS, radius=2)),
+        # the windows of an open chain listed right to left
+        lambda: open_chain_with(lambda v, c: (v[::-1], c)),
+        # an open chain with its first overlap untied
+        lambda: open_chain_with(lambda v, c: (v, c[1:])),
+    ], ids=["square", "gapped-shield", "finite-problem", "reversed-chain", "untied-overlap"])
+    def test_other_shapes_rejected(self, build):
+        with pytest.raises(ValueError, match="chain windows"):
+            BPProblem(build(), 1.0)
+
     @pytest.mark.parametrize("model", [HEIS, TFIM], ids=["heis", "tfim"])
     @pytest.mark.parametrize("n_sites, n", [(6, 1), (6, 2), (7, 3)])
     def test_chain_clusters_follow_the_lattice_rule(self, model, n_sites, n):
@@ -168,11 +266,12 @@ class TestProblems:
         spec = LatticeSpec("chain", n_sites)
         prob = bp_chain_problem(spec, model, n, 1.0)
         geo = finite_geometry(spec, model, radius=n)
-        hams = {k: -lam for k, lam in prob.log_lambda.items()}
+        hams = cluster_hams(prob)
         assert sorted(hams) == list(range(n, n_sites))
         for k in range(n + 1, n_sites):
             assert np.array_equal(hams[k], geo.hams[k])
-        total = sum(embed_mat(hams[k], (2,) * n_sites, prob.clusters[k]) for k in hams)
+        labels = {v.key: v.labels for v in prob.problem.variables}
+        total = sum(embed_mat(hams[k], (2,) * n_sites, labels[k]) for k in hams)
         terms, sites = build_lattice(spec, model)
         assert np.array_equal(total, total_hamiltonian(terms, sites))
 
@@ -182,7 +281,7 @@ class TestUpdate:
         prob = bp_ti_problem(ModelSpec("classical_ising", J=0.0), 2, 1.0)
         state = identity_state(prob)
         out = bp_update("ti", state, prob)
-        dim = 2 ** prob.n
+        dim = 4
         for m in out.values():
             assert np.linalg.norm(m - np.eye(dim) / dim) <= 1e-12
 
@@ -192,7 +291,7 @@ class TestUpdate:
         matrix functions in the multiplier (log-message) picture."""
         a_in = scipy.linalg.logm(m_left)
         b_in = scipy.linalg.logm(m_right)
-        rho = scipy.linalg.expm(prob.log_lambda["ti"] + np.kron(b_in, np.eye(2))
+        rho = scipy.linalg.expm(-cluster_hams(prob)["ti"] / prob.T + np.kron(b_in, np.eye(2))
                                 + np.kron(np.eye(2), a_in))
         rho /= np.trace(rho).real
         marg_first = ptrace_mat(rho, (2, 2), (0,))
@@ -215,10 +314,8 @@ class TestUpdate:
     def test_against_independent_multiplier_form(self, rng):
         # one update on a random window-1 chain
         t = 1.0
-        prob = bp_ti_problem(HEIS, 1, t)
         ham = rng.standard_normal((4, 4))
-        ham = sym(ham + ham.T)
-        prob.log_lambda["ti"] = -ham / t
+        prob = with_hams(bp_ti_problem(HEIS, 1, t), {"ti": sym(ham + ham.T)})
         self.check_against_multiplier_form(prob, _random_positive(rng, 2),
                                            _random_positive(rng, 2))
 
@@ -312,7 +409,7 @@ class TestLogSpaceStep:
         m_mask = charge_mask(n) if conserving else None
         if chain:
             prob = bp_chain_problem(LatticeSpec("chain", n + 3), HEIS, n, 1.0)
-            keys = prob.cluster_keys
+            keys = list(cluster_hams(prob))
             # window 0 only sends right, the last window only left
             k, sides = [(keys[0], ("R",)), (keys[1], ("L",)), (keys[1], ("R",)),
                         (keys[2], ("L",))][where]
@@ -324,14 +421,16 @@ class TestLogSpaceStep:
             k, sides, names = "ti", ("L", "R"), ["L", "R"]
             incoming = ("R", "L")
             sent = {"L": "L", "R": "R"}
-        for key in prob.cluster_keys:
+        hams = {}
+        for key in cluster_hams(prob):
             ham = rng.standard_normal((2 ** (n + 1), 2 ** (n + 1)))
             ham = sym(ham + ham.T)
-            prob.log_lambda[key] = -(ham if cl_mask is None else np.where(cl_mask, ham, 0.0))
+            hams[key] = ham if cl_mask is None else np.where(cl_mask, ham, 0.0)
+        prob = with_hams(prob, hams)
         messages = {name: _random_positive(rng, 2 ** n, m_mask) for name in names}
         m_right, m_left = (messages.get(name) for name in incoming)
         new_ref, damped_ref = _density_matrix_update(
-            prob.log_lambda[k], n, m_right, m_left,
+            -hams[k] / prob.T, n, m_right, m_left,
             {side: messages[name] for side, name in sent.items()}, retain, damping)
 
         cfg = BPConfig(damping=damping, retain_inverse=retain)
@@ -344,14 +443,14 @@ class TestLogSpaceStep:
         store = lay.store(lay.flats(logs))
         msgs = lay.flats(messages)
         rows = np.array([lay.row[sent[side]] for side in sides])
-        out = lay.outgoing(store, prob.cluster_keys.index(k), sides, retain)
+        out = lay.outgoing(store, lay.keys.index(k), sides, retain)
         lay.damp(store, msgs, rows, out, damping)
         for side, row in zip(sides, rows):
             assert np.max(np.abs(new[sent[side]] - new_ref[side])) <= 1e-10
-            mixed = lay.msg.dense(msgs[row])
+            mixed = lay.msg.to_dense(msgs[row])[0]
             assert np.max(np.abs(mixed - damped_ref[side])) <= 1e-10
             # the shifted mix is the unit-trace log carried to the next step
-            unit_log = lay.msg.dense(store[row, :-1])
+            unit_log = lay.msg.to_dense(store[row, :-1])[0]
             assert np.max(np.abs(unit_log - scipy.linalg.logm(mixed).real)) <= 1e-8
 
 
@@ -394,7 +493,7 @@ class TestSectors:
         f_real = bp_free_energy(bp_fixed_point(prob), prob)
         u1 = np.diag([1.0, np.exp(0.7j)])
         u = np.kron(np.kron(u1, u1), u1)
-        prob.log_lambda["ti"] = u @ prob.log_lambda["ti"] @ u.conj().T
+        prob = with_hams(prob, {"ti": u @ cluster_hams(prob)["ti"] @ u.conj().T})
         state = bp_fixed_point(prob)
         assert state.converged and np.iscomplexobj(state.messages["L"])
         assert abs(bp_free_energy(state, prob) - f_real) <= 1e-10
@@ -407,8 +506,7 @@ class TestBeliefs:
         prob = bp_ti_problem(HEIS, 2, t)
         state = identity_state(prob)
         beliefs, _ = beliefs_from_messages(state, prob)
-        ham = -t * prob.log_lambda["ti"]
-        ref = gibbs_state(ham, t)
+        ref = gibbs_state(cluster_hams(prob)["ti"], t)
         assert np.max(np.abs(beliefs["ti"] - ref)) <= 1e-10
 
     def test_underflowed_message_is_clamped(self):

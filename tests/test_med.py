@@ -160,6 +160,25 @@ class TestSolveTemperature:
         assert res.T == 0.0 and math.isfinite(res.f_per_site)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["tol_gradient", "tol_constraint", "penalty_init",
+                                       "penalty_growth"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_outer", "max_inner"])
+    @pytest.mark.parametrize("value", [2.5, 0, True])
+    def test_iteration_limit_must_be_a_count(self, field, value):
+        with pytest.raises(ValueError, match="integers"):
+            SolverConfig(**{field: value})
+
+    def test_integer_limits_accepted(self):
+        cfg = SolverConfig(max_outer=np.int64(3), max_inner=4000)
+        assert cfg.max_outer == 3
+
+
 class TestMinimizeTI:
     def test_classical_ising_exact(self):
         for t in (0.5, 1.0, 2.0):
@@ -386,10 +405,20 @@ class TestMultiPatch:
 
 
 class TestInvariants:
-    def test_inner_loop_monotone(self):
-        cfg = SolverConfig(track_inner=True, max_inner=2000)
-        res = minimize_ti(HEIS, 2, 1.0, cfg)
-        for trace in res.meta["inner_trace"]:
+    def test_inner_loop_monotone(self, monkeypatch):
+        # record the objective at every iterate L-BFGS accepts, per inner solve
+        traces = []
+        scipy_minimize = med._scipy_minimize
+
+        def minimize(fun, x0, **kwargs):
+            trace = []
+            traces.append(trace)
+            return scipy_minimize(fun, x0, callback=lambda xk: trace.append(fun(xk)[0]),
+                                  **kwargs)
+        monkeypatch.setattr(med, "_scipy_minimize", minimize)
+        minimize_ti(HEIS, 2, 1.0, SolverConfig(max_inner=2000))
+        assert any(len(trace) > 1 for trace in traces)
+        for trace in traces:
             arr = np.asarray(trace)
             if len(arr) > 1:
                 assert np.all(np.diff(arr) <= 1e-10 * np.maximum(1.0, np.abs(arr[:-1])))
@@ -427,6 +456,11 @@ def sector_sizes(blocks):
     return tuple(int(c) for c in np.unique(blocks.charge, return_counts=True)[1])
 
 
+def sectors(comp):
+    """Per cluster key: the sector blocks of its state and of its shield."""
+    return dict(zip(comp.keys, zip(comp.cl.blocks, comp.sh.blocks)))
+
+
 def off_sector(n_sites):
     q = charges(n_sites)
     return q[:, None] != q[None, :]
@@ -435,7 +469,7 @@ def off_sector(n_sites):
 class TestSectors:
     def test_heisenberg_chain_sizes(self):
         prob = ti_problem(ti_chain_geometry(HEIS, 2))
-        cluster, shield = _compiled(prob).sectors[prob.variables[0].key]
+        cluster, shield = sectors(_compiled(prob))[prob.variables[0].key]
         assert sector_sizes(cluster) == (1, 3, 3, 1)
         assert sector_sizes(shield) == (1, 2, 1)
         assert [s.shape for s in cluster.stacks] == [(2, 1), (2, 3)]
@@ -443,20 +477,20 @@ class TestSectors:
     def test_square6_packs_in_sector_entries_only(self):
         prob = ti_problem(ti_square_geometry(HEIS, SQUARE_TEMPLATE_6))
         comp = _compiled(prob)
-        cluster, shield = comp.sectors[prob.variables[0].key]
+        cluster, shield = sectors(comp)[prob.variables[0].key]
         assert [s.shape for s in cluster.stacks] == [(2, 1), (2, 7), (2, 21), (2, 35)]
         assert sector_sizes(shield) == (1, 6, 15, 20, 15, 6, 1)
         assert comp.n == 1780
         # every block of one size is one stack: four cluster and four shield sizes
-        assert [st.shape for st in comp.stacks] == [(2, 1, 1), (2, 7, 7), (2, 21, 21),
+        assert [st.shape for st in comp.cl.stacks] == [(2, 1, 1), (2, 7, 7), (2, 21, 21),
                                                      (2, 35, 35)]
-        assert [st.shape[0] for st in comp.sh_stacks] == [2, 2, 2, 1]
+        assert [st.shape[0] for st in comp.sh.stacks] == [2, 2, 2, 1]
         assert _compiled(prob, one_sector=True).n == 128 * 129 // 2
         assert _compiled(prob) is comp
 
     def test_tfim_has_one_sector(self):
         prob = ti_problem(ti_chain_geometry(TFIM, 2))
-        cluster, shield = _compiled(prob).sectors[prob.variables[0].key]
+        cluster, shield = sectors(_compiled(prob))[prob.variables[0].key]
         assert sector_sizes(cluster) == (8,)
         assert sector_sizes(shield) == (4,)
 
@@ -472,14 +506,14 @@ class TestSectors:
                          constraints=fin.constraints, site_norm=fin.site_norm)
         for prob in (multi, fin):
             for v in prob.variables:
-                cluster, shield = _compiled(prob).sectors[v.key]
+                cluster, shield = sectors(_compiled(prob))[v.key]
                 assert sector_sizes(cluster) == (v.dim,)
                 if v.shield_axes:
                     assert len(sector_sizes(shield)) == 1
         # without the broken cluster the same lattice has sectors
         plain = finite_problem(geo)
-        sectors = _compiled(plain).sectors
-        assert all(len(sector_sizes(sectors[v.key][0])) > 1 for v in plain.variables)
+        blocks = sectors(_compiled(plain))
+        assert all(len(sector_sizes(blocks[v.key][0])) > 1 for v in plain.variables)
 
     def test_iterates_stay_in_sectors(self):
         # dense iterates drift off the sectors by roundoff (3.1e-5 here);
@@ -644,7 +678,7 @@ class TestSectorEvaluation:
         gmats, mults, t, ineq = self._point(prob, rng, scale)
         comp = _compiled(prob)
         if _conserves(prob):
-            assert all(len(sector_sizes(s[0])) > 1 for s in comp.sectors.values())
+            assert all(len(sector_sizes(s[0])) > 1 for s in sectors(comp).values())
         out = comp.al_eval(_pack_reference(prob, gmats, t), T, comp.mults_from_dense(mults),
                            ineq, pen, want_grad=True)
         value, grads, grad_t = _dense_al_reference(prob, T, gmats, mults, pen, t, ineq)
@@ -661,10 +695,10 @@ class TestSectorEvaluation:
         gmats, mults, t, ineq = self._point(prob, rng, 1.5)
         frame = _Frame(comp, _pack_reference(prob, gmats, t))
         step = 0.1 * rng.standard_normal(comp.n)
-        gamma = comp.from_dense({k: rng.standard_normal(g.shape) for k, g in gmats.items()},
-                                frame.g0.dtype)
-        gamma = comp.from_dense({k: g + g.conj().T for k, g in comp.to_dense(gamma).items()},
-                                gamma.dtype)
+        gamma = comp.cl.from_dense([rng.standard_normal(g.shape) for g in gmats.values()],
+                                   frame.g0.dtype)
+        gamma = comp.cl.from_dense([g + g.conj().T for g in comp.cl.to_dense(gamma)],
+                                   gamma.dtype)
         lhs = float(np.dot(comp.pack(frame.grad(gamma), 0.0), step))
         rhs = float(np.real(np.vdot(gamma, frame.g(step) - frame.g0)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
