@@ -171,6 +171,8 @@ class BPProblem:
 def bp_ti_problem(model: ModelSpec, n: int, T: float) -> BPProblem:
     """Translation-invariant chain with an n-site window (cluster of n+1):
     the problem `med.minimize_ti(model, n)` solves."""
+    if not _is_count(n):
+        raise ValueError("window size n must be an integer >= 1")
     return BPProblem(ti_problem(ti_chain_geometry(model, int(n))), T,
                      meta={"model": model, "schedule": "jacobi"})
 
@@ -183,10 +185,10 @@ def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> B
     it."""
     if spec.kind != "chain" or spec.boundary != "open":
         raise ValueError("the dual solver runs on finite open chains (or ti)")
-    n = int(n)
     n_sites = spec.n_sites
-    if n < 1 or n + 1 > n_sites:
-        raise ValueError("window must satisfy 1 <= n <= N-1")
+    if not _is_count(n) or n + 1 > n_sites:
+        raise ValueError("window must be an integer n with 1 <= n <= N-1")
+    n = int(n)
     geo = finite_geometry(spec, model, radius=n)
     window = (2,) * (n + 1)
     first, last = tuple(range(n)), tuple(range(1, n + 1))

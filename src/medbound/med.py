@@ -11,7 +11,8 @@ Solver design: each cluster state is parametrized as rho = exp(G)/Tr exp(G)
 over a Hermitian G, which builds positivity and normalization into the
 coordinates. Consistency constraints are handled by an augmented Lagrangian
 with geometric penalty growth; the smooth inner problems go to scipy's
-limited-memory quasi-Newton with an analytic gradient. The chain rule
+limited-memory quasi-Newton (L-BFGS-B) with an analytic gradient, imported at
+the first solve, so importing this module loads numpy only. The chain rule
 through the exponential map uses the divided-difference kernel of exp on
 the eigenbasis of G. Each inner problem is solved in coordinates fixed at
 its start (`_Frame`) that rescale G, in the eigenbasis of the start point,
@@ -54,7 +55,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from medbound.lattice import (
     FiniteGeometry,
@@ -412,6 +412,7 @@ class _Compiled:
             sign.append(np.full(hit.size, s))
         self.src, self.tgt, self.sign = map(np.concatenate, (src, tgt, sign))
         self._packing(variables)
+        self._last = None           # [G, its _Eig, T, their _Terms]: see `exp`
 
     def _packing(self, variables):
         width = 1 if self.real else 2
@@ -509,6 +510,23 @@ class _Compiled:
              - np.bincount(self.sh.eig_owner, _neg_xlogx(sh_vals), self.n_vars))
         return _Terms(e, s, e - T * s, sh_vals, sh_vecs, marg[self.sh.n:])
 
+    def exp(self, g: np.ndarray) -> _Eig:
+        """`cl.exp(g)`, kept for the last G (with its terms, see `evaluate`):
+        one outer iteration of `solve` reads the same G three times, in its
+        feasibility check, in the next `_Frame` and at that frame's origin."""
+        last = self._last
+        if last is None or not np.array_equal(last[0], g):
+            last = self._last = [g, self.cl.exp(g), None, None]
+        return last[1]
+
+    def evaluate(self, g: np.ndarray, T: float):
+        """exp(G) and its `_Terms` at T."""
+        eig = self.exp(g)
+        last = self._last
+        if last[2] != T:
+            last[2:] = T, self.terms(eig, T)
+        return eig, last[3]
+
     def euclid(self, eig: _Eig, tm: _Terms, T: float, mu: np.ndarray,
                coef: np.ndarray) -> np.ndarray:
         """Derivative wrt rho: mu (H + T log rho - T embed log rho_shield),
@@ -536,8 +554,7 @@ class _Compiled:
                 pen: float, want_grad: bool, frame: _Frame | None = None) -> dict:
         """Augmented-Lagrangian value (and packed gradient) at x, read in the
         packed coordinates of G or, with `frame`, in that frame's."""
-        eig = self.cl.exp(self.unpack(x) if frame is None else frame.g(x))
-        tm = self.terms(eig, T)
+        eig, tm = self.evaluate(self.unpack(x) if frame is None else frame.g(x), T)
         R = tm.R
         patch_f = np.bincount(self.patch, tm.value, self.n_patches)
         al_con = trace_product(y, R) + 0.5 * pen * trace_product(R, R)
@@ -588,7 +605,7 @@ class _Frame:
     def __init__(self, comp: _Compiled, x0: np.ndarray):
         self.comp = comp
         self.g0 = comp.unpack(x0)
-        eig = comp.cl.exp(self.g0)
+        eig = comp.exp(self.g0)
         self.vecs = eig.vecs
         self.scales = []
         for st in comp.cl.stacks:
@@ -637,6 +654,13 @@ def _compiled(problem: MedProblem, mats: dict | None = None,
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
+
+def _scipy_minimize(fun, x0, **kwargs):
+    """scipy's `minimize`, imported at the first call: a process that never
+    runs the primal solver (BP, the oracles) does not load scipy."""
+    from scipy.optimize import minimize
+    return minimize(fun, x0, **kwargs)
+
 
 def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
           warm: dict | None = None) -> MedResult:

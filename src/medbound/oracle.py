@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from medbound.opalg import entropy_from_probs, sym
 
@@ -66,14 +65,21 @@ def _spectrum(mat: np.ndarray):
     return np.linalg.eigh(mat)
 
 
+def _boltzmann(vals: np.ndarray, T: float):
+    """Weights exp(-E/T)/Z of an ascending spectrum and ln Z, summed with
+    the ground energy factored out so that no term overflows."""
+    w = np.exp(-(vals - vals[0]) / T)
+    z = w.sum()
+    return w / z, float(np.log(z) - vals[0] / T)
+
+
 def gibbs_state(h, T: float) -> np.ndarray:
     """exp(-H/T)/Z through the spectrum of H."""
     mat = _as_matrix(h)
     if not 0 < T < math.inf:
         raise ValueError("temperature must be positive and finite")
     vals, vecs = _spectrum(mat)
-    w = np.exp(-(vals - vals[0]) / T)
-    p = w / w.sum()
+    p, _ = _boltzmann(vals, T)
     return (vecs * p) @ vecs.conj().T
 
 
@@ -86,9 +92,8 @@ def exact_free_energy(h, T: float, n_sites: int | None = None) -> ExactResult:
         vals = np.sort(np.real(np.diagonal(mat)))
     else:
         vals = np.linalg.eigvalsh(mat)
-    log_z = float(logsumexp(-vals / T))
+    p, log_z = _boltzmann(vals, T)
     f = -T * log_z
-    p = np.exp(-vals / T - log_z)
     e = float(p @ vals)
     s = entropy_from_probs(p)
     if n_sites is None:

@@ -242,6 +242,22 @@ class TestProblems:
         with pytest.raises(ValueError, match="temperature"):
             bp_chain_problem(LatticeSpec("chain", 6), HEIS, 2, t)
 
+    @pytest.mark.parametrize("n", [2.7, True, 0])
+    def test_ti_window_must_be_a_count(self, n):
+        # a window of 2.7 sites must not quietly solve the looser n = 2 bound
+        with pytest.raises(ValueError, match="window"):
+            bp_ti_problem(HEIS, n, 1.0)
+
+    @pytest.mark.parametrize("n", [1.9, True, 0])
+    def test_chain_window_must_be_a_count(self, n):
+        with pytest.raises(ValueError, match="window"):
+            bp_chain_problem(LatticeSpec("chain", 6), HEIS, n, 1.0)
+
+    def test_numpy_integer_windows_accepted(self):
+        ti = bp_ti_problem(HEIS, np.int64(2), 1.0)
+        chain = bp_chain_problem(LatticeSpec("chain", 6), HEIS, np.int64(2), 1.0)
+        assert ti.problem.variables[0].dims == chain.problem.variables[0].dims == (2, 2, 2)
+
     @pytest.mark.parametrize("build", [
         # two self-constraints (x and y translates)
         lambda: ti_problem(ti_square_geometry(HEIS)),

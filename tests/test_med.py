@@ -36,6 +36,7 @@ from medbound.med import (
     temperature_sweep,
     ti_problem,
 )
+from medbound.layout import _Flat
 from medbound.opalg import (
     embed_mat,
     entropy_mat,
@@ -327,6 +328,22 @@ class TestStalledInnerSolve:
         res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0)
         assert len(calls) > 1
         assert res.converged
+
+
+class TestEvaluationReuse:
+    def test_no_g_is_exponentiated_twice_in_a_row(self, monkeypatch):
+        # an outer iteration's feasibility check, the next frame and that
+        # frame's origin all read one G: it must be exponentiated once
+        seen = []
+        flat_exp = _Flat.exp
+
+        def exp(self, log):
+            seen.append(np.array(log))
+            return flat_exp(self, log)
+        monkeypatch.setattr(_Flat, "exp", exp)
+        res = minimize_ti(HEIS, 3, 0.5)
+        assert res.converged and len(seen) > 10
+        assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
 
 
 class TestGroundEnergyBound:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from medbound.lattice import LatticeSpec, ModelSpec, build_lattice, total_hamiltonian
 from medbound.opalg import entropy_mat, trace_distance
@@ -13,6 +14,7 @@ from medbound.oracle import (
 )
 
 HEIS = ModelSpec("heisenberg")
+ISING = ModelSpec("classical_ising")
 
 
 def chain_hamiltonian(model, n, boundary="open"):
@@ -61,6 +63,22 @@ class TestExactFreeEnergy:
         expected = -math.log(math.exp(0.75) + 3 * math.exp(-0.25))
         assert abs(res.f_total - expected) <= 1e-12
         assert abs(expected - (-1.4936683806286792)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_two_site_heisenberg_log_sum(self, t):
+        # spectrum -3/4 and 1/4 (three times); at T = 1e-3 the unshifted sum
+        # exp(3/(4T)) + ... overflows
+        res = exact_free_energy(chain_hamiltonian(HEIS, 2), t)
+        expected = -0.75 - t * math.log1p(3.0 * math.exp(-1.0 / t))
+        assert abs(res.f_total - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("model", [HEIS, ISING], ids=["heis", "classical"])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 1e3])
+    def test_gibbs_state_is_exp_over_z(self, model, t):
+        # Z = exp(-F/T) from the free energy, exp(-H/T) from scipy's expm
+        h = chain_hamiltonian(model, 3)
+        z = math.exp(-exact_free_energy(h, t).f_total / t)
+        assert np.max(np.abs(gibbs_state(h, t) - scipy.linalg.expm(-h / t) / z)) <= 1e-12
 
     def test_zero_hamiltonian(self):
         for n in (1, 2, 3):

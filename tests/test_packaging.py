@@ -1,6 +1,10 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,34 @@ def test_no_unused_imports():
         unused = {name for name in imported - used - exported
                   if (module, name) not in traced}
         assert not unused, f"{module} imports {sorted(unused)} without using them"
+
+
+# run in a fresh interpreter: the test session has imported scipy already
+SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
+    import importlib, pkgutil, sys
+    import medbound
+    from medbound import bpdual, lattice, med, oracle
+
+    for info in pkgutil.iter_modules(medbound.__path__, "medbound."):
+        importlib.import_module(info.name)
+    heis = lattice.ModelSpec("heisenberg")
+    p = bpdual.bp_ti_problem(heis, 2, 1.0)
+    bpdual.bp_free_energy(bpdual.bp_fixed_point(p), p)
+    terms, sites = lattice.build_lattice(lattice.LatticeSpec("chain", 4), heis)
+    oracle.exact_free_energy(lattice.total_hamiltonian(terms, sites), 1.0)
+    loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    assert not loaded, loaded
+    assert med.minimize_ti(heis, 1, 1.0).converged
+    assert "scipy.optimize" in sys.modules
+""")
+
+
+def test_scipy_loads_only_for_the_primal_solver():
+    # importing medbound, a BP bound and an exact free energy load no scipy
+    # module; the first primal solve imports scipy's optimizer
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", SCIPY_ONLY_WHEN_SOLVING], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
