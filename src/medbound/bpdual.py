@@ -16,11 +16,8 @@ log-space product,
 
 The bound is the MED objective of the same problem at the beliefs rho_k
 (`med.markov_free_energy`), so both solvers read one problem description.
-
-The inverse factors are retained; they only drop out when partial trace and
-the log-space product commute (classical case). `BPConfig.retain_inverse`
-can disable them to reproduce the cancellation some earlier treatments
-assumed, which shifts the fixed point on non-commuting chains.
+The inverse factors only drop out when partial trace and the log-space
+product commute (classical case).
 
 Messages are positive definite operators on the n-site overlaps, normalized
 to unit trace after every update (normalization absorbs the scalar
@@ -73,6 +70,7 @@ import numpy as np
 from medbound.lattice import (  # noqa: F401
     LatticeSpec,
     ModelSpec,
+    _is_count,
     build_lattice,
     finite_geometry,
     ti_chain_geometry,
@@ -83,7 +81,6 @@ from medbound.med import (
     Constraint,
     MedProblem,
     VarSpec,
-    _is_count,
     markov_free_energy,
     ti_problem,
 )
@@ -116,7 +113,6 @@ class BPConfig:
     damping: float = 0.5            # log-space step toward the new message
     tol_residual: float = 1e-8
     max_iters: int = 10000
-    retain_inverse: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -144,9 +140,9 @@ class BPProblem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Reject any other shape. One patch; windows of n+1 sites on one
-        dims tuple (first and last n sites alike), each with a Hamiltonian
-        and, but the first of an open chain, shielded by its first n sites;
+        """Reject any other shape: windows of n+1 sites on one dims tuple
+        (first and last n sites alike), each with a Hamiltonian and, but
+        the first of an open chain, shielded by its first n sites;
         each constraint ties a window's last n sites to the first n of the
         next key (TI: its one window to itself)."""
         if not 0 < self.T < math.inf:
@@ -158,7 +154,7 @@ class BPProblem:
         keys = [v.key for v in variables]
         pairs = [(c.left_key, c.right_key) for c in constraints]
         ti = len(keys) == 1 and pairs == [(keys[0], keys[0])]
-        if not (n >= 1 and self.problem.n_patches == 1 and dims[:n] == dims[1:]
+        if not (n >= 1 and dims[:n] == dims[1:]
                 and (ti or pairs == list(zip(keys, keys[1:])))
                 and all(tuple(c.left_axes) == last and tuple(c.right_axes) == first
                         for c in constraints)
@@ -324,31 +320,22 @@ class _Layout:
         src, tgt, count = plan
         return _scatter(tgt, rho.take(src), count * self.msg.n).reshape(count, self.msg.n)
 
-    def _step(self, i: int, sides, retain: bool):
-        key = (i, sides, retain)
-        plan = self._steps.get(key)
+    def _step(self, i: int, sides):
+        plan = self._steps.get((i, sides))
         if plan is None:
+            # one belief serves every side; each side divides out the
+            # message it received from the neighbour it sends to
             left, right = self.incoming[i]
-            if retain:
-                # one belief serves every side; each side divides out the
-                # message it received from the neighbour it sends to
-                pairs = [(left, right)]
-                inverse = [left if side == "L" else right for side in sides]
-            else:
-                # each side sees only the message from the opposite side
-                pairs = [(self.none, right) if side == "L" else (left, self.none)
-                         for side in sides]
-                inverse = [self.none] * len(sides)
-            # with one belief every side traces it, else side j traces belief j
-            rows = [0] * len(sides) if retain else range(len(sides))
-            plan = self._steps[key] = (self.gathers(*np.array(pairs).T),
-                                       self.trace_plan(rows, sides), np.array(inverse))
+            inverse = [left if side == "L" else right for side in sides]
+            plan = self._steps[i, sides] = (self.gathers(np.array([left]), np.array([right])),
+                                            self.trace_plan([0] * len(sides), sides),
+                                            np.array(inverse))
         return plan
 
-    def outgoing(self, store, i: int, sides, retain: bool) -> np.ndarray:
+    def outgoing(self, store, i: int, sides) -> np.ndarray:
         """Logs (up to a scalar) of the messages cluster i sends to `sides`
         ("L": its left neighbour, "R": its right one), one row per side."""
-        gathers, traced, inverse = self._step(i, sides, retain)
+        gathers, traced, inverse = self._step(i, sides)
         rho = self.cluster.exp(self.cluster_logs(store, self.lam[i], gathers)).rho
         logs = self.log(self.trace(rho, traced), EIG_FLOOR)
         return logs - store[inverse, :-1]
@@ -398,16 +385,14 @@ def _state_store(state: BPState, problem: BPProblem):
 # solver
 # ---------------------------------------------------------------------------
 
-def bp_update(k, state: BPState, problem: BPProblem,
-              config: BPConfig | None = None) -> dict:
+def bp_update(k, state: BPState, problem: BPProblem) -> dict:
     """Outgoing messages of cluster k given the current state (undamped).
     A singular message in the state raises ValueError."""
-    config = config or BPConfig()
     lay = _compile(problem, state.messages.values())
     store = lay.store(lay.log(lay.flats(state.messages)))
     i = lay.keys.index(k)
     sides = ("L", "R")
-    out = lay.msg.exp(lay.outgoing(store, i, sides, config.retain_inverse)).rho
+    out = lay.msg.exp(lay.outgoing(store, i, sides)).rho
     return {lay.name(side, i): mat for side, mat in zip(sides, lay.msg.to_dense(out)[0])}
 
 
@@ -441,7 +426,7 @@ def _iterate(lay: _Layout, problem: BPProblem, config: BPConfig) -> BPState:
         # measured against the messages the round started from
         before = msgs.copy()
         for i, sides, rows in steps:
-            out = lay.outgoing(store, i, sides, config.retain_inverse)
+            out = lay.outgoing(store, i, sides)
             lay.damp(store, msgs, rows, out, config.damping)
         residual = float(lay.distance(msgs, before).max(initial=0.0))
         if residual <= config.tol_residual:

@@ -60,6 +60,16 @@ DEFAULT_SHIELD_10 = ((-1, 0), (-2, 0), (-3, 0), (-4, 0), (-5, 0),
                      (-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1))
 
 
+def _is_int(x) -> bool:
+    """An integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_count(x) -> bool:
+    """An integer (not a bool) of at least 1."""
+    return _is_int(x) and x >= 1
+
+
 class ShieldTooSmallError(ValueError):
     """An interaction term does not fit inside the cluster it is assigned to."""
 
@@ -349,14 +359,15 @@ def ti_chain_geometry(model: ModelSpec, shield) -> TIGeometry:
     shield. The cluster holds one bond, the one ending at the top site, so
     the shield must contain -1. Consistency is enforced on the overlap with
     the unit translate."""
-    if isinstance(shield, (int, np.integer)):
-        if shield < 1:
-            raise ValueError("shield size must be >= 1")
+    if np.ndim(shield) == 0:
+        if not _is_count(shield):
+            raise ValueError("shield size must be an integer >= 1")
         offsets = tuple(range(-int(shield), 0))
     else:
-        offsets = tuple(sorted(int(o) for o in shield))
-        if len(set(offsets)) != len(offsets) or any(o >= 0 for o in offsets):
+        offsets = tuple(shield)
+        if not all(_is_int(o) and o < 0 for o in offsets) or len(set(offsets)) != len(offsets):
             raise ValueError("shield offsets must be distinct negative integers")
+        offsets = tuple(sorted(int(o) for o in offsets))
     if -1 not in offsets:
         raise ShieldTooSmallError("chain shield must contain -1 to hold the bond")
     labels = offsets + (0,)
@@ -386,7 +397,10 @@ def ti_square_geometry(model: ModelSpec, template=DEFAULT_SHIELD_7) -> TIGeometr
     bond, so the template must contain (-1, 0) and (0, 1). Consistency is
     enforced on the overlaps with the unit translates in x and y.
     """
-    template = tuple(tuple(int(v) for v in o) for o in template)
+    template = tuple(tuple(o) for o in template)
+    if not all(len(o) == 2 and all(_is_int(v) for v in o) for o in template):
+        raise ValueError("shield offsets must be pairs of integers")
+    template = tuple((int(dx), int(dy)) for dx, dy in template)
     if len(set(template)) != len(template):
         raise ValueError("duplicate offsets in shield template")
     for dx, dy in template:

@@ -60,6 +60,7 @@ from medbound.lattice import (
     FiniteGeometry,
     ModelSpec,
     TIGeometry,
+    _is_count,
     ti_chain_geometry,
     ti_square_geometry,
 )
@@ -95,14 +96,11 @@ __all__ = [
     "BoundResult",
     "ti_problem",
     "finite_problem",
-    "multi_patch_problem",
     "markov_free_energy",
     "free_energy_gradient",
     "exponential_value_and_grad",
     "solve",
     "minimize_ti",
-    "minimize_finite",
-    "multi_patch_minimize",
     "temperature_sweep",
     "ground_energy_lower_bound",
 ]
@@ -134,11 +132,6 @@ class SolverConfig:
             raise ValueError("iteration limits must be integers >= 1")
 
 
-def _is_count(x) -> bool:
-    """An integer (not a bool) of at least 1."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
-
-
 @dataclass(frozen=True)
 class VarSpec:
     """One cluster variable: labels in ordering position (top site last)."""
@@ -148,7 +141,6 @@ class VarSpec:
     dims: tuple
     ham: np.ndarray | None = field(repr=False, default=None)
     shield_axes: tuple = ()
-    patch: int = 0
 
     @property
     def dim(self) -> int:
@@ -170,7 +162,6 @@ class Constraint:
 class MedProblem:
     variables: tuple
     constraints: tuple
-    n_patches: int = 1
     site_norm: float = 1.0      # divide totals by this for per-site numbers
     meta: dict = field(default_factory=dict)
     # layouts built by `_compiled`, keyed by whether they use charge sectors
@@ -242,68 +233,25 @@ class BoundResult:
 # problem constructors
 # ---------------------------------------------------------------------------
 
-def ti_problem(geo: TIGeometry, patch: int = 0) -> MedProblem:
+def ti_problem(geo: TIGeometry) -> MedProblem:
     var = VarSpec(key="ti", labels=geo.labels, dims=geo.dims, ham=geo.ham,
-                  shield_axes=geo.shield_axes, patch=patch)
+                  shield_axes=geo.shield_axes)
     cons = tuple(Constraint("ti", left, "ti", right) for left, right in geo.constraints)
-    return MedProblem(variables=(var,), constraints=cons, n_patches=1,
-                      site_norm=1.0, meta=dict(geo.meta))
+    return MedProblem(variables=(var,), constraints=cons, site_norm=1.0, meta=dict(geo.meta))
 
 
-def finite_problem(geo: FiniteGeometry, patch: int = 0) -> MedProblem:
+def finite_problem(geo: FiniteGeometry) -> MedProblem:
+    """Per-site cluster states of a finite lattice with all pairwise overlap
+    constraints."""
     variables = []
     for k in geo.sites:
         labels = geo.cluster_labels(k)
         dims = (2,) * len(labels)
         variables.append(VarSpec(key=k, labels=labels, dims=dims, ham=geo.hams[k],
-                                 shield_axes=tuple(range(len(labels) - 1)),
-                                 patch=patch))
+                                 shield_axes=tuple(range(len(labels) - 1))))
     cons = tuple(Constraint(a, ax_a, b, ax_b) for a, ax_a, b, ax_b in geo.constraints)
-    return MedProblem(variables=tuple(variables), constraints=cons, n_patches=1,
+    return MedProblem(variables=tuple(variables), constraints=cons,
                       site_norm=float(geo.n_sites), meta=dict(geo.meta))
-
-
-def multi_patch_problem(geos) -> MedProblem:
-    """Several shield choices over shared degrees of freedom: each patch keeps
-    its own cluster variables and translation constraints, and patches are
-    tied together on the regions their clusters share."""
-    geos = list(geos)
-    if not geos:
-        raise ValueError("need at least one patch")
-    finite = all(isinstance(g, FiniteGeometry) for g in geos)
-    if finite:
-        if len({g.sites for g in geos}) != 1:
-            raise ValueError("finite patches must share the same lattice")
-        subs = [finite_problem(g, patch=p) for p, g in enumerate(geos)]
-    elif all(isinstance(g, TIGeometry) for g in geos):
-        subs = [ti_problem(g, patch=p) for p, g in enumerate(geos)]
-    else:
-        raise ValueError("patches must be all translation-invariant or all finite")
-
-    def rekey(p, k):
-        # a TI patch has one cluster, a finite patch one per site
-        return ("patch", p, k) if finite else ("patch", p)
-    patches = [[replace(v, key=rekey(p, v.key)) for v in sub.variables]
-               for p, sub in enumerate(subs)]
-    constraints = [Constraint(rekey(p, c.left_key), c.left_axes,
-                              rekey(p, c.right_key), c.right_axes)
-                   for p, sub in enumerate(subs) for c in sub.constraints]
-    # cross-patch agreement on shared sites, taken in the first cluster's
-    # order (cluster labels are in site order)
-    for p in range(len(patches)):
-        for q in range(p + 1, len(patches)):
-            for a in patches[p]:
-                for b in patches[q]:
-                    shared = [lab for lab in a.labels if lab in b.labels]
-                    if shared:
-                        constraints.append(Constraint(
-                            a.key, tuple(a.labels.index(s) for s in shared),
-                            b.key, tuple(b.labels.index(s) for s in shared)))
-    meta = {"kind": "multi_patch_finite" if finite else "multi_patch",
-            "patches": [dict(g.meta) for g in geos]}
-    return MedProblem(variables=tuple(v for vs in patches for v in vs),
-                      constraints=tuple(constraints), n_patches=len(geos),
-                      site_norm=subs[0].site_norm, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +307,10 @@ class _Compiled:
       marginal entry `tgt`. The embedding, its adjoint, reads the same map
       backwards. Both are bincounts.
     - Owners: the cluster of each block entry and eigenvalue, so
-      per-cluster shifts, Z, entropies and per-patch sums are bincounts.
-    - Packing: the real parameter vector holds t first (several patches
-      only), then per cluster the diagonal of G and its in-sector upper
-      triangle sector by sector, imaginary parts after real ones.
+      per-cluster shifts, Z, energies and entropies are bincounts.
+    - Packing: the real parameter vector holds, per cluster, the diagonal
+      of G and its in-sector upper triangle sector by sector, imaginary
+      parts after real ones.
       `unpack` gathers the blocks of G from it; `pack` is its adjoint on
       Hermitian blocks.
     Dense matrices appear only at the edges: the `_Flat` conversions and
@@ -372,20 +320,15 @@ class _Compiled:
         variables = problem.variables
         self.keys = [v.key for v in variables]
         self.n_vars = len(variables)
-        self.n_patches = problem.n_patches
-        self.with_t = problem.n_patches > 1
         self.real = _is_real_problem(problem)
-        self.patch = np.array([v.patch for v in variables], dtype=int)
         self.cl = cl = _Flat([v.dims for v in variables], by_charge)
         self.sh = sh = _Flat([[v.dims[a] for a in v.shield_axes] if v.shield_axes else None
                               for v in variables], by_charge)
-        self.patch_flat = self.patch[cl.owner]
         self.ham = cl.from_dense([np.zeros((v.dim, v.dim)) if v.ham is None else v.ham
                                   for v in variables], float if self.real else complex)
 
         # shield marginals, then constraint residual entries: each partial
         # trace is (cluster, axes, 1-based target labels, sign)
-        self.sh_patch = self.patch[sh.owner]
         sh_labels = sh.to_dense(np.arange(1.0, sh.n + 1.0))
         traces = [(m, v.shield_axes, sh_labels[m], 1.0)
                   for m, v in enumerate(variables) if v.shield_axes]
@@ -416,7 +359,7 @@ class _Compiled:
 
     def _packing(self, variables):
         width = 1 if self.real else 2
-        off = 1 if self.with_t else 0
+        off = 0
         up, lo, wu, wl = [], [], [], []     # pack: x = wu F[up] + wl F[lo]
         self.u_src = np.zeros(width * self.cl.n, int)     # unpack: F = u_coef x[u_src]
         self.u_coef = np.zeros(width * self.cl.n)
@@ -469,13 +412,9 @@ class _Compiled:
         g = self.u_coef * x[self.u_src]
         return g if self.real else g.view(complex)
 
-    def pack(self, flat: np.ndarray, t: float | None = None) -> np.ndarray:
+    def pack(self, flat: np.ndarray) -> np.ndarray:
         f = flat if self.real else flat.view(float)
-        x = np.empty(self.n)
-        x[self.n - self.p_up.size:] = self.p_wu * f[self.p_up] + self.p_wl * f[self.p_lo]
-        if self.with_t:
-            x[0] = t
-        return x
+        return self.p_wu * f[self.p_up] + self.p_wl * f[self.p_lo]
 
     # -- dense edges -----------------------------------------------------------
 
@@ -527,15 +466,13 @@ class _Compiled:
             last[2:] = T, self.terms(eig, T)
         return eig, last[3]
 
-    def euclid(self, eig: _Eig, tm: _Terms, T: float, mu: np.ndarray,
-               coef: np.ndarray) -> np.ndarray:
-        """Derivative wrt rho: mu (H + T log rho - T embed log rho_shield),
-        plus the residual map's adjoint applied to `coef`."""
+    def euclid(self, eig: _Eig, tm: _Terms, T: float, coef: np.ndarray) -> np.ndarray:
+        """Derivative wrt rho: H + T log rho - T embed log rho_shield, plus
+        the residual map's adjoint applied to `coef`."""
         logs = self.sh.from_eig(tm.sh_vecs, np.log(np.maximum(tm.sh_vals, LOG_FLOOR)))
-        weights = np.concatenate([(-T * mu[self.sh_patch]) * logs, coef])
+        weights = np.concatenate([-T * logs, coef])
         own = self.ham + T * self.cl.from_eig(eig.vecs, np.log(np.maximum(eig.p, LOG_FLOOR)))
-        return (mu[self.patch_flat] * own
-                + _scatter(self.src, weights[self.tgt] * self.sign, self.cl.n))
+        return own + _scatter(self.src, weights[self.tgt] * self.sign, self.cl.n)
 
     def pullback(self, eig: _Eig, M: np.ndarray) -> np.ndarray:
         """Hermitian gradient wrt G of rho -> Tr(M rho), block by block."""
@@ -550,36 +487,24 @@ class _Compiled:
             grad[st.flat] = _herm(w).ravel()
         return grad
 
-    def al_eval(self, x: np.ndarray, T: float, y: np.ndarray, ineq: np.ndarray | None,
-                pen: float, want_grad: bool, frame: _Frame | None = None) -> dict:
-        """Augmented-Lagrangian value (and packed gradient) at x, read in the
-        packed coordinates of G or, with `frame`, in that frame's."""
+    def al_eval(self, x: np.ndarray, T: float, y: np.ndarray, pen: float,
+                want_grad: bool, frame: _Frame | None = None) -> dict:
+        """Augmented-Lagrangian value sum F_k + <y, R> + pen/2 <R, R> (and
+        its packed gradient) at x, read in the packed coordinates of G or,
+        with `frame`, in that frame's."""
         eig, tm = self.evaluate(self.unpack(x) if frame is None else frame.g(x), T)
         R = tm.R
-        patch_f = np.bincount(self.patch, tm.value, self.n_patches)
         al_con = trace_product(y, R) + 0.5 * pen * trace_product(R, R)
-        if not self.with_t:
-            al = float(patch_f[0]) + al_con
-            mu = np.ones(1)
-            grad_t = None
-        else:
-            # epigraph: minimize t subject to F_k <= t
-            t = float(x[0])
-            mu = np.maximum(0.0, ineq + pen * (patch_f - t))
-            al = t + float(np.sum(mu ** 2 - ineq ** 2) / (2.0 * pen)) + al_con
-            grad_t = 1.0 - float(mu.sum())
         out = {
-            "al": al,
-            "patch_f": patch_f,
+            "al": _total(tm.value) + al_con,
             "eq_R": R,
             "res_inf": float(np.max(np.abs(R))) if R.size else 0.0,
-            "mu": mu,
             "eig": eig,
             "terms": tm,
         }
         if want_grad:
-            grad = self.pullback(eig, self.euclid(eig, tm, T, mu, y + pen * R))
-            out["grad"] = self.pack(grad if frame is None else frame.grad(grad), grad_t)
+            grad = self.pullback(eig, self.euclid(eig, tm, T, y + pen * R))
+            out["grad"] = self.pack(grad if frame is None else frame.grad(grad))
         return out
 
 
@@ -592,15 +517,15 @@ class _Frame:
     """Preconditioned coordinates for one inner solve, fixed at its start G0.
 
     Block by block G = G0 + U0 (S o X) U0^dagger, with X unpacked from the
-    inner variables (t, if any, is not scaled), U0 the eigenvectors of G0 and
-    S_ab = min(k_ab^(-1/2), _FRAME_CAP), where k_ab is the divided difference
-    of exp at the shifted eigenvalues a, b of G0 (1 on the top pair). Near a
-    minimizer the Hessian of the objective in G is close to T times the
-    Kubo-Mori metric, which is k_ab / Z on the (a, b) entries in the
-    eigenbasis of G (less a rank-one term): directions along small
-    eigenvalues of rho are nearly flat in G, and the frame stretches them to
-    the curvature of the rest. The change is linear, so the inner problem
-    stays smooth and convex; the gradient is S o (U0^dagger grad_G U0)."""
+    inner variables, U0 the eigenvectors of G0 and S_ab = min(k_ab^(-1/2),
+    _FRAME_CAP), where k_ab is the divided difference of exp at the shifted
+    eigenvalues a, b of G0 (1 on the top pair). Near a minimizer the Hessian
+    of the objective in G is close to T times the Kubo-Mori metric, which is
+    k_ab / Z on the (a, b) entries in the eigenbasis of G (less a rank-one
+    term): directions along small eigenvalues of rho are nearly flat in G,
+    and the frame stretches them to the curvature of the rest. The change is
+    linear, so the inner problem stays smooth and convex; the gradient is
+    S o (U0^dagger grad_G U0)."""
 
     def __init__(self, comp: _Compiled, x0: np.ndarray):
         self.comp = comp
@@ -626,6 +551,11 @@ class _Frame:
         for st, v, S in zip(self.comp.cl.stacks, self.vecs, self.scales):
             out[st.flat] = (S * (_dag(v) @ grad[st.flat].reshape(st.shape) @ v)).ravel()
         return out
+
+
+def _total(x: np.ndarray) -> float:
+    """The sum of per-cluster terms, added in cluster order."""
+    return float(np.cumsum(x)[-1])
 
 
 def _is_real_problem(problem: MedProblem) -> bool:
@@ -673,57 +603,42 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         raise ValueError("temperature must be finite and nonnegative")
     config = config or SolverConfig()
     comp = _compiled(problem)
-    with_t = comp.with_t
     dtype = float if comp.real else complex
     if warm is not None:
-        x = comp.pack(comp.cl.from_dense([warm["g"][k] for k in comp.keys], dtype), 0.0)
+        x = comp.pack(comp.cl.from_dense([warm["g"][k] for k in comp.keys], dtype))
         eq_mults = comp.mults_from_dense(warm["eq_mults"])
-        ineq_mults = (np.array(warm["ineq_mults"]) if warm.get("ineq_mults") is not None
-                      else (np.ones(problem.n_patches) / problem.n_patches if with_t else None))
-        t0 = warm.get("t")
     else:
         x = np.zeros(comp.n)
         eq_mults = np.zeros(comp.n_con, dtype=dtype)
-        ineq_mults = np.ones(problem.n_patches) / problem.n_patches if with_t else None
-        t0 = None
-
-    if with_t:
-        if t0 is None:
-            probe = comp.al_eval(x, T, eq_mults, np.zeros(problem.n_patches), 1.0,
-                                 want_grad=False)
-            t0 = float(np.max(probe["patch_f"]))
-        x[0] = t0
 
     pen = config.penalty_init
     total_inner = 0
     converged = False
 
-    def make_fun(eq_m, in_m, p, frame):
+    def make_fun(eq_m, p, frame):
         def fun(xv):
-            out = comp.al_eval(xv, T, eq_m, in_m, p, want_grad=True, frame=frame)
+            out = comp.al_eval(xv, T, eq_m, p, want_grad=True, frame=frame)
             return out["al"], out["grad"]
         return fun
 
     # tolerance schedule: the inner gradient target and the feasibility target
     # tighten geometrically after successful multiplier updates; the penalty
     # grows only when feasibility misses its current target
-    have_cons = bool(problem.constraints) or with_t
+    have_cons = bool(problem.constraints)
     omega = max(1e-2, config.tol_gradient) if have_cons else config.tol_gradient
     eta = max(1e-1, config.tol_constraint)
     n_outer = config.max_outer if have_cons else 1
     for outer in range(n_outer):
         gtol = max(omega, config.tol_gradient)
         frame = _Frame(comp, x)
-        fun = make_fun(eq_mults, ineq_mults, pen, frame)
-        x_in = np.zeros(comp.n)
-        if with_t:
-            x_in[0] = x[0]
+        fun = make_fun(eq_mults, pen, frame)
         # the first trial step has unit length in the frame, which can
         # overshoot by orders of magnitude; maxls leaves room to come back
         options = {"maxiter": config.max_inner, "gtol": gtol, "ftol": 1e-16, "maxcor": 25,
                    "maxls": 50}
-        res = _scipy_minimize(fun, x_in, jac=True, method="L-BFGS-B", options=options)
-        x = comp.pack(frame.g(res.x), res.x[0] if with_t else None)
+        res = _scipy_minimize(fun, np.zeros(comp.n), jac=True, method="L-BFGS-B",
+                              options=options)
+        x = comp.pack(frame.g(res.x))
         total_inner += int(res.nit)
         inner_ok = float(np.max(np.abs(res.jac))) <= 5.0 * gtol
         # an inner solve that takes no step and misses its gradient target
@@ -731,10 +646,8 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         if res.nit == 0 and not inner_ok:
             break
 
-        out = comp.al_eval(x, T, eq_mults, ineq_mults, pen, want_grad=False)
+        out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
         res_inf = out["res_inf"]
-        if with_t:
-            res_inf = max(res_inf, float(np.max(np.maximum(0.0, out["patch_f"] - x[0]))))
         if not have_cons:
             converged = inner_ok
             break
@@ -744,36 +657,22 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
                 converged = True
                 break
             eq_mults = eq_mults + pen * out["eq_R"]
-            if with_t:
-                ineq_mults = out["mu"]
             omega = max(0.2 * omega, config.tol_gradient)
             eta = max(0.2 * eta, config.tol_constraint)
         else:
             pen = min(pen * config.penalty_growth, 1e9)
 
-    out = comp.al_eval(x, T, eq_mults, ineq_mults, pen, want_grad=False)
-    t_val = float(x[0]) if with_t else None
-    patch_f = out["patch_f"]
-    binding = int(np.argmax(patch_f))
-    patch_e = np.bincount(comp.patch, out["terms"].e, problem.n_patches)
-    patch_s = np.bincount(comp.patch, out["terms"].s, problem.n_patches)
+    out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
+    tm = out["terms"]
     norm = problem.site_norm
-    warm_out = {
-        "g": comp.by_key(comp.unpack(x)),
-        "eq_mults": comp.mults_to_dense(eq_mults),
-        "ineq_mults": None if ineq_mults is None else np.array(ineq_mults),
-        "t": t_val,
-    }
     meta = {
-        "warm": warm_out,
-        "patch_f": patch_f / norm,
+        "warm": {"g": comp.by_key(comp.unpack(x)), "eq_mults": comp.mults_to_dense(eq_mults)},
         "penalty": pen,
-        "verified": bool(converged),
     }
     return MedResult(
-        f_per_site=float(patch_f[binding]) / norm,
-        e_per_site=float(patch_e[binding]) / norm,
-        s_m_per_site=float(patch_s[binding]) / norm,
+        f_per_site=_total(tm.value) / norm,
+        e_per_site=_total(tm.e) / norm,
+        s_m_per_site=_total(tm.s) / norm,
         variables=ClusterVariables(states=comp.by_key(out["eig"].rho),
                                    constraints=problem.constraints),
         residual=float(out["res_inf"]),
@@ -804,33 +703,28 @@ def _rho_inputs(variables: ClusterVariables, problem: MedProblem):
 
 def markov_free_energy(variables: ClusterVariables, problem: MedProblem, T: float) -> float:
     """Cluster energy minus T times the shield-local entropy, per site in
-    translation-invariant mode and total otherwise. With several patches the
-    binding (largest) patch value is returned."""
+    translation-invariant mode and total otherwise."""
     comp, eig = _rho_inputs(variables, problem)
-    value = comp.terms(eig, T).value
-    return float(np.max(np.bincount(comp.patch, value, problem.n_patches)))
+    return _total(comp.terms(eig, T).value)
 
 
 def free_energy_gradient(variables: ClusterVariables, problem: MedProblem, T: float) -> dict:
     """Euclidean gradient with respect to each cluster state:
     H + T (ln rho - embed(ln rho_shield))."""
     comp, eig = _rho_inputs(variables, problem)
-    mu = np.ones(problem.n_patches)
-    return comp.by_key(comp.euclid(eig, comp.terms(eig, T), T, mu, np.zeros(comp.n_con)))
+    return comp.by_key(comp.euclid(eig, comp.terms(eig, T), T, np.zeros(comp.n_con)))
 
 
 def exponential_value_and_grad(gmats: dict, problem: MedProblem, T: float):
     """Objective and gradient in the exponential coordinates rho = exp(G)/Z.
 
-    This is the solver's working derivative (single-patch problems, no
-    constraint terms); central finite differences on G should match it.
+    This is the solver's working derivative (no constraint terms); central
+    finite differences on G should match it.
     """
-    if problem.n_patches != 1:
-        raise ValueError("exponential gradient helper is single-patch only")
     comp, g = _dense_inputs(problem, gmats)
     eig = comp.cl.exp(g)
     tm = comp.terms(eig, T)
-    M = comp.euclid(eig, tm, T, np.ones(1), np.zeros(comp.n_con))
+    M = comp.euclid(eig, tm, T, np.zeros(comp.n_con))
     return float(tm.value.sum()), comp.by_key(comp.pullback(eig, M))
 
 
@@ -852,24 +746,8 @@ def minimize_ti(model: ModelSpec, shield, T: float,
     return solve(ti_problem(geo), T, config, warm=warm)
 
 
-def minimize_finite(geo: FiniteGeometry, T: float,
-                    config: SolverConfig | None = None,
-                    warm: dict | None = None) -> MedResult:
-    """Finite-lattice minimization over per-site cluster states with all
-    pairwise overlap constraints."""
-    return solve(finite_problem(geo), T, config, warm=warm)
-
-
-def multi_patch_minimize(problem: MedProblem, T: float,
-                         config: SolverConfig | None = None,
-                         warm: dict | None = None) -> MedResult:
-    """Minimize the maximum of the patch free energies over shared,
-    locally consistent cluster states (epigraph formulation)."""
-    return solve(problem, T, config, warm=warm)
-
-
-def temperature_sweep(problem: MedProblem, t_grid, config: SolverConfig | None = None,
-                      warm_start: bool = True) -> SweepResult:
+def temperature_sweep(problem: MedProblem, t_grid,
+                      config: SolverConfig | None = None) -> SweepResult:
     """Solve on a temperature grid, descending from high T with warm starts
     (the high-T optimum is near the maximally mixed state)."""
     t_grid = [float(t) for t in t_grid]
@@ -880,21 +758,17 @@ def temperature_sweep(problem: MedProblem, t_grid, config: SolverConfig | None =
     warms = {}
     warm = None
     for t in sorted(t_grid, reverse=True):
-        res = solve(problem, t, config, warm=warm if warm_start else None)
+        res = solve(problem, t, config, warm=warm)
         results[t] = res
-        warms[t] = res.meta["warm"]
-        if warm_start:
-            warm = res.meta["warm"]
-    rows = []
-    for t in t_grid:
-        r = results[t]
-        rows.append(SweepRow(T=t, f_per_site=r.f_per_site, e_per_site=r.e_per_site,
-                             s_m_per_site=r.s_m_per_site, residual=r.residual,
-                             iterations=r.iterations, converged=r.converged))
-    rows = _with_specific_heat(rows)
-    return SweepResult(rows=rows, meta={"problem": problem.meta,
-                                        "warm_start": warm_start,
-                                        "warms": warms})
+        warms[t] = warm = res.meta["warm"]
+    rows = _with_specific_heat([_row(results[t]) for t in t_grid])
+    return SweepResult(rows=rows, meta={"problem": problem.meta, "warms": warms})
+
+
+def _row(res: MedResult) -> SweepRow:
+    return SweepRow(T=res.T, f_per_site=res.f_per_site, e_per_site=res.e_per_site,
+                    s_m_per_site=res.s_m_per_site, residual=res.residual,
+                    iterations=res.iterations, converged=res.converged)
 
 
 def _with_specific_heat(rows):
@@ -911,22 +785,17 @@ def _with_specific_heat(rows):
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_REFINE = 30        # solves one golden-section refinement makes at most
 
 
-def ground_energy_lower_bound(problem: MedProblem | None = None, t_grid=None,
-                              config: SolverConfig | None = None, *,
-                              sweep: SweepResult | None = None,
-                              xtol: float | None = None,
-                              max_refine: int = 30) -> BoundResult:
+def ground_energy_lower_bound(problem: MedProblem, t_grid,
+                              config: SolverConfig | None = None) -> BoundResult:
     """max_T of the free-energy bound, a certified lower bound on the ground
     energy per site. The maximum sits where the shield-local entropy crosses
-    zero; the bracket from the sweep grid is refined by golden section. When
-    the entropy never goes negative on the grid the crossing is not
-    bracketed and the best grid value is returned with a note."""
-    if sweep is None:
-        if problem is None or t_grid is None:
-            raise ValueError("need either a sweep or a problem with a grid")
-        sweep = temperature_sweep(problem, t_grid, config)
+    zero; the bracket from a sweep over `t_grid` is refined by golden
+    section. When the entropy never goes negative on the grid the crossing
+    is not bracketed and the best grid value is returned with a note."""
+    sweep = temperature_sweep(problem, t_grid, config)
     # only converged rows certify a bound: an unconverged value overestimates
     # the minimum and must not enter the maximum
     good = [r for r in sweep.rows if r.converged]
@@ -946,41 +815,34 @@ def ground_energy_lower_bound(problem: MedProblem | None = None, t_grid=None,
                            note="; ".join(notes), sweep=sweep, refined=[])
 
     refined = []
-    if problem is not None:
-        warms = dict(sweep.meta.get("warms") or {})
+    warms = dict(sweep.meta["warms"])
 
-        def eval_t(t):
-            nonlocal bound, t_at
-            warm = None
-            if warms:
-                warm = warms[min(warms, key=lambda s: abs(s - t))]
-            res = solve(problem, t, config, warm=warm)
-            warms[t] = res.meta["warm"]
-            row = SweepRow(T=t, f_per_site=res.f_per_site, e_per_site=res.e_per_site,
-                           s_m_per_site=res.s_m_per_site, residual=res.residual,
-                           iterations=res.iterations, converged=res.converged)
-            refined.append(row)
-            if res.converged and res.f_per_site > bound:
-                bound, t_at = res.f_per_site, t
-            return res.f_per_site
+    def eval_t(t):
+        nonlocal bound, t_at
+        res = solve(problem, t, config, warm=warms[min(warms, key=lambda s: abs(s - t))])
+        warms[t] = res.meta["warm"]
+        refined.append(_row(res))
+        if res.converged and res.f_per_site > bound:
+            bound, t_at = res.f_per_site, t
+        return res.f_per_site
 
-        a, b = bracket
-        tol = xtol if xtol is not None else max(2e-3, 2e-3 * 0.5 * (a + b))
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = eval_t(c), eval_t(d)
-        n_eval = 2
-        while (b - a) > tol and n_eval < max_refine:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = eval_t(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = eval_t(d)
-            n_eval += 1
-        if any(not r.converged for r in refined):
-            notes.append("some refinement points unconverged")
+    a, b = bracket
+    tol = max(2e-3, 2e-3 * 0.5 * (a + b))
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = eval_t(c), eval_t(d)
+    n_eval = 2
+    while (b - a) > tol and n_eval < _MAX_REFINE:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = eval_t(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = eval_t(d)
+        n_eval += 1
+    if any(not r.converged for r in refined):
+        notes.append("some refinement points unconverged")
     return BoundResult(bound=bound, t_at=t_at, bracketed=True,
                        note="; ".join(notes), sweep=sweep, refined=refined)

@@ -34,7 +34,6 @@ from medbound.med import (
     MedProblem,
     SolverConfig,
     finite_problem,
-    minimize_finite,
     minimize_ti,
     solve,
     ti_problem,
@@ -148,8 +147,8 @@ class TestFixedPoint:
         assert state.converged
         f_bp = bp_free_energy(state, prob)
         geo = finite_geometry(spec, HEIS, radius=2)
-        res = minimize_finite(geo, t, SolverConfig(tol_gradient=1e-7,
-                                                   tol_constraint=1e-8, max_inner=3000))
+        res = solve(finite_problem(geo), t, SolverConfig(tol_gradient=1e-7,
+                                                         tol_constraint=1e-8, max_inner=3000))
         assert res.converged
         f_med = res.f_per_site * 5
         assert abs(f_bp - f_med) <= 1e-5
@@ -376,7 +375,7 @@ def _unit_exp(log_mat):
     return sym((vecs * (w / w.sum())) @ vecs.T)
 
 
-def _density_matrix_update(log_lambda, n, m_right, m_left, old, retain, damping):
+def _density_matrix_update(log_lambda, n, m_right, m_left, old, damping):
     """One damped step on density-matrix messages: every use of a message
     takes its clamped log, and the damped mix is exponentiated. `m_right`
     arrives from the left on the first n sites and `m_left` from the right
@@ -396,14 +395,10 @@ def _density_matrix_update(log_lambda, n, m_right, m_left, old, retain, damping)
     new = {}
     for side in old:
         keep, inverse = (first, m_right) if side == "L" else (last, m_left)
-        if retain:
-            log_new = logm_psd(ptrace_mat(belief(m_right, m_left), dims, keep), EIG_FLOOR)
-            if inverse is not None:
-                log_new = log_new - logm_psd(inverse, EIG_FLOOR)
-            new[side] = _unit_exp(log_new)
-        else:
-            seen = (None, m_left) if side == "L" else (m_right, None)
-            new[side] = ptrace_mat(belief(*seen), dims, keep)
+        log_new = logm_psd(ptrace_mat(belief(m_right, m_left), dims, keep), EIG_FLOOR)
+        if inverse is not None:
+            log_new = log_new - logm_psd(inverse, EIG_FLOOR)
+        new[side] = _unit_exp(log_new)
     damped = {side: _unit_exp((1.0 - damping) * logm_psd(old[side], EIG_FLOOR)
                               + damping * logm_psd(new[side], EIG_FLOOR))
               for side in old}
@@ -413,10 +408,9 @@ def _density_matrix_update(log_lambda, n, m_right, m_left, old, retain, damping)
 class TestLogSpaceStep:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
-           retain=st.booleans(), damping=st.sampled_from([0.5, 1.0]),
-           conserving=st.booleans(), chain=st.booleans(), where=st.integers(0, 3))
-    def test_matches_density_matrix_path(self, n, seed, retain, damping, conserving,
-                                         chain, where):
+           damping=st.sampled_from([0.5, 1.0]), conserving=st.booleans(),
+           chain=st.booleans(), where=st.integers(0, 3))
+    def test_matches_density_matrix_path(self, n, seed, damping, conserving, chain, where):
         # a random Hamiltonian and random messages, all charge-conserving (the
         # sector path) or not (one sector per matrix); one step of the
         # translation-invariant pair, or of one open-chain window
@@ -447,11 +441,10 @@ class TestLogSpaceStep:
         m_right, m_left = (messages.get(name) for name in incoming)
         new_ref, damped_ref = _density_matrix_update(
             -hams[k] / prob.T, n, m_right, m_left,
-            {side: messages[name] for side, name in sent.items()}, retain, damping)
+            {side: messages[name] for side, name in sent.items()}, damping)
 
-        cfg = BPConfig(damping=damping, retain_inverse=retain)
         new = bp_update(k, BPState(messages=messages, residual=math.inf, iterations=0,
-                                   converged=False), prob, cfg)
+                                   converged=False), prob)
         # log-space path: unit-trace logs in, damped mix of logs out
         lay = _compile(prob, messages.values())
         assert (lay.msg.n < 4 ** n) == conserving
@@ -459,7 +452,7 @@ class TestLogSpaceStep:
         store = lay.store(lay.flats(logs))
         msgs = lay.flats(messages)
         rows = np.array([lay.row[sent[side]] for side in sides])
-        out = lay.outgoing(store, lay.keys.index(k), sides, retain)
+        out = lay.outgoing(store, lay.keys.index(k), sides)
         lay.damp(store, msgs, rows, out, damping)
         for side, row in zip(sides, rows):
             assert np.max(np.abs(new[sent[side]] - new_ref[side])) <= 1e-10
@@ -573,33 +566,21 @@ class TestBeliefs:
         state = bp_fixed_point(prob, BPConfig(tol_residual=1e-12))
         beliefs, _ = beliefs_from_messages(state, prob)
         geo = finite_geometry(spec, ISING, radius=1)
-        res = minimize_finite(geo, t, SolverConfig(tol_gradient=1e-8,
-                                                   tol_constraint=1e-9, max_inner=3000))
+        res = solve(finite_problem(geo), t, SolverConfig(tol_gradient=1e-8,
+                                                         tol_constraint=1e-9, max_inner=3000))
         for k, rho in beliefs.items():
             assert trace_distance(rho, res.variables.states[k]) <= 1e-8
 
 
 class TestInverseFactors:
-    def test_retained_agrees_cancelled_differs(self):
-        # the correction matters on a non-commuting chain: dropping the
-        # inverse factors shifts the fixed-point value by more than 1e-3
+    def test_retained_agrees_with_primal(self):
+        # on a non-commuting chain the inverse factors do not drop out; with
+        # them the fixed point is the primal minimizer's
         t = 0.5
         cfg_med = SolverConfig(tol_gradient=1e-7, tol_constraint=1e-8, max_inner=3000)
         f_med = minimize_ti(HEIS, 3, t, cfg_med).f_per_site
         prob = bp_ti_problem(HEIS, 3, t)
-        f_keep = bp_free_energy(bp_fixed_point(prob), prob)
-        state_drop = bp_fixed_point(prob, BPConfig(retain_inverse=False))
-        f_drop = bp_free_energy(state_drop, prob)
-        assert abs(f_keep - f_med) <= 1e-4
-        assert abs(f_drop - f_med) > 1e-3
-
-    def test_classical_chain_insensitive(self):
-        # diagonal operators commute with the partial trace, so the
-        # cancellation is harmless there
-        prob = bp_ti_problem(ISING, 2, 1.0)
-        f_keep = bp_free_energy(bp_fixed_point(prob), prob)
-        f_drop = bp_free_energy(bp_fixed_point(prob, BPConfig(retain_inverse=False)), prob)
-        assert abs(f_keep - f_drop) <= 1e-9
+        assert abs(bp_free_energy(bp_fixed_point(prob), prob) - f_med) <= 1e-4
 
 
 class TestFlags:

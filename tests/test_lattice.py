@@ -186,6 +186,17 @@ class TestTIGeometries:
         assert left == (1, 2, 3)
         assert right == (0, 1, 2)
 
+    @pytest.mark.parametrize("shield", [True, 2.7, 0, (-1.5,)],
+                             ids=["True", "2.7", "0", "(-1.5,)"])
+    def test_chain_shield_must_be_integers(self, shield):
+        # a bool is no size and a fraction no offset: neither is rounded to one
+        with pytest.raises(ValueError, match="shield"):
+            ti_chain_geometry(HEIS, shield)
+
+    def test_chain_shield_numpy_integers_accepted(self):
+        assert ti_chain_geometry(HEIS, np.int64(2)).labels == (-2, -1, 0)
+        assert ti_chain_geometry(HEIS, (np.int64(-3), -1)).labels == (-3, -1, 0)
+
     def test_square_has_two_bonds(self):
         geo = ti_square_geometry(HEIS, DEFAULT_SHIELD_7)
         assert geo.dim == 2 ** 8
@@ -210,6 +221,8 @@ class TestTIGeometries:
             ti_square_geometry(HEIS, [(1, 0), (0, 1)])
         with pytest.raises(ShieldTooSmallError):
             ti_square_geometry(HEIS, [(-1, 0), (-1, 1)])
+        with pytest.raises(ValueError, match="pairs of integers"):
+            ti_square_geometry(HEIS, [(-1.5, 0), (0, 1)])
 
 
 class TestFiniteGeometry:

@@ -28,10 +28,7 @@ from medbound.med import (
     free_energy_gradient,
     ground_energy_lower_bound,
     markov_free_energy,
-    minimize_finite,
     minimize_ti,
-    multi_patch_minimize,
-    multi_patch_problem,
     solve,
     temperature_sweep,
     ti_problem,
@@ -217,7 +214,7 @@ class TestMinimizeFinite:
     def test_two_sites_exact(self):
         geo = finite_geometry(LatticeSpec("chain", 2), HEIS, radius=1)
         for t in (0.5, 1.0):
-            res = minimize_finite(geo, t, TIGHT)
+            res = solve(finite_problem(geo), t, TIGHT)
             expected = -t * math.log(math.exp(0.75 / t) + 3 * math.exp(-0.25 / t)) / 2
             assert res.converged
             assert abs(res.f_per_site - expected) <= 1e-7
@@ -227,7 +224,7 @@ class TestMinimizeFinite:
         model = ModelSpec("tfim", J=0.0, g=0.7)
         geo = finite_geometry(LatticeSpec("chain", 4), model, radius=1)
         t = 0.8
-        res = minimize_finite(geo, t, TIGHT)
+        res = solve(finite_problem(geo), t, TIGHT)
         h1 = -0.7 * np.array([[0.0, 1.0], [1.0, 0.0]])
         single = exact_free_energy(h1, t, n_sites=1)
         assert res.converged
@@ -237,7 +234,7 @@ class TestMinimizeFinite:
         geo = finite_geometry(LatticeSpec("chain", 6, boundary="periodic"), HEIS, radius=2)
         h = total_hamiltonian(geo.terms, geo.sites)
         t = 1.0
-        res = minimize_finite(geo, t, SolverConfig(tol_gradient=1e-5, max_inner=3000))
+        res = solve(finite_problem(geo), t, SolverConfig(tol_gradient=1e-5, max_inner=3000))
         exact = exact_free_energy(h, t)
         assert res.converged
         assert res.residual <= 1e-6
@@ -372,55 +369,6 @@ class TestGroundEnergyBound:
         assert abs(res.bound - e0_site) <= 0.02
 
 
-class TestMultiPatch:
-    def test_identical_patches_match_single(self):
-        geo = ti_chain_geometry(ISING, 1)
-        single = solve(ti_problem(geo), 1.0, TIGHT)
-        double = multi_patch_minimize(multi_patch_problem([geo, geo]), 1.0, TIGHT)
-        assert double.converged
-        assert abs(double.f_per_site - single.f_per_site) <= 1e-8
-
-    def test_classical_ising_still_exact(self):
-        geos = [ti_chain_geometry(ISING, 1), ti_chain_geometry(ISING, 2)]
-        res = multi_patch_minimize(multi_patch_problem(geos), 1.0, TIGHT)
-        assert res.converged
-        assert abs(res.f_per_site - ising_transfer_free_energy(1.0, 0.0, 1.0)) <= 1e-6
-
-    def test_dominates_both_single_patches(self):
-        # short-range window plus a disconnected long-range shield
-        t = 0.6
-        cfg = SolverConfig(tol_gradient=1e-6, tol_constraint=1e-7, max_inner=3000)
-        geo_a = ti_chain_geometry(HEIS, 2)
-        geo_b = ti_chain_geometry(HEIS, (-4, -1))
-        f_a = solve(ti_problem(geo_a), t, cfg).f_per_site
-        f_b = solve(ti_problem(geo_b), t, cfg).f_per_site
-        res = multi_patch_minimize(multi_patch_problem([geo_a, geo_b]), t, cfg)
-        assert res.converged
-        assert res.f_per_site >= max(f_a, f_b) - 1e-6
-
-    @pytest.mark.parametrize("t", [1.0, 0.5])
-    def test_finite_patches(self, t):
-        spec = LatticeSpec("chain", 5)
-        g1 = finite_geometry(spec, HEIS, radius=1)
-        g2 = finite_geometry(spec, HEIS, radius=2)
-        f1 = solve(finite_problem(g1), t).f_per_site
-        f2 = solve(finite_problem(g2), t).f_per_site
-        double = solve(multi_patch_problem([g1, g1]), t)
-        assert double.converged
-        assert abs(double.f_per_site - f1) <= 1e-8
-        mixed = solve(multi_patch_problem([g1, g2]), t)
-        assert mixed.converged
-        assert mixed.f_per_site >= max(f1, f2) - 1e-6
-
-    def test_mixed_or_mismatched_patches_rejected(self):
-        g5 = finite_geometry(LatticeSpec("chain", 5), HEIS, radius=1)
-        g4 = finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1)
-        with pytest.raises(ValueError, match="all translation-invariant or all finite"):
-            multi_patch_problem([ti_chain_geometry(HEIS, 1), g5])
-        with pytest.raises(ValueError, match="same lattice"):
-            multi_patch_problem([g5, g4])
-
-
 class TestInvariants:
     def test_inner_loop_monotone(self, monkeypatch):
         # record the objective at every iterate L-BFGS accepts, per inner solve
@@ -512,7 +460,6 @@ class TestSectors:
         assert sector_sizes(shield) == (4,)
 
     def test_one_breaking_cluster_gives_one_sector_everywhere(self):
-        multi = multi_patch_problem([ti_chain_geometry(HEIS, 2), ti_chain_geometry(TFIM, 1)])
         geo = finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1)
         fin = finite_problem(geo)
         # a transverse field on the top site of one cluster breaks the charge
@@ -521,12 +468,11 @@ class TestSectors:
         broken = dataclasses.replace(first, ham=first.ham + field_on_top)
         fin = MedProblem(variables=(broken,) + fin.variables[1:],
                          constraints=fin.constraints, site_norm=fin.site_norm)
-        for prob in (multi, fin):
-            for v in prob.variables:
-                cluster, shield = sectors(_compiled(prob))[v.key]
-                assert sector_sizes(cluster) == (v.dim,)
-                if v.shield_axes:
-                    assert len(sector_sizes(shield)) == 1
+        for v in fin.variables:
+            cluster, shield = sectors(_compiled(fin))[v.key]
+            assert sector_sizes(cluster) == (v.dim,)
+            if v.shield_axes:
+                assert len(sector_sizes(shield)) == 1
         # without the broken cluster the same lattice has sectors
         plain = finite_problem(geo)
         blocks = sectors(_compiled(plain))
@@ -565,33 +511,24 @@ def _re_tr(a, b):
     return float(np.real(np.sum(a.conj() * b)))
 
 
-def _dense_al_reference(problem, T, gmats, mults, pen, t=None, ineq=None):
-    """The augmented Lagrangian and its gradients in G (and t), on full
-    matrices, one cluster and one constraint at a time."""
+def _dense_al_reference(problem, T, gmats, mults, pen):
+    """The augmented Lagrangian and its gradients in G, on full matrices,
+    one cluster and one constraint at a time."""
     eig, Ms = {}, {}
-    patch_f = np.zeros(problem.n_patches)
+    value = 0.0
     for v in problem.variables:
         w, U = np.linalg.eigh(gmats[v.key])
         p = np.exp(w - w.max())
         p /= p.sum()
         rho = (U * p) @ U.conj().T
         eig[v.key] = (w, U, p, rho)
-        value = _re_tr(v.ham, rho) + T * np.sum(p * np.log(p))
+        value += _re_tr(v.ham, rho) + T * np.sum(p * np.log(p))
         M = v.ham + T * (U * np.log(p)) @ U.conj().T
         if v.shield_axes:
             pm, Um = np.linalg.eigh(_ptrace(rho, v.dims, v.shield_axes))
             value -= T * np.sum(pm * np.log(pm))
             M = M - T * _embed((Um * np.log(pm)) @ Um.conj().T, v.dims, v.shield_axes)
-        patch_f[v.patch] += value
         Ms[v.key] = M
-    if problem.n_patches == 1:
-        value, mu, grad_t = patch_f[0], np.ones(1), None
-    else:
-        mu = np.maximum(0.0, ineq + pen * (patch_f - t))
-        value = t + np.sum(mu ** 2 - ineq ** 2) / (2.0 * pen)
-        grad_t = 1.0 - mu.sum()
-    for v in problem.variables:
-        Ms[v.key] = mu[v.patch] * Ms[v.key]
     for c, y in zip(problem.constraints, mults):
         va, vb = problem.var(c.left_key), problem.var(c.right_key)
         R = (_ptrace(eig[c.left_key][3], va.dims, c.left_axes)
@@ -609,19 +546,19 @@ def _dense_al_reference(problem, T, gmats, mults, pen, t=None, ineq=None):
         K /= np.exp(w - w.max()).sum()
         Mt = U.conj().T @ Ms[key] @ U
         grads[key] = U @ (K * Mt) @ U.conj().T - _re_tr(Ms[key], rho) * rho
-    return value, grads, grad_t
+    return value, grads
 
 
 def _conserves(problem):
     return all(not np.any(v.ham[off_sector(len(v.dims))]) for v in problem.variables)
 
 
-def _pack_reference(problem, mats, t=None):
+def _pack_reference(problem, mats):
     """Per cluster: the diagonal, then the in-sector upper triangle sector by
     sector (times sqrt 2), then its imaginary parts for complex problems."""
     by_charge = _conserves(problem)
     complex_ = any(np.iscomplexobj(v.ham) for v in problem.variables)
-    parts = [] if t is None else [np.array([t])]
+    parts = []
     for v in problem.variables:
         m = mats[v.key]
         q = charges(len(v.dims)) if by_charge else np.zeros(v.dim, int)
@@ -661,9 +598,6 @@ class TestSectorEvaluation:
         # 6 clusters of 5 sizes (d = 2 ... 32), 14 constraints
         "ring N=6 r=2": lambda: finite_problem(
             finite_geometry(LatticeSpec("chain", 6, boundary="periodic"), HEIS, radius=2)),
-        # two patches: the epigraph variable t and the patch weights mu
-        "two patches": lambda: multi_patch_problem(
-            [ti_chain_geometry(HEIS, 1), ti_chain_geometry(HEIS, 2)]),
         # complex Hamiltonians, one sector (TFIM) and charge sectors (Heisenberg)
         "complex tfim n=2": lambda: ti_problem(_rotated(ti_chain_geometry(TFIM, 2))),
         "complex heis n=2": lambda: ti_problem(_rotated(ti_chain_geometry(HEIS, 2))),
@@ -679,11 +613,7 @@ class TestSectorEvaluation:
                  for v in prob.variables}
         mults = [_random_herm(rng, 2 ** len(c.left_axes), scale, mask(len(c.left_axes)),
                               complex_) for c in prob.constraints]
-        t = ineq = None
-        if prob.n_patches > 1:
-            t = float(rng.standard_normal())
-            ineq = rng.uniform(0.0, 1.0, prob.n_patches)
-        return gmats, mults, t, ineq
+        return gmats, mults
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(PROBLEMS)), seed=st.integers(0, 2 ** 32 - 1),
@@ -692,42 +622,40 @@ class TestSectorEvaluation:
     def test_al_eval_matches_dense_reference(self, name, seed, T, pen, scale):
         prob = self.PROBLEMS[name]()
         rng = np.random.default_rng(seed)
-        gmats, mults, t, ineq = self._point(prob, rng, scale)
+        gmats, mults = self._point(prob, rng, scale)
         comp = _compiled(prob)
         if _conserves(prob):
             assert all(len(sector_sizes(s[0])) > 1 for s in sectors(comp).values())
-        out = comp.al_eval(_pack_reference(prob, gmats, t), T, comp.mults_from_dense(mults),
-                           ineq, pen, want_grad=True)
-        value, grads, grad_t = _dense_al_reference(prob, T, gmats, mults, pen, t, ineq)
+        out = comp.al_eval(_pack_reference(prob, gmats), T, comp.mults_from_dense(mults),
+                           pen, want_grad=True)
+        value, grads = _dense_al_reference(prob, T, gmats, mults, pen)
         assert abs(out["al"] - value) <= 1e-12 * max(1.0, abs(value))
-        expect = _pack_reference(prob, grads, grad_t)
+        expect = _pack_reference(prob, grads)
         assert np.max(np.abs(out["grad"] - expect)) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["ring N=6 r=2", "two patches", "complex heis n=2"])
+    @pytest.mark.parametrize("name", ["ring N=6 r=2", "complex heis n=2"])
     def test_frame_is_a_linear_change_of_variables(self, name, rng):
         # the frame's gradient is the adjoint of its map applied to grad_G,
         # and central differences of the framed objective match it
         prob = self.PROBLEMS[name]()
         comp = _compiled(prob)
-        gmats, mults, t, ineq = self._point(prob, rng, 1.5)
-        frame = _Frame(comp, _pack_reference(prob, gmats, t))
+        gmats, mults = self._point(prob, rng, 1.5)
+        frame = _Frame(comp, _pack_reference(prob, gmats))
         step = 0.1 * rng.standard_normal(comp.n)
         gamma = comp.cl.from_dense([rng.standard_normal(g.shape) for g in gmats.values()],
                                    frame.g0.dtype)
         gamma = comp.cl.from_dense([g + g.conj().T for g in comp.cl.to_dense(gamma)],
                                    gamma.dtype)
-        lhs = float(np.dot(comp.pack(frame.grad(gamma), 0.0), step))
+        lhs = float(np.dot(comp.pack(frame.grad(gamma)), step))
         rhs = float(np.real(np.vdot(gamma, frame.g(step) - frame.g0)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         y = comp.mults_from_dense(mults)
         x0 = np.zeros(comp.n)
-        if t is not None:
-            x0[0] = t
-        out = comp.al_eval(x0, 0.7, y, ineq, 3.0, want_grad=True, frame=frame)
+        out = comp.al_eval(x0, 0.7, y, 3.0, want_grad=True, frame=frame)
         d = rng.standard_normal(comp.n)
         eps = 1e-6
-        fp = comp.al_eval(x0 + eps * d, 0.7, y, ineq, 3.0, want_grad=False, frame=frame)["al"]
-        fm = comp.al_eval(x0 - eps * d, 0.7, y, ineq, 3.0, want_grad=False, frame=frame)["al"]
+        fp = comp.al_eval(x0 + eps * d, 0.7, y, 3.0, want_grad=False, frame=frame)["al"]
+        fm = comp.al_eval(x0 - eps * d, 0.7, y, 3.0, want_grad=False, frame=frame)["al"]
         assert abs((fp - fm) / (2 * eps) - out["grad"] @ d) <= 1e-6 * max(1.0, abs(fp))
 
 
