@@ -25,8 +25,9 @@ multipliers). The fixed-point loop carries each message as its unit-trace
 log: an update adds the incoming logs to log Lambda_k, takes one
 eigendecomposition of the cluster belief, logs only the marginals it sends
 and subtracts the incoming logs. Damping is a convex combination of the old
-and new logs, which preserves positivity exactly; one eigendecomposition of
-the mix gives the normalized message and the shift that normalizes its log.
+and new logs with the constant weight 0.5 (`_DAMPING`) on the new ones,
+which preserves positivity exactly; one eigendecomposition of the mix gives
+the normalized message and the shift that normalizes its log.
 Inside the loop `EIG_FLOOR` clamps only the logs of the cluster marginals;
 message logs are never clamped. `BPState.messages` holds the normalized
 exponentials, on which the residual (largest trace-distance change) is
@@ -77,7 +78,6 @@ from medbound.lattice import (  # noqa: F401
 )
 from medbound.layout import _by_charge, _Flat, _scatter
 from medbound.med import (
-    ClusterVariables,
     Constraint,
     MedProblem,
     VarSpec,
@@ -108,15 +108,15 @@ __all__ = [
 ]
 
 
+_DAMPING = 0.5      # log-space step toward the new message
+
+
 @dataclass(frozen=True)
 class BPConfig:
-    damping: float = 0.5            # log-space step toward the new message
     tol_residual: float = 1e-8
     max_iters: int = 10000
 
     def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must be in (0, 1]")
         if not 0 < self.tol_residual < math.inf:
             raise ValueError("tol_residual must be positive and finite")
         if not _is_count(self.max_iters):
@@ -129,7 +129,6 @@ class BPState:
     residual: float
     iterations: int
     converged: bool
-    meta: dict = field(default_factory=dict)
     logs: dict | None = field(default=None, repr=False)     # unit-trace message logs
 
 
@@ -137,7 +136,6 @@ class BPState:
 class BPProblem:
     problem: MedProblem     # chain windows and their overlap constraints
     T: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         """Reject any other shape: windows of n+1 sites on one dims tuple
@@ -169,8 +167,7 @@ def bp_ti_problem(model: ModelSpec, n: int, T: float) -> BPProblem:
     the problem `med.minimize_ti(model, n)` solves."""
     if not _is_count(n):
         raise ValueError("window size n must be an integer >= 1")
-    return BPProblem(ti_problem(ti_chain_geometry(model, int(n))), T,
-                     meta={"model": model, "schedule": "jacobi"})
+    return BPProblem(ti_problem(ti_chain_geometry(model, int(n))), T)
 
 
 def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> BPProblem:
@@ -195,8 +192,7 @@ def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> B
                       for k, ham in hams.items())
     constraints = tuple(Constraint(k - 1, last, k, first) for k in range(n + 1, n_sites))
     return BPProblem(MedProblem(variables, constraints, site_norm=float(n_sites),
-                                meta=dict(geo.meta)),
-                     T, meta={"model": model, "schedule": "forward-backward sweep"})
+                                meta=dict(geo.meta)), T)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +356,14 @@ class _Layout:
         return rho, sigma
 
 
-def _compile(problem: BPProblem, messages=(), one_sector: bool = False) -> _Layout:
+def _compile(problem: BPProblem, messages=()) -> _Layout:
     """The layout on the sector rule of `layout._by_charge`: sectors when
     every cluster Hamiltonian and every given message is exactly zero off
-    them (and not `one_sector`), else one sector per matrix."""
+    them, else one sector per matrix."""
     variables = problem.problem.variables
     dims = variables[0].dims
     pairs = [(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in messages]
-    return _Layout(problem, _by_charge(pairs, one_sector))
+    return _Layout(problem, _by_charge(pairs))
 
 
 def _state_store(state: BPState, problem: BPProblem):
@@ -404,10 +400,10 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
     The residual is the largest trace-distance change per full round; a
     problem without messages (a single window) converges in one round.
     """
-    return _iterate(_compile(problem), problem, config or BPConfig())
+    return _iterate(_compile(problem), config or BPConfig())
 
 
-def _iterate(lay: _Layout, problem: BPProblem, config: BPConfig) -> BPState:
+def _iterate(lay: _Layout, config: BPConfig) -> BPState:
     if lay.ti:
         steps = [(0, ("L", "R"))]
     else:
@@ -427,14 +423,13 @@ def _iterate(lay: _Layout, problem: BPProblem, config: BPConfig) -> BPState:
         before = msgs.copy()
         for i, sides, rows in steps:
             out = lay.outgoing(store, i, sides)
-            lay.damp(store, msgs, rows, out, config.damping)
+            lay.damp(store, msgs, rows, out, _DAMPING)
         residual = float(lay.distance(msgs, before).max(initial=0.0))
         if residual <= config.tol_residual:
             converged = True
             break
     return BPState(messages=lay.dense(msgs), residual=residual, iterations=it,
-                   converged=converged, meta={"schedule": problem.meta.get("schedule")},
-                   logs=lay.dense(store[:-1, :-1]))
+                   converged=converged, logs=lay.dense(store[:-1, :-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,5 +470,4 @@ def bp_free_energy(state: BPState, problem: BPProblem) -> float:
         warnings.warn("evaluating the free energy on a non-converged state",
                       RuntimeWarning, stacklevel=2)
     beliefs, _ = beliefs_from_messages(state, problem)
-    prob = problem.problem
-    return markov_free_energy(ClusterVariables(beliefs, prob.constraints), prob, problem.T)
+    return markov_free_energy(beliefs, problem.problem, problem.T)

@@ -36,7 +36,6 @@ __all__ = [
     "neighborhood_map",
     "markov_shield",
     "assign_terms",
-    "cluster_hamiltonian",
     "total_hamiltonian",
     "TIGeometry",
     "FiniteGeometry",
@@ -77,28 +76,25 @@ class ShieldTooSmallError(ValueError):
 @dataclass(frozen=True)
 class LatticeSpec:
     kind: str                      # chain | square
-    extent: tuple | int | None = None
+    extent: tuple | int | None = None      # chain: a count; square: a count or a pair
     boundary: str = "open"         # open | periodic
-    w: int = 1                     # locality radius of the Hamiltonian
 
     def __post_init__(self):
         if self.kind not in ("chain", "square"):
             raise ValueError(f"unsupported lattice kind {self.kind!r}")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"unsupported boundary {self.boundary!r}")
-        if self.w < 1:
-            raise ValueError("locality radius w must be >= 1")
-        if self.extent is None:
-            raise ValueError("finite lattices need an extent")
+        extent = self.extent
+        if not (_is_count(extent) or (self.kind == "square" and np.ndim(extent) == 1
+                                      and len(extent) == 2 and all(map(_is_count, extent)))):
+            raise ValueError("extent must be a count (on a square, or a pair of counts)")
         if self.n_sites < 2:
             raise ValueError("finite lattices need at least 2 sites")
 
     @property
     def shape(self) -> tuple:
-        if self.kind == "chain":
-            return (int(self.extent),)
-        if isinstance(self.extent, (int, np.integer)):
-            return (int(self.extent), int(self.extent))
+        if _is_int(self.extent):
+            return (int(self.extent),) * (1 if self.kind == "chain" else 2)
         return tuple(int(e) for e in self.extent)
 
     @property
@@ -126,7 +122,6 @@ class Term:
 
     support: tuple
     mat: np.ndarray = field(repr=False)
-    weight: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(self.support))
@@ -143,7 +138,7 @@ class Shield:
     cluster: tuple     # shield + the site itself (site last)
 
 
-def model_term(model: ModelSpec, bond) -> np.ndarray:
+def model_term(model: ModelSpec) -> np.ndarray:
     """Two-site bond matrix for the given model (axis order = bond order)."""
     if model.name == "heisenberg":
         # J S.S with spin operators S = sigma/2
@@ -154,7 +149,7 @@ def model_term(model: ModelSpec, bond) -> np.ndarray:
     return -model.J * np.kron(PAULI_Z, PAULI_Z).real
 
 
-def model_site_term(model: ModelSpec, site) -> np.ndarray | None:
+def model_site_term(model: ModelSpec) -> np.ndarray | None:
     if model.name == "tfim" and model.g != 0.0:
         return -model.g * PAULI_X
     return None
@@ -214,13 +209,9 @@ def _bonds(spec: LatticeSpec):
 def build_lattice(spec: LatticeSpec, model: ModelSpec):
     """All nearest-neighbor terms plus the default raster ordering."""
     ordering = tuple(sites_of(spec))
-    terms = []
-    for bond in _bonds(spec):
-        if lattice_distance(spec, *bond) > spec.w:
-            raise ValueError(f"bond {bond} exceeds locality radius w={spec.w}")
-        terms.append(Term(bond, model_term(model, bond)))
+    terms = [Term(bond, model_term(model)) for bond in _bonds(spec)]
     for site in ordering:
-        h1 = model_site_term(model, site)
+        h1 = model_site_term(model)
         if h1 is not None:
             terms.append(Term((site,), h1))
     return terms, ordering
@@ -232,6 +223,8 @@ def neighborhood_map(spec: LatticeSpec, radius: int | None = None,
     explicit offset template (entries falling off an open lattice are dropped)."""
     if (radius is None) == (template is None):
         raise ValueError("give exactly one of radius or template")
+    if radius is not None and not _is_count(radius):
+        raise ValueError("radius must be an integer >= 1")
     out = {}
     all_sites = sites_of(spec)
     site_set = set(all_sites)
@@ -285,28 +278,18 @@ def assign_terms(shields: dict, terms, ordering) -> dict:
     return out
 
 
-def cluster_hamiltonian(k, shields: dict, terms, ordering) -> np.ndarray:
-    """Hamiltonian of cluster k under the highest-site assignment rule."""
-    assignment = assign_terms(shields, terms, ordering)
-    return _cluster_matrix(shields[k].cluster, assignment[k])
-
-
-def _cluster_matrix(cluster_labels, assigned_terms, dims=None) -> np.ndarray:
+def _cluster_matrix(cluster_labels, assigned_terms) -> np.ndarray:
     idx = {lab: i for i, lab in enumerate(cluster_labels)}
-    if dims is None:
-        dims = (2,) * len(cluster_labels)
-    d = int(np.prod(dims))
-    ham = np.zeros((d, d))
+    dims = (2,) * len(cluster_labels)
+    ham = np.zeros((2 ** len(dims),) * 2)
     for t in assigned_terms:
-        axes = tuple(idx[s] for s in t.support)
-        ham = ham + t.weight * embed_mat(t.mat, dims, axes)
+        ham = ham + embed_mat(t.mat, dims, tuple(idx[s] for s in t.support))
     return sym(ham)
 
 
-def total_hamiltonian(terms, sites, dims=None) -> np.ndarray:
+def total_hamiltonian(terms, sites) -> np.ndarray:
     """Full lattice Hamiltonian, for exact-diagonalization oracles."""
-    sites = tuple(sites)
-    return _cluster_matrix(sites, terms, dims)
+    return _cluster_matrix(tuple(sites), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +336,33 @@ class FiniteGeometry:
         return self.shields[k].cluster
 
 
+def _translate(site, shift):
+    """`site` moved back by `shift` (chain: integers, square: pairs)."""
+    return site - shift if isinstance(site, int) else (site[0] - shift[0], site[1] - shift[1])
+
+
+def _ti_geometry(model: ModelSpec, labels, bonded, shifts, meta: dict) -> TIGeometry:
+    """The TI cluster on `labels` (top site last, shielded by the rest): the
+    bonds from `bonded` to the top site, then its site term, and agreement
+    with the translate by each of `shifts` on their overlap."""
+    if 2 ** len(labels) > CLUSTER_DIM_GUARD:
+        raise ValueError(f"cluster dimension 2^{len(labels)} exceeds guard {CLUSTER_DIM_GUARD}")
+    top = labels[-1]
+    terms = [Term((other, top), model_term(model)) for other in bonded]
+    h1 = model_site_term(model)
+    if h1 is not None:
+        terms.append(Term((top,), h1))
+    idx = {lab: i for i, lab in enumerate(labels)}
+    constraints = []
+    for shift in shifts:
+        overlap = [o for o in labels if _translate(o, shift) in idx]
+        constraints.append((tuple(idx[o] for o in overlap),
+                            tuple(idx[_translate(o, shift)] for o in overlap)))
+    return TIGeometry(labels=labels, dims=(2,) * len(labels), ham=_cluster_matrix(labels, terms),
+                      shield_axes=tuple(range(len(labels) - 1)),
+                      constraints=tuple(constraints), meta=meta)
+
+
 def ti_chain_geometry(model: ModelSpec, shield) -> TIGeometry:
     """Infinite chain with a trailing shield: an integer n means the n
     preceding sites; an offset list gives a general (possibly disconnected)
@@ -370,24 +380,9 @@ def ti_chain_geometry(model: ModelSpec, shield) -> TIGeometry:
         offsets = tuple(sorted(int(o) for o in offsets))
     if -1 not in offsets:
         raise ShieldTooSmallError("chain shield must contain -1 to hold the bond")
-    labels = offsets + (0,)
-    if 2 ** len(labels) > CLUSTER_DIM_GUARD:
-        raise ValueError(f"cluster dimension 2^{len(labels)} exceeds guard {CLUSTER_DIM_GUARD}")
-    dims = (2,) * len(labels)
-    terms = [Term((-1, 0), model_term(model, (-1, 0)))]
-    h1 = model_site_term(model, 0)
-    if h1 is not None:
-        terms.append(Term((0,), h1))
-    ham = _cluster_matrix(labels, terms, dims)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    cluster_set = set(labels)
-    overlap = [o for o in labels if o - 1 in cluster_set]
-    constraints = ((tuple(idx[o] for o in overlap),
-                    tuple(idx[o - 1] for o in overlap)),)
-    return TIGeometry(labels=labels, dims=dims, ham=ham,
-                      shield_axes=tuple(range(len(offsets))), constraints=constraints,
-                      meta={"kind": "ti_chain", "shield_size": len(offsets),
-                            "model": model, "shield_offsets": offsets})
+    return _ti_geometry(model, offsets + (0,), (-1,), (1,),
+                        {"kind": "ti_chain", "shield_size": len(offsets),
+                         "model": model, "shield_offsets": offsets})
 
 
 def ti_square_geometry(model: ModelSpec, template=DEFAULT_SHIELD_7) -> TIGeometry:
@@ -406,46 +401,25 @@ def ti_square_geometry(model: ModelSpec, template=DEFAULT_SHIELD_7) -> TIGeometr
     for dx, dy in template:
         if not (dy > 0 or (dy == 0 and dx < 0)):
             raise ValueError(f"offset {(dx, dy)} is not a predecessor in raster order")
-    labels = tuple(sorted(template, key=_raster_key)) + ((0, 0),)
-    if 2 ** len(labels) > CLUSTER_DIM_GUARD:
-        raise ValueError(f"cluster dimension 2^{len(labels)} exceeds guard {CLUSTER_DIM_GUARD}")
-    dims = (2,) * len(labels)
-    bond = model_term(model, None)
-    terms = []
-    for other in ((-1, 0), (0, 1)):
+    bonded = ((-1, 0), (0, 1))
+    for other in bonded:
         if other not in template:
             raise ShieldTooSmallError(
                 f"template must contain {other} to hold the bond {(other, (0, 0))}")
-        terms.append(Term((other, (0, 0)), bond))
-    h1 = model_site_term(model, (0, 0))
-    if h1 is not None:
-        terms.append(Term(((0, 0),), h1))
-    ham = _cluster_matrix(labels, terms, dims)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    cluster_set = set(labels)
-    constraints = []
-    for sx, sy in ((1, 0), (0, 1)):
-        overlap = sorted((o for o in labels if (o[0] - sx, o[1] - sy) in cluster_set),
-                         key=_raster_key)
-        if not overlap:
-            raise ValueError(f"template has no overlap with its ({sx},{sy}) translate")
-        left = tuple(idx[o] for o in overlap)
-        right = tuple(idx[(o[0] - sx, o[1] - sy)] for o in overlap)
-        constraints.append((left, right))
-    return TIGeometry(labels=labels, dims=dims, ham=ham,
-                      shield_axes=tuple(range(len(labels) - 1)),
-                      constraints=tuple(constraints),
-                      meta={"kind": "ti_square", "shield_offsets": template,
-                            "model": model})
+    # predecessors come first in raster order, so the site itself is last
+    labels = tuple(sorted(template, key=_raster_key)) + ((0, 0),)
+    return _ti_geometry(model, labels, bonded, ((1, 0), (0, 1)),
+                        {"kind": "ti_square", "shield_offsets": template, "model": model})
 
 
 def finite_geometry(spec: LatticeSpec, model: ModelSpec, radius: int | None = None,
                     template=None) -> FiniteGeometry:
-    """Per-site shields from a neighborhood spec, cluster Hamiltonians under
-    the highest-site rule, and every pairwise overlap constraint."""
+    """Per-site shields from a neighborhood spec (a distance ball, of radius
+    1 unless given, or an offset template), cluster Hamiltonians under the
+    highest-site rule, and every pairwise overlap constraint."""
     terms, ordering = build_lattice(spec, model)
     if radius is None and template is None:
-        radius = spec.w
+        radius = 1
     nbh = neighborhood_map(spec, radius=radius, template=template)
     shields = {k: markov_shield(k, ordering, nbh[k]) for k in ordering}
     largest = max(len(s.cluster) for s in shields.values())

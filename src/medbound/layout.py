@@ -50,12 +50,9 @@ def _charges(dims) -> np.ndarray:
     return np.indices(tuple(dims)).reshape(len(dims), -1).sum(axis=0)
 
 
-def _by_charge(pairs, one_sector: bool = False) -> bool:
+def _by_charge(pairs) -> bool:
     """The sector rule of both solvers: charge sectors when every matrix
-    (None: no matrix) of the (matrix, dims) pairs is exactly 0 off them, and
-    not `one_sector`."""
-    if one_sector:
-        return False
+    (None: no matrix) of the (matrix, dims) pairs is exactly 0 off them."""
     for mat, dims in pairs:
         q = _charges(dims)
         if mat is not None and np.any(np.asarray(mat)[q[:, None] != q[None, :]]):

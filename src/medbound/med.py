@@ -62,7 +62,6 @@ from medbound.lattice import (
     TIGeometry,
     _is_count,
     ti_chain_geometry,
-    ti_square_geometry,
 )
 from medbound.layout import (
     _Eig,
@@ -77,6 +76,7 @@ from medbound.layout import (
 # ptrace_mat, embed_mat and entropy_from_probs are not called here; they stay
 # attributes of this module because perfbench/tracing.py wraps them by name
 from medbound.opalg import (  # noqa: F401
+    EIG_FLOOR,
     embed_mat,
     entropy_from_probs,
     ptrace_mat,
@@ -89,7 +89,6 @@ __all__ = [
     "VarSpec",
     "Constraint",
     "MedProblem",
-    "ClusterVariables",
     "MedResult",
     "SweepRow",
     "SweepResult",
@@ -105,7 +104,8 @@ __all__ = [
     "ground_energy_lower_bound",
 ]
 
-LOG_FLOOR = 1e-12
+_PENALTY_INIT = 1.0
+_PENALTY_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -113,21 +113,19 @@ class SolverConfig:
     """`tol_gradient` bounds the largest entry of the inner gradient in the
     preconditioned coordinates of `_Frame`; `tol_constraint` bounds the
     largest entry of the constraint residuals. The reported bound can lie
-    about |multipliers| x `tol_constraint` below the optimum."""
+    about |multipliers| x `tol_constraint` below the optimum.
+
+    The penalty schedule is fixed: the penalty starts at 1 and doubles
+    whenever an outer iteration misses its feasibility target, up to 1e9."""
 
     tol_gradient: float = 1e-6
     tol_constraint: float = 1e-7
     max_outer: int = 50
     max_inner: int = 500
-    penalty_init: float = 1.0
-    penalty_growth: float = 2.0
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.tol_gradient, self.tol_constraint,
-                                               self.penalty_init)):
-            raise ValueError("tolerances and penalty must be positive and finite")
-        if not 1 < self.penalty_growth < math.inf:
-            raise ValueError("penalty_growth must be finite and exceed 1")
+        if not all(0 < x < math.inf for x in (self.tol_gradient, self.tol_constraint)):
+            raise ValueError("tolerances must be positive and finite")
         if not all(_is_count(x) for x in (self.max_outer, self.max_inner)):
             raise ValueError("iteration limits must be integers >= 1")
 
@@ -168,6 +166,8 @@ class MedProblem:
     _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if not self.variables:
+            raise ValueError("a problem needs at least one cluster variable")
         self._vmap = {v.key: v for v in self.variables}
         if len(self._vmap) != len(self.variables):
             raise ValueError("duplicate cluster variable keys")
@@ -180,20 +180,11 @@ class MedProblem:
 
 
 @dataclass(eq=False)
-class ClusterVariables:
-    """Optimized cluster states keyed like the problem's variables, plus the
-    consistency constraints they were solved under."""
-
-    states: dict
-    constraints: tuple
-
-
-@dataclass(eq=False)
 class MedResult:
     f_per_site: float
     e_per_site: float
     s_m_per_site: float
-    variables: ClusterVariables
+    states: dict            # optimized cluster states keyed like the problem's variables
     residual: float
     iterations: int
     converged: bool
@@ -469,9 +460,9 @@ class _Compiled:
     def euclid(self, eig: _Eig, tm: _Terms, T: float, coef: np.ndarray) -> np.ndarray:
         """Derivative wrt rho: H + T log rho - T embed log rho_shield, plus
         the residual map's adjoint applied to `coef`."""
-        logs = self.sh.from_eig(tm.sh_vecs, np.log(np.maximum(tm.sh_vals, LOG_FLOOR)))
+        logs = self.sh.from_eig(tm.sh_vecs, np.log(np.maximum(tm.sh_vals, EIG_FLOOR)))
         weights = np.concatenate([-T * logs, coef])
-        own = self.ham + T * self.cl.from_eig(eig.vecs, np.log(np.maximum(eig.p, LOG_FLOOR)))
+        own = self.ham + T * self.cl.from_eig(eig.vecs, np.log(np.maximum(eig.p, EIG_FLOOR)))
         return own + _scatter(self.src, weights[self.tgt] * self.sign, self.cl.n)
 
     def pullback(self, eig: _Eig, M: np.ndarray) -> np.ndarray:
@@ -562,8 +553,7 @@ def _is_real_problem(problem: MedProblem) -> bool:
     return all(v.ham is None or not np.iscomplexobj(v.ham) for v in problem.variables)
 
 
-def _compiled(problem: MedProblem, mats: dict | None = None,
-              one_sector: bool = False) -> _Compiled:
+def _compiled(problem: MedProblem, mats: dict | None = None) -> _Compiled:
     """The problem's layout, built on first use and cached on the problem.
 
     Charge sectors when every cluster Hamiltonian, and every matrix of
@@ -572,7 +562,7 @@ def _compiled(problem: MedProblem, mats: dict | None = None,
     for given `mats` is not cached, so evaluation-only callers (BP) do not
     keep every problem's maps alive."""
     by_charge = _by_charge([(m, v.dims) for v in problem.variables
-                            for m in (v.ham, (mats or {}).get(v.key))], one_sector)
+                            for m in (v.ham, (mats or {}).get(v.key))])
     comp = problem._layouts.get(by_charge)
     if comp is None:
         comp = _Compiled(problem, by_charge)
@@ -611,7 +601,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         x = np.zeros(comp.n)
         eq_mults = np.zeros(comp.n_con, dtype=dtype)
 
-    pen = config.penalty_init
+    pen = _PENALTY_INIT
     total_inner = 0
     converged = False
 
@@ -660,7 +650,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
             omega = max(0.2 * omega, config.tol_gradient)
             eta = max(0.2 * eta, config.tol_constraint)
         else:
-            pen = min(pen * config.penalty_growth, 1e9)
+            pen = min(pen * _PENALTY_GROWTH, 1e9)
 
     out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
     tm = out["terms"]
@@ -673,8 +663,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         f_per_site=_total(tm.value) / norm,
         e_per_site=_total(tm.e) / norm,
         s_m_per_site=_total(tm.s) / norm,
-        variables=ClusterVariables(states=comp.by_key(out["eig"].rho),
-                                   constraints=problem.constraints),
+        states=comp.by_key(out["eig"].rho),
         residual=float(out["res_inf"]),
         iterations=total_inner,
         converged=converged,
@@ -695,23 +684,23 @@ def _dense_inputs(problem: MedProblem, mats: dict):
     return comp, comp.cl.from_dense([mats[k] for k in comp.keys])
 
 
-def _rho_inputs(variables: ClusterVariables, problem: MedProblem):
-    mats = {v.key: sym(np.asarray(variables.states[v.key])) for v in problem.variables}
+def _rho_inputs(states: dict, problem: MedProblem):
+    mats = {v.key: sym(np.asarray(states[v.key])) for v in problem.variables}
     comp, rho = _dense_inputs(problem, mats)
     return comp, comp.eig_from_rho(rho)
 
 
-def markov_free_energy(variables: ClusterVariables, problem: MedProblem, T: float) -> float:
-    """Cluster energy minus T times the shield-local entropy, per site in
-    translation-invariant mode and total otherwise."""
-    comp, eig = _rho_inputs(variables, problem)
+def markov_free_energy(states: dict, problem: MedProblem, T: float) -> float:
+    """Cluster energy minus T times the shield-local entropy of `states`
+    (keyed like the variables), per site in TI mode and total otherwise."""
+    comp, eig = _rho_inputs(states, problem)
     return _total(comp.terms(eig, T).value)
 
 
-def free_energy_gradient(variables: ClusterVariables, problem: MedProblem, T: float) -> dict:
+def free_energy_gradient(states: dict, problem: MedProblem, T: float) -> dict:
     """Euclidean gradient with respect to each cluster state:
     H + T (ln rho - embed(ln rho_shield))."""
-    comp, eig = _rho_inputs(variables, problem)
+    comp, eig = _rho_inputs(states, problem)
     return comp.by_key(comp.euclid(eig, comp.terms(eig, T), T, np.zeros(comp.n_con)))
 
 
@@ -733,17 +722,10 @@ def exponential_value_and_grad(gmats: dict, problem: MedProblem, T: float):
 # ---------------------------------------------------------------------------
 
 def minimize_ti(model: ModelSpec, shield, T: float,
-                config: SolverConfig | None = None, *, lattice: str = "chain",
-                warm: dict | None = None) -> MedResult:
-    """Translation-invariant minimization. `shield` is the trailing window
-    size on a chain or an offset template on the square lattice."""
-    if lattice == "chain":
-        geo = ti_chain_geometry(model, shield)
-    elif lattice == "square":
-        geo = ti_square_geometry(model, shield)
-    else:
-        raise ValueError(f"unknown translation-invariant lattice {lattice!r}")
-    return solve(ti_problem(geo), T, config, warm=warm)
+                config: SolverConfig | None = None) -> MedResult:
+    """Translation-invariant chain minimization; `shield` is a window size or
+    offset list (`ti_chain_geometry`). Square lattices go through `solve`."""
+    return solve(ti_problem(ti_chain_geometry(model, shield)), T, config)
 
 
 def temperature_sweep(problem: MedProblem, t_grid,

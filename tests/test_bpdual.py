@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from medbound.bpdual import (
     _compile,
     _iterate,
+    _Layout,
     BPConfig,
     BPProblem,
     BPState,
@@ -63,7 +64,7 @@ def with_hams(problem, hams):
     med = problem.problem
     variables = tuple(dataclasses.replace(v, ham=hams[v.key]) for v in med.variables)
     return BPProblem(MedProblem(variables, med.constraints, site_norm=med.site_norm),
-                     problem.T, problem.meta)
+                     problem.T)
 
 
 def open_chain_with(edit):
@@ -123,7 +124,7 @@ class TestFixedPoint:
         assert belief_consistency(state, prob) <= 1e-7
 
     def test_damping_half_converges_on_suite_chains(self):
-        cfg = BPConfig(damping=0.5)
+        cfg = BPConfig()
         for model, n, t in [(HEIS, 2, 0.5), (HEIS, 3, 1.0), (ISING, 1, 1.0), (ISING, 2, 2.0)]:
             state = bp_fixed_point(bp_ti_problem(model, n, t), cfg)
             assert state.converged
@@ -251,6 +252,14 @@ class TestProblems:
     def test_chain_window_must_be_a_count(self, n):
         with pytest.raises(ValueError, match="window"):
             bp_chain_problem(LatticeSpec("chain", 6), HEIS, n, 1.0)
+
+    @pytest.mark.parametrize("run", [lambda p: solve(p, 1.0),
+                                     lambda p: bp_fixed_point(BPProblem(p, 1.0))],
+                             ids=["primal", "bp"])
+    def test_empty_problem_rejected(self, run):
+        # before: both solvers raised IndexError on a problem with no clusters
+        with pytest.raises(ValueError, match="at least one cluster variable"):
+            run(MedProblem((), ()))
 
     def test_numpy_integer_windows_accepted(self):
         ti = bp_ti_problem(HEIS, np.int64(2), 1.0)
@@ -484,7 +493,7 @@ class TestSectors:
         prob = make()
         cfg = BPConfig()
         sectors = bp_fixed_point(prob, cfg)
-        dense = _iterate(_compile(prob, one_sector=True), prob, cfg)
+        dense = _iterate(_Layout(prob, False), cfg)
         assert sectors.converged and dense.converged
         assert sectors.iterations == dense.iterations
         for name, mat in sectors.messages.items():
@@ -569,7 +578,7 @@ class TestBeliefs:
         res = solve(finite_problem(geo), t, SolverConfig(tol_gradient=1e-8,
                                                          tol_constraint=1e-9, max_inner=3000))
         for k, rho in beliefs.items():
-            assert trace_distance(rho, res.variables.states[k]) <= 1e-8
+            assert trace_distance(rho, res.states[k]) <= 1e-8
 
 
 class TestInverseFactors:

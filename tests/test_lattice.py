@@ -11,7 +11,6 @@ from medbound.lattice import (
     Term,
     assign_terms,
     build_lattice,
-    cluster_hamiltonian,
     finite_geometry,
     markov_shield,
     model_term,
@@ -24,6 +23,7 @@ from medbound.opalg import embed_mat
 
 HEIS = ModelSpec("heisenberg")
 ISING = ModelSpec("classical_ising")
+SQUARE_TEMPLATE_6 = ((-1, 0), (-2, 0), (-3, 0), (-1, 1), (0, 1), (1, 1))
 
 
 class TestBuildLattice:
@@ -54,7 +54,22 @@ class TestBuildLattice:
         from medbound.lattice import lattice_distance
         for t in terms:
             if len(t.support) == 2:
-                assert lattice_distance(spec, *t.support) <= spec.w
+                assert lattice_distance(spec, *t.support) <= 1
+
+    @pytest.mark.parametrize("kind, extent", [("chain", 6.9), ("chain", (4, 4)),
+                                              ("square", 2.5), ("square", (2.5, 4)),
+                                              ("square", (-2, -3)), ("square", (3,))],
+                             ids=["chain-6.9", "chain-(4,4)", "square-2.5", "square-(2.5,4)",
+                                  "square-(-2,-3)", "square-(3,)"])
+    def test_sizes_must_be_counts(self, kind, extent):
+        # a fraction is not rounded to a count, and a square takes one count
+        # or a pair of them
+        with pytest.raises(ValueError, match="count"):
+            LatticeSpec(kind, extent)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert LatticeSpec("chain", np.int64(5)).n_sites == 5
+        assert LatticeSpec("square", (np.int64(2), 3)).n_sites == 6
 
     def test_tfim_has_site_terms(self):
         terms, _ = build_lattice(LatticeSpec("chain", 3), ModelSpec("tfim", g=0.7))
@@ -65,16 +80,16 @@ class TestBuildLattice:
 
 class TestModelTerms:
     def test_heisenberg_bond_spectrum(self):
-        vals = np.linalg.eigvalsh(model_term(HEIS, (0, 1)))
+        vals = np.linalg.eigvalsh(model_term(HEIS))
         assert np.allclose(vals, [-0.75, 0.25, 0.25, 0.25])
 
     def test_classical_ising_diagonal(self):
-        m = model_term(ModelSpec("classical_ising", J=1.0), (0, 1))
+        m = model_term(ModelSpec("classical_ising", J=1.0))
         assert np.allclose(m, np.diag([-1.0, 1.0, 1.0, -1.0]))
 
     def test_tfim_zero_field_is_classical_ising(self):
-        a = model_term(ModelSpec("tfim", J=2.0, g=0.0), (0, 1))
-        b = model_term(ModelSpec("classical_ising", J=2.0), (0, 1))
+        a = model_term(ModelSpec("tfim", J=2.0, g=0.0))
+        b = model_term(ModelSpec("classical_ising", J=2.0))
         assert np.allclose(a, b)
         terms, _ = build_lattice(LatticeSpec("chain", 3), ModelSpec("tfim", J=2.0, g=0.0))
         assert all(len(t.support) == 2 for t in terms)
@@ -165,18 +180,15 @@ class TestClusterHamiltonians:
 
     def test_cluster_hamiltonian_single_site(self):
         spec = LatticeSpec("chain", 3)
-        terms, ordering = build_lattice(spec, HEIS)
-        nbh = neighborhood_map(spec, radius=1)
-        shields = {k: markov_shield(k, ordering, nbh[k]) for k in ordering}
-        h2 = cluster_hamiltonian(2, shields, terms, ordering)
-        assert np.allclose(h2, model_term(HEIS, (1, 2)))
+        h2 = finite_geometry(spec, HEIS, radius=1).hams[2]
+        assert np.allclose(h2, model_term(HEIS))
 
 
 class TestTIGeometries:
     def test_chain_one_bond_per_site(self):
         geo = ti_chain_geometry(HEIS, 2)
         assert geo.labels == (-2, -1, 0)
-        bond = model_term(HEIS, (-1, 0))
+        bond = model_term(HEIS)
         expected = embed_mat(bond, geo.dims, (1, 2))
         assert np.allclose(geo.ham, expected)
 
@@ -224,6 +236,23 @@ class TestTIGeometries:
         with pytest.raises(ValueError, match="pairs of integers"):
             ti_square_geometry(HEIS, [(-1.5, 0), (0, 1)])
 
+    @pytest.mark.parametrize("model", [HEIS, ModelSpec("tfim", g=0.7)], ids=["heis", "tfim"])
+    def test_ti_cluster_is_the_bulk_cluster(self, model):
+        # the translation-invariant cluster is, shifted by the site, the
+        # cluster of a bulk site of a finite lattice, Hamiltonian bit for bit
+        chain = LatticeSpec("chain", 12)
+        for n in (1, 2, 4):
+            ti = ti_chain_geometry(model, n)
+            fin = finite_geometry(chain, model, radius=n)
+            assert tuple(o + 6 for o in ti.labels) == fin.cluster_labels(6)
+            assert np.array_equal(ti.ham, fin.hams[6])
+        square = LatticeSpec("square", (9, 9))
+        for template in (DEFAULT_SHIELD_7, SQUARE_TEMPLATE_6):
+            ti = ti_square_geometry(model, template)
+            fin = finite_geometry(square, model, template=template)
+            assert tuple((x + 4, y + 4) for x, y in ti.labels) == fin.cluster_labels((4, 4))
+            assert np.array_equal(ti.ham, fin.hams[(4, 4)])
+
 
 class TestFiniteGeometry:
     def test_periodic_chain_constraints_cover_overlaps(self):
@@ -253,10 +282,21 @@ class TestFiniteGeometry:
         import medbound.lattice as lattice
         built = []
 
-        def record(labels, terms, dims=None):
+        def record(labels, terms):
             built.append(len(labels))
             return np.zeros((1, 1))
         monkeypatch.setattr(lattice, "_cluster_matrix", record)
         with pytest.raises(ValueError, match="exceeds guard"):
             finite_geometry(LatticeSpec("chain", 13), HEIS, radius=12)
         assert built == []
+
+    @pytest.mark.parametrize("radius", [2.5, True], ids=["2.5", "True"])
+    def test_radius_must_be_a_count(self, radius):
+        # before: 2.5 solved radius 2 and True radius 1
+        with pytest.raises(ValueError, match="radius"):
+            finite_geometry(LatticeSpec("chain", 6), HEIS, radius=radius)
+
+    def test_default_radius_is_one(self):
+        geo = finite_geometry(LatticeSpec("chain", 5), HEIS)
+        assert geo.meta["radius"] == 1
+        assert geo.cluster_labels(3) == (2, 3)

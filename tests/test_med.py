@@ -18,7 +18,6 @@ from medbound.lattice import (
     total_hamiltonian,
 )
 from medbound.med import (
-    ClusterVariables,
     MedProblem,
     SolverConfig,
     _compiled,
@@ -52,8 +51,7 @@ TIGHT = SolverConfig(tol_gradient=1e-7, tol_constraint=1e-8, max_inner=3000)
 
 
 def ti_vars(problem, mat):
-    return ClusterVariables(states={problem.variables[0].key: mat},
-                            constraints=problem.constraints)
+    return {problem.variables[0].key: mat}
 
 
 def site_axes(geo, labels):
@@ -90,8 +88,7 @@ class TestMarkovFreeEnergy:
         geo = finite_geometry(LatticeSpec("chain", 6), HEIS, radius=2)
         prob = finite_problem(geo)
         rho, states = gibbs_chain_marginals(6, HEIS, t, geo)
-        variables = ClusterVariables(states=states, constraints=prob.constraints)
-        val = markov_free_energy(variables, prob, t)
+        val = markov_free_energy(states, prob, t)
 
         h = total_hamiltonian(geo.terms, geo.sites)
         e = trace_product(rho, h)
@@ -159,8 +156,7 @@ class TestSolveTemperature:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("field", ["tol_gradient", "tol_constraint", "penalty_init",
-                                       "penalty_growth"])
+    @pytest.mark.parametrize("field", ["tol_gradient", "tol_constraint"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_nonfinite_value_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -403,11 +399,11 @@ class TestInvariants:
         t = 0.8
         _, states1 = gibbs_chain_marginals(4, HEIS, 0.6, geo)
         _, states2 = gibbs_chain_marginals(4, HEIS, 1.7, geo)
-        f1 = markov_free_energy(ClusterVariables(states1, prob.constraints), prob, t)
-        f2 = markov_free_energy(ClusterVariables(states2, prob.constraints), prob, t)
+        f1 = markov_free_energy(states1, prob, t)
+        f2 = markov_free_energy(states2, prob, t)
         for lam in (0.25, 0.5, 0.75):
             mix = {k: lam * states1[k] + (1 - lam) * states2[k] for k in states1}
-            fmix = markov_free_energy(ClusterVariables(mix, prob.constraints), prob, t)
+            fmix = markov_free_energy(mix, prob, t)
             assert fmix <= lam * f1 + (1 - lam) * f2 + 1e-10
 
 
@@ -450,7 +446,7 @@ class TestSectors:
         assert [st.shape for st in comp.cl.stacks] == [(2, 1, 1), (2, 7, 7), (2, 21, 21),
                                                      (2, 35, 35)]
         assert [st.shape[0] for st in comp.sh.stacks] == [2, 2, 2, 1]
-        assert _compiled(prob, one_sector=True).n == 128 * 129 // 2
+        assert med._Compiled(prob, False).n == 128 * 129 // 2
         assert _compiled(prob) is comp
 
     def test_tfim_has_one_sector(self):

@@ -70,6 +70,22 @@ def test_no_unused_imports():
         assert not unused, f"{module} imports {sorted(unused)} without using them"
 
 
+def test_no_unused_parameters():
+    # every parameter of a function or lambda is read in its body (self and
+    # cls exempt): a parameter nothing reads is an option that does nothing
+    for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None} - {"self", "cls"}
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            assert params <= read, f"{path.name}:{node.lineno} {name} ignores {params - read}"
+
+
 # run in a fresh interpreter: the test session has imported scipy already
 SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
     import importlib, pkgutil, sys
