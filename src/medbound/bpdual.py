@@ -21,20 +21,16 @@ product commute (classical case).
 
 Messages are positive definite operators on the n-site overlaps, normalized
 to unit trace after every update (normalization absorbs the scalar
-multipliers). The fixed-point loop carries each message as its unit-trace
-log: an update adds the incoming logs to log Lambda_k, takes one
-eigendecomposition of the cluster belief, logs only the marginals it sends
-and subtracts the incoming logs. Damping is a convex combination of the old
-and new logs with the constant weight 0.5 (`_DAMPING`) on the new ones,
-which preserves positivity exactly; one eigendecomposition of the mix gives
-the normalized message and the shift that normalizes its log.
-Inside the loop `EIG_FLOOR` clamps only the logs of the cluster marginals;
-message logs are never clamped. `BPState.messages` holds the normalized
-exponentials, on which the residual (largest trace-distance change) is
-measured, and `BPState.logs` the unit-trace logs the loop carried, from
-which `beliefs_from_messages` builds the beliefs. A state given only
-messages has them logged again, with the clamp. Open chains use identity
-messages beyond both ends.
+multipliers). A BP state is the unit-trace logs of its messages, the
+multipliers of the consistency constraints. An update adds the incoming logs
+to log Lambda_k, takes one eigendecomposition of the cluster belief, logs
+the marginals it sends (the loop's one `EIG_FLOOR` clamp) and subtracts the
+incoming logs. Damping mixes old and new logs with the constant weight 0.5
+(`_DAMPING`) on the new ones, which preserves positivity exactly; one
+eigendecomposition of the mix gives the normalized message, on which the
+residual (largest trace-distance change) is measured, and the shift that
+normalizes its log. Beliefs and the bound read the carried logs as they
+are. Open chains use identity messages beyond both ends.
 
 Layout. Each public call compiles the problem once (`_Layout`) onto one
 cluster and one message `_Flat` of `medbound.layout`: cluster logs,
@@ -44,7 +40,7 @@ Embedding an incoming log on the first or last n sites of a cluster is one
 gather, with a zero slot for the entries it does not reach; the partial
 trace onto those sites reads the same index map (`_Flat.trace_map`)
 backwards as one bincount. Dense matrices appear only at the interface:
-`BPState`, `bp_update` and the belief functions.
+the logs of `BPState`, the messages `bp_update` returns and the beliefs.
 
 The restriction to sectors is exact. When log Lambda_k commutes with the
 total charge, so does every iterate: the identity start messages commute
@@ -53,8 +49,8 @@ partial trace of a charge-commuting state commutes with the charge of the
 sites it keeps, and logs, differences, damping mixes and normalization keep
 that. The dense iteration would therefore stay block diagonal in exact
 arithmetic; the block iteration keeps the off-sector zeros exact. Sectors
-follow the primal solver's rule (`layout._by_charge`), with the messages a
-caller passes in checked too; otherwise the same code runs with one sector
+follow the primal solver's rule (`layout._by_charge`), with the message logs
+a caller passes in checked too; otherwise the same code runs with one sector
 per matrix.
 """
 
@@ -62,7 +58,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,11 +121,13 @@ class BPConfig:
 
 @dataclass(eq=False)
 class BPState:
-    messages: dict
+    """The unit-trace message logs the loop carried, keyed by message name
+    ("L"/"R" on the TI chain, (side, sender key) on an open one)."""
+
+    logs: dict
     residual: float
     iterations: int
     converged: bool
-    logs: dict | None = field(default=None, repr=False)     # unit-trace message logs
 
 
 @dataclass(eq=False)
@@ -257,12 +255,9 @@ class _Layout:
     # -- dense edges -----------------------------------------------------------
 
     def flats(self, mats: dict) -> np.ndarray:
-        """Dense messages (or logs) keyed by name, as rows in `names` order."""
+        """Dense message logs keyed by name, as rows in `names` order."""
         rows = np.reshape([mats[name] for name in self.names], (-1, self.dim, self.dim))
         return self.msg.from_dense([rows])
-
-    def dense(self, flats: np.ndarray) -> dict:
-        return dict(zip(self.names, self.msg.to_dense(flats)[0]))
 
     def store(self, logs: np.ndarray) -> np.ndarray:
         out = np.zeros((self.none + 1, self.msg.n + 1),
@@ -271,17 +266,6 @@ class _Layout:
         return out
 
     # -- kernels -----------------------------------------------------------------
-
-    def log(self, flat: np.ndarray, floor: float | None = None) -> np.ndarray:
-        """Per row: log of a positive message, eigenvalues clamped at
-        `floor`; without a floor a singular message raises ValueError."""
-        vals, vecs = self.msg.eigh(flat)
-        if floor is None:
-            if np.any(vals <= 0.0):
-                raise ValueError("message is singular")
-        else:
-            vals = np.maximum(vals, floor)
-        return self.msg.from_eig(vecs, np.log(vals))
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per row: the trace distance (1/2) ||a - b||_1."""
@@ -333,7 +317,8 @@ class _Layout:
         ("L": its left neighbour, "R": its right one), one row per side."""
         gathers, traced, inverse = self._step(i, sides)
         rho = self.cluster.exp(self.cluster_logs(store, self.lam[i], gathers)).rho
-        logs = self.log(self.trace(rho, traced), EIG_FLOOR)
+        vals, vecs = self.msg.eigh(self.trace(rho, traced))
+        logs = self.msg.from_eig(vecs, np.log(np.maximum(vals, EIG_FLOOR)))
         return logs - store[inverse, :-1]
 
     def damp(self, store, msgs, rows, out, alpha: float) -> None:
@@ -356,25 +341,20 @@ class _Layout:
         return rho, sigma
 
 
-def _compile(problem: BPProblem, messages=()) -> _Layout:
+def _compile(problem: BPProblem, logs=()) -> _Layout:
     """The layout on the sector rule of `layout._by_charge`: sectors when
-    every cluster Hamiltonian and every given message is exactly zero off
-    them, else one sector per matrix."""
+    every cluster Hamiltonian and every given message log is exactly zero
+    off them, else one sector per matrix."""
     variables = problem.problem.variables
     dims = variables[0].dims
-    pairs = [(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in messages]
+    pairs = [(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in logs]
     return _Layout(problem, _by_charge(pairs))
 
 
 def _state_store(state: BPState, problem: BPProblem):
-    """The layout of a state's problem and its message-log store: the logs
-    the loop carried, or the messages logged with the EIG_FLOOR clamp."""
-    mats = state.logs if state.logs is not None else state.messages
-    lay = _compile(problem, mats.values())
-    flats = lay.flats(mats)
-    if state.logs is None:
-        flats = lay.log(flats, EIG_FLOOR)
-    return lay, lay.store(flats)
+    """The layout of a state's problem and the store of its message logs."""
+    lay = _compile(problem, state.logs.values())
+    return lay, lay.store(lay.flats(state.logs))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +362,9 @@ def _state_store(state: BPState, problem: BPProblem):
 # ---------------------------------------------------------------------------
 
 def bp_update(k, state: BPState, problem: BPProblem) -> dict:
-    """Outgoing messages of cluster k given the current state (undamped).
-    A singular message in the state raises ValueError."""
-    lay = _compile(problem, state.messages.values())
-    store = lay.store(lay.log(lay.flats(state.messages)))
+    """Outgoing messages of cluster k (undamped, normalized to unit trace),
+    keyed by name, given the message logs of `state`."""
+    lay, store = _state_store(state, problem)
     i = lay.keys.index(k)
     sides = ("L", "R")
     out = lay.msg.exp(lay.outgoing(store, i, sides)).rho
@@ -428,8 +407,8 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
         if residual <= config.tol_residual:
             converged = True
             break
-    return BPState(messages=lay.dense(msgs), residual=residual, iterations=it,
-                   converged=converged, logs=lay.dense(store[:-1, :-1]))
+    logs = dict(zip(lay.names, lay.msg.to_dense(store[:-1, :-1])[0]))
+    return BPState(logs=logs, residual=residual, iterations=it, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +419,10 @@ def beliefs_from_messages(state: BPState, problem: BPProblem):
     """Cluster beliefs rho_k and overlap beliefs sigma_k (keyed by the
     cluster right of the overlap).
 
-    sigma_k comes from the product of the two messages crossing the edge,
-    which is the stationarity condition for the overlap state. The message
-    logs are the ones the fixed-point loop carried; a state without them has
-    its messages logged, with eigenvalues clamped at EIG_FLOOR."""
+    rho_k is the normalized exponential of log Lambda_k plus the logs of
+    the messages it receives, sigma_k that of the logs of the two messages
+    crossing the edge (the stationarity condition for the overlap state),
+    both read from the state's carried logs."""
     lay, store = _state_store(state, problem)
     rho, sigma = lay.beliefs(store)
     beliefs = dict(zip(lay.keys, lay.cluster.to_dense(rho)[0]))

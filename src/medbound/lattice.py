@@ -217,10 +217,31 @@ def build_lattice(spec: LatticeSpec, model: ModelSpec):
     return terms, ordering
 
 
+def _shield_offsets(kind: str, template) -> tuple:
+    """A shield template's offsets: on a chain distinct negative integers
+    (bare or 1-tuples), returned as integers; on a square distinct integer
+    pairs before the site in raster order. Anything else raises ValueError."""
+    chain = kind == "chain"
+    out = []
+    for o in template:
+        o = (o,) if chain and _is_int(o) else o
+        if not (np.ndim(o) == 1 and len(o) == (1 if chain else 2) and all(map(_is_int, o))):
+            what = "integers" if chain else "pairs of integers"
+            raise ValueError(f"shield offsets must be {what}, not {o!r}")
+        o = int(o[0]) if chain else (int(o[0]), int(o[1]))
+        if _raster_key(o) >= _raster_key(0 if chain else (0, 0)):
+            raise ValueError(f"offset {o} is not a predecessor in the site ordering")
+        out.append(o)
+    if len(set(out)) != len(out):
+        raise ValueError("duplicate offsets in shield template")
+    return tuple(out)
+
+
 def neighborhood_map(spec: LatticeSpec, radius: int | None = None,
                      template=None) -> dict:
     """Neighborhood of every site: a distance ball of the given radius, or an
-    explicit offset template (entries falling off an open lattice are dropped)."""
+    explicit offset template (`_shield_offsets`; entries falling off an open
+    lattice are dropped)."""
     if (radius is None) == (template is None):
         raise ValueError("give exactly one of radius or template")
     if radius is not None and not _is_count(radius):
@@ -233,19 +254,15 @@ def neighborhood_map(spec: LatticeSpec, radius: int | None = None,
             out[k] = frozenset(s for s in all_sites
                                if s != k and lattice_distance(spec, k, s) <= radius)
         return out
-    offsets = [tuple(o) for o in template]
+    offsets = _shield_offsets(spec.kind, template)
     for k in all_sites:
-        hood = []
-        for o in offsets:
-            if spec.kind == "chain":
-                s = k + o if isinstance(o, int) else k + o[0]
-            else:
-                s = (k[0] + o[0], k[1] + o[1])
-                if spec.boundary == "periodic":
-                    s = (s[0] % spec.shape[0], s[1] % spec.shape[1])
-            if s in site_set and s != k:
-                hood.append(s)
-        out[k] = frozenset(hood)
+        if spec.kind == "chain":
+            hood = [k + o for o in offsets]
+        else:
+            hood = [(k[0] + dx, k[1] + dy) for dx, dy in offsets]
+            if spec.boundary == "periodic":
+                hood = [(x % spec.shape[0], y % spec.shape[1]) for x, y in hood]
+        out[k] = frozenset(s for s in hood if s in site_set and s != k)
     return out
 
 
@@ -374,10 +391,7 @@ def ti_chain_geometry(model: ModelSpec, shield) -> TIGeometry:
             raise ValueError("shield size must be an integer >= 1")
         offsets = tuple(range(-int(shield), 0))
     else:
-        offsets = tuple(shield)
-        if not all(_is_int(o) and o < 0 for o in offsets) or len(set(offsets)) != len(offsets):
-            raise ValueError("shield offsets must be distinct negative integers")
-        offsets = tuple(sorted(int(o) for o in offsets))
+        offsets = tuple(sorted(_shield_offsets("chain", shield)))
     if -1 not in offsets:
         raise ShieldTooSmallError("chain shield must contain -1 to hold the bond")
     return _ti_geometry(model, offsets + (0,), (-1,), (1,),
@@ -392,15 +406,7 @@ def ti_square_geometry(model: ModelSpec, template=DEFAULT_SHIELD_7) -> TIGeometr
     bond, so the template must contain (-1, 0) and (0, 1). Consistency is
     enforced on the overlaps with the unit translates in x and y.
     """
-    template = tuple(tuple(o) for o in template)
-    if not all(len(o) == 2 and all(_is_int(v) for v in o) for o in template):
-        raise ValueError("shield offsets must be pairs of integers")
-    template = tuple((int(dx), int(dy)) for dx, dy in template)
-    if len(set(template)) != len(template):
-        raise ValueError("duplicate offsets in shield template")
-    for dx, dy in template:
-        if not (dy > 0 or (dy == 0 and dx < 0)):
-            raise ValueError(f"offset {(dx, dy)} is not a predecessor in raster order")
+    template = _shield_offsets("square", template)
     bonded = ((-1, 0), (0, 1))
     for other in bonded:
         if other not in template:

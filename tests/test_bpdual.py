@@ -76,10 +76,16 @@ def open_chain_with(edit):
 
 
 def identity_state(problem):
-    """Maximally mixed messages of a translation-invariant chain."""
+    """Maximally mixed messages of a translation-invariant chain, as their
+    unit-trace logs."""
     dim = problem.problem.variables[0].dim // 2
-    msgs = {"L": np.eye(dim) / dim, "R": np.eye(dim) / dim}
-    return BPState(messages=msgs, residual=math.inf, iterations=0, converged=True)
+    logs = {"L": -math.log(dim) * np.eye(dim), "R": -math.log(dim) * np.eye(dim)}
+    return BPState(logs=logs, residual=math.inf, iterations=0, converged=True)
+
+
+def message_logs(messages):
+    """The logs of positive messages, by scipy's `logm`."""
+    return {name: scipy.linalg.logm(m).real for name, m in messages.items()}
 
 
 def classical_chain_pair_marginals(n_sites, J, T):
@@ -191,7 +197,7 @@ class TestFixedPoint:
         prob = bp_chain_problem(spec, HEIS, n, 1.0)
         state = bp_fixed_point(prob)
         assert state.converged and state.iterations == 1 and state.residual == 0.0
-        assert state.messages == {}
+        assert state.logs == {}
         terms, sites = build_lattice(spec, HEIS)
         exact = exact_free_energy(total_hamiltonian(terms, sites), 1.0).f_total
         assert abs(bp_free_energy(state, prob) - exact) <= 1e-12
@@ -327,9 +333,9 @@ class TestUpdate:
         return ref_left, ref_right
 
     def check_against_multiplier_form(self, prob, m_left, m_right):
-        state = identity_state(prob)
-        state.messages["L"] = m_left        # incoming from the right
-        state.messages["R"] = m_right       # incoming from the left
+        # "L" arrives from the right, "R" from the left
+        state = BPState(logs=message_logs({"L": m_left, "R": m_right}), residual=math.inf,
+                        iterations=0, converged=False)
         out = bp_update("ti", state, prob)
         ref_left, ref_right = self.multiplier_form(prob, m_left, m_right)
         assert np.max(np.abs(out["L"] - ref_left)) <= 1e-10
@@ -353,16 +359,10 @@ class TestUpdate:
         prob = bp_ti_problem(HEIS, 1, 0.7)
         m_left = _random_positive(rng, 2)
         m_right = np.diag([0.3, 0.7])
-        assert _compile(prob, [m_right]).msg.n == 2  # two 1 x 1 sectors
-        assert _compile(prob, [m_left, m_right]).msg.n == 4
+        logs = message_logs({"L": m_left, "R": m_right})
+        assert _compile(prob, [logs["R"]]).msg.n == 2    # two 1 x 1 sectors
+        assert _compile(prob, logs.values()).msg.n == 4
         self.check_against_multiplier_form(prob, m_left, m_right)
-
-    def test_singular_message_rejected(self):
-        prob = bp_ti_problem(HEIS, 1, 1.0)
-        state = identity_state(prob)
-        state.messages["L"] = np.diag([1.0, 0.0])
-        with pytest.raises(ValueError):
-            bp_update("ti", state, prob)
 
 
 def _random_positive(rng, dim, mask=None):
@@ -452,12 +452,12 @@ class TestLogSpaceStep:
             -hams[k] / prob.T, n, m_right, m_left,
             {side: messages[name] for side, name in sent.items()}, damping)
 
-        new = bp_update(k, BPState(messages=messages, residual=math.inf, iterations=0,
+        logs = message_logs(messages)
+        new = bp_update(k, BPState(logs=logs, residual=math.inf, iterations=0,
                                    converged=False), prob)
         # log-space path: unit-trace logs in, damped mix of logs out
-        lay = _compile(prob, messages.values())
+        lay = _compile(prob, logs.values())
         assert (lay.msg.n < 4 ** n) == conserving
-        logs = {name: scipy.linalg.logm(m).real for name, m in messages.items()}
         store = lay.store(lay.flats(logs))
         msgs = lay.flats(messages)
         rows = np.array([lay.row[sent[side]] for side in sides])
@@ -479,7 +479,6 @@ class TestSectors:
         assert state.converged
         off_msg, off_cluster = ~charge_mask(4), ~charge_mask(5)
         for name in ("L", "R"):
-            assert not np.any(state.messages[name][off_msg])
             assert not np.any(state.logs[name][off_msg])
         beliefs, overlaps = beliefs_from_messages(state, prob)
         assert not np.any(beliefs["ti"][off_cluster])
@@ -496,9 +495,8 @@ class TestSectors:
         dense = _iterate(_Layout(prob, False), cfg)
         assert sectors.converged and dense.converged
         assert sectors.iterations == dense.iterations
-        for name, mat in sectors.messages.items():
-            assert np.max(np.abs(mat - dense.messages[name])) <= 1e-12
-            assert np.max(np.abs(sectors.logs[name] - dense.logs[name])) <= 1e-12
+        for name, log in sectors.logs.items():
+            assert np.max(np.abs(log - dense.logs[name])) <= 1e-12
         assert abs(bp_free_energy(sectors, prob) - bp_free_energy(dense, prob)) <= 1e-12
 
 
@@ -513,7 +511,7 @@ class TestSectors:
         u = np.kron(np.kron(u1, u1), u1)
         prob = with_hams(prob, {"ti": u @ cluster_hams(prob)["ti"] @ u.conj().T})
         state = bp_fixed_point(prob)
-        assert state.converged and np.iscomplexobj(state.messages["L"])
+        assert state.converged and np.iscomplexobj(state.logs["L"])
         assert abs(bp_free_energy(state, prob) - f_real) <= 1e-10
         assert belief_consistency(state, prob) <= 1e-7
 
@@ -527,34 +525,17 @@ class TestBeliefs:
         ref = gibbs_state(cluster_hams(prob)["ti"], t)
         assert np.max(np.abs(beliefs["ti"] - ref)) <= 1e-10
 
-    def test_underflowed_message_is_clamped(self):
-        # at low T a message eigenvalue can underflow to zero in the loop;
-        # the beliefs still exist, with its log clamped
-        prob = bp_ti_problem(HEIS, 1, 1.0)
-        state = identity_state(prob)
-        state.messages["L"] = np.diag([1.0, 0.0])
-        beliefs, overlaps = beliefs_from_messages(state, prob)
-        assert abs(np.trace(beliefs["ti"]) - 1.0) <= 1e-12
-        assert np.all(np.isfinite(overlaps["ti"]))
-
     def test_beliefs_use_the_carried_logs(self):
-        # at T = 0.1 the smallest message eigenvalues underflow: logged again
-        # with the EIG_FLOOR clamp, the messages give beliefs off by 0.499 in
-        # trace distance and f = -1.3448; the carried logs keep them consistent
+        # at T = 0.1 the smallest message eigenvalues underflow in float64:
+        # the messages, logged again with the EIG_FLOOR clamp, would give
+        # beliefs off by 0.499 in trace distance and f = -1.3448; the state's
+        # carried logs keep them consistent
         prob = bp_ti_problem(TFIM, 4, 0.1)
         state = bp_fixed_point(prob, BPConfig(max_iters=3000))
         assert belief_consistency(state, prob) <= 1e-6
         with pytest.warns(RuntimeWarning):
             f = bp_free_energy(state, prob)
         assert abs(f - (-1.28031)) <= 1e-4
-
-    def test_carried_logs_leave_converged_values(self):
-        prob = bp_ti_problem(TFIM, 4, 0.3)
-        state = bp_fixed_point(prob)
-        assert state.converged
-        f_carried = bp_free_energy(state, prob)
-        state.logs = None
-        assert abs(bp_free_energy(state, prob) - f_carried) <= 1e-12
 
     def test_product_hamiltonian_product_beliefs(self):
         t = 0.7

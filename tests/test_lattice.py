@@ -300,3 +300,36 @@ class TestFiniteGeometry:
         geo = finite_geometry(LatticeSpec("chain", 5), HEIS)
         assert geo.meta["radius"] == 1
         assert geo.cluster_labels(3) == (2, 3)
+
+
+class TestTemplates:
+    # one offset rule for the TI geometries and finite templates alike
+    def test_chain_template_of_integers(self):
+        # before: TypeError, only 1-tuples such as ((-1,), (-2,)) worked
+        spec = LatticeSpec("chain", 6)
+        ball = finite_geometry(spec, HEIS, radius=2)
+        for template in ((-1, -2), ((-1,), (-2,))):
+            geo = finite_geometry(spec, HEIS, template=template)
+            assert all(geo.cluster_labels(k) == ball.cluster_labels(k) for k in geo.sites)
+            assert geo.constraints == ball.constraints
+            assert all(np.array_equal(geo.hams[k], ball.hams[k]) for k in geo.sites)
+
+    @pytest.mark.parametrize("template", [
+        ((-1,), (0,)), ((-1,), (1,)), ((-1,), (-1,)),
+    ], ids=["site itself", "successor", "duplicate"])
+    def test_bad_chain_template_rejected(self, template):
+        # before: each was accepted, the offending offset dropped or merged
+        with pytest.raises(ValueError):
+            finite_geometry(LatticeSpec("chain", 6), HEIS, template=template)
+
+    @pytest.mark.parametrize("extra, match", [
+        ((1, 0), "predecessor"),
+        ((-1, 0), "duplicate"),
+        ((-1, 0, 2), "pairs of integers"),
+        ((-1.5, 0), "pairs of integers"),
+    ], ids=["successor", "duplicate", "triple", "float"])
+    def test_bad_square_template_rejected(self, extra, match):
+        # before: each was accepted, the offending offset dropped or merged
+        with pytest.raises(ValueError, match=match):
+            finite_geometry(LatticeSpec("square", 4), HEIS,
+                            template=((-1, 0), (0, 1), extra))

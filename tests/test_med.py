@@ -295,6 +295,22 @@ class TestSweep:
         assert not calls
 
 
+class TestWarmStart:
+    def test_other_problems_warm_start_rejected(self):
+        # before: IndexError deep in the dense conversion
+        warm = minimize_ti(HEIS, 2, 1.0).meta["warm"]
+        with pytest.raises(ValueError, match="warm start"):
+            solve(ti_problem(ti_chain_geometry(HEIS, 3)), 1.0, warm=warm)
+
+    def test_restart_from_own_point_takes_no_step(self):
+        prob = ti_problem(ti_chain_geometry(HEIS, 2))
+        first = solve(prob, 0.5)
+        again = solve(prob, 0.5, warm=first.meta["warm"])
+        assert first.converged and again.converged
+        assert again.iterations == 0
+        assert again.f_per_site == first.f_per_site
+
+
 class TestStalledInnerSolve:
     @staticmethod
     def stub_minimizer(monkeypatch, jac_value):
@@ -479,8 +495,7 @@ class TestSectors:
         # sector iterates keep exact zeros there and reach the same bound
         res = minimize_ti(HEIS, 4, 0.5)
         assert res.converged
-        g = res.meta["warm"]["g"]["ti"]
-        assert np.all(g[off_sector(5)] == 0.0)
+        assert np.all(res.states["ti"][off_sector(5)] == 0.0)
         assert abs(res.f_per_site - (-0.5385956078726468)) <= 1e-6
 
 
@@ -568,6 +583,16 @@ def _pack_reference(problem, mats):
     return np.concatenate(parts)
 
 
+def _flat_mults(problem, mults):
+    """Dense multipliers as the solver's flat vector: per constraint, its
+    in-sector entries in row-major order."""
+    by_charge = _conserves(problem)
+    complex_ = any(np.iscomplexobj(v.ham) for v in problem.variables)
+    parts = [y[~off_sector(len(c.left_axes))] if by_charge else y.ravel()
+             for c, y in zip(problem.constraints, mults)]
+    return np.concatenate(parts).astype(complex if complex_ else float)
+
+
 def _rotated(geo, phase=math.pi / 4):
     """The same cluster with every site rotated by diag(1, e^{i phase})."""
     n = len(geo.dims)
@@ -622,7 +647,7 @@ class TestSectorEvaluation:
         comp = _compiled(prob)
         if _conserves(prob):
             assert all(len(sector_sizes(s[0])) > 1 for s in sectors(comp).values())
-        out = comp.al_eval(_pack_reference(prob, gmats), T, comp.mults_from_dense(mults),
+        out = comp.al_eval(_pack_reference(prob, gmats), T, _flat_mults(prob, mults),
                            pen, want_grad=True)
         value, grads = _dense_al_reference(prob, T, gmats, mults, pen)
         assert abs(out["al"] - value) <= 1e-12 * max(1.0, abs(value))
@@ -645,7 +670,7 @@ class TestSectorEvaluation:
         lhs = float(np.dot(comp.pack(frame.grad(gamma)), step))
         rhs = float(np.real(np.vdot(gamma, frame.g(step) - frame.g0)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-        y = comp.mults_from_dense(mults)
+        y = _flat_mults(prob, mults)
         x0 = np.zeros(comp.n)
         out = comp.al_eval(x0, 0.7, y, 3.0, want_grad=True, frame=frame)
         d = rng.standard_normal(comp.n)
@@ -666,5 +691,5 @@ class TestComplexMode:
         real = solve(ti_problem(geo), 1.0, TIGHT)
         cplx = solve(ti_problem(rot), 1.0, TIGHT)
         assert real.converged and cplx.converged
-        assert np.iscomplexobj(cplx.meta["warm"]["g"]["ti"])
+        assert np.iscomplexobj(cplx.states["ti"]) and np.iscomplexobj(cplx.meta["warm"]["y"])
         assert abs(cplx.f_per_site - real.f_per_site) <= 2e-7

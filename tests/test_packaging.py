@@ -86,6 +86,22 @@ def test_no_unused_parameters():
             assert params <= read, f"{path.name}:{node.lineno} {name} ignores {params - read}"
 
 
+def test_library_prints_nothing():
+    # the library reports through its return values: no print, no writes to
+    # sys.stdout or sys.stderr and no logging anywhere in src/medbound
+    for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            assert not (isinstance(node, ast.Name) and node.id == "print"), where
+            assert not (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                        and isinstance(node.value, ast.Name) and node.value.id == "sys"), where
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                       [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                       if isinstance(node, ast.ImportFrom) and node.module else [])
+            assert not any(m.split(".")[0] == "logging" or m in ("sys.stdout", "sys.stderr")
+                           for m in modules), where
+
+
 # run in a fresh interpreter: the test session has imported scipy already
 SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
     import importlib, pkgutil, sys
