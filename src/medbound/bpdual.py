@@ -189,8 +189,7 @@ def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> B
                               shield_axes=first if k > n else ())
                       for k, ham in hams.items())
     constraints = tuple(Constraint(k - 1, last, k, first) for k in range(n + 1, n_sites))
-    return BPProblem(MedProblem(variables, constraints, site_norm=float(n_sites),
-                                meta=dict(geo.meta)), T)
+    return BPProblem(MedProblem(variables, constraints, site_norm=float(n_sites)), T)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +235,7 @@ class _Layout:
         index = {k: i for i, k in enumerate(self.keys)}
         # per constraint: the sender and receiver index of its two messages
         self.edges = [(index[con.left_key], index[con.right_key]) for con in constraints]
-        self.names = ([self.name("R", a) for a, _ in self.edges]
-                      + [self.name("L", b) for _, b in self.edges])
+        self.names = _message_names(problem)
         self.none = len(self.names)
         self.row = {name: i for i, name in enumerate(self.names)}
         # per cluster: store rows of the message from the left (on the first
@@ -351,8 +349,23 @@ def _compile(problem: BPProblem, logs=()) -> _Layout:
     return _Layout(problem, _by_charge(pairs))
 
 
+def _message_names(problem: BPProblem) -> list:
+    """The names of the problem's messages in store order: "R" of every
+    constraint, then "L" of every constraint (`_Layout`)."""
+    constraints = problem.problem.constraints
+    if any(con.left_key == con.right_key for con in constraints):
+        return ["R", "L"]
+    return [("R", c.left_key) for c in constraints] + [("L", c.right_key) for c in constraints]
+
+
 def _state_store(state: BPState, problem: BPProblem):
-    """The layout of a state's problem and the store of its message logs."""
+    """The layout of a state's problem and the store of its message logs.
+    Logs of another problem (other names, or not d x d on the problem's
+    n-site overlap) raise ValueError."""
+    d = int(np.prod(problem.problem.variables[0].dims[1:]))
+    if (set(state.logs) != set(_message_names(problem))
+            or any(np.shape(m) != (d, d) for m in state.logs.values())):
+        raise ValueError("the message logs are for another problem")
     lay = _compile(problem, state.logs.values())
     return lay, lay.store(lay.flats(state.logs))
 

@@ -33,6 +33,7 @@ __all__ = [
     "model_term",
     "model_site_term",
     "build_lattice",
+    "lattice_distance",
     "neighborhood_map",
     "markov_shield",
     "assign_terms",
@@ -166,7 +167,7 @@ def _raster_key(site):
     return site
 
 
-def sites_of(spec: LatticeSpec):
+def _sites_of(spec: LatticeSpec):
     if spec.kind == "chain":
         return list(range(spec.shape[0]))
     nx, ny = spec.shape
@@ -208,7 +209,7 @@ def _bonds(spec: LatticeSpec):
 
 def build_lattice(spec: LatticeSpec, model: ModelSpec):
     """All nearest-neighbor terms plus the default raster ordering."""
-    ordering = tuple(sites_of(spec))
+    ordering = tuple(_sites_of(spec))
     terms = [Term(bond, model_term(model)) for bond in _bonds(spec)]
     for site in ordering:
         h1 = model_site_term(model)
@@ -247,7 +248,7 @@ def neighborhood_map(spec: LatticeSpec, radius: int | None = None,
     if radius is not None and not _is_count(radius):
         raise ValueError("radius must be an integer >= 1")
     out = {}
-    all_sites = sites_of(spec)
+    all_sites = _sites_of(spec)
     site_set = set(all_sites)
     if radius is not None:
         for k in all_sites:
@@ -324,7 +325,6 @@ class TIGeometry:
     ham: np.ndarray
     shield_axes: tuple
     constraints: tuple      # ((left_axes, right_axes), ...)
-    meta: dict
 
     @property
     def dim(self) -> int:
@@ -343,7 +343,6 @@ class FiniteGeometry:
     hams: dict
     constraints: tuple      # ((site_a, axes_a, site_b, axes_b), ...)
     terms: tuple
-    meta: dict
 
     @property
     def n_sites(self) -> int:
@@ -358,7 +357,7 @@ def _translate(site, shift):
     return site - shift if isinstance(site, int) else (site[0] - shift[0], site[1] - shift[1])
 
 
-def _ti_geometry(model: ModelSpec, labels, bonded, shifts, meta: dict) -> TIGeometry:
+def _ti_geometry(model: ModelSpec, labels, bonded, shifts) -> TIGeometry:
     """The TI cluster on `labels` (top site last, shielded by the rest): the
     bonds from `bonded` to the top site, then its site term, and agreement
     with the translate by each of `shifts` on their overlap."""
@@ -377,7 +376,7 @@ def _ti_geometry(model: ModelSpec, labels, bonded, shifts, meta: dict) -> TIGeom
                             tuple(idx[_translate(o, shift)] for o in overlap)))
     return TIGeometry(labels=labels, dims=(2,) * len(labels), ham=_cluster_matrix(labels, terms),
                       shield_axes=tuple(range(len(labels) - 1)),
-                      constraints=tuple(constraints), meta=meta)
+                      constraints=tuple(constraints))
 
 
 def ti_chain_geometry(model: ModelSpec, shield) -> TIGeometry:
@@ -394,9 +393,7 @@ def ti_chain_geometry(model: ModelSpec, shield) -> TIGeometry:
         offsets = tuple(sorted(_shield_offsets("chain", shield)))
     if -1 not in offsets:
         raise ShieldTooSmallError("chain shield must contain -1 to hold the bond")
-    return _ti_geometry(model, offsets + (0,), (-1,), (1,),
-                        {"kind": "ti_chain", "shield_size": len(offsets),
-                         "model": model, "shield_offsets": offsets})
+    return _ti_geometry(model, offsets + (0,), (-1,), (1,))
 
 
 def ti_square_geometry(model: ModelSpec, template=DEFAULT_SHIELD_7) -> TIGeometry:
@@ -414,8 +411,7 @@ def ti_square_geometry(model: ModelSpec, template=DEFAULT_SHIELD_7) -> TIGeometr
                 f"template must contain {other} to hold the bond {(other, (0, 0))}")
     # predecessors come first in raster order, so the site itself is last
     labels = tuple(sorted(template, key=_raster_key)) + ((0, 0),)
-    return _ti_geometry(model, labels, bonded, ((1, 0), (0, 1)),
-                        {"kind": "ti_square", "shield_offsets": template, "model": model})
+    return _ti_geometry(model, labels, bonded, ((1, 0), (0, 1)))
 
 
 def finite_geometry(spec: LatticeSpec, model: ModelSpec, radius: int | None = None,
@@ -447,7 +443,4 @@ def finite_geometry(spec: LatticeSpec, model: ModelSpec, radius: int | None = No
             constraints.append((a, tuple(idx_a[s] for s in shared),
                                 b, tuple(idx_b[s] for s in shared)))
     return FiniteGeometry(spec=spec, model=model, sites=ordering, shields=shields,
-                          hams=hams, constraints=tuple(constraints),
-                          terms=tuple(terms),
-                          meta={"kind": spec.kind, "radius": radius,
-                                "template": template, "model": model})
+                          hams=hams, constraints=tuple(constraints), terms=tuple(terms))

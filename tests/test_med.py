@@ -22,9 +22,8 @@ from medbound.med import (
     SolverConfig,
     _compiled,
     _Frame,
-    exponential_value_and_grad,
+    cluster_states,
     finite_problem,
-    free_energy_gradient,
     ground_energy_lower_bound,
     markov_free_energy,
     minimize_ti,
@@ -105,21 +104,19 @@ class TestMarkovFreeEnergy:
 
 class TestGradient:
     def test_finite_differences(self, rng):
-        geo = ti_chain_geometry(HEIS, 1)
-        prob = ti_problem(geo)
-        d = prob.variables[0].dim
-        key = prob.variables[0].key
+        # the objective without constraint terms, in the packed coordinates
+        # of G the solver runs in
+        comp = _compiled(ti_problem(ti_chain_geometry(HEIS, 1)))
+        y = np.zeros(comp.n_con)
         for _ in range(5):
-            g = rng.standard_normal((d, d))
-            g = 0.5 * (g + g.T)
-            value, grads = exponential_value_and_grad({key: g}, prob, 0.8)
-            direction = rng.standard_normal((d, d))
-            direction = 0.5 * (direction + direction.T)
+            x = rng.standard_normal(comp.n)
+            grad = comp.al_eval(x, 0.8, y, 0.0, want_grad=True)["grad"]
+            direction = rng.standard_normal(comp.n)
             eps = 1e-5
-            fp, _ = exponential_value_and_grad({key: g + eps * direction}, prob, 0.8)
-            fm, _ = exponential_value_and_grad({key: g - eps * direction}, prob, 0.8)
+            fp = comp.al_eval(x + eps * direction, 0.8, y, 0.0, want_grad=False)["al"]
+            fm = comp.al_eval(x - eps * direction, 0.8, y, 0.0, want_grad=False)["al"]
             numeric = (fp - fm) / (2 * eps)
-            analytic = trace_product(grads[key], direction)
+            analytic = float(grad @ direction)
             assert abs(numeric - analytic) <= 1e-5 * max(1.0, abs(numeric))
 
     def test_vanishes_at_gibbs_single_cluster(self):
@@ -131,15 +128,10 @@ class TestGradient:
         var = VarSpec(key="c", labels=geo.labels, dims=geo.dims, ham=geo.ham,
                       shield_axes=())
         prob = MedProblem(variables=(var,), constraints=())
-        _, grads = exponential_value_and_grad({"c": -geo.ham / t}, prob, t)
-        assert np.max(np.abs(grads["c"])) <= 1e-10
-
-    def test_t_zero_euclidean_gradient_is_hamiltonian(self, random_state):
-        prob = ti_problem(ti_chain_geometry(HEIS, 1))
-        rho = random_state(prob.variables[0].dim)
-        grads = free_energy_gradient(ti_vars(prob, rho), prob, 0.0)
-        key = prob.variables[0].key
-        assert np.allclose(grads[key], prob.variables[0].ham)
+        comp = _compiled(prob)
+        x = comp.pack(comp.cl.from_dense([-geo.ham / t]))
+        grad = comp.al_eval(x, t, np.zeros(comp.n_con), 0.0, want_grad=True)["grad"]
+        assert np.max(np.abs(grad)) <= 1e-10
 
 
 class TestSolveTemperature:
@@ -261,21 +253,14 @@ class TestSweep:
         slopes = np.diff(fs) / np.diff(ts)
         assert np.all(np.diff(slopes) <= 1e-6)
 
-    def test_specific_heat_positive_midgrid(self):
-        prob = ti_problem(ti_chain_geometry(HEIS, 2))
-        sweep = temperature_sweep(prob, [0.6, 0.8, 1.0, 1.3], SolverConfig())
-        mid = sweep.rows[1:-1]
-        assert all(r.specific_heat > 0 for r in mid)
-        assert math.isnan(sweep.rows[0].specific_heat)
-
     def test_bad_grid_rejected(self):
         prob = ti_problem(ti_chain_geometry(ISING, 1))
         with pytest.raises(ValueError):
             temperature_sweep(prob, [1.0, 0.5], SolverConfig())
 
     def test_repeated_temperature_rejected_before_any_solve(self, monkeypatch):
-        # a repeated temperature would be solved and then divide by zero in
-        # the specific heat's divided differences
+        # a repeated temperature would be solved twice and give two rows for
+        # one T, one of them warm started from the other
         calls = []
         monkeypatch.setattr(med, "solve", lambda *args, **kwargs: calls.append(args))
         prob = ti_problem(ti_chain_geometry(HEIS, 1))
@@ -310,6 +295,38 @@ class TestWarmStart:
         assert again.iterations == 0
         assert again.f_per_site == first.f_per_site
 
+    def test_restart_from_a_sweep_row_takes_no_step(self):
+        # a sweep row is the solve's own result, warm start included
+        prob = ti_problem(ti_chain_geometry(HEIS, 2))
+        for row in temperature_sweep(prob, [0.5, 1.0]).rows:
+            again = solve(prob, row.T, warm=row.meta["warm"])
+            assert row.converged and again.converged
+            assert again.iterations == 0
+            assert again.f_per_site == row.f_per_site
+
+
+class TestClusterStates:
+    def test_states_give_the_result_value(self):
+        prob = ti_problem(ti_chain_geometry(HEIS, 2))
+        res = solve(prob, 0.7)
+        states = cluster_states(prob, res)
+        assert set(states) == {"ti"} and states["ti"].shape == (8, 8)
+        assert abs(markov_free_energy(states, prob, 0.7) - res.f_per_site) <= 1e-12
+
+    def test_other_problems_result_rejected(self):
+        res = minimize_ti(HEIS, 2, 1.0)
+        with pytest.raises(ValueError, match="another problem"):
+            cluster_states(ti_problem(ti_chain_geometry(HEIS, 3)), res)
+
+    def test_result_holds_only_the_packed_point(self):
+        prob = finite_problem(finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1))
+        res = solve(prob, 1.0)
+        comp = _compiled(prob)
+        arrays = [k for k, v in vars(res).items() if isinstance(v, np.ndarray)]
+        assert not arrays
+        assert res.meta["warm"]["x"].shape == (comp.n,)
+        assert res.meta["warm"]["y"].shape == (comp.n_con,)
+
 
 class TestStalledInnerSolve:
     @staticmethod
@@ -338,6 +355,14 @@ class TestStalledInnerSolve:
         assert len(calls) > 1
         assert res.converged
 
+    def test_ground_bound_without_converged_rows_is_nan(self, monkeypatch):
+        # no unconverged value may enter the maximum, so none is left
+        self.stub_minimizer(monkeypatch, 1.0)
+        res = ground_energy_lower_bound(ti_problem(ti_chain_geometry(HEIS, 2)), [0.5, 1.0])
+        assert all(not r.converged for r in res.sweep.rows)
+        assert math.isnan(res.bound) and not res.bracketed
+        assert res.refined == []
+
 
 class TestEvaluationReuse:
     def test_no_g_is_exponentiated_twice_in_a_row(self, monkeypatch):
@@ -363,7 +388,6 @@ class TestGroundEnergyBound:
         prob = finite_problem(geo)
         res = ground_energy_lower_bound(prob, [0.1, 0.3, 0.6, 1.0], TIGHT)
         assert not res.bracketed
-        assert "crossing not bracketed" in res.note
         assert res.bound <= -0.75 / 2 + 1e-9
         assert abs(res.bound + 0.75 / 2) <= 1e-3
 
@@ -493,9 +517,10 @@ class TestSectors:
     def test_iterates_stay_in_sectors(self):
         # dense iterates drift off the sectors by roundoff (3.1e-5 here);
         # sector iterates keep exact zeros there and reach the same bound
-        res = minimize_ti(HEIS, 4, 0.5)
+        prob = ti_problem(ti_chain_geometry(HEIS, 4))
+        res = solve(prob, 0.5)
         assert res.converged
-        assert np.all(res.states["ti"][off_sector(5)] == 0.0)
+        assert np.all(cluster_states(prob, res)["ti"][off_sector(5)] == 0.0)
         assert abs(res.f_per_site - (-0.5385956078726468)) <= 1e-6
 
 
@@ -689,7 +714,9 @@ class TestComplexMode:
         rot = _rotated(geo)
         assert abs(np.max(np.abs(rot.ham.imag)) - math.sqrt(0.5)) <= 1e-12
         real = solve(ti_problem(geo), 1.0, TIGHT)
-        cplx = solve(ti_problem(rot), 1.0, TIGHT)
+        rot_prob = ti_problem(rot)
+        cplx = solve(rot_prob, 1.0, TIGHT)
         assert real.converged and cplx.converged
-        assert np.iscomplexobj(cplx.states["ti"]) and np.iscomplexobj(cplx.meta["warm"]["y"])
+        assert np.iscomplexobj(cluster_states(rot_prob, cplx)["ti"])
+        assert np.iscomplexobj(cplx.meta["warm"]["y"])
         assert abs(cplx.f_per_site - real.f_per_site) <= 2e-7

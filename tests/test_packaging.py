@@ -34,6 +34,18 @@ def test_public_names_resolve():
             assert hasattr(module, name), f"{info.name}.{name}"
 
 
+def test_public_names_are_exported():
+    # every module-level def or class without a leading underscore is in its
+    # module's __all__, so __all__ is the whole public surface of a module
+    for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
+        module = f"medbound.{path.stem}" if path.stem != "__init__" else "medbound"
+        public = {node.name for node in ast.parse(path.read_text()).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
+        assert public <= exported, f"{module} does not export {sorted(public - exported)}"
+
+
 def traced_targets():
     """(module, attribute) pairs the benchmark's tracer wraps; the file is
     only read, not imported as a module."""
