@@ -42,16 +42,17 @@ trace onto those sites reads the same index map (`_Flat.trace_map`)
 backwards as one bincount. Dense matrices appear only at the interface:
 the logs of `BPState`, the messages `bp_update` returns and the beliefs.
 
-The restriction to sectors is exact. When log Lambda_k commutes with the
-total charge, so does every iterate: the identity start messages commute
-with it, the sum of commuting logs and its exponential commute with it, the
-partial trace of a charge-commuting state commutes with the charge of the
-sites it keeps, and logs, differences, damping mixes and normalization keep
-that. The dense iteration would therefore stay block diagonal in exact
-arithmetic; the block iteration keeps the off-sector zeros exact. Sectors
-follow the primal solver's rule (`layout._by_charge`), with the message logs
-a caller passes in checked too; otherwise the same code runs with one sector
-per matrix.
+The restriction to sectors is exact. Here the charge is the total charge
+mod the modulus the sector rule picks (`layout._charge_modulus`: U(1),
+then Z2, then one sector). When log Lambda_k commutes with it, so does
+every iterate: the identity start messages commute with it, the sum of
+commuting logs and its exponential commute with it, the partial trace of a
+charge-commuting state commutes with the charge of the sites it keeps, and
+logs, differences, damping mixes and normalization keep that. The dense
+iteration would therefore stay block diagonal in exact arithmetic; the
+block iteration keeps the off-sector zeros exact. The rule is the primal
+solver's, with the message logs a caller passes in checked too; with one
+sector the same code runs on one block per matrix.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from medbound.lattice import (  # noqa: F401
     finite_geometry,
     ti_chain_geometry,
 )
-from medbound.layout import _by_charge, _Flat, _scatter
+from medbound.layout import _charge_modulus, _Flat, _scatter
 from medbound.med import (
     Constraint,
     MedProblem,
@@ -185,8 +186,7 @@ def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> B
     first, last = tuple(range(n)), tuple(range(1, n + 1))
     hams = {n: sum(embed_mat(geo.hams[j], window, tuple(range(j + 1))) for j in range(n + 1)),
             **{k: geo.hams[k] for k in range(n + 1, n_sites)}}
-    variables = tuple(VarSpec(key=k, labels=tuple(range(k - n, k + 1)), dims=window, ham=ham,
-                              shield_axes=first if k > n else ())
+    variables = tuple(VarSpec(key=k, dims=window, ham=ham, shield_axes=first if k > n else ())
                       for k, ham in hams.items())
     constraints = tuple(Constraint(k - 1, last, k, first) for k in range(n + 1, n_sites))
     return BPProblem(MedProblem(variables, constraints, site_norm=float(n_sites)), T)
@@ -214,11 +214,11 @@ class _Layout:
       every cluster entry, the message entry embedded there (else the zero
       slot)."""
 
-    def __init__(self, problem: BPProblem, by_charge: bool):
+    def __init__(self, problem: BPProblem, modulus: int):
         variables = problem.problem.variables
         n = len(variables[0].dims) - 1
-        self.cluster = c = _Flat([variables[0].dims], by_charge)
-        self.msg = m = _Flat([variables[0].dims[:n]], by_charge)
+        self.cluster = c = _Flat([variables[0].dims], modulus)
+        self.msg = m = _Flat([variables[0].dims[:n]], modulus)
         self.keys = [v.key for v in variables]
         self.dim = int(np.prod(variables[0].dims[:n]))
         self.diag = (m.rows == m.cols).astype(float)
@@ -340,13 +340,12 @@ class _Layout:
 
 
 def _compile(problem: BPProblem, logs=()) -> _Layout:
-    """The layout on the sector rule of `layout._by_charge`: sectors when
-    every cluster Hamiltonian and every given message log is exactly zero
-    off them, else one sector per matrix."""
+    """The layout on the charge modulus `layout._charge_modulus` picks from
+    every cluster Hamiltonian and every given message log."""
     variables = problem.problem.variables
     dims = variables[0].dims
     pairs = [(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in logs]
-    return _Layout(problem, _by_charge(pairs))
+    return _Layout(problem, _charge_modulus(pairs))
 
 
 def _message_names(problem: BPProblem) -> list:

@@ -105,6 +105,12 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A nearest-neighbor spin-1/2 model. The TFIM is written in the basis
+    where its field is diagonal, -J sum XX - g sum Z: the Hadamard-rotated
+    form of -J sum ZZ - g sum X, with the same spectrum. There its
+    Hamiltonian conserves the S^z count mod 2, so both solvers run it in two
+    parity sectors (`layout._charge_modulus`) instead of one dense block."""
+
     name: str                      # heisenberg | classical_ising | tfim
     J: float = 1.0
     g: float = 0.0                 # transverse field (tfim)
@@ -134,7 +140,6 @@ class Shield:
     """Markov shield of one site: the predecessors inside its neighborhood."""
 
     site: object
-    neighborhood: frozenset
     shield: tuple      # ordering-sorted predecessors in the neighborhood
     cluster: tuple     # shield + the site itself (site last)
 
@@ -146,13 +151,13 @@ def model_term(model: ModelSpec) -> np.ndarray:
         return 0.25 * model.J * (np.kron(PAULI_X, PAULI_X).real
                                  + np.kron(PAULI_Y, PAULI_Y).real
                                  + np.kron(PAULI_Z, PAULI_Z).real)
-    # classical_ising and tfim share the diagonal bond
-    return -model.J * np.kron(PAULI_Z, PAULI_Z).real
+    pauli = PAULI_X if model.name == "tfim" else PAULI_Z
+    return -model.J * np.kron(pauli, pauli)
 
 
 def model_site_term(model: ModelSpec) -> np.ndarray | None:
     if model.name == "tfim" and model.g != 0.0:
-        return -model.g * PAULI_X
+        return -model.g * PAULI_Z
     return None
 
 
@@ -277,8 +282,7 @@ def markov_shield(k, ordering, neighborhood) -> Shield:
     shield = tuple(sorted(before, key=pos.get))
     if not shield and pos[k] > 0:
         raise ValueError(f"empty shield at site {k!r}; only the first site may have one")
-    return Shield(site=k, neighborhood=frozenset(neighborhood),
-                  shield=shield, cluster=shield + (k,))
+    return Shield(site=k, shield=shield, cluster=shield + (k,))
 
 
 def assign_terms(shields: dict, terms, ordering) -> dict:
@@ -336,8 +340,6 @@ class FiniteGeometry:
     """Per-site clusters of a finite lattice with all pairwise overlap
     constraints between the declared clusters."""
 
-    spec: LatticeSpec
-    model: ModelSpec
     sites: tuple
     shields: dict
     hams: dict
@@ -442,5 +444,5 @@ def finite_geometry(spec: LatticeSpec, model: ModelSpec, radius: int | None = No
             idx_b = {lab: t for t, lab in enumerate(cb)}
             constraints.append((a, tuple(idx_a[s] for s in shared),
                                 b, tuple(idx_b[s] for s in shared)))
-    return FiniteGeometry(spec=spec, model=model, sites=ordering, shields=shields,
-                          hams=hams, constraints=tuple(constraints), terms=tuple(terms))
+    return FiniteGeometry(sites=ordering, shields=shields, hams=hams,
+                          constraints=tuple(constraints), terms=tuple(terms))

@@ -1,15 +1,17 @@
 """Charge-sector block layout shared by the primal and the BP solver.
 
 The charge of a basis state is the sum of its local basis indices (the S^z
-count for spins). A matrix that commutes with the charge is block diagonal
-in its sectors, so it can be carried as its in-sector entries only: the
-blocks of every sector, laid out in one flat vector. Blocks of equal size b
-sit next to each other and are read as one (k, b, b) stack, so a matrix
-function costs one batched call per block size. A problem whose matrices
-break the charge keeps one sector per matrix, which is the plain dense
-layout run by the same code. One rule (`_by_charge`) picks sectors for both
-solvers: when every cluster Hamiltonian, and every matrix a caller passes in
-(states, G, messages), is exactly 0 off them.
+count for spins) mod a modulus m: m = 0 is the plain sum (U(1)), m = 2 its
+parity (Z2), and m = 1 puts every state in one sector, the plain dense
+layout run by the same code. A matrix that commutes with the charge is
+block diagonal in its sectors, so it can be carried as its in-sector
+entries only: the blocks of every sector, laid out in one flat vector.
+Blocks of equal size b sit next to each other and are read as one (k, b, b)
+stack, so a matrix function costs one batched call per block size. One
+rule (`_charge_modulus`) picks the modulus for both solvers, a charge with
+a modulus: U(1), then Z2, then one sector, the first whose sectors hold
+every cluster Hamiltonian and every matrix a caller passes in (states, G,
+messages).
 
 `_Flat`, the one layout class, holds the blocks of one or more matrices in
 one flat vector: the primal solver lays out all cluster states (and all
@@ -45,23 +47,24 @@ class _Blocks:
         self.stacks = tuple(np.array(by_size[b]) for b in sorted(by_size))
 
 
-def _charges(dims) -> np.ndarray:
-    """Charge of every basis state: the sum of its local basis indices."""
-    return np.indices(tuple(dims)).reshape(len(dims), -1).sum(axis=0)
+def _charges(dims, m: int) -> np.ndarray:
+    """Charge of every basis state: the sum of its local basis indices mod
+    m (m = 0: the plain sum)."""
+    q = np.indices(tuple(dims)).reshape(len(dims), -1).sum(axis=0)
+    return q % m if m else q
 
 
-def _by_charge(pairs) -> bool:
-    """The sector rule of both solvers: charge sectors when every matrix
-    (None: no matrix) of the (matrix, dims) pairs is exactly 0 off them."""
-    for mat, dims in pairs:
-        q = _charges(dims)
-        if mat is not None and np.any(np.asarray(mat)[q[:, None] != q[None, :]]):
-            return False
-    return True
-
-
-def _sector_blocks(dims, by_charge: bool) -> _Blocks:
-    return _Blocks(_charges(dims) if by_charge else np.zeros(int(np.prod(dims)), int))
+def _charge_modulus(pairs) -> int:
+    """The sector rule of both solvers, a charge with a modulus: U(1)
+    (m = 0), then Z2 (m = 2), then one sector (m = 1). Returns the first m
+    whose sectors hold every matrix (None: no matrix) of the (matrix, dims)
+    pairs, i.e. that is exactly 0 off them."""
+    mats = [(np.asarray(mat), dims) for mat, dims in pairs if mat is not None]
+    for m in (0, 2):
+        if not any(np.any(mat[(q := _charges(dims, m))[:, None] != q[None, :]])
+                   for mat, dims in mats):
+            return m
+    return 1
 
 
 class _Stack(NamedTuple):
@@ -112,17 +115,17 @@ class _Eig(NamedTuple):
 
 
 class _Flat:
-    """The charge-sector blocks of several matrices on local dimensions
-    `dims` (None: no matrix) in one flat vector: blocks of equal size next
-    to each other, each matrix's blocks in its own order. Per flat entry
-    `owner`, `rows` and `cols` give its matrix, row and column, `eig_owner`
-    the matrix of each eigenvalue, and `sel` the flat entries of each
-    matrix. Every method also takes an array of flat vectors with leading
-    batch axes."""
+    """The charge-sector blocks (charge mod `modulus`) of several matrices on
+    local dimensions `dims` (None: no matrix) in one flat vector: blocks of
+    equal size next to each other, each matrix's blocks in its own order.
+    Per flat entry `owner`, `rows` and `cols` give its matrix, row and
+    column, `eig_owner` the matrix of each eigenvalue, and `sel` the flat
+    entries of each matrix. Every method also takes an array of flat
+    vectors with leading batch axes."""
 
-    def __init__(self, dims, by_charge: bool):
+    def __init__(self, dims, modulus: int):
         self.dims = list(dims)
-        self.blocks = [None if d is None else _sector_blocks(d, by_charge)
+        self.blocks = [None if d is None else _Blocks(_charges(d, modulus))
                        for d in self.dims]
         sizes = sorted({s.shape[1] for bl in self.blocks if bl is not None for s in bl.stacks})
         self.stacks = []

@@ -22,19 +22,20 @@ the rescaling evens it out. When every cluster Hamiltonian is real the whole
 iteration stays in real symmetric matrices, which roughly halves the
 parameter count and speeds up the eigensolver.
 
-When every cluster Hamiltonian conserves the charge q (the sum of the local
-basis indices of a basis state, the S^z count for spins), G is restricted
-to its charge sectors: only the in-sector entries are parameters. This is
-exact. The objective is convex and invariant under u^{(x)n} with
-u = exp(i theta n), n the local basis index, and the consistency
+When every cluster Hamiltonian conserves the charge q mod m (q the sum of
+the local basis indices of a basis state, the S^z count for spins; m = 0
+the plain sum), G is restricted to its charge sectors: only the in-sector
+entries are parameters. This is exact. The objective is convex and
+invariant under u^{(x)n} with u = exp(i theta n), n the local basis index
+and theta any real (m = 0) or in (2 pi / m) Z (m > 0), and the consistency
 constraints map to themselves under it, so averaging a minimizer over theta
 gives a minimizer that commutes with the charge. The dense iteration would
 stay in that subspace too in exact arithmetic (it starts at G = 0 and its
 gradients are invariant); in floating point it drifts out of it. The rule
-is the one BP uses (`layout._by_charge`): a problem in which some cluster
-Hamiltonian breaks the charge keeps one sector per matrix, the plain dense
-iteration, and `markov_free_energy` also checks the states it is given, so
-charge-conserving states (BP beliefs among them) are evaluated in sectors.
+is the one BP uses (`layout._charge_modulus`: U(1), then Z2, then one
+sector per matrix, the plain dense iteration), and `markov_free_energy`
+also checks the states it is given, so charge-conserving states (BP
+beliefs among them) are evaluated in sectors.
 
 Each problem is compiled once, at its first solve, into a block layout
 (`_Compiled`, on the `_Flat` class of `medbound.layout`, which the BP solver
@@ -66,12 +67,12 @@ from medbound.lattice import (
 from medbound.layout import (
     _Eig,
     _Flat,
-    _by_charge,
+    _charge_modulus,
+    _charges,
     _dag,
     _herm,
     _neg_xlogx,
     _scatter,
-    _sector_blocks,
 )
 # ptrace_mat, embed_mat and entropy_from_probs are not called here; they stay
 # attributes of this module because perfbench/tracing.py wraps them by name
@@ -130,10 +131,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class VarSpec:
-    """One cluster variable: labels in ordering position (top site last)."""
+    """One cluster variable: the local dimensions of its sites in ordering
+    position (top site last), its Hamiltonian and its shield's axes."""
 
     key: object
-    labels: tuple
     dims: tuple
     ham: np.ndarray | None = field(repr=False, default=None)
     shield_axes: tuple = ()
@@ -159,7 +160,7 @@ class MedProblem:
     variables: tuple
     constraints: tuple
     site_norm: float = 1.0      # divide totals by this for per-site numbers
-    # layouts built by `_compiled`, keyed by whether they use charge sectors
+    # layouts built by `_compiled`, keyed by their charge modulus
     _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -210,8 +211,7 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 def ti_problem(geo: TIGeometry) -> MedProblem:
-    var = VarSpec(key="ti", labels=geo.labels, dims=geo.dims, ham=geo.ham,
-                  shield_axes=geo.shield_axes)
+    var = VarSpec(key="ti", dims=geo.dims, ham=geo.ham, shield_axes=geo.shield_axes)
     cons = tuple(Constraint("ti", left, "ti", right) for left, right in geo.constraints)
     return MedProblem(variables=(var,), constraints=cons, site_norm=1.0)
 
@@ -221,10 +221,9 @@ def finite_problem(geo: FiniteGeometry) -> MedProblem:
     constraints."""
     variables = []
     for k in geo.sites:
-        labels = geo.cluster_labels(k)
-        dims = (2,) * len(labels)
-        variables.append(VarSpec(key=k, labels=labels, dims=dims, ham=geo.hams[k],
-                                 shield_axes=tuple(range(len(labels) - 1))))
+        size = len(geo.cluster_labels(k))
+        variables.append(VarSpec(key=k, dims=(2,) * size, ham=geo.hams[k],
+                                 shield_axes=tuple(range(size - 1))))
     cons = tuple(Constraint(a, ax_a, b, ax_b) for a, ax_a, b, ax_b in geo.constraints)
     return MedProblem(variables=tuple(variables), constraints=cons,
                       site_norm=float(geo.n_sites))
@@ -291,14 +290,14 @@ class _Compiled:
       Hermitian blocks.
     Dense matrices appear only at the edges: the `_Flat` conversions."""
 
-    def __init__(self, problem: MedProblem, by_charge: bool):
+    def __init__(self, problem: MedProblem, modulus: int):
         variables = problem.variables
         self.keys = [v.key for v in variables]
         self.n_vars = len(variables)
         self.real = _is_real_problem(problem)
-        self.cl = cl = _Flat([v.dims for v in variables], by_charge)
+        self.cl = cl = _Flat([v.dims for v in variables], modulus)
         self.sh = sh = _Flat([[v.dims[a] for a in v.shield_axes] if v.shield_axes else None
-                              for v in variables], by_charge)
+                              for v in variables], modulus)
         self.ham = cl.from_dense([np.zeros((v.dim, v.dim)) if v.ham is None else v.ham
                                   for v in variables], float if self.real else complex)
 
@@ -312,7 +311,7 @@ class _Compiled:
         for c in problem.constraints:
             dims = [problem.var(c.left_key).dims[a] for a in c.left_axes]
             d = int(np.prod(dims))
-            q = _sector_blocks(dims, by_charge).charge
+            q = _charges(dims, modulus)
             ea, eb = np.nonzero(q[:, None] == q[None, :])
             labels = np.zeros((d, d))
             labels[ea, eb] = self.sh.n + pos + 1 + np.arange(ea.size)
@@ -515,18 +514,18 @@ def _is_real_problem(problem: MedProblem) -> bool:
 def _compiled(problem: MedProblem, mats: dict | None = None) -> _Compiled:
     """The problem's layout, built on first use and cached on the problem.
 
-    Charge sectors when every cluster Hamiltonian, and every matrix of
-    `mats` (states or G keyed like the variables), conserves the charge
-    (`layout._by_charge`), otherwise one sector per matrix. A layout built
-    for given `mats` is not cached: caching the layouts of evaluation-only
-    callers (BP) raised `bp-chain` peak RSS from 88.6 to 92.6 MB."""
-    by_charge = _by_charge([(m, v.dims) for v in problem.variables
-                            for m in (v.ham, (mats or {}).get(v.key))])
-    comp = problem._layouts.get(by_charge)
+    Charge sectors on the modulus `layout._charge_modulus` picks from every
+    cluster Hamiltonian and every matrix of `mats` (states or G keyed like
+    the variables). A layout built for given `mats` is not cached: caching
+    the layouts of evaluation-only callers (BP) raised `bp-chain` peak RSS
+    from 88.6 to 92.6 MB."""
+    modulus = _charge_modulus([(m, v.dims) for v in problem.variables
+                               for m in (v.ham, (mats or {}).get(v.key))])
+    comp = problem._layouts.get(modulus)
     if comp is None:
-        comp = _Compiled(problem, by_charge)
+        comp = _Compiled(problem, modulus)
         if mats is None:
-            problem._layouts[by_charge] = comp
+            problem._layouts[modulus] = comp
     return comp
 
 

@@ -27,6 +27,7 @@ from medbound.lattice import (
     ModelSpec,
     build_lattice,
     finite_geometry,
+    model_site_term,
     ti_chain_geometry,
     ti_square_geometry,
     total_hamiltonian,
@@ -301,8 +302,9 @@ class TestProblems:
         assert sorted(hams) == list(range(n, n_sites))
         for k in range(n + 1, n_sites):
             assert np.array_equal(hams[k], geo.hams[k])
-        labels = {v.key: v.labels for v in prob.problem.variables}
-        total = sum(embed_mat(hams[k], (2,) * n_sites, labels[k]) for k in hams)
+        # window k holds sites k - n ... k
+        total = sum(embed_mat(hams[k], (2,) * n_sites, tuple(range(k - n, k + 1)))
+                    for k in hams)
         terms, sites = build_lattice(spec, model)
         assert np.array_equal(total, total_hamiltonian(terms, sites))
 
@@ -351,8 +353,12 @@ class TestUpdate:
                                            _random_positive(rng, 2))
 
     def test_charge_breaking_problem_takes_one_sector(self, rng):
-        prob = bp_ti_problem(TFIM, 1, 0.7)
+        # a random symmetric Hamiltonian breaks the charge and its parity;
+        # the TFIM keeps the parity
+        ham = rng.standard_normal((4, 4))
+        prob = with_hams(bp_ti_problem(HEIS, 1, 0.7), {"ti": sym(ham + ham.T)})
         assert _compile(prob).msg.n == 4            # one 2 x 2 block
+        assert _compile(bp_ti_problem(TFIM, 1, 0.7)).msg.n == 2    # two parity sectors
         self.check_against_multiplier_form(prob, _random_positive(rng, 2),
                                            _random_positive(rng, 2))
 
@@ -490,16 +496,30 @@ class TestSectors:
                                                                HEIS, 3, 0.5)],
                              ids=["ti n=4", "open N=8 n=3"])
     def test_sectors_agree_with_one_sector(self, make):
+        self.check_agrees_with_one_sector(make())
+
+    @pytest.mark.parametrize("make", [lambda: bp_ti_problem(TFIM, 3, 0.5),
+                                      lambda: bp_chain_problem(LatticeSpec("chain", 6),
+                                                               TFIM, 2, 0.5)],
+                             ids=["ti n=3", "open N=6 n=2"])
+    def test_parity_sectors_agree_with_one_sector(self, make):
         prob = make()
+        lay = _compile(prob)
+        assert [st.shape for st in lay.msg.stacks] == [(2, lay.dim // 2, lay.dim // 2)]
+        self.check_agrees_with_one_sector(prob)
+
+    @staticmethod
+    def check_agrees_with_one_sector(prob):
         cfg = BPConfig()
         sectors = bp_fixed_point(prob, cfg)
-        dense = _iterate(_Layout(prob, False), cfg)
+        one = _Layout(prob, 1)
+        assert [st.shape[0] for st in one.msg.stacks] == [1]
+        dense = _iterate(one, cfg)
         assert sectors.converged and dense.converged
         assert sectors.iterations == dense.iterations
         for name, log in sectors.logs.items():
             assert np.max(np.abs(log - dense.logs[name])) <= 1e-12
         assert abs(bp_free_energy(sectors, prob) - bp_free_energy(dense, prob)) <= 1e-12
-
 
     @pytest.mark.parametrize("model", [HEIS, TFIM], ids=["heis", "tfim"])
     def test_rotated_problem_matches_real(self, model):
@@ -545,8 +565,7 @@ class TestBeliefs:
         prob = bp_chain_problem(spec, model, 1, t)
         state = bp_fixed_point(prob, BPConfig(tol_residual=1e-12))
         beliefs, _ = beliefs_from_messages(state, prob)
-        h1 = -0.9 * np.array([[0.0, 1.0], [1.0, 0.0]])
-        g1 = gibbs_state(h1, t)
+        g1 = gibbs_state(model_site_term(model), t)
         for rho in beliefs.values():
             assert np.max(np.abs(rho - np.kron(g1, g1))) <= 1e-9
 

@@ -7,6 +7,8 @@ from medbound.lattice import (
     FiniteGeometry,
     LatticeSpec,
     ModelSpec,
+    PAULI_X,
+    PAULI_Z,
     ShieldTooSmallError,
     Term,
     assign_terms,
@@ -20,10 +22,12 @@ from medbound.lattice import (
     total_hamiltonian,
 )
 from medbound.opalg import embed_mat
+from medbound.oracle import exact_free_energy
 
 HEIS = ModelSpec("heisenberg")
 ISING = ModelSpec("classical_ising")
 SQUARE_TEMPLATE_6 = ((-1, 0), (-2, 0), (-3, 0), (-1, 1), (0, 1), (1, 1))
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 class TestBuildLattice:
@@ -88,11 +92,26 @@ class TestModelTerms:
         assert np.allclose(m, np.diag([-1.0, 1.0, 1.0, -1.0]))
 
     def test_tfim_zero_field_is_classical_ising(self):
+        # equal up to one Hadamard per site
         a = model_term(ModelSpec("tfim", J=2.0, g=0.0))
         b = model_term(ModelSpec("classical_ising", J=2.0))
-        assert np.allclose(a, b)
+        hh = np.kron(HADAMARD, HADAMARD)
+        assert np.allclose(hh @ a @ hh, b)
         terms, _ = build_lattice(LatticeSpec("chain", 3), ModelSpec("tfim", J=2.0, g=0.0))
         assert all(len(t.support) == 2 for t in terms)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    def test_tfim_matches_its_z_basis_form(self, t):
+        # -J sum XX - g sum Z has the spectrum of -J sum ZZ - g sum X
+        model = ModelSpec("tfim", J=1.0, g=0.8)
+        spec = LatticeSpec("chain", 8)
+        terms, sites = build_lattice(spec, model)
+        z_basis = [Term(bond, -model.J * np.kron(PAULI_Z, PAULI_Z))
+                   for bond in zip(range(7), range(1, 8))]
+        z_basis += [Term((k,), -model.g * PAULI_X) for k in range(8)]
+        f = exact_free_energy(total_hamiltonian(terms, sites), t).f_total
+        f_z = exact_free_energy(total_hamiltonian(z_basis, sites), t).f_total
+        assert abs(f - f_z) <= 1e-12
 
 
 class TestShields:

@@ -31,7 +31,7 @@ from medbound.med import (
     temperature_sweep,
     ti_problem,
 )
-from medbound.layout import _Flat
+from medbound.layout import _charge_modulus, _Flat
 from medbound.opalg import (
     embed_mat,
     entropy_mat,
@@ -125,8 +125,7 @@ class TestGradient:
         geo = ti_chain_geometry(HEIS, 1)
         t = 0.7
         from medbound.med import MedProblem, VarSpec
-        var = VarSpec(key="c", labels=geo.labels, dims=geo.dims, ham=geo.ham,
-                      shield_axes=())
+        var = VarSpec(key="c", dims=geo.dims, ham=geo.ham, shield_axes=())
         prob = MedProblem(variables=(var,), constraints=())
         comp = _compiled(prob)
         x = comp.pack(comp.cl.from_dense([-geo.ham / t]))
@@ -447,9 +446,11 @@ class TestInvariants:
             assert fmix <= lam * f1 + (1 - lam) * f2 + 1e-10
 
 
-def charges(n_sites):
-    """Number of up spins (basis index 1) of each basis state."""
-    return np.indices((2,) * n_sites).reshape(n_sites, -1).sum(axis=0)
+def charges(n_sites, m=0):
+    """Number of up spins (basis index 1) of each basis state, mod m (m = 0:
+    the plain count)."""
+    q = np.indices((2,) * n_sites).reshape(n_sites, -1).sum(axis=0)
+    return q % m if m else q
 
 
 def sector_sizes(blocks):
@@ -462,8 +463,8 @@ def sectors(comp):
     return dict(zip(comp.keys, zip(comp.cl.blocks, comp.sh.blocks)))
 
 
-def off_sector(n_sites):
-    q = charges(n_sites)
+def off_sector(n_sites, m=0):
+    q = charges(n_sites, m)
     return q[:, None] != q[None, :]
 
 
@@ -486,14 +487,29 @@ class TestSectors:
         assert [st.shape for st in comp.cl.stacks] == [(2, 1, 1), (2, 7, 7), (2, 21, 21),
                                                      (2, 35, 35)]
         assert [st.shape[0] for st in comp.sh.stacks] == [2, 2, 2, 1]
-        assert med._Compiled(prob, False).n == 128 * 129 // 2
+        assert med._Compiled(prob, 1).n == 128 * 129 // 2
         assert _compiled(prob) is comp
 
-    def test_tfim_has_one_sector(self):
+    def test_tfim_has_parity_sectors(self):
         prob = ti_problem(ti_chain_geometry(TFIM, 2))
-        cluster, shield = sectors(_compiled(prob))[prob.variables[0].key]
-        assert sector_sizes(cluster) == (8,)
-        assert sector_sizes(shield) == (4,)
+        comp = _compiled(prob)
+        cluster, shield = sectors(comp)[prob.variables[0].key]
+        assert sector_sizes(cluster) == (4, 4)
+        assert sector_sizes(shield) == (2, 2)
+        assert comp.n == 20
+
+    def test_charge_modulus_picks_u1_then_parity_then_one(self, rng):
+        def modulus(model):
+            geo = ti_chain_geometry(model, 2)
+            return _charge_modulus([(geo.ham, geo.dims)])
+        assert modulus(HEIS) == 0
+        assert modulus(TFIM) == 2
+        assert modulus(ISING) == 0
+        a = rng.standard_normal((8, 8))
+        assert _charge_modulus([(a + a.T, (2, 2, 2))]) == 1
+        geo = ti_chain_geometry(HEIS, 2)
+        field_on_top = np.kron(np.eye(4), PAULI_X)
+        assert _charge_modulus([(geo.ham + field_on_top, geo.dims)]) == 1
 
     def test_one_breaking_cluster_gives_one_sector_everywhere(self):
         geo = finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1)
@@ -585,19 +601,24 @@ def _dense_al_reference(problem, T, gmats, mults, pen):
     return value, grads
 
 
-def _conserves(problem):
-    return all(not np.any(v.ham[off_sector(len(v.dims))]) for v in problem.variables)
+def _modulus(problem):
+    """The first charge modulus of U(1) (0), Z2 (2) and one sector (1) whose
+    sectors hold every cluster Hamiltonian."""
+    for m in (0, 2):
+        if all(not np.any(v.ham[off_sector(len(v.dims), m)]) for v in problem.variables):
+            return m
+    return 1
 
 
 def _pack_reference(problem, mats):
     """Per cluster: the diagonal, then the in-sector upper triangle sector by
     sector (times sqrt 2), then its imaginary parts for complex problems."""
-    by_charge = _conserves(problem)
+    modulus = _modulus(problem)
     complex_ = any(np.iscomplexobj(v.ham) for v in problem.variables)
     parts = []
     for v in problem.variables:
         m = mats[v.key]
-        q = charges(len(v.dims)) if by_charge else np.zeros(v.dim, int)
+        q = charges(len(v.dims), modulus)
         i, j = np.triu_indices(v.dim, 1)
         keep = q[i] == q[j]
         order = np.argsort(q[i][keep], kind="stable")
@@ -611,9 +632,9 @@ def _pack_reference(problem, mats):
 def _flat_mults(problem, mults):
     """Dense multipliers as the solver's flat vector: per constraint, its
     in-sector entries in row-major order."""
-    by_charge = _conserves(problem)
+    modulus = _modulus(problem)
     complex_ = any(np.iscomplexobj(v.ham) for v in problem.variables)
-    parts = [y[~off_sector(len(c.left_axes))] if by_charge else y.ravel()
+    parts = [y[~off_sector(len(c.left_axes), modulus)]
              for c, y in zip(problem.constraints, mults)]
     return np.concatenate(parts).astype(complex if complex_ else float)
 
@@ -644,17 +665,17 @@ class TestSectorEvaluation:
         # 6 clusters of 5 sizes (d = 2 ... 32), 14 constraints
         "ring N=6 r=2": lambda: finite_problem(
             finite_geometry(LatticeSpec("chain", 6, boundary="periodic"), HEIS, radius=2)),
-        # complex Hamiltonians, one sector (TFIM) and charge sectors (Heisenberg)
+        # complex Hamiltonians, parity sectors (TFIM) and charge sectors (Heisenberg)
         "complex tfim n=2": lambda: ti_problem(_rotated(ti_chain_geometry(TFIM, 2))),
         "complex heis n=2": lambda: ti_problem(_rotated(ti_chain_geometry(HEIS, 2))),
     }
 
     def _point(self, prob, rng, scale):
-        by_charge = _conserves(prob)
+        modulus = _modulus(prob)
         complex_ = any(np.iscomplexobj(v.ham) for v in prob.variables)
 
         def mask(n):
-            return ~off_sector(n) if by_charge else np.ones((2 ** n, 2 ** n), bool)
+            return ~off_sector(n, modulus)
         gmats = {v.key: _random_herm(rng, v.dim, scale, mask(len(v.dims)), complex_)
                  for v in prob.variables}
         mults = [_random_herm(rng, 2 ** len(c.left_axes), scale, mask(len(c.left_axes)),
@@ -670,7 +691,7 @@ class TestSectorEvaluation:
         rng = np.random.default_rng(seed)
         gmats, mults = self._point(prob, rng, scale)
         comp = _compiled(prob)
-        if _conserves(prob):
+        if _modulus(prob) != 1:
             assert all(len(sector_sizes(s[0])) > 1 for s in sectors(comp).values())
         out = comp.al_eval(_pack_reference(prob, gmats), T, _flat_mults(prob, mults),
                            pen, want_grad=True)
@@ -709,10 +730,10 @@ class TestComplexMode:
     def test_rotated_tfim_matches_real_bound(self):
         # u = diag(1, e^{i pi/4}) on every site maps the consistency
         # constraints to themselves, so the bound cannot change; the rotated
-        # Hamiltonian has imaginary parts of 0.71 and runs in complex mode
+        # Hamiltonian has imaginary parts of 1 (on XX) and runs in complex mode
         geo = ti_chain_geometry(TFIM, 2)
         rot = _rotated(geo)
-        assert abs(np.max(np.abs(rot.ham.imag)) - math.sqrt(0.5)) <= 1e-12
+        assert abs(np.max(np.abs(rot.ham.imag)) - 1.0) <= 1e-12
         real = solve(ti_problem(geo), 1.0, TIGHT)
         rot_prob = ti_problem(rot)
         cplx = solve(rot_prob, 1.0, TIGHT)
