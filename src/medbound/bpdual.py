@@ -19,18 +19,37 @@ The bound is the MED objective of the same problem at the beliefs rho_k
 The inverse factors only drop out when partial trace and the log-space
 product commute (classical case).
 
-Messages are positive definite operators on the n-site overlaps, normalized
-to unit trace after every update (normalization absorbs the scalar
-multipliers). A BP state is the unit-trace logs of its messages, the
+Messages are positive definite operators on the n-site overlaps, carried as
+their logs. A BP state is the unit-trace logs of its messages, the
 multipliers of the consistency constraints. An update adds the incoming logs
 to log Lambda_k, takes one eigendecomposition of the cluster belief, logs
 the marginals it sends (the loop's one `EIG_FLOOR` clamp) and subtracts the
-incoming logs. Damping mixes old and new logs with the constant weight 0.5
-(`_DAMPING`) on the new ones, which preserves positivity exactly; one
-eigendecomposition of the mix gives the normalized message, on which the
-residual (largest trace-distance change) is measured, and the shift that
-normalizes its log. Beliefs and the bound read the carried logs as they
-are. Open chains use identity messages beyond both ends.
+incoming logs. Beliefs and the bound read the carried logs as they are.
+Open chains use identity messages beyond both ends.
+
+Rounds. A round sends every message once: an open chain sweeps forward
+(right-moving messages), then backward; the translation-invariant pair is
+updated jointly. Each step writes only the damped mix of old and new logs,
+with the constant weight 0.5 (`_DAMPING`) on the new ones, and leaves it
+unnormalized: a scalar shift of an incoming log cancels in the normalized
+belief, so it changes the logs a step sends only by multiples of the
+identity. The round normalizes once, with one batched eigendecomposition of
+all message logs, which gives their unit-trace logs and the messages.
+
+This round map G acts on the point x of all unit-trace message logs. The
+next point is not G(x) but its type-II Anderson mix (Walker & Ni, SIAM J.
+Numer. Anal. 49, 1715 (2011)) of depth `_HISTORY`: with the columns of F
+and D the differences between rounds of f = G(x) - x and of G(x), over the
+last `_HISTORY` rounds and read as real vectors, gamma minimizes
+||f - F gamma|| over real coefficients and the next point is G(x) - D gamma,
+shifted back to unit trace. Any real combination of Hermitian logs is
+Hermitian and its exponential is positive definite, so the mix keeps every
+message positive whatever gamma is; a mix of the messages themselves would
+not. A rank-deficient least-squares system or a mix that is not finite
+clears the history, and that round takes G(x); a rising residual does not.
+The residual is the largest trace distance that one plain damped round
+moves a message from the point the round started at, and the returned state
+is that round's output G(x), so both read as they would without the mix.
 
 Layout. Each public call compiles the problem once (`_Layout`) onto one
 cluster and one message `_Flat` of `medbound.layout`: cluster logs,
@@ -48,11 +67,12 @@ then Z2, then one sector). When log Lambda_k commutes with it, so does
 every iterate: the identity start messages commute with it, the sum of
 commuting logs and its exponential commute with it, the partial trace of a
 charge-commuting state commutes with the charge of the sites it keeps, and
-logs, differences, damping mixes and normalization keep that. The dense
-iteration would therefore stay block diagonal in exact arithmetic; the
-block iteration keeps the off-sector zeros exact. The rule is the primal
-solver's, with the message logs a caller passes in checked too; with one
-sector the same code runs on one block per matrix.
+logs, differences, real combinations (damping and Anderson mixes) and
+normalization keep that. The dense iteration would therefore stay block
+diagonal in exact arithmetic; the block iteration keeps the off-sector
+zeros exact. The rule is the primal solver's, with the message logs a
+caller passes in checked too; with one sector the same code runs on one
+block per matrix.
 """
 
 from __future__ import annotations
@@ -106,6 +126,7 @@ __all__ = [
 
 
 _DAMPING = 0.5      # log-space step toward the new message
+_HISTORY = 5        # depth of the Anderson mix of rounds
 
 
 @dataclass(frozen=True)
@@ -319,14 +340,17 @@ class _Layout:
         logs = self.msg.from_eig(vecs, np.log(np.maximum(vals, EIG_FLOOR)))
         return logs - store[inverse, :-1]
 
-    def damp(self, store, msgs, rows, out, alpha: float) -> None:
+    @staticmethod
+    def mix(store, rows, out, alpha: float) -> None:
         """Move the store rows `rows` a step `alpha` toward the new logs
-        `out`: the convex mix, shifted to unit trace, and its normalized
-        exponential into `msgs`."""
-        mix = (1.0 - alpha) * store[rows, :-1] + alpha * out
-        eig = self.msg.exp(mix)
-        msgs[rows] = eig.rho
-        store[rows, :-1] = mix - (eig.top + np.log(eig.z)) * self.diag
+        `out`: the convex mix of logs, left unnormalized."""
+        store[rows, :-1] = (1.0 - alpha) * store[rows, :-1] + alpha * out
+
+    def normalize(self, logs):
+        """The unit-trace shift of message logs (one row each) and their
+        normalized exponentials, from one batched eigendecomposition."""
+        eig = self.msg.exp(logs)
+        return logs - (eig.top + np.log(eig.z)) * self.diag, eig.rho
 
     def beliefs(self, store):
         """All cluster beliefs and the overlap belief of every constraint,
@@ -387,9 +411,10 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
     """Iterate the message equations to a fixed point.
 
     Finite chains sweep forward (right-moving messages) then backward
-    (left-moving); the translation-invariant pair is updated jointly.
-    The residual is the largest trace-distance change per full round; a
-    problem without messages (a single window) converges in one round.
+    (left-moving); the translation-invariant pair is updated jointly, and
+    rounds are Anderson-mixed (module docstring). The residual is the
+    largest trace-distance change of one plain damped round; a problem
+    without messages (a single window) converges in one round.
     """
     return _iterate(_compile(problem), config or BPConfig())
 
@@ -407,20 +432,58 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
     n_msgs = len(lay.names)
     store = lay.store(np.tile(-math.log(lay.dim) * lay.diag, (n_msgs, 1)))
     msgs = np.tile(lay.diag / lay.dim, (n_msgs, 1)).astype(store.dtype)
+    accel = _Anderson()
     residual, it, converged = math.inf, 0, False
     for it in range(1, config.max_iters + 1):
-        # a round sends every message once, so its largest change is
-        # measured against the messages the round started from
-        before = msgs.copy()
+        # one plain damped round from the unit-trace logs x in the store; a
+        # round sends every message once, so its largest change is measured
+        # against the messages the round started from
+        x = store[:-1, :-1].copy()
         for i, sides, rows in steps:
-            out = lay.outgoing(store, i, sides)
-            lay.damp(store, msgs, rows, out, _DAMPING)
-        residual = float(lay.distance(msgs, before).max(initial=0.0))
+            lay.mix(store, rows, lay.outgoing(store, i, sides), _DAMPING)
+        g, out = lay.normalize(store[:-1, :-1])
+        residual = float(lay.distance(out, msgs).max(initial=0.0))
+        store[:-1, :-1], msgs = g, out
         if residual <= config.tol_residual:
             converged = True
             break
-    logs = dict(zip(lay.names, lay.msg.to_dense(store[:-1, :-1])[0]))
+        mixed = accel.step(x, g)
+        if mixed is not g:
+            store[:-1, :-1], msgs = lay.normalize(mixed)
+    logs = dict(zip(lay.names, lay.msg.to_dense(g)[0]))
     return BPState(logs=logs, residual=residual, iterations=it, converged=converged)
+
+
+class _Anderson:
+    """Type-II Anderson mixing of the round map G, of depth `_HISTORY`
+    (module docstring). `step` takes the point x a round started from and
+    its output G(x), and returns the next point, unnormalized."""
+
+    def __init__(self):
+        self.dg, self.df = [], []
+        self.last = None
+
+    def step(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        gv = g.reshape(-1).view(float)
+        fv = gv - x.reshape(-1).view(float)
+        if self.last is not None and _HISTORY:
+            self.dg.append(gv - self.last[0])
+            self.df.append(fv - self.last[1])
+            del self.dg[:-_HISTORY], self.df[:-_HISTORY]
+        self.last = gv, fv
+        if not self.df:
+            return g
+        coef, _, rank, _ = np.linalg.lstsq(np.stack(self.df, axis=1), fv, rcond=None)
+        mixed = gv.copy()
+        # term by term, so the real and imaginary parts of a Hermitian pair
+        # of entries see the same operations and the mix stays Hermitian
+        for c, d in zip(coef, self.dg):
+            mixed -= c * d
+        if rank < len(self.df) or not np.isfinite(mixed).all():
+            self.dg.clear()
+            self.df.clear()
+            return g
+        return mixed.view(g.dtype).reshape(g.shape)
 
 
 # ---------------------------------------------------------------------------

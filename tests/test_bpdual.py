@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from medbound import bpdual
 from medbound.bpdual import (
     _compile,
     _iterate,
@@ -48,6 +50,13 @@ HEIS = ModelSpec("heisenberg")
 ISING = ModelSpec("classical_ising")
 TFIM = ModelSpec("tfim", J=1.0, g=1.0)
 LN2 = math.log(2.0)
+
+
+def tfim_exact_f(t):
+    """Free-fermion free energy per site of the critical TFIM chain."""
+    integral, _ = quad(lambda k: math.log(2.0 * math.cosh(2.0 * math.sin(k / 2.0) / t)),
+                       0.0, math.pi, epsabs=1e-13, epsrel=1e-13)
+    return -t * integral / math.pi
 
 
 def charge_mask(n_sites):
@@ -175,17 +184,14 @@ class TestFixedPoint:
 
     def test_tfim_n5_low_temperature_converges(self):
         # the smallest message eigenvalues come close to EIG_FLOOR here, and
-        # the loop must still reach the residual tolerance
+        # the loop must still reach the residual tolerance; 200 sweeps guard
+        # the accelerated count (the plain damped loop needs 361)
         t = 0.3
         prob = bp_ti_problem(TFIM, 5, t)
-        state = bp_fixed_point(prob, BPConfig(max_iters=1000))
+        state = bp_fixed_point(prob, BPConfig(max_iters=200))
         assert state.converged
         f = bp_free_energy(state, prob)
-        # free-fermion free energy per site of the critical chain
-        integral, _ = quad(lambda k: math.log(2.0 * math.cosh(2.0 * math.sin(k / 2.0) / t)),
-                           0.0, math.pi, epsabs=1e-13, epsrel=1e-13)
-        f_exact = -t * integral / math.pi
-        assert -1.2859632 < f < f_exact
+        assert -1.2859632 < f < tfim_exact_f(t)
 
     def test_periodic_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -462,21 +468,25 @@ class TestLogSpaceStep:
         logs = message_logs(messages)
         new = bp_update(k, BPState(logs=logs, residual=math.inf, iterations=0,
                                    converged=False), prob)
-        # log-space path: unit-trace logs in, damped mix of logs out
+        # log-space path: unit-trace logs in, the damped mix of logs written
+        # unnormalized, then one normalization of every message row
         lay = _compile(prob, logs.values())
         assert (lay.msg.n < 4 ** n) == conserving
         store = lay.store(lay.flats(logs))
-        msgs = lay.flats(messages)
         rows = np.array([lay.row[sent[side]] for side in sides])
         out = lay.outgoing(store, lay.keys.index(k), sides)
-        lay.damp(store, msgs, rows, out, damping)
+        lay.mix(store, rows, out, damping)
+        unit, msgs = lay.normalize(store[:-1, :-1])
         for side, row in zip(sides, rows):
             assert np.max(np.abs(new[sent[side]] - new_ref[side])) <= 1e-10
             mixed = lay.msg.to_dense(msgs[row])[0]
             assert np.max(np.abs(mixed - damped_ref[side])) <= 1e-10
-            # the shifted mix is the unit-trace log carried to the next step
-            unit_log = lay.msg.to_dense(store[row, :-1])[0]
+            # the shifted mix is the unit-trace log carried to the next round
+            unit_log = lay.msg.to_dense(unit[row])[0]
             assert np.max(np.abs(unit_log - scipy.linalg.logm(mixed).real)) <= 1e-8
+        # the rows no step wrote keep their unit-trace logs
+        kept = np.setdiff1d(np.arange(len(lay.names)), rows)
+        assert np.max(np.abs(unit[kept] - store[kept, :-1]), initial=0.0) <= 1e-12
 
 
 class TestSectors:
@@ -550,11 +560,15 @@ class TestBeliefs:
         # at T = 0.1 the smallest message eigenvalues underflow in float64:
         # the messages, logged again with the EIG_FLOOR clamp, would give
         # beliefs off by 0.499 in trace distance and f = -1.3448; the state's
-        # carried logs keep them consistent
+        # carried logs keep them consistent. The accelerated loop converges
+        # here (the plain damped one stopped at residual 4.7e-7), so the
+        # free energy is read without a warning
         prob = bp_ti_problem(TFIM, 4, 0.1)
         state = bp_fixed_point(prob, BPConfig(max_iters=3000))
+        assert state.converged
         assert belief_consistency(state, prob) <= 1e-6
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             f = bp_free_energy(state, prob)
         assert abs(f - (-1.28031)) <= 1e-4
 
@@ -592,6 +606,67 @@ class TestInverseFactors:
         f_med = minimize_ti(HEIS, 3, t, cfg_med).f_per_site
         prob = bp_ti_problem(HEIS, 3, t)
         assert abs(bp_free_energy(bp_fixed_point(prob), prob) - f_med) <= 1e-4
+
+
+class TestAcceleration:
+    @pytest.mark.parametrize("make, plain", [
+        (lambda: bp_ti_problem(HEIS, 4, 0.5), 31),
+        (lambda: bp_chain_problem(LatticeSpec("chain", 16), HEIS, 3, 0.5), 30),
+    ], ids=["ti heis n=4", "open heis N=16 n=3"])
+    def test_history_zero_is_the_plain_damped_iteration(self, make, plain, monkeypatch):
+        prob = make()
+        fast = bp_fixed_point(prob)
+        monkeypatch.setattr(bpdual, "_HISTORY", 0)
+        slow = bp_fixed_point(prob)
+        assert slow.converged and slow.iterations == plain
+        assert fast.converged and fast.iterations <= 20
+        assert abs(bp_free_energy(fast, prob) - bp_free_energy(slow, prob)) <= 1e-8
+
+    def test_complex_logs_stay_hermitian(self, rng, monkeypatch):
+        # a random complex Hermitian Hamiltonian breaks every charge, so the
+        # layout is one dense block per matrix; real mixing coefficients
+        # keep every mixed point and the returned logs exactly Hermitian
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        prob = with_hams(bp_ti_problem(HEIS, 2, 1.0), {"ti": 0.5 * (a + a.conj().T)})
+        lay = _compile(prob)
+        assert [st.shape for st in lay.msg.stacks] == [(1, 4, 4)]
+        mixed, step = [], bpdual._Anderson.step
+
+        def spy(self, x, g):
+            mixed.append(step(self, x, g))
+            return mixed[-1]
+
+        monkeypatch.setattr(bpdual._Anderson, "step", spy)
+        # both runs stop well inside the 1e-9 the bounds are compared at
+        cfg = BPConfig(tol_residual=1e-10)
+        state = bp_fixed_point(prob, cfg)
+        assert state.converged
+        mats = [m for x in mixed for m in lay.msg.to_dense(x)[0]] + list(state.logs.values())
+        assert np.iscomplexobj(mats[0])
+        for m in mats:
+            assert np.array_equal(m, m.conj().T)
+        monkeypatch.setattr(bpdual, "_HISTORY", 0)
+        plain = bp_fixed_point(prob, cfg)
+        assert plain.converged and plain.iterations > state.iterations
+        assert abs(bp_free_energy(state, prob) - bp_free_energy(plain, prob)) <= 1e-9
+
+    def test_rank_deficient_history_is_cleared(self):
+        # G moves a fixed x along one direction: the second residual
+        # difference repeats the first, so the mix falls back to G(x)
+        acc, x, e = bpdual._Anderson(), np.zeros(3), np.eye(3)[0]
+        g = 0 * e
+        assert acc.step(x, g) is g                      # no history yet
+        assert np.array_equal(acc.step(x, e), 0 * e)    # the mix cancels f
+        g = 2 * e
+        assert acc.step(x, g) is g and not acc.df and not acc.dg
+
+    def test_tfim_n6_low_temperature_converges(self):
+        # the plain damped iteration was unconverged after 2000 sweeps here
+        t = 0.3
+        prob = bp_ti_problem(TFIM, 6, t)
+        state = bp_fixed_point(prob)
+        assert state.converged
+        assert bp_free_energy(state, prob) < tfim_exact_f(t)
 
 
 class TestFlags:

@@ -125,6 +125,7 @@ SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
     heis = lattice.ModelSpec("heisenberg")
     p = bpdual.bp_ti_problem(heis, 2, 1.0)
     bpdual.bp_free_energy(bpdual.bp_fixed_point(p), p)
+    bpdual.bp_fixed_point(bpdual.bp_chain_problem(lattice.LatticeSpec("chain", 6), heis, 2, 1.0))
     terms, sites = lattice.build_lattice(lattice.LatticeSpec("chain", 4), heis)
     oracle.exact_free_energy(lattice.total_hamiltonian(terms, sites), 1.0)
     loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
@@ -135,7 +136,8 @@ SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
 
 
 def test_scipy_loads_only_for_the_primal_solver():
-    # importing medbound, a BP bound and an exact free energy load no scipy
+    # importing medbound, a BP bound (both loop shapes: the TI pair and an
+    # open chain) and an exact free energy load no scipy
     # module; the first primal solve imports scipy's optimizer
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
