@@ -62,9 +62,9 @@ backwards as one bincount. Dense matrices appear only at the interface:
 the logs of `BPState`, the messages `bp_update` returns and the beliefs.
 
 The restriction to sectors is exact. Here the charge is the total charge
-mod the modulus the sector rule picks (`layout._charge_modulus`: U(1),
-then Z2, then one sector). When log Lambda_k commutes with it, so does
-every iterate: the identity start messages commute with it, the sum of
+mod the modulus the sector rule picks (`layout._sector_rule`: U(1), then
+Z2, then one sector). When log Lambda_k commutes with it, so does every
+iterate: the identity start messages commute with it, the sum of
 commuting logs and its exponential commute with it, the partial trace of a
 charge-commuting state commutes with the charge of the sites it keeps, and
 logs, differences, real combinations (damping and Anderson mixes) and
@@ -73,6 +73,16 @@ diagonal in exact arithmetic; the block iteration keeps the off-sector
 zeros exact. The rule is the primal solver's, with the message logs a
 caller passes in checked too; with one sector the same code runs on one
 block per matrix.
+
+The global flip of the local index (X on every qubit) is exact in the same
+way: when every log Lambda_k and every given log is invariant under it,
+so is every iterate, since the identity start messages are, and sums of
+logs, exponentials, partial traces (the flip acts site by site), logs and
+real combinations map flip-invariant operators to flip-invariant ones.
+The layout then carries each mirror pair of sector blocks once. The
+trace distance of the residual and the Anderson least squares count every
+carried entry by its multiplicity (components weighed by sqrt(mult)), so
+the iteration is the U(1) one in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -93,7 +103,7 @@ from medbound.lattice import (  # noqa: F401
     finite_geometry,
     ti_chain_geometry,
 )
-from medbound.layout import _charge_modulus, _Flat, _scatter
+from medbound.layout import _Flat, _Rule, _scatter, _sector_rule
 from medbound.med import (
     Constraint,
     MedProblem,
@@ -131,6 +141,14 @@ _HISTORY = 5        # depth of the Anderson mix of rounds
 
 @dataclass(frozen=True)
 class BPConfig:
+    """`tol_residual` bounds the residual of a round, the largest trace
+    distance by which it moves a message. It does not bound how far the
+    bound lies from its value at the fixed point: on a TI n=2 chain with a
+    random complex Hermitian cluster Hamiltonian, where the loop contracts
+    slowly, stopping at residual 1e-8 left `bp_free_energy` 8.3e-9 (T = 1.0)
+    and 1.6e-8 (T = 0.7) from it. A stop on the certified gap would bound
+    that (ROADMAP item 2). `max_iters` caps the number of rounds."""
+
     tol_residual: float = 1e-8
     max_iters: int = 10000
 
@@ -230,26 +248,28 @@ class _Layout:
       (beyond an open end) and a zero column, the slot of the cluster
       entries an embedding does not reach.
     - `traced`: per side ("L": the first n sites, "R": the last n), the
-      cluster entries the partial trace onto those sites reads and the
-      message entries they feed; `first`/`last` read them backwards: for
-      every cluster entry, the message entry embedded there (else the zero
-      slot)."""
+      cluster entries the partial trace onto those sites reads, the message
+      entries they feed and their weights (`_Flat.trace_map`); `first`/
+      `last`: for every cluster entry, the message entry embedded there on
+      those sites (else the zero slot)."""
 
-    def __init__(self, problem: BPProblem, modulus: int):
+    def __init__(self, problem: BPProblem, rule: _Rule):
         variables = problem.problem.variables
         n = len(variables[0].dims) - 1
-        self.cluster = c = _Flat([variables[0].dims], modulus)
-        self.msg = m = _Flat([variables[0].dims[:n]], modulus)
+        self.cluster = c = _Flat([variables[0].dims], rule)
+        self.msg = m = _Flat([variables[0].dims[:n]], rule)
         self.keys = [v.key for v in variables]
         self.dim = int(np.prod(variables[0].dims[:n]))
         self.diag = (m.rows == m.cols).astype(float)
         self.lam = -c.from_dense([np.array([v.ham for v in variables])]) / problem.T
         labels = m.to_dense(np.arange(1.0, m.n + 1.0))[0]
-        self.traced = {side: c.trace_map(0, labels, axes)
-                       for side, axes in (("L", range(n)), ("R", range(1, n + 1)))}
-        self.first, self.last = np.full((2, c.n), m.n)
-        for mp, (idx, hit) in zip((self.first, self.last), self.traced.values()):
-            mp[idx] = hit
+        self.traced, embedded = {}, []
+        for side, axes in (("L", range(n)), ("R", range(1, n + 1))):
+            idx, hit, count = c.trace_map(0, labels, axes)
+            self.traced[side] = idx, hit, count / m.mult[hit]
+            at = c.embedding(0, labels, axes).astype(int)
+            embedded.append(np.where(at > 0, at - 1, m.n))
+        self.first, self.last = embedded
 
         constraints = problem.problem.constraints
         self.ti = any(con.left_key == con.right_key for con in constraints)
@@ -288,7 +308,7 @@ class _Layout:
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per row: the trace distance (1/2) ||a - b||_1."""
-        return 0.5 * np.abs(self.msg.eigvals(a - b)).sum(axis=-1)
+        return 0.5 * (np.abs(self.msg.eigvals(a - b)) * self.msg.eig_mult).sum(axis=-1)
 
     def gathers(self, from_left, from_right):
         """Flat store indices that embed the logs in the store rows
@@ -308,16 +328,18 @@ class _Layout:
         """Index map of a batch of marginals: marginal j is the partial trace
         of cluster row rows[j] onto the sites that side sides[j] sends on
         ("L": the first n, "R": the last n)."""
-        src, tgt = [np.zeros(0, int)], [np.zeros(0, int)]
+        src, tgt, weight = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
         for j, (row, side) in enumerate(zip(rows, sides)):
-            idx, hit = self.traced[side]
+            idx, hit, w = self.traced[side]
             src.append(idx + row * self.cluster.n)
             tgt.append(hit + j * self.msg.n)
-        return np.concatenate(src), np.concatenate(tgt), len(sides)
+            weight.append(w)
+        return tuple(map(np.concatenate, (src, tgt, weight))) + (len(sides),)
 
     def trace(self, rho: np.ndarray, plan) -> np.ndarray:
-        src, tgt, count = plan
-        return _scatter(tgt, rho.take(src), count * self.msg.n).reshape(count, self.msg.n)
+        src, tgt, weight, count = plan
+        return _scatter(tgt, rho.take(src) * weight,
+                        count * self.msg.n).reshape(count, self.msg.n)
 
     def _step(self, i: int, sides):
         plan = self._steps.get((i, sides))
@@ -364,12 +386,12 @@ class _Layout:
 
 
 def _compile(problem: BPProblem, logs=()) -> _Layout:
-    """The layout on the charge modulus `layout._charge_modulus` picks from
-    every cluster Hamiltonian and every given message log."""
+    """The layout by the rule `layout._sector_rule` reads off every cluster
+    Hamiltonian and every given message log."""
     variables = problem.problem.variables
     dims = variables[0].dims
     pairs = [(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in logs]
-    return _Layout(problem, _charge_modulus(pairs))
+    return _Layout(problem, _sector_rule(pairs))
 
 
 def _message_names(problem: BPProblem) -> list:
@@ -432,7 +454,10 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
     n_msgs = len(lay.names)
     store = lay.store(np.tile(-math.log(lay.dim) * lay.diag, (n_msgs, 1)))
     msgs = np.tile(lay.diag / lay.dim, (n_msgs, 1)).astype(store.dtype)
-    accel = _Anderson()
+    # weights sqrt(multiplicity) on every real component of the logs make
+    # the mix's least squares sum over every entry of the dense logs
+    width = 2 if np.iscomplexobj(store) else 1
+    accel = _Anderson(np.tile(np.repeat(np.sqrt(lay.msg.mult), width), n_msgs))
     residual, it, converged = math.inf, 0, False
     for it in range(1, config.max_iters + 1):
         # one plain damped round from the unit-trace logs x in the store; a
@@ -457,15 +482,17 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
 class _Anderson:
     """Type-II Anderson mixing of the round map G, of depth `_HISTORY`
     (module docstring). `step` takes the point x a round started from and
-    its output G(x), and returns the next point, unnormalized."""
+    its output G(x), and returns the next point, unnormalized; the least
+    squares weighs the components of f = G(x) - x by `weight`."""
 
-    def __init__(self):
+    def __init__(self, weight=1.0):
+        self.weight = weight
         self.dg, self.df = [], []
         self.last = None
 
     def step(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         gv = g.reshape(-1).view(float)
-        fv = gv - x.reshape(-1).view(float)
+        fv = (gv - x.reshape(-1).view(float)) * self.weight
         if self.last is not None and _HISTORY:
             self.dg.append(gv - self.last[0])
             self.df.append(fv - self.last[1])

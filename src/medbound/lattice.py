@@ -109,7 +109,9 @@ class ModelSpec:
     where its field is diagonal, -J sum XX - g sum Z: the Hadamard-rotated
     form of -J sum ZZ - g sum X, with the same spectrum. There its
     Hamiltonian conserves the S^z count mod 2, so both solvers run it in two
-    parity sectors (`layout._charge_modulus`) instead of one dense block."""
+    parity sectors (`layout._sector_rule`) instead of one dense block; its
+    field breaks the global spin flip, which Heisenberg and the classical
+    Ising model keep bit for bit."""
 
     name: str                      # heisenberg | classical_ising | tfim
     J: float = 1.0

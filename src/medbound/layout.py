@@ -7,11 +7,28 @@ layout run by the same code. A matrix that commutes with the charge is
 block diagonal in its sectors, so it can be carried as its in-sector
 entries only: the blocks of every sector, laid out in one flat vector.
 Blocks of equal size b sit next to each other and are read as one (k, b, b)
-stack, so a matrix function costs one batched call per block size. One
-rule (`_charge_modulus`) picks the modulus for both solvers, a charge with
+stack, so a matrix function costs one batched call per block size.
+
+The global flip n -> d - 1 - n of every local index (X on every qubit:
+S^z -> -S^z) reverses the basis order, i -> D - 1 - i, and sends charge q
+to its mirror q_max - q (mod m), q_max the charge of the last basis state.
+A matrix A invariant under it, A[D-1-i, D-1-j] = A[i, j], has the block of
+a sector's mirror equal to the sector's own block, read in flipped order.
+Under the flip a layout carries one block per mirror pair of sectors, the
+one of higher charge (multiplicity 2), and every self-mirror sector whole
+(multiplicity 1); one expansion index map (`_Flat.expansion`) reaches the
+mirror entries, and every sum over a matrix weighs a carried entry or
+eigenvalue by its multiplicity. Splitting a self-mirror sector into its
+flip-even and flip-odd halves would take a rotation, not an index map, and
+is not done.
+
+One rule (`_sector_rule`) picks the layout for both solvers, a charge with
 a modulus: U(1), then Z2, then one sector, the first whose sectors hold
 every cluster Hamiltonian and every matrix a caller passes in (states, G,
-messages).
+messages); the flip is added when every one of those matrices is exactly
+invariant under it. Heisenberg and the classical Ising model are, bit for
+bit; the TFIM (its field is diagonal) is not. The rule reads the inputs
+alone: there is no option and no environment setting.
 
 `_Flat`, the one layout class, holds the blocks of one or more matrices in
 one flat vector: the primal solver lays out all cluster states (and all
@@ -32,19 +49,36 @@ import numpy as np
 from medbound.opalg import ENTROPY_CUTOFF, embed_mat
 
 
+class _Rule(NamedTuple):
+    """A sector layout: the charge modulus (0: U(1), 2: Z2, 1: one sector)
+    and whether the flip pairs mirror sectors."""
+
+    modulus: int
+    flip: bool = False
+
+
 class _Blocks:
     """Basis indices of one matrix grouped by charge and stacked by sector
-    size: `stacks` holds one (k, b) index array per sector size b."""
+    size: `stacks` holds one (k, b) index array per sector size b of the
+    carried sectors, `mults` the multiplicity of each of its blocks (2: the
+    block also stands for its mirror), `charge` the charge of every basis
+    state."""
 
-    __slots__ = ("charge", "stacks")
+    __slots__ = ("charge", "stacks", "mults")
 
-    def __init__(self, charge: np.ndarray):
-        self.charge = charge
+    def __init__(self, dims, rule: _Rule):
+        self.charge = q = _charges(dims, rule.modulus)
+        top = sum(d - 1 for d in dims)     # the charge of the last basis state
         by_size: dict = {}
-        for c in np.unique(charge):
-            idx = np.flatnonzero(charge == c)
-            by_size.setdefault(idx.size, []).append(idx)
-        self.stacks = tuple(np.array(by_size[b]) for b in sorted(by_size))
+        for c in np.unique(q):
+            mirror = c
+            if rule.flip:
+                mirror = (top - c) % rule.modulus if rule.modulus else top - c
+            if mirror <= c:
+                idx = np.flatnonzero(q == c)
+                by_size.setdefault(idx.size, []).append((idx, 1 + int(mirror < c)))
+        self.stacks = tuple(np.array([i for i, _ in by_size[b]]) for b in sorted(by_size))
+        self.mults = tuple(np.array([m for _, m in by_size[b]]) for b in sorted(by_size))
 
 
 def _charges(dims, m: int) -> np.ndarray:
@@ -54,17 +88,19 @@ def _charges(dims, m: int) -> np.ndarray:
     return q % m if m else q
 
 
-def _charge_modulus(pairs) -> int:
+def _sector_rule(pairs) -> _Rule:
     """The sector rule of both solvers, a charge with a modulus: U(1)
-    (m = 0), then Z2 (m = 2), then one sector (m = 1). Returns the first m
-    whose sectors hold every matrix (None: no matrix) of the (matrix, dims)
-    pairs, i.e. that is exactly 0 off them."""
+    (m = 0), then Z2 (m = 2), then one sector (m = 1), the first m whose
+    sectors hold every matrix (None: no matrix) of the (matrix, dims) pairs,
+    i.e. that is exactly 0 off them; with the flip when every matrix is
+    exactly invariant under it."""
     mats = [(np.asarray(mat), dims) for mat, dims in pairs if mat is not None]
+    flip = all(np.array_equal(mat, mat[::-1, ::-1]) for mat, _ in mats)
     for m in (0, 2):
         if not any(np.any(mat[(q := _charges(dims, m))[:, None] != q[None, :]])
                    for mat, dims in mats):
-            return m
-    return 1
+            return _Rule(m, flip)
+    return _Rule(1, flip)
 
 
 class _Stack(NamedTuple):
@@ -115,27 +151,27 @@ class _Eig(NamedTuple):
 
 
 class _Flat:
-    """The charge-sector blocks (charge mod `modulus`) of several matrices on
-    local dimensions `dims` (None: no matrix) in one flat vector: blocks of
-    equal size next to each other, each matrix's blocks in its own order.
-    Per flat entry `owner`, `rows` and `cols` give its matrix, row and
-    column, `eig_owner` the matrix of each eigenvalue, and `sel` the flat
-    entries of each matrix. Every method also takes an array of flat
-    vectors with leading batch axes."""
+    """The carried sector blocks (`_Rule`) of several matrices on local
+    dimensions `dims` (None: no matrix) in one flat vector: blocks of equal
+    size next to each other, each matrix's blocks in its own order. Per
+    flat entry `owner`, `rows`, `cols` and `mult` give its matrix, row,
+    column and multiplicity, `eig_owner` and `eig_mult` the same per
+    eigenvalue, and `sel` the flat entries of each matrix. Every method also
+    takes an array of flat vectors with leading batch axes."""
 
-    def __init__(self, dims, modulus: int):
+    def __init__(self, dims, rule: _Rule):
         self.dims = list(dims)
-        self.blocks = [None if d is None else _Blocks(_charges(d, modulus))
-                       for d in self.dims]
+        self.blocks = [None if d is None else _Blocks(d, rule) for d in self.dims]
         sizes = sorted({s.shape[1] for bl in self.blocks if bl is not None for s in bl.stacks})
         self.stacks = []
-        owner, rows, cols, eig_owner = ([np.zeros(0, int)] for _ in range(4))
+        owner, rows, cols, eig_owner, mult, eig_mult = ([np.zeros(0, int)] for _ in range(6))
         pos = epos = 0
         for b in sizes:
-            parts = [(m, s) for m, bl in enumerate(self.blocks) if bl is not None
-                     for s in bl.stacks if s.shape[1] == b]
-            idx = np.concatenate([s for _, s in parts])
-            own = np.concatenate([np.full(len(s), m) for m, s in parts])
+            parts = [(m, s, mu) for m, bl in enumerate(self.blocks) if bl is not None
+                     for s, mu in zip(bl.stacks, bl.mults) if s.shape[1] == b]
+            idx = np.concatenate([s for _, s, _ in parts])
+            own = np.concatenate([np.full(len(s), m) for m, s, _ in parts])
+            mu = np.concatenate([mu for _, _, mu in parts])
             k = len(idx)
             self.stacks.append(_Stack((k, b, b), slice(pos, pos + k * b * b),
                                       slice(epos, epos + k * b), own))
@@ -143,28 +179,44 @@ class _Flat:
             cols.append(np.broadcast_to(idx[:, None, :], (k, b, b)).ravel())
             owner.append(np.repeat(own, b * b))
             eig_owner.append(np.repeat(own, b))
+            mult.append(np.repeat(mu, b * b))
+            eig_mult.append(np.repeat(mu, b))
             pos += k * b * b
             epos += k * b
         self.owner, self.rows, self.cols, self.eig_owner = map(
             np.concatenate, (owner, rows, cols, eig_owner))
+        self.mult, self.eig_mult = (np.concatenate(v).astype(float) for v in (mult, eig_mult))
         self.n, self.n_eig, self.n_mats = self.owner.size, self.eig_owner.size, len(self.dims)
+        self.size = [0 if d is None else math.prod(d) for d in self.dims]
         self.sel = [np.flatnonzero(self.owner == m) for m in range(self.n_mats)]
         # eigenvalues grouped by matrix, for the per-matrix maximum
         self.eig_sort = np.argsort(self.eig_owner, kind="stable")
         self.eig_starts = np.searchsorted(self.eig_owner[self.eig_sort], np.arange(self.n_mats))
 
+    def expansion(self, m: int):
+        """Every in-sector entry of matrix m, mirror entries included: its
+        rows, columns and the flat entries that carry them."""
+        sel = self.sel[m]
+        pair = sel[self.mult[sel] > 1]
+        last = self.size[m] - 1
+        return (np.concatenate([self.rows[sel], last - self.rows[pair]]),
+                np.concatenate([self.cols[sel], last - self.cols[pair]]),
+                np.concatenate([sel, pair]))
+
     def to_dense(self, flat: np.ndarray) -> list:
         """The dense matrices, one per matrix of the layout."""
         out = []
-        for dims, sel in zip(self.dims, self.sel):
-            d = 0 if dims is None else int(np.prod(dims))
+        for m, d in enumerate(self.size):
+            rows, cols, src = self.expansion(m)
             mat = np.zeros(flat.shape[:-1] + (d, d), dtype=flat.dtype)
-            mat[..., self.rows[sel], self.cols[sel]] = flat[..., sel]
+            mat[..., rows, cols] = flat[..., src]
             out.append(mat)
         return out
 
     def from_dense(self, mats, dtype=None) -> np.ndarray:
-        """The flat blocks of dense matrices, one per matrix of the layout."""
+        """The flat blocks of dense matrices, one per matrix of the layout
+        (read on the carried entries: a flip-invariant matrix has the same
+        values on the mirror ones)."""
         mats = [np.asarray(a) for a in mats]
         flat = np.empty(mats[0].shape[:-2] + (self.n,),
                         dtype=dtype or np.result_type(float, *mats))
@@ -227,18 +279,34 @@ class _Flat:
         # batch row r numbers its matrices from r * n_mats
         lead, rows = w.shape[:-1], math.prod(w.shape[:-1])
         own = (np.arange(rows)[:, None] * self.n_mats + self.eig_owner).ravel()
-        z = np.bincount(own, w.ravel(), rows * self.n_mats)
+        z = np.bincount(own, (w * self.eig_mult).ravel(), rows * self.n_mats)
         z = z.reshape(lead + (self.n_mats,))
         p = w / z.take(self.eig_owner, axis=-1)
         return _Eig(vecs, p, self.from_eig(vecs, p), gs, z, top)
 
-    def trace_map(self, m: int, labels: np.ndarray, axes):
-        """Index map of a partial trace of matrix m onto `axes`: `labels`, a
-        matrix on those axes, holds on each entry its 1-based target (0:
-        none). Embedding it puts on every entry of m the target its partial
-        trace feeds. Returns the flat entries that feed one and the 0-based
-        targets; the embedding is the same map read backwards."""
+    def embedding(self, m: int, labels: np.ndarray, axes) -> np.ndarray:
+        """Per flat entry of matrix m: the entry of `labels`, a matrix on
+        `axes`, that embedding it puts there."""
         sel = self.sel[m]
-        hit = embed_mat(labels, self.dims[m], axes)[self.rows[sel], self.cols[sel]]
+        return embed_mat(labels, self.dims[m], axes)[self.rows[sel], self.cols[sel]]
+
+    def trace_map(self, m: int, labels: np.ndarray, axes):
+        """Index map of a partial trace of matrix m onto `axes`. `labels`, a
+        matrix on those axes, holds on each entry the 1-based flat entry of
+        the target layout that carries it (0: none), as that layout's
+        `to_dense` of 1..n gives. Returns flat entries `src` of m, targets
+        `tgt` (0-based) and `count`, the number of in-sector entries of m
+        carried by src that feed an entry carried by tgt.
+
+        The partial trace at target t is the sum of count * rho[src] over
+        its rows, divided by the multiplicity of t: the average of the
+        entry and its mirror. Read backwards with count / mult[src], the
+        map is the embedding averaged over an entry and its mirror, the
+        adjoint of the partial trace in the inner products that count
+        multiplicity. Without mirror pairs every count is 1."""
+        rows, cols, src = self.expansion(m)
+        hit = embed_mat(labels, self.dims[m], axes)[rows, cols].astype(int)
         keep = hit > 0
-        return sel[keep], hit[keep].astype(int) - 1
+        width = int(labels.max(initial=0)) + 1
+        pairs, count = np.unique(src[keep] * width + hit[keep] - 1, return_counts=True)
+        return pairs // width, pairs % width, count

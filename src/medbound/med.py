@@ -31,11 +31,20 @@ and theta any real (m = 0) or in (2 pi / m) Z (m > 0), and the consistency
 constraints map to themselves under it, so averaging a minimizer over theta
 gives a minimizer that commutes with the charge. The dense iteration would
 stay in that subspace too in exact arithmetic (it starts at G = 0 and its
-gradients are invariant); in floating point it drifts out of it. The rule
-is the one BP uses (`layout._charge_modulus`: U(1), then Z2, then one
-sector per matrix, the plain dense iteration), and `markov_free_energy`
-also checks the states it is given, so charge-conserving states (BP
-beliefs among them) are evaluated in sectors.
+gradients are invariant); in floating point it drifts out of it. The same
+argument covers the global flip of the local index, n -> d - 1 - n (X on
+every qubit), when every cluster Hamiltonian is invariant under it
+(Heisenberg and the classical Ising model, not the TFIM): the objective and
+the constraints are invariant under X^{(x)n}, so a minimizer averaged with
+its flip is a flip-symmetric minimizer, and the layout carries one block of
+each mirror pair of sectors. The packed vector keeps both members of every
+flip pair of parameters: `unpack` averages them onto the carried block and
+`pack`, its adjoint, writes the block back to both, so the stop tests of
+L-BFGS read the vector they read without the flip. The rule is the one BP
+uses (`layout._sector_rule`: U(1), then Z2, then one sector per matrix,
+the plain dense iteration; the flip when every matrix is invariant under
+it), and `markov_free_energy` also checks the states it is given, so
+charge-conserving states (BP beliefs among them) are evaluated in sectors.
 
 Each problem is compiled once, at its first solve, into a block layout
 (`_Compiled`, on the `_Flat` class of `medbound.layout`, which the BP solver
@@ -67,12 +76,13 @@ from medbound.lattice import (
 from medbound.layout import (
     _Eig,
     _Flat,
-    _charge_modulus,
+    _Rule,
     _charges,
     _dag,
     _herm,
     _neg_xlogx,
     _scatter,
+    _sector_rule,
 )
 # ptrace_mat, embed_mat and entropy_from_probs are not called here; they stay
 # attributes of this module because perfbench/tracing.py wraps them by name
@@ -160,7 +170,7 @@ class MedProblem:
     variables: tuple
     constraints: tuple
     site_norm: float = 1.0      # divide totals by this for per-site numbers
-    # layouts built by `_compiled`, keyed by their charge modulus
+    # layouts built by `_compiled`, keyed by their sector rule
     _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -278,26 +288,30 @@ class _Compiled:
     - Marginals: the shield marginals (a second `_Flat`, `sh`) and the
       in-sector entries of every constraint residual form a second flat
       vector. All partial traces onto it are one index map
-      (`_Flat.trace_map`): block entry `src` adds `sign` times itself to
+      (`_Flat.trace_map`): block entry `src` adds `fwd` times itself to
       marginal entry `tgt`. The embedding, its adjoint, reads the same map
-      backwards. Both are bincounts.
+      backwards with the weights `bwd`. Both are bincounts.
     - Owners: the cluster of each block entry and eigenvalue, so
-      per-cluster shifts, Z, energies and entropies are bincounts.
+      per-cluster shifts, Z, energies and entropies are bincounts; each
+      term is weighed by the multiplicity of its entry or eigenvalue (2 for
+      a block that also stands for its mirror). The partial traces average
+      an entry and its mirror (`fwd`), and the embedding is their adjoint
+      in the inner products that count multiplicity (`bwd`).
     - Packing: the real parameter vector holds, per cluster, the diagonal
       of G and its in-sector upper triangle sector by sector, imaginary
-      parts after real ones.
-      `unpack` gathers the blocks of G from it; `pack` is its adjoint on
-      Hermitian blocks.
+      parts after real ones, mirror sectors included.
+      `unpack` gathers the blocks of G from it, averaging each flip pair;
+      `pack` is its adjoint on Hermitian blocks.
     Dense matrices appear only at the edges: the `_Flat` conversions."""
 
-    def __init__(self, problem: MedProblem, modulus: int):
+    def __init__(self, problem: MedProblem, rule: _Rule):
         variables = problem.variables
         self.keys = [v.key for v in variables]
         self.n_vars = len(variables)
         self.real = _is_real_problem(problem)
-        self.cl = cl = _Flat([v.dims for v in variables], modulus)
+        self.cl = cl = _Flat([v.dims for v in variables], rule)
         self.sh = sh = _Flat([[v.dims[a] for a in v.shield_axes] if v.shield_axes else None
-                              for v in variables], modulus)
+                              for v in variables], rule)
         self.ham = cl.from_dense([np.zeros((v.dim, v.dim)) if v.ham is None else v.ham
                                   for v in variables], float if self.real else complex)
 
@@ -311,7 +325,7 @@ class _Compiled:
         for c in problem.constraints:
             dims = [problem.var(c.left_key).dims[a] for a in c.left_axes]
             d = int(np.prod(dims))
-            q = _charges(dims, modulus)
+            q = _charges(dims, rule.modulus)
             ea, eb = np.nonzero(q[:, None] == q[None, :])
             labels = np.zeros((d, d))
             labels[ea, eb] = self.sh.n + pos + 1 + np.arange(ea.size)
@@ -319,13 +333,16 @@ class _Compiled:
                        (index[c.right_key], c.right_axes, labels, -1.0)]
             pos += ea.size
         self.n_con = pos
-        src, tgt, sign = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+        src, tgt, weight = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
         for m, axes, labels, s in traces:
-            reached, hit = cl.trace_map(m, labels, axes)
+            reached, hit, count = cl.trace_map(m, labels, axes)
             src.append(reached)
             tgt.append(hit)
-            sign.append(np.full(hit.size, s))
-        self.src, self.tgt, self.sign = map(np.concatenate, (src, tgt, sign))
+            weight.append(s * count)
+        self.src, self.tgt, weight = map(np.concatenate, (src, tgt, weight))
+        # the residual entries are all carried, each with multiplicity 1
+        self.fwd = weight / np.concatenate([sh.mult, np.ones(self.n_con)])[self.tgt]
+        self.bwd = weight / cl.mult[self.src]
         self._packing(variables)
         self._last = None           # [G, its _Eig, T, their _Terms]: see `exp`
 
@@ -333,8 +350,10 @@ class _Compiled:
         width = 1 if self.real else 2
         off = 0
         up, lo, wu, wl = [], [], [], []     # pack: x = wu F[up] + wl F[lo]
-        self.u_src = np.zeros(width * self.cl.n, int)     # unpack: F = u_coef x[u_src]
-        self.u_coef = np.zeros(width * self.cl.n)
+        # unpack: F = sum over two rows of u_coef x[u_src], an entry's own
+        # parameters and its mirror's (its own again without one) at half weight
+        self.u_src = np.zeros((2, width * self.cl.n), int)
+        self.u_coef = np.zeros((2, width * self.cl.n))
         for m, v in enumerate(variables):
             d = v.dim
             q = self.cl.blocks[m].charge
@@ -343,34 +362,42 @@ class _Compiled:
             order = np.argsort(q[i][keep], kind="stable")
             i, j = i[keep][order], j[keep][order]
             n_off = i.size
-            sel = self.cl.sel[m]
-            r, c = self.cl.rows[sel], self.cl.cols[sel]
+            # the flat entry that carries each in-sector entry
             fpos = np.full((d, d), -1)
-            fpos[r, c] = sel
+            rows, cols, src = self.cl.expansion(m)
+            fpos[rows, cols] = src
             diag = fpos[np.arange(d), np.arange(d)]
             half = np.concatenate([np.full(d, 0.5), np.full(n_off, 0.5 * _SQRT2)])
             rank = np.zeros((d, d), int)
             rank[i, j] = rank[j, i] = np.arange(n_off)
-            on_diag = r == c
-            re_src = off + np.where(on_diag, r, d + rank[r, c])
-            re_coef = np.where(on_diag, 1.0, 1.0 / _SQRT2)
+            sel = self.cl.sel[m]
+            r, c = self.cl.rows[sel], self.cl.cols[sel]
+            pair = self.cl.mult[sel] > 1
+            mirror = (np.where(pair, d - 1 - r, r), np.where(pair, d - 1 - c, c))
+            for k, (rr, cc) in enumerate(((r, c), mirror)):
+                on_diag = rr == cc
+                re_src = off + np.where(on_diag, rr, d + rank[rr, cc])
+                re_coef = np.where(on_diag, 0.5, 0.5 / _SQRT2)
+                if self.real:
+                    self.u_src[k, sel] = re_src
+                    self.u_coef[k, sel] = re_coef
+                else:
+                    self.u_src[k, 2 * sel] = re_src
+                    self.u_coef[k, 2 * sel] = re_coef
+                    self.u_src[k, 2 * sel + 1] = np.where(on_diag, re_src,
+                                                          off + d + n_off + rank[rr, cc])
+                    self.u_coef[k, 2 * sel + 1] = np.where(on_diag, 0.0,
+                                                           np.where(rr < cc, 0.5, -0.5) / _SQRT2)
             if self.real:
                 up += [diag, fpos[i, j]]
                 lo += [diag, fpos[j, i]]
                 wu.append(half)
                 wl.append(half)
-                self.u_src[sel] = re_src
-                self.u_coef[sel] = re_coef
             else:
                 up += [2 * diag, 2 * fpos[i, j], 2 * fpos[i, j] + 1]
                 lo += [2 * diag, 2 * fpos[j, i], 2 * fpos[j, i] + 1]
                 wu += [half, np.full(n_off, 0.5 * _SQRT2)]
                 wl += [half, np.full(n_off, -0.5 * _SQRT2)]
-                self.u_src[2 * sel] = re_src
-                self.u_coef[2 * sel] = re_coef
-                self.u_src[2 * sel + 1] = np.where(on_diag, re_src, off + d + n_off + rank[r, c])
-                self.u_coef[2 * sel + 1] = np.where(on_diag, 0.0,
-                                                    np.where(r < c, 1.0, -1.0) / _SQRT2)
             off += d + width * n_off
         self.n = off
         self.p_up = np.concatenate(up)
@@ -381,7 +408,7 @@ class _Compiled:
     # -- packed parameters ---------------------------------------------------
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
-        g = self.u_coef * x[self.u_src]
+        g = self.u_coef[0] * x[self.u_src[0]] + self.u_coef[1] * x[self.u_src[1]]
         return g if self.real else g.view(complex)
 
     def pack(self, flat: np.ndarray) -> np.ndarray:
@@ -391,12 +418,13 @@ class _Compiled:
     # -- evaluation ------------------------------------------------------------
 
     def terms(self, eig: _Eig, T: float) -> _Terms:
-        marg = _scatter(self.tgt, eig.rho[self.src] * self.sign, self.sh.n + self.n_con)
-        sh_vals, sh_vecs = self.sh.eigh(marg)
-        e = np.bincount(self.cl.owner, _re_prod(self.ham, eig.rho), self.n_vars)
-        s = (np.bincount(self.cl.eig_owner, _neg_xlogx(eig.p), self.n_vars)
-             - np.bincount(self.sh.eig_owner, _neg_xlogx(sh_vals), self.n_vars))
-        return _Terms(e, s, e - T * s, sh_vals, sh_vecs, marg[self.sh.n:])
+        cl, sh = self.cl, self.sh
+        marg = _scatter(self.tgt, eig.rho[self.src] * self.fwd, sh.n + self.n_con)
+        sh_vals, sh_vecs = sh.eigh(marg)
+        e = np.bincount(cl.owner, cl.mult * _re_prod(self.ham, eig.rho), self.n_vars)
+        s = (np.bincount(cl.eig_owner, cl.eig_mult * _neg_xlogx(eig.p), self.n_vars)
+             - np.bincount(sh.eig_owner, sh.eig_mult * _neg_xlogx(sh_vals), self.n_vars))
+        return _Terms(e, s, e - T * s, sh_vals, sh_vecs, marg[sh.n:])
 
     def exp(self, g: np.ndarray) -> _Eig:
         """`cl.exp(g)`, kept for the last G (with its terms, see `evaluate`):
@@ -421,11 +449,11 @@ class _Compiled:
         logs = self.sh.from_eig(tm.sh_vecs, np.log(np.maximum(tm.sh_vals, EIG_FLOOR)))
         weights = np.concatenate([-T * logs, coef])
         own = self.ham + T * self.cl.from_eig(eig.vecs, np.log(np.maximum(eig.p, EIG_FLOOR)))
-        return own + _scatter(self.src, weights[self.tgt] * self.sign, self.cl.n)
+        return own + _scatter(self.src, weights[self.tgt] * self.bwd, self.cl.n)
 
     def pullback(self, eig: _Eig, M: np.ndarray) -> np.ndarray:
         """Hermitian gradient wrt G of rho -> Tr(M rho), block by block."""
-        tr = np.bincount(self.cl.owner, _re_prod(M, eig.rho), self.n_vars)
+        tr = np.bincount(self.cl.owner, self.cl.mult * _re_prod(M, eig.rho), self.n_vars)
         grad = np.empty(self.cl.n, dtype=np.result_type(M, eig.rho))
         for st, v in zip(self.cl.stacks, eig.vecs):
             k, b, _ = st.shape
@@ -514,18 +542,18 @@ def _is_real_problem(problem: MedProblem) -> bool:
 def _compiled(problem: MedProblem, mats: dict | None = None) -> _Compiled:
     """The problem's layout, built on first use and cached on the problem.
 
-    Charge sectors on the modulus `layout._charge_modulus` picks from every
-    cluster Hamiltonian and every matrix of `mats` (states or G keyed like
-    the variables). A layout built for given `mats` is not cached: caching
-    the layouts of evaluation-only callers (BP) raised `bp-chain` peak RSS
-    from 88.6 to 92.6 MB."""
-    modulus = _charge_modulus([(m, v.dims) for v in problem.variables
-                               for m in (v.ham, (mats or {}).get(v.key))])
-    comp = problem._layouts.get(modulus)
+    Sectors by the rule `layout._sector_rule` reads off every cluster
+    Hamiltonian and every matrix of `mats` (states or G keyed like the
+    variables). A layout built for given `mats` is not cached: caching the
+    layouts of evaluation-only callers (BP) raised `bp-chain` peak RSS from
+    88.6 to 92.6 MB."""
+    rule = _sector_rule([(m, v.dims) for v in problem.variables
+                         for m in (v.ham, (mats or {}).get(v.key))])
+    comp = problem._layouts.get(rule)
     if comp is None:
-        comp = _Compiled(problem, modulus)
+        comp = _Compiled(problem, rule)
         if mats is None:
-            problem._layouts[modulus] = comp
+            problem._layouts[rule] = comp
     return comp
 
 

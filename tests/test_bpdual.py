@@ -24,6 +24,7 @@ from medbound.bpdual import (
     bp_ti_problem,
     bp_update,
 )
+from medbound.layout import _Rule
 from medbound.lattice import (
     LatticeSpec,
     ModelSpec,
@@ -522,7 +523,7 @@ class TestSectors:
     def check_agrees_with_one_sector(prob):
         cfg = BPConfig()
         sectors = bp_fixed_point(prob, cfg)
-        one = _Layout(prob, 1)
+        one = _Layout(prob, _Rule(1))
         assert [st.shape[0] for st in one.msg.stacks] == [1]
         dense = _iterate(one, cfg)
         assert sectors.converged and dense.converged
@@ -530,6 +531,43 @@ class TestSectors:
         for name, log in sectors.logs.items():
             assert np.max(np.abs(log - dense.logs[name])) <= 1e-12
         assert abs(bp_free_energy(sectors, prob) - bp_free_energy(dense, prob)) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: bp_ti_problem(HEIS, 4, 0.5),
+        lambda: bp_ti_problem(HEIS, 5, 0.5),
+        lambda: bp_ti_problem(HEIS, 6, 0.5),
+        lambda: bp_chain_problem(LatticeSpec("chain", 8), HEIS, 2, 0.5),
+        lambda: bp_chain_problem(LatticeSpec("chain", 8), HEIS, 3, 0.5),
+    ], ids=["ti n=4", "ti n=5", "ti n=6", "open N=8 n=2", "open N=8 n=3"])
+    def test_flip_agrees_with_u1(self, make):
+        # mirror sectors carried once: the same logs, bound and sweeps as
+        # the U(1) layout that carries both
+        prob = make()
+        lay, u1 = _compile(prob), _Layout(prob, _Rule(0))
+        assert lay.msg.mult.max() == 2 and lay.msg.mult.sum() == u1.msg.n
+        cfg = BPConfig()
+        flip, plain = _iterate(lay, cfg), _iterate(u1, cfg)
+        assert flip.converged and plain.converged
+        assert flip.iterations == plain.iterations
+        for name, log in flip.logs.items():
+            assert np.max(np.abs(log - plain.logs[name])) <= 1e-12
+        assert abs(bp_free_energy(flip, prob) - bp_free_energy(plain, prob)) <= 1e-12
+
+    def test_flip_breaking_logs_turn_the_flip_off(self):
+        # messages from the Gibbs state of Heisenberg plus a staggered field
+        # keep S^z but not the flip, and so neither does the layout
+        t = 0.7
+        prob = bp_ti_problem(HEIS, 1, t)
+        field = 0.4 * (np.kron(np.diag([1.0, -1.0]), np.eye(2))
+                       - np.kron(np.eye(2), np.diag([1.0, -1.0])))
+        rho = gibbs_state(cluster_hams(prob)["ti"] + field, t)
+        m_left, m_right = ptrace_mat(rho, (2, 2), (0,)), ptrace_mat(rho, (2, 2), (1,))
+        logs = message_logs({"L": m_left, "R": m_right})
+        state = BPState(logs=logs, residual=math.inf, iterations=0, converged=False)
+        assert _compile(prob).msg.mult.max() == 2
+        lay, _ = bpdual._state_store(state, prob)
+        assert lay.msg.mult.max() == 1 and lay.msg.n == 2
+        TestUpdate().check_against_multiplier_form(prob, m_left, m_right)
 
     @pytest.mark.parametrize("model", [HEIS, TFIM], ids=["heis", "tfim"])
     def test_rotated_problem_matches_real(self, model):

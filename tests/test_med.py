@@ -31,7 +31,7 @@ from medbound.med import (
     temperature_sweep,
     ti_problem,
 )
-from medbound.layout import _charge_modulus, _Flat
+from medbound.layout import _Flat, _Rule, _sector_rule
 from medbound.opalg import (
     embed_mat,
     entropy_mat,
@@ -474,20 +474,25 @@ class TestSectors:
         cluster, shield = sectors(_compiled(prob))[prob.variables[0].key]
         assert sector_sizes(cluster) == (1, 3, 3, 1)
         assert sector_sizes(shield) == (1, 2, 1)
-        assert [s.shape for s in cluster.stacks] == [(2, 1), (2, 3)]
+        # the flip carries one block of each mirror pair
+        assert [s.shape for s in cluster.stacks] == [(1, 1), (1, 3)]
+        assert [list(m) for m in cluster.mults] == [[2], [2]]
+        assert [list(m) for m in shield.mults] == [[2], [1]]
 
     def test_square6_packs_in_sector_entries_only(self):
         prob = ti_problem(ti_square_geometry(HEIS, SQUARE_TEMPLATE_6))
         comp = _compiled(prob)
         cluster, shield = sectors(comp)[prob.variables[0].key]
-        assert [s.shape for s in cluster.stacks] == [(2, 1), (2, 7), (2, 21), (2, 35)]
+        assert [s.shape for s in cluster.stacks] == [(1, 1), (1, 7), (1, 21), (1, 35)]
         assert sector_sizes(shield) == (1, 6, 15, 20, 15, 6, 1)
+        # the packed point keeps both members of every flip pair
         assert comp.n == 1780
-        # every block of one size is one stack: four cluster and four shield sizes
-        assert [st.shape for st in comp.cl.stacks] == [(2, 1, 1), (2, 7, 7), (2, 21, 21),
-                                                     (2, 35, 35)]
-        assert [st.shape[0] for st in comp.sh.stacks] == [2, 2, 2, 1]
-        assert med._Compiled(prob, 1).n == 128 * 129 // 2
+        # every block of one size is one stack: four cluster and four shield
+        # sizes, one block of each mirror pair and the self-mirror 20
+        assert [st.shape for st in comp.cl.stacks] == [(1, 1, 1), (1, 7, 7), (1, 21, 21),
+                                                     (1, 35, 35)]
+        assert [st.shape[0] for st in comp.sh.stacks] == [1, 1, 1, 1]
+        assert med._Compiled(prob, _Rule(1)).n == 128 * 129 // 2
         assert _compiled(prob) is comp
 
     def test_tfim_has_parity_sectors(self):
@@ -499,17 +504,21 @@ class TestSectors:
         assert comp.n == 20
 
     def test_charge_modulus_picks_u1_then_parity_then_one(self, rng):
-        def modulus(model):
+        def rule(model):
             geo = ti_chain_geometry(model, 2)
-            return _charge_modulus([(geo.ham, geo.dims)])
-        assert modulus(HEIS) == 0
-        assert modulus(TFIM) == 2
-        assert modulus(ISING) == 0
+            return _sector_rule([(geo.ham, geo.dims)])
+        assert rule(HEIS) == _Rule(0, flip=True)
+        assert rule(TFIM) == _Rule(2, flip=False)
+        assert rule(ISING) == _Rule(0, flip=True)
         a = rng.standard_normal((8, 8))
-        assert _charge_modulus([(a + a.T, (2, 2, 2))]) == 1
+        assert _sector_rule([(a + a.T, (2, 2, 2))]) == _Rule(1, flip=False)
         geo = ti_chain_geometry(HEIS, 2)
+        # X on the top site breaks the charge but commutes with the flip
         field_on_top = np.kron(np.eye(4), PAULI_X)
-        assert _charge_modulus([(geo.ham + field_on_top, geo.dims)]) == 1
+        assert _sector_rule([(geo.ham + field_on_top, geo.dims)]) == _Rule(1, flip=True)
+        # -h Z on the top site keeps the charge and breaks the flip
+        z_on_top = np.kron(np.eye(4), np.diag([-0.3, 0.3]))
+        assert _sector_rule([(geo.ham + z_on_top, geo.dims)]) == _Rule(0, flip=False)
 
     def test_one_breaking_cluster_gives_one_sector_everywhere(self):
         geo = finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1)
@@ -529,6 +538,69 @@ class TestSectors:
         plain = finite_problem(geo)
         blocks = sectors(_compiled(plain))
         assert all(len(sector_sizes(blocks[v.key][0])) > 1 for v in plain.variables)
+
+    def test_flip_breaking_states_turn_the_flip_off(self):
+        # Gibbs marginals of Heisenberg plus a staggered field keep S^z but
+        # not the flip: evaluated on them, the layout drops the flip
+        t = 0.8
+        geo = finite_geometry(LatticeSpec("chain", 5), HEIS, radius=2)
+        prob = finite_problem(geo)
+        assert _compiled(prob).cl.mult.max() == 2
+        h = total_hamiltonian(geo.terms, geo.sites)
+        dims = (2,) * len(geo.sites)
+        for i in range(len(geo.sites)):
+            h = h + 0.4 * (-1) ** i * embed_mat(np.diag([1.0, -1.0]), dims, (i,))
+        rho = gibbs_state(h, t)
+        states = {k: ptrace_mat(rho, dims, site_axes(geo, geo.cluster_labels(k)))
+                  for k in geo.sites}
+        comp = _compiled(prob, states)
+        assert comp.cl.mult.max() == 1 and len(comp.cl.stacks) > 1
+        ref = 0.0
+        for v in prob.variables:
+            ref += trace_product(v.ham, states[v.key]) - t * entropy_mat(states[v.key])
+            if v.shield_axes:
+                ref += t * entropy_mat(ptrace_mat(states[v.key], v.dims, v.shield_axes))
+        assert abs(markov_free_energy(states, prob, t) - ref) <= 1e-12
+
+    FLIP_PROBLEMS = {
+        # a 4-site cluster: its S^z = 0 sector is its own mirror
+        "ti n=3": lambda: ti_problem(ti_chain_geometry(HEIS, 3)),
+        "ti n=4": lambda: ti_problem(ti_chain_geometry(HEIS, 4)),
+        "ring N=6 r=2": lambda: finite_problem(
+            finite_geometry(LatticeSpec("chain", 6, boundary="periodic"), HEIS, radius=2)),
+        "square6": lambda: ti_problem(ti_square_geometry(HEIS, SQUARE_TEMPLATE_6)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FLIP_PROBLEMS))
+    def test_flip_layout_matches_u1_layout(self, name, rng):
+        # at flip-symmetric points the flip layout gives the U(1) layout's
+        # values and packed gradients, on the same packed vector
+        prob = self.FLIP_PROBLEMS[name]()
+        flip, u1 = _compiled(prob), med._Compiled(prob, _Rule(0))
+        assert flip.n == u1.n and flip.n_con == u1.n_con
+        assert flip.cl.mult.max() == 2 and flip.cl.mult.sum() == u1.cl.n
+        def point():
+            g = u1.cl.to_dense(u1.unpack(0.5 * rng.standard_normal(u1.n)))
+            return u1.pack(u1.cl.from_dense([_flip_symmetric(m) for m in g]))
+        for _ in range(3):
+            x = point()
+            y = u1.al_eval(point(), 1.0, np.zeros(u1.n_con), 0.0, want_grad=False)["eq_R"]
+            a = flip.al_eval(x, 0.7, y, 3.0, want_grad=True)
+            b = u1.al_eval(x, 0.7, y, 3.0, want_grad=True)
+            assert abs(a["al"] - b["al"]) <= 1e-12 * max(1.0, abs(b["al"]))
+            assert np.max(np.abs(a["grad"] - b["grad"])) <= 1e-12
+
+    def test_solve_keeps_flip_pairs_equal(self):
+        # unpack reads each mirror pair of parameters as one entry and pack
+        # writes it back to both: the packed point stays flip-symmetric
+        prob = ti_problem(ti_chain_geometry(HEIS, 4))
+        res = solve(prob, 0.5)
+        comp = _compiled(prob)
+        pair = comp.cl.mult > 1
+        assert res.converged and pair.all()
+        x = res.meta["warm"]["x"]
+        assert np.array_equal(x[comp.u_src[0][pair]], x[comp.u_src[1][pair]])
+        assert not np.array_equal(comp.u_src[0], comp.u_src[1])
 
     def test_iterates_stay_in_sectors(self):
         # dense iterates drift off the sectors by roundoff (3.1e-5 here);
@@ -610,6 +682,16 @@ def _modulus(problem):
     return 1
 
 
+def _flips(problem):
+    """Whether every cluster Hamiltonian is invariant under the global flip
+    of the basis index, i -> d - 1 - i."""
+    return all(np.array_equal(v.ham, v.ham[::-1, ::-1]) for v in problem.variables)
+
+
+def _flip_symmetric(mat):
+    return 0.5 * (mat + mat[::-1, ::-1])
+
+
 def _pack_reference(problem, mats):
     """Per cluster: the diagonal, then the in-sector upper triangle sector by
     sector (times sqrt 2), then its imaginary parts for complex problems."""
@@ -680,6 +762,10 @@ class TestSectorEvaluation:
                  for v in prob.variables}
         mults = [_random_herm(rng, 2 ** len(c.left_axes), scale, mask(len(c.left_axes)),
                               complex_) for c in prob.constraints]
+        if _flips(prob):
+            # the layout carries flip-symmetric points only
+            gmats = {k: _flip_symmetric(g) for k, g in gmats.items()}
+            mults = [_flip_symmetric(y) for y in mults]
         return gmats, mults
 
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -714,7 +800,9 @@ class TestSectorEvaluation:
         gamma = comp.cl.from_dense([g + g.conj().T for g in comp.cl.to_dense(gamma)],
                                    gamma.dtype)
         lhs = float(np.dot(comp.pack(frame.grad(gamma)), step))
-        rhs = float(np.real(np.vdot(gamma, frame.g(step) - frame.g0)))
+        # the inner product of dense matrices: each carried entry counts
+        # as often as it occurs
+        rhs = float(np.real(np.vdot(comp.cl.mult * gamma, frame.g(step) - frame.g0)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         y = _flat_mults(prob, mults)
         x0 = np.zeros(comp.n)

@@ -114,6 +114,20 @@ def test_library_prints_nothing():
                            for m in modules), where
 
 
+def test_no_environment_knobs():
+    # the library's behaviour follows from its inputs alone (the sector
+    # layout, for one, is read off the Hamiltonians and the given states):
+    # no module reads or writes the process environment
+    knobs = {"environ", "getenv", "putenv"}
+    for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            assert not (isinstance(node, ast.Attribute) and node.attr in knobs
+                        and isinstance(node.value, ast.Name) and node.value.id == "os"), where
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and any(a.name in knobs for a in node.names)), where
+
+
 # run in a fresh interpreter: the test session has imported scipy already
 SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
     import importlib, pkgutil, sys
