@@ -14,10 +14,10 @@ log-space product,
     m_{k -> k+1}  prop  Tr_first(Lambda_k o m_{k+1->k} o m_{k-1->k}) o m_{k+1->k}^{-1}
     rho_k         prop  Lambda_k o m_{k+1->k} o m_{k-1->k}
 
-The bound is the MED objective of the same problem at the beliefs rho_k
-(`med.markov_free_energy`), so both solvers read one problem description.
-The inverse factors only drop out when partial trace and the log-space
-product commute (classical case).
+The bound is the MED objective at the BP point G_k = log Lambda_k + the
+incoming logs, on the primal solver's cached layout (`med._Compiled`): both
+solvers read one problem description. The inverse factors only drop out
+when partial trace and the log-space product commute (classical case).
 
 Messages are positive definite operators on the n-site overlaps, carried as
 their logs. A BP state is the unit-trace logs of its messages, the
@@ -82,7 +82,9 @@ real combinations map flip-invariant operators to flip-invariant ones.
 The layout then carries each mirror pair of sector blocks once. The
 trace distance of the residual and the Anderson least squares count every
 carried entry by its multiplicity (components weighed by sqrt(mult)), so
-the iteration is the U(1) one in exact arithmetic.
+the iteration is the U(1) one in exact arithmetic. The returned logs are
+symmetrized, (m + flip(m)) / 2, since roundoff leaves a self-mirror block
+about 1e-13 off invariant: a state reads as the layout its loop ran on.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ from medbound.med import (
     Constraint,
     MedProblem,
     VarSpec,
-    markov_free_energy,
+    _compiled,
+    _total,
     ti_problem,
 )
 from medbound.opalg import (  # noqa: F401
@@ -202,7 +205,7 @@ class BPProblem:
 
 def bp_ti_problem(model: ModelSpec, n: int, T: float) -> BPProblem:
     """Translation-invariant chain with an n-site window (cluster of n+1):
-    the problem `med.minimize_ti(model, n)` solves."""
+    `med.ti_problem(ti_chain_geometry(model, n))` at temperature T."""
     if not _is_count(n):
         raise ValueError("window size n must be an integer >= 1")
     return BPProblem(ti_problem(ti_chain_geometry(model, int(n))), T)
@@ -255,6 +258,7 @@ class _Layout:
 
     def __init__(self, problem: BPProblem, rule: _Rule):
         variables = problem.problem.variables
+        self.rule = rule
         n = len(variables[0].dims) - 1
         self.cluster = c = _Flat([variables[0].dims], rule)
         self.msg = m = _Flat([variables[0].dims[:n]], rule)
@@ -291,13 +295,6 @@ class _Layout:
         """The message cluster i sends to `side`."""
         return side if self.ti else (side, self.keys[i])
 
-    # -- dense edges -----------------------------------------------------------
-
-    def flats(self, mats: dict) -> np.ndarray:
-        """Dense message logs keyed by name, as rows in `names` order."""
-        rows = np.reshape([mats[name] for name in self.names], (-1, self.dim, self.dim))
-        return self.msg.from_dense([rows])
-
     def store(self, logs: np.ndarray) -> np.ndarray:
         out = np.zeros((self.none + 1, self.msg.n + 1),
                        dtype=np.result_type(logs, self.lam))
@@ -323,6 +320,11 @@ class _Layout:
         """log Lambda plus the embedded incoming logs."""
         left, right = gathers
         return lam + store.take(left) + store.take(right)
+
+    def belief_logs(self, store) -> np.ndarray:
+        """The cluster logs of every cluster, one row each: the BP point."""
+        return self.cluster_logs(store, self.lam,
+                                 self.gathers(self.incoming[:, 0], self.incoming[:, 1]))
 
     def trace_plan(self, rows, sides):
         """Index map of a batch of marginals: marginal j is the partial trace
@@ -377,8 +379,7 @@ class _Layout:
     def beliefs(self, store):
         """All cluster beliefs and the overlap belief of every constraint,
         from the message logs in `store`."""
-        rho = self.cluster.exp(self.cluster_logs(
-            store, self.lam, self.gathers(self.incoming[:, 0], self.incoming[:, 1]))).rho
+        rho = self.cluster.exp(self.belief_logs(store)).rho
         # overlap j is crossed by the messages in store rows e + j ("L") and j ("R")
         e = len(self.edges)
         sigma = self.msg.exp(store[e:2 * e, :-1] + store[:e, :-1]).rho
@@ -412,7 +413,8 @@ def _state_store(state: BPState, problem: BPProblem):
             or any(np.shape(m) != (d, d) for m in state.logs.values())):
         raise ValueError("the message logs are for another problem")
     lay = _compile(problem, state.logs.values())
-    return lay, lay.store(lay.flats(state.logs))
+    rows = np.reshape([state.logs[name] for name in lay.names], (-1, lay.dim, lay.dim))
+    return lay, lay.store(lay.msg.from_dense([rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +477,10 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
         mixed = accel.step(x, g)
         if mixed is not g:
             store[:-1, :-1], msgs = lay.normalize(mixed)
-    logs = dict(zip(lay.names, lay.msg.to_dense(g)[0]))
+    mats = lay.msg.to_dense(g)[0]
+    if lay.rule.flip:
+        mats = 0.5 * (mats + mats[:, ::-1, ::-1])
+    logs = dict(zip(lay.names, mats))
     return BPState(logs=logs, residual=residual, iterations=it, converged=converged)
 
 
@@ -545,10 +550,15 @@ def belief_consistency(state: BPState, problem: BPProblem) -> float:
 
 
 def bp_free_energy(state: BPState, problem: BPProblem) -> float:
-    """The MED objective of the problem at the beliefs (per site for the
+    """The MED objective of the problem at the BP point (per site for the
     translation-invariant chain, total for a finite chain)."""
     if not state.converged:
         warnings.warn("evaluating the free energy on a non-converged state",
                       RuntimeWarning, stacklevel=2)
-    beliefs, _ = beliefs_from_messages(state, problem)
-    return markov_free_energy(beliefs, problem.problem, problem.T)
+    lay, store = _state_store(state, problem)
+    comp = _compiled(problem.problem, lay.rule)
+    logs = lay.belief_logs(store)
+    # under one rule both layouts list a cluster's entries in the same order
+    g = np.empty(comp.cl.n, dtype=logs.dtype)
+    g[np.concatenate(comp.cl.sel)] = logs.ravel()
+    return _total(comp.terms(comp.cl.exp(g), problem.T).value)

@@ -24,11 +24,11 @@ is not done.
 
 One rule (`_sector_rule`) picks the layout for both solvers, a charge with
 a modulus: U(1), then Z2, then one sector, the first whose sectors hold
-every cluster Hamiltonian and every matrix a caller passes in (states, G,
-messages); the flip is added when every one of those matrices is exactly
-invariant under it. Heisenberg and the classical Ising model are, bit for
-bit; the TFIM (its field is diagonal) is not. The rule reads the inputs
-alone: there is no option and no environment setting.
+every cluster Hamiltonian and every message log a BP state brings in; the
+flip is added when every one of those matrices is exactly invariant under
+it. Heisenberg and the classical Ising model are, bit for bit; the TFIM
+(its field is diagonal) is not. The rule reads the inputs alone: there is
+no option and no environment setting.
 
 `_Flat`, the one layout class, holds the blocks of one or more matrices in
 one flat vector: the primal solver lays out all cluster states (and all

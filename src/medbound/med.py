@@ -42,20 +42,19 @@ flip pair of parameters: `unpack` averages them onto the carried block and
 `pack`, its adjoint, writes the block back to both, so the stop tests of
 L-BFGS read the vector they read without the flip. The rule is the one BP
 uses (`layout._sector_rule`: U(1), then Z2, then one sector per matrix,
-the plain dense iteration; the flip when every matrix is invariant under
-it), and `markov_free_energy` also checks the states it is given, so
-charge-conserving states (BP beliefs among them) are evaluated in sectors.
+the plain dense iteration; the flip when every matrix keeps it).
 
-Each problem is compiled once, at its first solve, into a block layout
-(`_Compiled`, on the `_Flat` class of `medbound.layout`, which the BP solver
-builds on too): G, the states, the shield marginals, the multipliers and
-the gradient are carried as charge-sector blocks, stacked by block size
-across all clusters, and the partial traces and their adjoint embeddings are
-index maps. One objective evaluation therefore makes a fixed number of
-batched calls per block size, however many clusters, constraints and
-sectors the problem has. A result holds the packed G, not dense states:
-dense matrices appear only at the interface, in `cluster_states` (a result's
-states, rebuilt from its packed G) and `markov_free_energy`.
+Each problem is compiled once per sector rule, at its first solve or BP
+bound, into a block layout (`_Compiled`, on the `_Flat` class of
+`medbound.layout`, which the BP loop builds on too): G, the states, the
+shield marginals, the multipliers and the gradient are carried as
+charge-sector blocks, stacked by block size across all clusters, and the
+partial traces and their adjoint embeddings are index maps. One objective
+evaluation therefore makes a fixed number of batched calls per block size,
+however many clusters, constraints and sectors the problem has. A result
+holds the packed G, not dense states: dense matrices appear only at the
+interface, in `cluster_states` (a result's states, rebuilt from its packed
+G) and in the layout's dense reference objective, `markov_free_energy`.
 """
 
 from __future__ import annotations
@@ -68,10 +67,8 @@ import numpy as np
 
 from medbound.lattice import (
     FiniteGeometry,
-    ModelSpec,
     TIGeometry,
     _is_count,
-    ti_chain_geometry,
 )
 from medbound.layout import (
     _Eig,
@@ -84,12 +81,13 @@ from medbound.layout import (
     _scatter,
     _sector_rule,
 )
-# ptrace_mat, embed_mat and entropy_from_probs are not called here; they stay
-# attributes of this module because perfbench/tracing.py wraps them by name
+# embed_mat and entropy_from_probs are not called here; they stay attributes
+# of this module because perfbench/tracing.py wraps them by name
 from medbound.opalg import (  # noqa: F401
     EIG_FLOOR,
     embed_mat,
     entropy_from_probs,
+    entropy_mat,
     ptrace_mat,
     sym,
     trace_product,
@@ -108,7 +106,6 @@ __all__ = [
     "markov_free_energy",
     "solve",
     "cluster_states",
-    "minimize_ti",
     "temperature_sweep",
     "ground_energy_lower_bound",
 ]
@@ -308,7 +305,7 @@ class _Compiled:
         variables = problem.variables
         self.keys = [v.key for v in variables]
         self.n_vars = len(variables)
-        self.real = _is_real_problem(problem)
+        self.real = all(v.ham is None or not np.iscomplexobj(v.ham) for v in variables)
         self.cl = cl = _Flat([v.dims for v in variables], rule)
         self.sh = sh = _Flat([[v.dims[a] for a in v.shield_axes] if v.shield_axes else None
                               for v in variables], rule)
@@ -535,25 +532,15 @@ def _total(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1])
 
 
-def _is_real_problem(problem: MedProblem) -> bool:
-    return all(v.ham is None or not np.iscomplexobj(v.ham) for v in problem.variables)
-
-
-def _compiled(problem: MedProblem, mats: dict | None = None) -> _Compiled:
-    """The problem's layout, built on first use and cached on the problem.
-
-    Sectors by the rule `layout._sector_rule` reads off every cluster
-    Hamiltonian and every matrix of `mats` (states or G keyed like the
-    variables). A layout built for given `mats` is not cached: caching the
-    layouts of evaluation-only callers (BP) raised `bp-chain` peak RSS from
-    88.6 to 92.6 MB."""
-    rule = _sector_rule([(m, v.dims) for v in problem.variables
-                         for m in (v.ham, (mats or {}).get(v.key))])
+def _compiled(problem: MedProblem, rule: _Rule | None = None) -> _Compiled:
+    """The problem's layout under `rule`, by default the one
+    `layout._sector_rule` reads off the cluster Hamiltonians, built on first
+    use and cached on the problem."""
+    if rule is None:
+        rule = _sector_rule([(v.ham, v.dims) for v in problem.variables])
     comp = problem._layouts.get(rule)
     if comp is None:
-        comp = _Compiled(problem, rule)
-        if mats is None:
-            problem._layouts[rule] = comp
+        comp = problem._layouts[rule] = _Compiled(problem, rule)
     return comp
 
 
@@ -675,25 +662,26 @@ def cluster_states(problem: MedProblem, result: MedResult) -> dict:
 
 
 def markov_free_energy(states: dict, problem: MedProblem, T: float) -> float:
-    """Cluster energy minus T times the shield-local entropy of `states`
-    (keyed like the variables), per site in TI mode and total otherwise."""
-    mats = {v.key: sym(np.asarray(states[v.key])) for v in problem.variables}
-    comp = _compiled(problem, mats)
-    rho = comp.cl.from_dense([mats[k] for k in comp.keys])
-    vals, vecs = comp.cl.eigh(rho)
-    return _total(comp.terms(_Eig(vecs, np.maximum(vals, 0.0), rho), T).value)
+    """Cluster energy minus T times the shield-local entropy of dense
+    `states` (keyed like the variables), per site in TI mode and total
+    otherwise. States of another problem raise ValueError."""
+    if not 0 <= T < math.inf:
+        raise ValueError("temperature must be finite and nonnegative")
+    if any(np.shape(states.get(v.key)) != (v.dim, v.dim) for v in problem.variables):
+        raise ValueError("the states are for another problem")
+    total = 0.0
+    for v in problem.variables:
+        rho = sym(np.asarray(states[v.key]))
+        s = entropy_mat(rho)
+        if v.shield_axes:
+            s -= entropy_mat(ptrace_mat(rho, v.dims, v.shield_axes))
+        total += (0.0 if v.ham is None else trace_product(v.ham, rho)) - T * s
+    return total
 
 
 # ---------------------------------------------------------------------------
 # spec-level entry points
 # ---------------------------------------------------------------------------
-
-def minimize_ti(model: ModelSpec, shield, T: float,
-                config: SolverConfig | None = None) -> MedResult:
-    """Translation-invariant chain minimization; `shield` is a window size or
-    offset list (`ti_chain_geometry`). Square lattices go through `solve`."""
-    return solve(ti_problem(ti_chain_geometry(model, shield)), T, config)
-
 
 def temperature_sweep(problem: MedProblem, t_grid,
                       config: SolverConfig | None = None) -> SweepResult:

@@ -11,7 +11,8 @@ eigenvalues below ``ENTROPY_CUTOFF``; logarithms of positive matrices clamp
 eigenvalues at a configurable floor so that rank-deficient marginals stay
 usable.
 
-These kernels serve problem construction, the oracles and the tests. Both
+These kernels serve problem construction, the oracles, the tests and the
+reference objective on dense states (`med.markov_free_energy`). Both
 solvers iterate on the charge-sector block layout of `medbound.layout`,
 whose index maps are built here with `embed_mat`.
 """

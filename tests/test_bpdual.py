@@ -38,9 +38,10 @@ from medbound.lattice import (
 from medbound.med import (
     MedProblem,
     SolverConfig,
+    _compiled,
     cluster_states,
     finite_problem,
-    minimize_ti,
+    markov_free_energy,
     solve,
     ti_problem,
 )
@@ -467,13 +468,12 @@ class TestLogSpaceStep:
             {side: messages[name] for side, name in sent.items()}, damping)
 
         logs = message_logs(messages)
-        new = bp_update(k, BPState(logs=logs, residual=math.inf, iterations=0,
-                                   converged=False), prob)
+        state = BPState(logs=logs, residual=math.inf, iterations=0, converged=False)
+        new = bp_update(k, state, prob)
         # log-space path: unit-trace logs in, the damped mix of logs written
         # unnormalized, then one normalization of every message row
-        lay = _compile(prob, logs.values())
+        lay, store = bpdual._state_store(state, prob)
         assert (lay.msg.n < 4 ** n) == conserving
-        store = lay.store(lay.flats(logs))
         rows = np.array([lay.row[sent[side]] for side in sides])
         out = lay.outgoing(store, lay.keys.index(k), sides)
         lay.mix(store, rows, out, damping)
@@ -635,13 +635,64 @@ class TestBeliefs:
             assert trace_distance(rho, states[k]) <= 1e-8
 
 
+class TestBoundAtTheBPPoint:
+    """The bound is the primal objective at the BP point, read on the
+    primal layout of the state's sector rule."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: bp_ti_problem(HEIS, 4, 0.5),
+        lambda: bp_ti_problem(TFIM, 4, 0.5),
+        lambda: bp_chain_problem(LatticeSpec("chain", 8), HEIS, 2, 0.5),
+    ], ids=["ti heis n=4", "ti tfim n=4", "open heis N=8 n=2"])
+    def test_bound_is_the_dense_objective_at_the_beliefs(self, make):
+        prob = make()
+        state = bp_fixed_point(prob)
+        beliefs, _ = beliefs_from_messages(state, prob)
+        ref = markov_free_energy(beliefs, prob.problem, prob.T)
+        assert abs(bp_free_energy(state, prob) - ref) <= 1e-12
+
+    def test_flip_breaking_state_gets_its_own_layout(self):
+        # a staggered shift of the logs keeps S^z but breaks the flip: the
+        # bound compiles a second primal layout, without the flip
+        prob = bp_ti_problem(HEIS, 2, 0.5)
+        state = bp_fixed_point(prob)
+        bp_free_energy(state, prob)
+        stagger = 0.3 * np.diag([0.0, 1.0, -1.0, 0.0])
+        broken = BPState(logs={k: m + stagger for k, m in state.logs.items()},
+                         residual=math.inf, iterations=0, converged=True)
+        beliefs, _ = beliefs_from_messages(broken, prob)
+        ref = markov_free_energy(beliefs, prob.problem, prob.T)
+        assert abs(bp_free_energy(broken, prob) - ref) <= 1e-12
+        assert set(prob.problem._layouts) == {_Rule(0, flip=True), _Rule(0, flip=False)}
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n: bp_ti_problem(HEIS, n, 0.5) for n in (2, 3, 4, 5, 6)),
+        *(lambda n=n: bp_chain_problem(LatticeSpec("chain", 16), HEIS, n, 0.5)
+          for n in (2, 3, 4)),
+    ], ids=[f"ti n={n}" for n in (2, 3, 4, 5, 6)] + [f"open N=16 n={n}" for n in (2, 3, 4)])
+    def test_states_are_flip_invariant(self, make):
+        # the self-mirror blocks drift off flip-invariance by roundoff; the
+        # returned logs are symmetrized, so the state reads as the layout
+        # its loop ran on, and the bound leaves one primal layout, the one
+        # `solve` uses
+        prob = make()
+        state = bp_fixed_point(prob)
+        assert state.converged
+        for m in state.logs.values():
+            assert np.array_equal(m, m[::-1, ::-1])
+        assert bpdual._state_store(state, prob)[0].rule == _compile(prob).rule
+        bp_free_energy(state, prob)
+        layouts = list(prob.problem._layouts.values())
+        assert len(layouts) == 1 and layouts[0] is _compiled(prob.problem)
+
+
 class TestInverseFactors:
     def test_retained_agrees_with_primal(self):
         # on a non-commuting chain the inverse factors do not drop out; with
         # them the fixed point is the primal minimizer's
         t = 0.5
         cfg_med = SolverConfig(tol_gradient=1e-7, tol_constraint=1e-8, max_inner=3000)
-        f_med = minimize_ti(HEIS, 3, t, cfg_med).f_per_site
+        f_med = solve(ti_problem(ti_chain_geometry(HEIS, 3)), t, cfg_med).f_per_site
         prob = bp_ti_problem(HEIS, 3, t)
         assert abs(bp_free_energy(bp_fixed_point(prob), prob) - f_med) <= 1e-4
 

@@ -26,12 +26,11 @@ from medbound.med import (
     finite_problem,
     ground_energy_lower_bound,
     markov_free_energy,
-    minimize_ti,
     solve,
     temperature_sweep,
     ti_problem,
 )
-from medbound.layout import _Flat, _Rule, _sector_rule
+from medbound.layout import _Eig, _Flat, _Rule, _sector_rule
 from medbound.opalg import (
     embed_mat,
     entropy_mat,
@@ -101,6 +100,28 @@ class TestMarkovFreeEnergy:
             s_m += s_c - s_sh
         assert abs(val - (e - t * s_m)) <= 1e-10
 
+    def test_state_of_another_dimension_rejected(self):
+        # before: a bare IndexError from the sector rule's mask
+        prob = ti_problem(ti_chain_geometry(HEIS, 2))
+        with pytest.raises(ValueError, match="another problem"):
+            markov_free_energy(ti_vars(prob, np.eye(4) / 4), prob, 1.0)
+
+    def test_missing_state_rejected(self):
+        # before: a bare KeyError
+        geo = finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1)
+        prob = finite_problem(geo)
+        _, states = gibbs_chain_marginals(4, HEIS, 1.0, geo)
+        del states[prob.variables[-1].key]
+        with pytest.raises(ValueError, match="another problem"):
+            markov_free_energy(states, prob, 1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_bad_temperature_rejected(self, t):
+        # before: T = -1 gave 0.693 and T = nan gave nan
+        prob = ti_problem(ti_chain_geometry(HEIS, 2))
+        with pytest.raises(ValueError, match="temperature"):
+            markov_free_energy(ti_vars(prob, np.eye(8) / 8), prob, t)
+
 
 class TestGradient:
     def test_finite_differences(self, rng):
@@ -165,9 +186,11 @@ class TestSolverConfig:
 
 
 class TestMinimizeTI:
+    """Solves of translation-invariant chains, `ti_problem(ti_chain_geometry(...))`."""
+
     def test_classical_ising_exact(self):
         for t in (0.5, 1.0, 2.0):
-            res = minimize_ti(ISING, 1, t, TIGHT)
+            res = solve(ti_problem(ti_chain_geometry(ISING, 1)), t, TIGHT)
             assert res.converged
             assert abs(res.f_per_site - ising_transfer_free_energy(1.0, 0.0, t)) <= 1e-6
 
@@ -175,18 +198,19 @@ class TestMinimizeTI:
         # the mixed state is feasible, so F sits at most -T ln 2, and the
         # optimal correction is O(1/T)
         t = 500.0
-        res = minimize_ti(HEIS, 2, t, TIGHT)
+        res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), t, TIGHT)
         assert res.converged
         assert res.f_per_site <= -t * LN2 + 1e-9
         assert abs(res.f_per_site + t * LN2) <= 1e-3
         assert abs(res.s_m_per_site - LN2) <= 1e-5
 
     def test_f_equals_e_minus_ts(self):
-        res = minimize_ti(HEIS, 2, 1.0, TIGHT)
+        res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0, TIGHT)
         assert abs(res.f_per_site - (res.e_per_site - 1.0 * res.s_m_per_site)) <= 1e-10
 
     def test_disconnected_shield_accepted(self):
-        res = minimize_ti(HEIS, (-4, -1), 1.0, SolverConfig(max_inner=2000))
+        res = solve(ti_problem(ti_chain_geometry(HEIS, (-4, -1))), 1.0,
+                    SolverConfig(max_inner=2000))
         assert res.converged
         # weaker than the contiguous 2-site shield at the same cluster size is
         # not guaranteed, but it must stay a bound below the exact chain value
@@ -194,7 +218,7 @@ class TestMinimizeTI:
 
     def test_cluster_dim_guard(self):
         with pytest.raises(ValueError):
-            minimize_ti(HEIS, 13, 1.0)
+            solve(ti_problem(ti_chain_geometry(HEIS, 13)), 1.0)
 
 
 class TestMinimizeFinite:
@@ -282,7 +306,7 @@ class TestSweep:
 class TestWarmStart:
     def test_other_problems_warm_start_rejected(self):
         # before: IndexError deep in the dense conversion
-        warm = minimize_ti(HEIS, 2, 1.0).meta["warm"]
+        warm = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0).meta["warm"]
         with pytest.raises(ValueError, match="warm start"):
             solve(ti_problem(ti_chain_geometry(HEIS, 3)), 1.0, warm=warm)
 
@@ -313,7 +337,7 @@ class TestClusterStates:
         assert abs(markov_free_energy(states, prob, 0.7) - res.f_per_site) <= 1e-12
 
     def test_other_problems_result_rejected(self):
-        res = minimize_ti(HEIS, 2, 1.0)
+        res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0)
         with pytest.raises(ValueError, match="another problem"):
             cluster_states(ti_problem(ti_chain_geometry(HEIS, 3)), res)
 
@@ -374,7 +398,7 @@ class TestEvaluationReuse:
             seen.append(np.array(log))
             return flat_exp(self, log)
         monkeypatch.setattr(_Flat, "exp", exp)
-        res = minimize_ti(HEIS, 3, 0.5)
+        res = solve(ti_problem(ti_chain_geometry(HEIS, 3)), 0.5)
         assert res.converged and len(seen) > 10
         assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
 
@@ -416,7 +440,7 @@ class TestInvariants:
             return scipy_minimize(fun, x0, callback=lambda xk: trace.append(fun(xk)[0]),
                                   **kwargs)
         monkeypatch.setattr(med, "_scipy_minimize", minimize)
-        minimize_ti(HEIS, 2, 1.0, SolverConfig(max_inner=2000))
+        solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0, SolverConfig(max_inner=2000))
         assert any(len(trace) > 1 for trace in traces)
         for trace in traces:
             arr = np.asarray(trace)
@@ -426,10 +450,12 @@ class TestInvariants:
     def test_shield_monotonicity(self):
         # enlarging the shield tightens (raises) the bound, never lowers it
         cfg = SolverConfig(tol_gradient=1e-7, tol_constraint=1e-8, max_inner=3000)
-        f = [minimize_ti(HEIS, n, 1.0, cfg).f_per_site for n in (1, 2, 3)]
+        f = [solve(ti_problem(ti_chain_geometry(HEIS, n)), 1.0, cfg).f_per_site
+             for n in (1, 2, 3)]
         assert f[0] <= f[1] + 1e-6
         assert f[1] <= f[2] + 1e-6
-        f_ising = [minimize_ti(ISING, n, 1.0, cfg).f_per_site for n in (1, 2)]
+        f_ising = [solve(ti_problem(ti_chain_geometry(ISING, n)), 1.0, cfg).f_per_site
+                   for n in (1, 2)]
         assert abs(f_ising[0] - f_ising[1]) <= 1e-6
 
     def test_convexity_spot_check(self, rng):
@@ -540,8 +566,10 @@ class TestSectors:
         assert all(len(sector_sizes(blocks[v.key][0])) > 1 for v in plain.variables)
 
     def test_flip_breaking_states_turn_the_flip_off(self):
-        # Gibbs marginals of Heisenberg plus a staggered field keep S^z but
-        # not the flip: evaluated on them, the layout drops the flip
+        # Gibbs marginals of Heisenberg plus a staggered field break the flip
+        # (and, by the roundoff of the dense Gibbs state, the charge): the
+        # rule read off them drops it, and the layout of that rule, cached
+        # next to the flip one, evaluates them
         t = 0.8
         geo = finite_geometry(LatticeSpec("chain", 5), HEIS, radius=2)
         prob = finite_problem(geo)
@@ -553,13 +581,20 @@ class TestSectors:
         rho = gibbs_state(h, t)
         states = {k: ptrace_mat(rho, dims, site_axes(geo, geo.cluster_labels(k)))
                   for k in geo.sites}
-        comp = _compiled(prob, states)
+        rule = _sector_rule([(m, v.dims) for v in prob.variables for m in (v.ham, states[v.key])])
+        assert not rule.flip
+        comp = _compiled(prob, rule)
         assert comp.cl.mult.max() == 1 and len(comp.cl.stacks) > 1
+        assert set(prob._layouts) == {_Rule(0, flip=True), rule}
         ref = 0.0
         for v in prob.variables:
             ref += trace_product(v.ham, states[v.key]) - t * entropy_mat(states[v.key])
             if v.shield_axes:
                 ref += t * entropy_mat(ptrace_mat(states[v.key], v.dims, v.shield_axes))
+        flat = comp.cl.from_dense([states[k] for k in comp.keys])
+        vals, vecs = comp.cl.eigh(flat)
+        value = med._total(comp.terms(_Eig(vecs, np.maximum(vals, 0.0), flat), t).value)
+        assert abs(value - ref) <= 1e-12
         assert abs(markov_free_energy(states, prob, t) - ref) <= 1e-12
 
     FLIP_PROBLEMS = {
@@ -610,6 +645,45 @@ class TestSectors:
         assert res.converged
         assert np.all(cluster_states(prob, res)["ti"][off_sector(5)] == 0.0)
         assert abs(res.f_per_site - (-0.5385956078726468)) <= 1e-6
+
+
+class TestDenseReference:
+    # every rule the layout can run a problem under: U(1) with and without
+    # the flip, Z2 and one sector (the TFIM keeps Z2, not U(1) or the flip)
+    HEIS_RULES = (_Rule(0, flip=True), _Rule(0), _Rule(2), _Rule(1))
+    CASES = [pytest.param(name, rule, id=f"{name} m={rule.modulus}{' flip' * rule.flip}")
+             for name, rules in (("heis n=3", HEIS_RULES), ("heis n=4", HEIS_RULES),
+                                 ("tfim n=2", (_Rule(2), _Rule(1))),
+                                 ("ring N=6 r=2", HEIS_RULES))
+             for rule in rules]
+    PROBLEMS = {
+        "heis n=3": lambda: ti_problem(ti_chain_geometry(HEIS, 3)),
+        "heis n=4": lambda: ti_problem(ti_chain_geometry(HEIS, 4)),
+        "tfim n=2": lambda: ti_problem(ti_chain_geometry(TFIM, 2)),
+        "ring N=6 r=2": lambda: finite_problem(
+            finite_geometry(LatticeSpec("chain", 6, boundary="periodic"), HEIS, radius=2)),
+    }
+
+    @pytest.mark.parametrize("name, rule", CASES)
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), T=st.sampled_from([0.0, 0.3, 1.0]),
+           scale=st.sampled_from([0.3, 1.5]))
+    def test_evaluate_matches_markov_free_energy(self, name, rule, seed, T, scale):
+        # the compiled objective at a random packed point against the dense
+        # objective of the same states; under the flip a self-mirror block is
+        # carried whole and the shield marginals average an entry and its
+        # mirror, so the layout is exact at flip-invariant points only and
+        # the point is symmetrized first
+        prob = self.PROBLEMS[name]()
+        comp = _compiled(prob, rule)
+        x = scale * np.random.default_rng(seed).standard_normal(comp.n)
+        g = comp.unpack(x)
+        if rule.flip:
+            g = comp.cl.from_dense([_flip_symmetric(m) for m in comp.cl.to_dense(g)])
+        eig, tm = comp.evaluate(g, T)
+        value = med._total(tm.value)
+        states = dict(zip(comp.keys, comp.cl.to_dense(eig.rho)))
+        assert abs(markov_free_energy(states, prob, T) - value) <= 1e-12 * max(1.0, abs(value))
 
 
 def _ptrace(rho, dims, keep):

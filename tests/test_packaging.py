@@ -116,8 +116,8 @@ def test_library_prints_nothing():
 
 def test_no_environment_knobs():
     # the library's behaviour follows from its inputs alone (the sector
-    # layout, for one, is read off the Hamiltonians and the given states):
-    # no module reads or writes the process environment
+    # layout, for one, is read off the Hamiltonians and the given message
+    # logs): no module reads or writes the process environment
     knobs = {"environ", "getenv", "putenv"}
     for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -139,20 +139,22 @@ SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
     heis = lattice.ModelSpec("heisenberg")
     p = bpdual.bp_ti_problem(heis, 2, 1.0)
     bpdual.bp_free_energy(bpdual.bp_fixed_point(p), p)
-    bpdual.bp_fixed_point(bpdual.bp_chain_problem(lattice.LatticeSpec("chain", 6), heis, 2, 1.0))
+    q = bpdual.bp_chain_problem(lattice.LatticeSpec("chain", 6), heis, 2, 1.0)
+    bpdual.bp_free_energy(bpdual.bp_fixed_point(q), q)
     terms, sites = lattice.build_lattice(lattice.LatticeSpec("chain", 4), heis)
     oracle.exact_free_energy(lattice.total_hamiltonian(terms, sites), 1.0)
     loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
     assert not loaded, loaded
-    assert med.minimize_ti(heis, 1, 1.0).converged
+    assert med.solve(med.ti_problem(lattice.ti_chain_geometry(heis, 1)), 1.0).converged
     assert "scipy.optimize" in sys.modules
 """)
 
 
 def test_scipy_loads_only_for_the_primal_solver():
     # importing medbound, a BP bound (both loop shapes: the TI pair and an
-    # open chain) and an exact free energy load no scipy
-    # module; the first primal solve imports scipy's optimizer
+    # open chain; the bound reads the primal layout, `med._Compiled`) and an
+    # exact free energy load no scipy module; the first primal solve imports
+    # scipy's optimizer
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
