@@ -51,15 +51,15 @@ The residual is the largest trace distance that one plain damped round
 moves a message from the point the round started at, and the returned state
 is that round's output G(x), so both read as they would without the mix.
 
-Layout. Each public call compiles the problem once (`_Layout`) onto one
-cluster and one message `_Flat` of `medbound.layout`: cluster logs,
-beliefs, messages and message logs are rows of flat vectors, and a matrix
-function is one batched call per block size over all the rows it acts on.
-Embedding an incoming log on the first or last n sites of a cluster is one
-gather, with a zero slot for the entries it does not reach; the partial
+Layout. A problem is compiled once per sector rule, into a `_Layout` cached
+on it: one cluster and one message `_Flat` of `medbound.layout`. Cluster
+logs, beliefs, messages and message logs are rows of flat vectors, and a
+matrix function is one batched call per block size over all the rows it acts
+on. Embedding an incoming log on the first or last n sites of a cluster is
+one gather, with a zero slot for the entries it does not reach; the partial
 trace onto those sites reads the same index map (`_Flat.trace_map`)
-backwards as one bincount. Dense matrices appear only at the interface:
-the logs of `BPState`, the messages `bp_update` returns and the beliefs.
+backwards as one bincount. Dense matrices appear only at the interface: the
+logs of `BPState`, the messages `bp_update` returns and the beliefs.
 
 The restriction to sectors is exact. Here the charge is the total charge
 mod the modulus the sector rule picks (`layout._sector_rule`: U(1), then
@@ -91,7 +91,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,10 +173,12 @@ class BPState:
     converged: bool
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BPProblem:
     problem: MedProblem     # chain windows and their overlap constraints
     T: float
+    ti: bool = field(init=False, repr=False)    # one window tied to itself
+    _layouts: dict = field(default_factory=dict, init=False, repr=False)  # by rule (`_layout`)
 
     def __post_init__(self):
         """Reject any other shape: windows of n+1 sites on one dims tuple
@@ -192,13 +194,13 @@ class BPProblem:
         first, last = tuple(range(n)), tuple(range(1, n + 1))
         keys = [v.key for v in variables]
         pairs = [(c.left_key, c.right_key) for c in constraints]
-        ti = len(keys) == 1 and pairs == [(keys[0], keys[0])]
+        object.__setattr__(self, "ti", len(keys) == 1 and pairs == [(keys[0], keys[0])])
         if not (n >= 1 and dims[:n] == dims[1:]
-                and (ti or pairs == list(zip(keys, keys[1:])))
+                and (self.ti or pairs == list(zip(keys, keys[1:])))
                 and all(tuple(c.left_axes) == last and tuple(c.right_axes) == first
                         for c in constraints)
                 and all(tuple(v.dims) == dims and v.ham is not None
-                        and tuple(v.shield_axes) == (first if ti or i else ())
+                        and tuple(v.shield_axes) == (first if self.ti or i else ())
                         for i, v in enumerate(variables))):
             raise ValueError("BP runs on chain windows tied last n sites to first n")
 
@@ -239,7 +241,8 @@ def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> B
 # ---------------------------------------------------------------------------
 
 class _Layout:
-    """A BP problem laid out for one public call.
+    """A BP problem laid out under one sector rule, built once and cached on
+    the problem (`_layout`); its per-step plans (`_step`) last as long.
 
     - `cluster`/`msg`: block layouts of one (n+1)-site cluster matrix and
       one n-site message, used with one row per matrix; `lam` holds
@@ -275,12 +278,13 @@ class _Layout:
             embedded.append(np.where(at > 0, at - 1, m.n))
         self.first, self.last = embedded
 
-        constraints = problem.problem.constraints
-        self.ti = any(con.left_key == con.right_key for con in constraints)
+        self.ti = problem.ti
         index = {k: i for i, k in enumerate(self.keys)}
         # per constraint: the sender and receiver index of its two messages
-        self.edges = [(index[con.left_key], index[con.right_key]) for con in constraints]
-        self.names = _message_names(problem)
+        self.edges = [(index[con.left_key], index[con.right_key])
+                      for con in problem.problem.constraints]
+        self.names = ([self.name("R", a) for a, _ in self.edges]
+                      + [self.name("L", b) for _, b in self.edges])
         self.none = len(self.names)
         self.row = {name: i for i, name in enumerate(self.names)}
         # per cluster: store rows of the message from the left (on the first
@@ -352,7 +356,7 @@ class _Layout:
             inverse = [left if side == "L" else right for side in sides]
             plan = self._steps[i, sides] = (self.gathers(np.array([left]), np.array([right])),
                                             self.trace_plan([0] * len(sides), sides),
-                                            np.array(inverse))
+                                            np.array(inverse, dtype=int))
         return plan
 
     def outgoing(self, store, i: int, sides) -> np.ndarray:
@@ -386,33 +390,29 @@ class _Layout:
         return rho, sigma
 
 
-def _compile(problem: BPProblem, logs=()) -> _Layout:
-    """The layout by the rule `layout._sector_rule` reads off every cluster
-    Hamiltonian and every given message log."""
+def _layout(problem: BPProblem, logs=()) -> _Layout:
+    """The layout under the rule `layout._sector_rule` reads off the cluster
+    Hamiltonians and the given message logs, cached on the problem."""
     variables = problem.problem.variables
     dims = variables[0].dims
-    pairs = [(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in logs]
-    return _Layout(problem, _sector_rule(pairs))
-
-
-def _message_names(problem: BPProblem) -> list:
-    """The names of the problem's messages in store order: "R" of every
-    constraint, then "L" of every constraint (`_Layout`)."""
-    constraints = problem.problem.constraints
-    if any(con.left_key == con.right_key for con in constraints):
-        return ["R", "L"]
-    return [("R", c.left_key) for c in constraints] + [("L", c.right_key) for c in constraints]
+    rule = _sector_rule([(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in logs])
+    lay = problem._layouts.get(rule)
+    if lay is None:
+        lay = problem._layouts[rule] = _Layout(problem, rule)
+    return lay
 
 
 def _state_store(state: BPState, problem: BPProblem):
     """The layout of a state's problem and the store of its message logs.
-    Logs of another problem (other names, or not d x d on the problem's
-    n-site overlap) raise ValueError."""
-    d = int(np.prod(problem.problem.variables[0].dims[1:]))
-    if (set(state.logs) != set(_message_names(problem))
-            or any(np.shape(m) != (d, d) for m in state.logs.values())):
+    Logs of another problem (other names, or not dim x dim on the problem's
+    n-site overlap) or not finite raise ValueError."""
+    lay = _layout(problem)
+    if (set(state.logs) != set(lay.names)
+            or any(np.shape(m) != (lay.dim, lay.dim) for m in state.logs.values())):
         raise ValueError("the message logs are for another problem")
-    lay = _compile(problem, state.logs.values())
+    if not all(np.isfinite(m).all() for m in state.logs.values()):
+        raise ValueError("the message logs are not finite")
+    lay = _layout(problem, state.logs.values())
     rows = np.reshape([state.logs[name] for name in lay.names], (-1, lay.dim, lay.dim))
     return lay, lay.store(lay.msg.from_dense([rows]))
 
@@ -422,11 +422,11 @@ def _state_store(state: BPState, problem: BPProblem):
 # ---------------------------------------------------------------------------
 
 def bp_update(k, state: BPState, problem: BPProblem) -> dict:
-    """Outgoing messages of cluster k (undamped, normalized to unit trace),
-    keyed by name, given the message logs of `state`."""
+    """Outgoing messages of cluster k to each neighbour it has (undamped,
+    normalized to unit trace), keyed by name, given the logs of `state`."""
     lay, store = _state_store(state, problem)
     i = lay.keys.index(k)
-    sides = ("L", "R")
+    sides = tuple(side for side, row in zip("LR", lay.incoming[i]) if row != lay.none)
     out = lay.msg.exp(lay.outgoing(store, i, sides)).rho
     return {lay.name(side, i): mat for side, mat in zip(sides, lay.msg.to_dense(out)[0])}
 
@@ -440,7 +440,7 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
     largest trace-distance change of one plain damped round; a problem
     without messages (a single window) converges in one round.
     """
-    return _iterate(_compile(problem), config or BPConfig())
+    return _iterate(_layout(problem), config or BPConfig())
 
 
 def _iterate(lay: _Layout, config: BPConfig) -> BPState:

@@ -162,7 +162,7 @@ class Constraint:
     right_axes: tuple
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MedProblem:
     variables: tuple
     constraints: tuple
@@ -173,7 +173,7 @@ class MedProblem:
     def __post_init__(self):
         if not self.variables:
             raise ValueError("a problem needs at least one cluster variable")
-        self._vmap = {v.key: v for v in self.variables}
+        object.__setattr__(self, "_vmap", {v.key: v for v in self.variables})
         if len(self._vmap) != len(self.variables):
             raise ValueError("duplicate cluster variable keys")
 

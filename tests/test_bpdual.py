@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from medbound import bpdual
 from medbound.bpdual import (
-    _compile,
+    _layout,
     _iterate,
     _Layout,
     BPConfig,
@@ -326,6 +326,19 @@ class TestUpdate:
         for m in out.values():
             assert np.linalg.norm(m - np.eye(dim) / dim) <= 1e-12
 
+    def test_messages_go_to_neighbours_only(self):
+        # before: the ends of an open chain also sent ("L", 2) and ("R", 7),
+        # names the problem does not have
+        prob = bp_chain_problem(LatticeSpec("chain", 8), HEIS, 2, 0.5)
+        state = bp_fixed_point(prob)
+        assert set(bp_update(2, state, prob)) == {("R", 2)}
+        assert set(bp_update(7, state, prob)) == {("L", 7)}
+        assert set(bp_update(4, state, prob)) == {("L", 4), ("R", 4)}
+        ti = bp_ti_problem(HEIS, 2, 0.5)
+        assert set(bp_update("ti", bp_fixed_point(ti), ti)) == {"L", "R"}
+        single = bp_chain_problem(LatticeSpec("chain", 3), HEIS, 2, 0.5)
+        assert bp_update(2, bp_fixed_point(single), single) == {}
+
     @staticmethod
     def multiplier_form(prob, m_left, m_right):
         """One undamped update of a window-1 TI chain, re-derived with scipy
@@ -365,8 +378,8 @@ class TestUpdate:
         # the TFIM keeps the parity
         ham = rng.standard_normal((4, 4))
         prob = with_hams(bp_ti_problem(HEIS, 1, 0.7), {"ti": sym(ham + ham.T)})
-        assert _compile(prob).msg.n == 4            # one 2 x 2 block
-        assert _compile(bp_ti_problem(TFIM, 1, 0.7)).msg.n == 2    # two parity sectors
+        assert _layout(prob).msg.n == 4            # one 2 x 2 block
+        assert _layout(bp_ti_problem(TFIM, 1, 0.7)).msg.n == 2    # two parity sectors
         self.check_against_multiplier_form(prob, _random_positive(rng, 2),
                                            _random_positive(rng, 2))
 
@@ -375,8 +388,8 @@ class TestUpdate:
         m_left = _random_positive(rng, 2)
         m_right = np.diag([0.3, 0.7])
         logs = message_logs({"L": m_left, "R": m_right})
-        assert _compile(prob, [logs["R"]]).msg.n == 2    # two 1 x 1 sectors
-        assert _compile(prob, logs.values()).msg.n == 4
+        assert _layout(prob, [logs["R"]]).msg.n == 2    # two 1 x 1 sectors
+        assert _layout(prob, logs.values()).msg.n == 4
         self.check_against_multiplier_form(prob, m_left, m_right)
 
 
@@ -515,7 +528,7 @@ class TestSectors:
                              ids=["ti n=3", "open N=6 n=2"])
     def test_parity_sectors_agree_with_one_sector(self, make):
         prob = make()
-        lay = _compile(prob)
+        lay = _layout(prob)
         assert [st.shape for st in lay.msg.stacks] == [(2, lay.dim // 2, lay.dim // 2)]
         self.check_agrees_with_one_sector(prob)
 
@@ -543,7 +556,7 @@ class TestSectors:
         # mirror sectors carried once: the same logs, bound and sweeps as
         # the U(1) layout that carries both
         prob = make()
-        lay, u1 = _compile(prob), _Layout(prob, _Rule(0))
+        lay, u1 = _layout(prob), _Layout(prob, _Rule(0))
         assert lay.msg.mult.max() == 2 and lay.msg.mult.sum() == u1.msg.n
         cfg = BPConfig()
         flip, plain = _iterate(lay, cfg), _iterate(u1, cfg)
@@ -564,7 +577,7 @@ class TestSectors:
         m_left, m_right = ptrace_mat(rho, (2, 2), (0,)), ptrace_mat(rho, (2, 2), (1,))
         logs = message_logs({"L": m_left, "R": m_right})
         state = BPState(logs=logs, residual=math.inf, iterations=0, converged=False)
-        assert _compile(prob).msg.mult.max() == 2
+        assert _layout(prob).msg.mult.max() == 2
         lay, _ = bpdual._state_store(state, prob)
         assert lay.msg.mult.max() == 1 and lay.msg.n == 2
         TestUpdate().check_against_multiplier_form(prob, m_left, m_right)
@@ -680,7 +693,7 @@ class TestBoundAtTheBPPoint:
         assert state.converged
         for m in state.logs.values():
             assert np.array_equal(m, m[::-1, ::-1])
-        assert bpdual._state_store(state, prob)[0].rule == _compile(prob).rule
+        assert bpdual._state_store(state, prob)[0].rule == _layout(prob).rule
         bp_free_energy(state, prob)
         layouts = list(prob.problem._layouts.values())
         assert len(layouts) == 1 and layouts[0] is _compiled(prob.problem)
@@ -717,7 +730,7 @@ class TestAcceleration:
         # keep every mixed point and the returned logs exactly Hermitian
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         prob = with_hams(bp_ti_problem(HEIS, 2, 1.0), {"ti": 0.5 * (a + a.conj().T)})
-        lay = _compile(prob)
+        lay = _layout(prob)
         assert [st.shape for st in lay.msg.stacks] == [(1, 4, 4)]
         mixed, step = [], bpdual._Anderson.step
 
@@ -793,3 +806,96 @@ class TestStateOfAnotherProblem:
         state = bp_fixed_point(prob)
         with pytest.raises(ValueError, match="another problem"):
             belief_consistency(state, bp_chain_problem(LatticeSpec("chain", 6), HEIS, 2, 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("read", [
+        lambda state, prob: bp_update("ti", state, prob),
+        beliefs_from_messages,
+        belief_consistency,
+        bp_free_energy,
+    ], ids=["update", "beliefs", "consistency", "free energy"])
+    def test_nonfinite_logs_rejected(self, read, bad):
+        # before: a NaN log raised LinAlgError "Eigenvalues did not
+        # converge" from LAPACK, and an infinite one gave a bound of nan
+        prob = bp_ti_problem(HEIS, 2, 0.5)
+        state = bp_fixed_point(prob)
+        state.logs["L"][1, 1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            read(state, prob)
+        # and the rejected logs leave no layout behind
+        assert len(prob._layouts) == 1
+
+
+class TestOneLayoutPerProblem:
+    """Every public call reads the layout cached on the problem under the
+    state's sector rule, built once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        rules, init = [], _Layout.__init__
+
+        def counting(self, problem, rule):
+            rules.append(rule)
+            init(self, problem, rule)
+
+        monkeypatch.setattr(_Layout, "__init__", counting)
+        return rules
+
+    def test_every_entry_point_reads_one_layout(self, built):
+        # before: at least one layout per call, five here
+        prob = bp_ti_problem(HEIS, 4, 0.5)
+        state = bp_fixed_point(prob)
+        bp_update("ti", state, prob)
+        beliefs_from_messages(state, prob)
+        belief_consistency(state, prob)
+        bp_free_energy(state, prob)
+        assert built == [_Rule(0, flip=True)]
+        assert list(prob._layouts) == built
+
+    def test_flip_breaking_state_adds_one_layout(self, built):
+        prob = bp_ti_problem(HEIS, 2, 0.5)
+        state = bp_fixed_point(prob)
+        stagger = 0.3 * np.diag([0.0, 1.0, -1.0, 0.0])
+        broken = BPState(logs={k: m + stagger for k, m in state.logs.items()},
+                         residual=math.inf, iterations=0, converged=True)
+        for s in (broken, state, broken):
+            beliefs_from_messages(s, prob)
+            belief_consistency(s, prob)
+            bp_free_energy(s, prob)
+        assert built == [_Rule(0, flip=True), _Rule(0, flip=False)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: bp_ti_problem(HEIS, 4, 0.5),
+        lambda: bp_ti_problem(TFIM, 4, 0.3),
+        lambda: bp_chain_problem(LatticeSpec("chain", 16), HEIS, 3, 0.5),
+    ], ids=["ti heis n=4", "ti tfim n=4", "open heis N=16 n=3"])
+    def test_cached_layout_carries_no_loop_state(self, make):
+        # a second fixed point on one problem, and one on a fresh problem,
+        # repeat the first bit for bit
+        prob = make()
+        runs = [(prob, bp_fixed_point(prob)), (prob, bp_fixed_point(prob))]
+        fresh = make()
+        runs.append((fresh, bp_fixed_point(fresh)))
+        first = runs[0][1]
+        f_first = bp_free_energy(first, prob)
+        for p, state in runs[1:]:
+            assert (state.residual, state.iterations, state.converged) == (
+                first.residual, first.iterations, first.converged)
+            assert all(np.array_equal(log, state.logs[name]) for name, log in first.logs.items())
+            assert bp_free_energy(state, p) == f_first
+
+
+class TestFrozenProblems:
+    # layouts are cached on the problem: reassigning what they were built
+    # from would leave them stale
+    @pytest.mark.parametrize("target, attr, value", [
+        (lambda prob: prob, "T", 1.0),
+        (lambda prob: prob, "problem", bp_ti_problem(HEIS, 3, 0.5).problem),
+        (lambda prob: prob.problem, "variables",
+         bp_ti_problem(ModelSpec("heisenberg", J=2.0), 2, 0.5).problem.variables),
+    ], ids=["T", "problem", "variables"])
+    def test_reassignment_raises(self, target, attr, value):
+        prob = bp_ti_problem(HEIS, 2, 0.5)
+        bp_free_energy(bp_fixed_point(prob), prob)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target(prob), attr, value)

@@ -98,6 +98,26 @@ def test_no_unused_parameters():
             assert params <= read, f"{path.name}:{node.lineno} {name} ignores {params - read}"
 
 
+def test_layout_caches_sit_on_frozen_dataclasses():
+    # a `_layouts` cache holds what was compiled from the problem's fields:
+    # only a frozen dataclass keeps those from being reassigned under it
+    found = set()
+    for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    isinstance(n, ast.AnnAssign) and getattr(n.target, "id", None) == "_layouts"
+                    or isinstance(n, ast.Attribute) and n.attr == "_layouts"
+                    and isinstance(n.ctx, ast.Store) for n in ast.walk(node))):
+                continue
+            found.add(node.name)
+            frozen = any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                         and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                                 for k in d.keywords)
+                         for d in node.decorator_list)
+            assert frozen, f"{path.name}:{node.lineno} {node.name} caches layouts but is not frozen"
+    assert {"MedProblem", "BPProblem"} <= found
+
+
 def test_library_prints_nothing():
     # the library reports through its return values: no print, no writes to
     # sys.stdout or sys.stderr and no logging anywhere in src/medbound
