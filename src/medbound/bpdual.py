@@ -391,11 +391,11 @@ class _Layout:
 
 
 def _layout(problem: BPProblem, logs=()) -> _Layout:
-    """The layout under the rule `layout._sector_rule` reads off the cluster
-    Hamiltonians and the given message logs, cached on the problem."""
-    variables = problem.problem.variables
-    dims = variables[0].dims
-    rule = _sector_rule([(v.ham, v.dims) for v in variables] + [(m, dims[1:]) for m in logs])
+    """The layout under the sector rule of the cluster Hamiltonians (read
+    once per problem, `MedProblem._rule`) and the given message logs, cached
+    on the problem."""
+    dims = problem.problem.variables[0].dims[1:]
+    rule = _sector_rule([(m, dims) for m in logs], problem.problem._rule)
     lay = problem._layouts.get(rule)
     if lay is None:
         lay = problem._layouts[rule] = _Layout(problem, rule)

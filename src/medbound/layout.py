@@ -88,15 +88,16 @@ def _charges(dims, m: int) -> np.ndarray:
     return q % m if m else q
 
 
-def _sector_rule(pairs) -> _Rule:
+def _sector_rule(pairs, base: _Rule = _Rule(0, True)) -> _Rule:
     """The sector rule of both solvers, a charge with a modulus: U(1)
     (m = 0), then Z2 (m = 2), then one sector (m = 1), the first m whose
     sectors hold every matrix (None: no matrix) of the (matrix, dims) pairs,
     i.e. that is exactly 0 off them; with the flip when every matrix is
-    exactly invariant under it."""
+    exactly invariant under it. `base` is the rule of further matrices read
+    before: the search starts at its modulus, and its flip must hold too."""
     mats = [(np.asarray(mat), dims) for mat, dims in pairs if mat is not None]
-    flip = all(np.array_equal(mat, mat[::-1, ::-1]) for mat, _ in mats)
-    for m in (0, 2):
+    flip = base.flip and all(np.array_equal(mat, mat[::-1, ::-1]) for mat, _ in mats)
+    for m in (0, 2)[(0, 2, 1).index(base.modulus):]:
         if not any(np.any(mat[(q := _charges(dims, m))[:, None] != q[None, :]])
                    for mat, dims in mats):
             return _Rule(m, flip)

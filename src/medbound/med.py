@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -182,6 +183,11 @@ class MedProblem:
             return self._vmap[key]
         except KeyError:
             raise KeyError(f"no cluster variable {key!r}") from None
+
+    @cached_property
+    def _rule(self) -> _Rule:
+        """The sector rule of the cluster Hamiltonians (`layout._sector_rule`)."""
+        return _sector_rule([(v.ham, v.dims) for v in self.variables])
 
 
 @dataclass(eq=False)
@@ -533,11 +539,9 @@ def _total(x: np.ndarray) -> float:
 
 
 def _compiled(problem: MedProblem, rule: _Rule | None = None) -> _Compiled:
-    """The problem's layout under `rule`, by default the one
-    `layout._sector_rule` reads off the cluster Hamiltonians, built on first
-    use and cached on the problem."""
-    if rule is None:
-        rule = _sector_rule([(v.ham, v.dims) for v in problem.variables])
+    """The problem's layout under `rule` (by default the Hamiltonians',
+    `MedProblem._rule`), built on first use and cached on the problem."""
+    rule = problem._rule if rule is None else rule
     comp = problem._layouts.get(rule)
     if comp is None:
         comp = problem._layouts[rule] = _Compiled(problem, rule)
@@ -699,62 +703,56 @@ def temperature_sweep(problem: MedProblem, t_grid,
     return SweepResult(rows=rows[::-1])
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_REFINE = 30        # solves one golden-section refinement makes at most
+_MAX_REFINE = 30        # refinement solves one bound makes at most
+_TANGENT_GAP = 1e-9     # per site: stop once max_T f is known to this
 
 
 def ground_energy_lower_bound(problem: MedProblem, t_grid,
                               config: SolverConfig | None = None) -> BoundResult:
     """max_T of the free-energy bound, a certified lower bound on the ground
-    energy per site. The maximum sits where the shield-local entropy crosses
-    zero; the bracket from a sweep over `t_grid` is refined by golden
-    section. Grid rows and refinements are `MedResult`s, and only converged
-    ones enter the maximum. When the entropy never goes negative on the grid
-    the crossing is not bracketed (`bracketed` False) and the best converged
-    grid value is returned, nan if no grid row converged."""
+    energy per site, over the converged solves (`MedResult`s: grid rows, then
+    refinements). f(T) is a minimum over a T-independent feasible set of
+    functions affine in T: concave, with slope -S_M(T) (Danskin), it peaks
+    where S_M crosses 0. Inside the last grid bracket a < b with S_M(a) < 0
+    <= S_M(b) the next T is the regula falsi root of S_M, Illinois-style (the
+    stored S_M of an end kept twice in a row is halved). The states solved at
+    a are feasible at every T, so f(T) <= E_a - T S_a, and likewise at b: the
+    two lines meet at u >= max_T f, and u - bound is how far the bound can lie
+    below the maximum. Refinement stops once that is <= 1e-9 (< 0 only from
+    noise in S_M) or at an unconverged refinement, which moves nothing.
+    Without a bracket (`bracketed` False) the best converged grid value is
+    returned, nan if no grid row converged."""
     sweep = temperature_sweep(problem, t_grid, config)
     # only converged rows certify a bound: an unconverged value overestimates
     # the minimum and must not enter the maximum
     good = [r for r in sweep.rows if r.converged]
-    if not good:
-        return BoundResult(bound=math.nan, t_at=math.nan, bracketed=False, sweep=sweep,
-                           refined=[])
-    best = max(good, key=lambda r: r.f_per_site)
-    bound, t_at = best.f_per_site, best.T
-    bracket = None
-    for lo, hi in zip(good[:-1], good[1:]):
-        if lo.s_m_per_site < 0.0 <= hi.s_m_per_site:
-            bracket = (lo.T, hi.T)
-    if bracket is None:
+    best = max(good, key=lambda r: r.f_per_site, default=None)
+    bound, t_at = (math.nan, math.nan) if best is None else (best.f_per_site, best.T)
+    brackets = [[a, b] for a, b in zip(good, good[1:]) if a.s_m_per_site < 0.0 <= b.s_m_per_site]
+    if not brackets:
         return BoundResult(bound=bound, t_at=t_at, bracketed=False, sweep=sweep, refined=[])
 
-    refined = []
-
-    def eval_t(t):
-        nonlocal bound, t_at
+    bracket, refined, kept = brackets[-1], [], None     # kept: the end kept last step
+    slopes = [r.s_m_per_site for r in bracket]          # the stored S_M
+    while len(refined) < _MAX_REFINE:
+        (a, b), (sa, sb) = bracket, slopes
+        u = ((a.e_per_site * b.s_m_per_site - b.e_per_site * a.s_m_per_site)
+             / (b.s_m_per_site - a.s_m_per_site))
+        if u - bound <= _TANGENT_GAP:
+            break
+        t = a.T - sa * (b.T - a.T) / (sb - sa)
         # the nearest solve, searched in solve order (the grid from high T
         # down, then the refinements), so the first of two equally near wins
         near = min(sweep.rows[::-1] + refined, key=lambda r: abs(r.T - t))
         res = solve(problem, t, config, warm=near.meta["warm"])
         refined.append(res)
-        if res.converged and res.f_per_site > bound:
+        if not res.converged:
+            break
+        if res.f_per_site > bound:
             bound, t_at = res.f_per_site, t
-        return res.f_per_site
-
-    a, b = bracket
-    tol = max(2e-3, 2e-3 * 0.5 * (a + b))
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = eval_t(c), eval_t(d)
-    n_eval = 2
-    while (b - a) > tol and n_eval < _MAX_REFINE:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = eval_t(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = eval_t(d)
-        n_eval += 1
+        side = int(res.s_m_per_site >= 0.0)
+        bracket[side], slopes[side] = res, res.s_m_per_site
+        if kept == 1 - side:
+            slopes[kept] *= 0.5
+        kept = 1 - side
     return BoundResult(bound=bound, t_at=t_at, bracketed=True, sweep=sweep, refined=refined)

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from medbound import bpdual
+from medbound import bpdual, layout, med
 from medbound.bpdual import (
     _layout,
     _iterate,
@@ -851,6 +851,28 @@ class TestOneLayoutPerProblem:
         bp_free_energy(state, prob)
         assert built == [_Rule(0, flip=True)]
         assert list(prob._layouts) == built
+
+    def test_hamiltonians_rule_is_read_once_per_problem(self, monkeypatch):
+        # before: once per BP call, twice per state read and once per solve,
+        # seven here
+        prob = bp_ti_problem(HEIS, 3, 0.5)
+        hams = [v.ham for v in prob.problem.variables]
+        reads, sector_rule = [], layout._sector_rule
+
+        def counting(pairs, *args):
+            pairs = list(pairs)
+            if any(m is h for m, _ in pairs for h in hams):
+                reads.append(1)
+            return sector_rule(pairs, *args)
+
+        monkeypatch.setattr(med, "_sector_rule", counting)
+        monkeypatch.setattr(bpdual, "_sector_rule", counting)
+        state = bp_fixed_point(prob)
+        bp_free_energy(state, prob)
+        beliefs_from_messages(state, prob)
+        solve(prob.problem, 0.5)
+        solve(prob.problem, 1.0)
+        assert len(reads) == 1
 
     def test_flip_breaking_state_adds_one_layout(self, built):
         prob = bp_ti_problem(HEIS, 2, 0.5)

@@ -6,11 +6,13 @@ import scipy.linalg
 
 from medbound.lattice import LatticeSpec, ModelSpec, build_lattice, total_hamiltonian
 from medbound.opalg import entropy_mat, trace_distance
+from medbound import oracle
 from medbound.oracle import (
     exact_free_energy,
     gibbs_state,
     ground_energy,
     ising_transfer_free_energy,
+    onsager_free_energy,
 )
 
 HEIS = ModelSpec("heisenberg")
@@ -160,6 +162,42 @@ class TestIsingTransfer:
         lam2 = 2.0 * math.sinh(1.0 / t)
         f_n = -t / n * math.log(lam1 ** n + lam2 ** n)
         assert abs(res.f_per_site - f_n) <= 1e-10
+
+
+class TestOnsager:
+    T_C = 2.0 / math.log(1.0 + math.sqrt(2.0))
+
+    @pytest.mark.parametrize("t, f", [(4.0, -3.0364259141), (3.0, -2.4476481956),
+                                      (2.5, -2.1984095519), (2.0, -2.0515856254)])
+    def test_converged_off_the_critical_point(self, t, f, monkeypatch):
+        value = onsager_free_energy(t)
+        assert abs(value - f) <= 1e-10
+        monkeypatch.setattr(oracle, "_ONSAGER_MIDPOINTS", 2 * oracle._ONSAGER_MIDPOINTS)
+        assert abs(onsager_free_energy(t) - value) <= 1e-12
+
+    def test_log_singularity_at_the_critical_point(self, monkeypatch):
+        value = onsager_free_energy(self.T_C)
+        monkeypatch.setattr(oracle, "_ONSAGER_MIDPOINTS", 2 * oracle._ONSAGER_MIDPOINTS)
+        # the rule converges there only as n^-2: 3.7e-6 from 400 to 800 points
+        assert 1e-7 <= abs(onsager_free_energy(self.T_C) - value) <= 1e-5
+
+    def test_high_temperature_series(self):
+        # -f/T = ln 2 + 2 ln cosh K + sum over closed loops: t^4 + 2 t^6 +
+        # 9/2 t^8 + 12 t^10 + ..., t = tanh K
+        t_ = 10.0
+        t = math.tanh(1.0 / t_)
+        series = -t_ * (math.log(2.0) + 2.0 * math.log(math.cosh(1.0 / t_))
+                        + t ** 4 + 2.0 * t ** 6 + 4.5 * t ** 8)
+        assert abs(onsager_free_energy(t_) - series) <= 20.0 * t_ * t ** 10
+
+    def test_antiferromagnet_is_the_same(self):
+        # the square lattice is bipartite: J -> -J flips every other spin
+        assert abs(onsager_free_energy(2.0, J=-1.0) - onsager_free_energy(2.0)) <= 1e-14
+
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
+    def test_nonfinite_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            onsager_free_energy(t)
 
 
 class TestGroundEnergy:
