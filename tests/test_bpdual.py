@@ -711,11 +711,13 @@ class TestInverseFactors:
 
 
 class TestAcceleration:
+    # with the mix off, each schedule runs its plain round: damped on the TI
+    # pair, the undamped forward-backward sweep on an open chain
     @pytest.mark.parametrize("make, plain", [
         (lambda: bp_ti_problem(HEIS, 4, 0.5), 31),
-        (lambda: bp_chain_problem(LatticeSpec("chain", 16), HEIS, 3, 0.5), 30),
+        (lambda: bp_chain_problem(LatticeSpec("chain", 16), HEIS, 3, 0.5), 6),
     ], ids=["ti heis n=4", "open heis N=16 n=3"])
-    def test_history_zero_is_the_plain_damped_iteration(self, make, plain, monkeypatch):
+    def test_history_zero_is_the_plain_round(self, make, plain, monkeypatch):
         prob = make()
         fast = bp_fixed_point(prob)
         monkeypatch.setattr(bpdual, "_HISTORY", 0)
@@ -771,6 +773,61 @@ class TestAcceleration:
         assert bp_free_energy(state, prob) < tfim_exact_f(t)
 
 
+class TestTreeSchedule:
+    # an open chain's clusters form a tree: the forward sweep reads the
+    # right-moving messages of the same round and the backward sweep the
+    # left-moving ones, so the round runs undamped
+
+    @pytest.mark.parametrize("t", [1.0, 0.3, 0.15])
+    @pytest.mark.parametrize("n_sites, n", [(10, 2), (10, 3), (16, 4)])
+    def test_classical_chain_is_exact_after_one_round(self, n_sites, n, t):
+        # one forward-backward round is exact, the second one checks it
+        # (the damped round took 4-16)
+        spec = LatticeSpec("chain", n_sites)
+        prob = bp_chain_problem(spec, ISING, n, t)
+        state = bp_fixed_point(prob, BPConfig(tol_residual=1e-12))
+        assert state.converged and state.iterations <= 2
+        if n_sites <= 12:
+            terms, sites = build_lattice(spec, ISING)
+            exact = exact_free_energy(total_hamiltonian(terms, sites), t).f_total
+            assert abs(bp_free_energy(state, prob) - exact) <= 1e-12
+
+    def test_default_tolerance_bound_is_accurate(self):
+        # a random complex open chain: the residual measures the full step,
+        # so the default stop lies close to the fixed point (the damped
+        # round's half step left the bound 1.3e-7 off after 38 rounds)
+        rng = np.random.default_rng(0)
+        prob = bp_chain_problem(LatticeSpec("chain", 8), HEIS, 1, 0.3)
+        hams = {}
+        for key in cluster_hams(prob):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            hams[key] = 0.5 * (a + a.conj().T)
+        prob = with_hams(prob, hams)
+        state = bp_fixed_point(prob)
+        tight = bp_fixed_point(prob, BPConfig(tol_residual=1e-13))
+        assert state.converged and tight.converged
+        assert abs(bp_free_energy(state, prob) - bp_free_energy(tight, prob)) <= 2e-8
+
+
+class TestSweepBudget:
+    def test_rounds_over_fixed_tables(self):
+        # the benchmark's 15 TI cases (290 rounds) and 18 open chains (120;
+        # 286 under the damped open round): a change to the round or the mix
+        # that costs rounds fails here
+        ti = ([(HEIS, n, t) for n in (4, 5, 6) for t in (0.3, 0.5, 1.0)]
+              + [(TFIM, n, t) for n, t in ((4, 0.3), (4, 0.5), (4, 1.0),
+                                           (5, 0.5), (5, 1.0), (6, 1.0))])
+        spec = LatticeSpec("chain", 16)
+        open_chains = [(model, n, t) for model in (HEIS, TFIM) for n in (2, 3, 4)
+                       for t in (1.0, 0.5, 0.3)]
+        states = [bp_fixed_point(bp_ti_problem(*case)) for case in ti]
+        assert all(s.converged for s in states)
+        assert sum(s.iterations for s in states) <= 290
+        states = [bp_fixed_point(bp_chain_problem(spec, *case)) for case in open_chains]
+        assert all(s.converged for s in states)
+        assert sum(s.iterations for s in states) <= 130
+
+
 class TestFlags:
     def test_nonconverged_state_warns(self):
         prob = bp_ti_problem(HEIS, 2, 0.5)
@@ -778,6 +835,52 @@ class TestFlags:
         assert not state.converged
         with pytest.warns(RuntimeWarning):
             bp_free_energy(state, prob)
+
+    @pytest.mark.parametrize("fail_at", ["first", "middle"])
+    def test_eigensolver_failure_returns_the_last_round(self, fail_at, monkeypatch):
+        # LAPACK's eigh can fail to converge on a block of tightly clustered
+        # eigenvalues (it did on open -J sum XX, N=10 n=5 T=0.15, about
+        # round 705 of the damped loop); the loop ends there and returns the
+        # last completed round, unconverged
+        prob = bp_chain_problem(LatticeSpec("chain", 8), HEIS, 2, 0.5)
+        # only a cluster belief has blocks of this size: the failure comes
+        # inside a sweep, after some of the round's steps were written
+        size = max(st.shape[1] for st in _layout(prob).cluster.stacks)
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape[-1] == size)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        full = bp_fixed_point(prob)
+        assert full.converged and full.iterations >= 3
+        fail = 1 if fail_at == "first" else sum(calls) // 2
+        calls.clear()
+
+        def failing(a, *args, **kwargs):
+            calls.append(a.shape[-1] == size)
+            if sum(calls) == fail and calls[-1]:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        state = bp_fixed_point(prob)
+        assert not state.converged
+        assert all(np.isfinite(m).all() for m in state.logs.values())
+        if fail_at == "first":
+            # no round completed: the identity start messages
+            assert state.iterations == 0 and state.residual == math.inf
+            for m in state.logs.values():
+                assert np.array_equal(m, -math.log(4) * np.eye(4))
+        else:
+            assert 1 <= state.iterations < full.iterations
+            capped = bp_fixed_point(prob, BPConfig(max_iters=state.iterations))
+            assert state.residual == capped.residual
+            for name, m in capped.logs.items():
+                assert np.array_equal(state.logs[name], m)
+        with pytest.warns(RuntimeWarning):
+            assert np.isfinite(bp_free_energy(state, prob))
 
     def test_consistency_tracks_residual(self):
         prob = bp_ti_problem(HEIS, 2, 1.0)
