@@ -712,12 +712,13 @@ class TestInverseFactors:
 
 class TestAcceleration:
     # with the mix off, each schedule runs its plain round: damped on the TI
-    # pair, the undamped forward-backward sweep on an open chain
+    # pair, the undamped forward-backward sweep on an open chain (the name
+    # predates the undamped open round)
     @pytest.mark.parametrize("make, plain", [
         (lambda: bp_ti_problem(HEIS, 4, 0.5), 31),
         (lambda: bp_chain_problem(LatticeSpec("chain", 16), HEIS, 3, 0.5), 6),
     ], ids=["ti heis n=4", "open heis N=16 n=3"])
-    def test_history_zero_is_the_plain_round(self, make, plain, monkeypatch):
+    def test_history_zero_is_the_plain_damped_iteration(self, make, plain, monkeypatch):
         prob = make()
         fast = bp_fixed_point(prob)
         monkeypatch.setattr(bpdual, "_HISTORY", 0)
