@@ -8,9 +8,8 @@ dual fixed-point (belief propagation) equations on chains
 (`medbound.oracle`). States and Hamiltonians are plain arrays throughout;
 `medbound.opalg` holds the dense kernels, `medbound.layout` the
 charge-sector block layout both solvers iterate on, and `medbound.lattice`
-builds the cluster geometries. Importing any of them loads numpy only: scipy's
-optimizer is imported by the first primal solve, so a BP bound or an exact
-oracle value never loads scipy.
+builds the cluster geometries. numpy is the only run-time dependency: the
+primal solver's L-BFGS is `medbound.lbfgs`, so no solve loads scipy.
 """
 
 __version__ = "0.1.0"

@@ -10,15 +10,15 @@ the ground energy.
 Solver design: each cluster state is parametrized as rho = exp(G)/Tr exp(G)
 over a Hermitian G, which builds positivity and normalization into the
 coordinates. Consistency constraints are handled by an augmented Lagrangian
-with geometric penalty growth; the smooth inner problems go to scipy's
-limited-memory quasi-Newton (L-BFGS-B) with an analytic gradient, imported at
-the first solve, so importing this module loads numpy only. The chain rule
-through the exponential map uses the divided-difference kernel of exp on
-the eigenbasis of G. Each inner problem is solved in coordinates fixed at
-its start (`_Frame`) that rescale G, in the eigenbasis of the start point,
-by the inverse square root of that kernel: the entropy's curvature in G
-(the Kubo-Mori metric) shrinks with the weights of the states involved, and
-the rescaling evens it out. When every cluster Hamiltonian is real the whole
+with geometric penalty growth; the smooth inner problems go, with an analytic
+gradient, to the limited-memory quasi-Newton of `medbound.lbfgs` (L-BFGS-B's
+unconstrained path in numpy, imported at the first solve). The chain rule
+through the exponential map uses the divided-difference kernel of exp on the
+eigenbasis of G. Each inner problem is solved in coordinates fixed at its
+start (`_Frame`) that rescale G, in the eigenbasis of the start point, by the
+inverse square root of that kernel: the entropy's curvature in G (the
+Kubo-Mori metric) shrinks with the weights of the states involved, and the
+rescaling evens it out. When every cluster Hamiltonian is real the whole
 iteration stays in real symmetric matrices, which roughly halves the
 parameter count and speeds up the eigensolver.
 
@@ -193,7 +193,9 @@ class MedProblem:
 @dataclass(eq=False)
 class MedResult:
     """One solve's scalars; ``meta["warm"]`` is the point it ended at as the
-    solver carries it, ``{"x": packed G, "y": multipliers}`` (`cluster_states`)."""
+    solver carries it, ``{"x": packed G, "y": multipliers}`` (`cluster_states`),
+    and ``meta["outer"]`` one row per outer iteration: its penalty, gradient
+    target, inner steps, constraint residual and whether the target was met."""
 
     f_per_site: float
     e_per_site: float
@@ -553,9 +555,10 @@ def _compiled(problem: MedProblem, rule: _Rule | None = None) -> _Compiled:
 # ---------------------------------------------------------------------------
 
 def _scipy_minimize(fun, x0, **kwargs):
-    """scipy's `minimize`, imported at the first call: a process that never
-    runs the primal solver (BP, the oracles) does not load scipy."""
-    from scipy.optimize import minimize
+    """`medbound.lbfgs.minimize`, imported at the first call, so a process
+    that never runs the primal solver does not import it. The name is kept
+    only because the benchmark's tracer wraps this attribute by name."""
+    from medbound.lbfgs import minimize
     return minimize(fun, x0, **kwargs)
 
 
@@ -588,6 +591,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
 
     pen = _PENALTY_INIT
     total_inner = 0
+    history = []
     converged = False
 
     def make_fun(eq_m, p, frame):
@@ -607,22 +611,18 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         gtol = max(omega, config.tol_gradient)
         frame = _Frame(comp, x)
         fun = make_fun(eq_mults, pen, frame)
-        # the first trial step has unit length in the frame, which can
-        # overshoot by orders of magnitude; maxls leaves room to come back
-        options = {"maxiter": config.max_inner, "gtol": gtol, "ftol": 1e-16, "maxcor": 25,
-                   "maxls": 50}
-        res = _scipy_minimize(fun, np.zeros(comp.n), jac=True, method="L-BFGS-B",
-                              options=options)
+        res = _scipy_minimize(fun, np.zeros(comp.n), gtol=gtol, maxiter=config.max_inner)
         x = comp.pack(frame.g(res.x))
         total_inner += int(res.nit)
         inner_ok = float(np.max(np.abs(res.jac))) <= 5.0 * gtol
+        out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
+        res_inf = out["res_inf"]
+        history.append({"penalty": pen, "gtol": gtol, "nit": int(res.nit),
+                        "res_inf": res_inf, "inner_ok": inner_ok})
         # an inner solve that takes no step and misses its gradient target
         # would be repeated unchanged by every later outer iteration
         if res.nit == 0 and not inner_ok:
             break
-
-        out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
-        res_inf = out["res_inf"]
         if not have_cons:
             converged = inner_ok
             break
@@ -648,7 +648,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         iterations=total_inner,
         converged=converged,
         T=T,
-        meta={"warm": {"x": x, "y": eq_mults}},
+        meta={"warm": {"x": x, "y": eq_mults}, "outer": history},
     )
 
 

@@ -1,0 +1,114 @@
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import minimize as scipy_minimize, rosen, rosen_der
+
+from medbound.lbfgs import FTOL, MAXCOR, MAXLS, minimize
+
+
+def rosenbrock(x):
+    return rosen(x), rosen_der(x)
+
+
+def spd_quadratic(n=40, cond=1e3, seed=0):
+    """f(x) = x^T A x / 2 - b^T x with A's eigenvalues log-spaced over `cond`."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.logspace(0, np.log10(cond), n)) @ q.T
+    b = rng.standard_normal(n)
+    return lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)
+
+
+def reference(fun, x0, gtol, maxiter, callback=None):
+    """scipy's L-BFGS-B under the constants of `medbound.lbfgs`."""
+    return scipy_minimize(fun, x0, jac=True, method="L-BFGS-B", callback=callback,
+                          options={"gtol": gtol, "maxiter": maxiter, "ftol": FTOL,
+                                   "maxcor": MAXCOR, "maxls": MAXLS})
+
+
+def test_rosenbrock_takes_l_bfgs_b_steps():
+    x0 = np.array([-1.2, 1.0])
+    ref = reference(rosenbrock, x0, 1e-8, 1000)
+    res = minimize(rosenbrock, x0, gtol=1e-8, maxiter=1000)
+    assert res.status == "gtol" and ref.success
+    assert (res.nit, res.nfev) == (ref.nit, ref.nfev)
+    assert np.max(np.abs(res.x - ref.x)) <= 1e-12
+    assert abs(res.fun - rosenbrock(res.x)[0]) == 0.0
+
+
+def test_quadratic_iterates_follow_l_bfgs_b():
+    fun = spd_quadratic()
+    ours, theirs = [], []
+    reference(fun, np.zeros(40), 1e-12, 20, callback=lambda xk: theirs.append(xk.copy()))
+    minimize(fun, np.zeros(40), gtol=1e-12, maxiter=20, callback=lambda xk: ours.append(xk.copy()))
+    assert len(ours) == len(theirs) == 20
+    for k, (a, b) in enumerate(zip(ours, theirs)):
+        assert np.max(np.abs(a - b)) <= 1e-12, k
+
+
+@pytest.mark.parametrize("case", ["rosenbrock", "quadratic"])
+def test_accepted_steps_meet_strong_wolfe(case):
+    fun = rosenbrock if case == "rosenbrock" else spd_quadratic()
+    x0 = np.array([-1.2, 1.0]) if case == "rosenbrock" else np.zeros(40)
+    seen = {}
+
+    def recording(x):
+        seen[x.tobytes()] = value = fun(x)
+        return value
+    path = [x0]
+    res = minimize(recording, x0, gtol=1e-6, maxiter=200, callback=path.append)
+    assert res.nit == len(path) - 1 > 10
+    for a, b in zip(path, path[1:]):
+        (fa, ga), (fb, gb) = seen[a.tobytes()], seen[b.tobytes()]
+        slope = ga @ (b - a)
+        assert slope < 0.0
+        assert fb <= fa + 1e-3 * slope
+        assert abs(gb @ (b - a)) <= 0.9 * abs(slope)
+
+
+def test_climbing_objective_ends_where_it_started():
+    # the gradient handed back is -grad f, so every search climbs: as in
+    # L-BFGS-B, the search shrinks the step until x no longer moves, accepts
+    # that on its warning exit, and the solve stops on the decrease test
+    def climbing(x):
+        f, g = rosenbrock(x)
+        return f, -g
+    x0 = np.array([-1.2, 1.0])
+    res = minimize(climbing, x0, gtol=1e-8, maxiter=100)
+    ref = reference(climbing, x0, 1e-8, 100)
+    assert res.status == "ftol" and res.nit == ref.nit == 1
+    assert np.array_equal(res.x, x0) and np.array_equal(ref.x, x0)
+    assert np.max(np.abs(res.jac)) > 1e-8
+
+
+def test_search_without_a_step_ends_unconverged_without_one():
+    # f and its gradient are nan off the start, so no trial step passes a
+    # test: the search runs out of evaluations with no pairs to drop
+    x0 = np.array([-1.2, 1.0])
+
+    def nan_off_start(x):
+        f, g = rosenbrock(x)
+        return (f, g) if np.array_equal(x, x0) else (math.nan, g * math.nan)
+    res = minimize(nan_off_start, x0, gtol=1e-8, maxiter=100)
+    assert res.status == "line search"
+    assert (res.nit, res.nfev) == (0, 1 + MAXLS)
+    assert np.array_equal(res.x, x0)
+
+
+def test_stops_at_maxiter():
+    res = minimize(rosenbrock, np.array([-1.2, 1.0]), gtol=1e-8, maxiter=7)
+    assert res.status == "maxiter" and res.nit == 7
+
+
+def test_start_on_target_takes_no_step():
+    res = minimize(rosenbrock, np.ones(2), gtol=1e-8, maxiter=10)
+    assert res.status == "gtol" and (res.nit, res.nfev) == (0, 1)
+
+
+def test_callback_once_per_accepted_step():
+    seen = []
+    res = minimize(rosenbrock, np.array([-1.2, 1.0]), gtol=1e-8, maxiter=1000,
+                   callback=lambda xk: seen.append(xk.copy()))
+    assert len(seen) == res.nit
+    assert np.array_equal(seen[-1], res.x)

@@ -1,6 +1,7 @@
 import math
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -357,6 +358,23 @@ class TestClusterStates:
         assert not arrays
         assert res.meta["warm"]["x"].shape == (comp.n,)
         assert res.meta["warm"]["y"].shape == (comp.n_con,)
+
+
+class TestOuterReport:
+    def test_rows_survive_json_and_sum_to_the_iterations(self):
+        res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0)
+        rows = res.meta["outer"]
+        assert len(rows) > 1
+        assert json.loads(json.dumps(rows)) == rows
+        assert all(set(r) == {"penalty", "gtol", "nit", "res_inf", "inner_ok"} for r in rows)
+        assert sum(r["nit"] for r in rows) == res.iterations
+        assert rows[-1]["inner_ok"] and rows[-1]["res_inf"] == res.residual
+
+    def test_every_row_of_a_ground_bound_reports_its_iterations(self):
+        res = ground_energy_lower_bound(ti_problem(ti_chain_geometry(HEIS, 1)), [0.1, 0.3, 1.0])
+        assert res.refined
+        for row in res.sweep.rows + res.refined:
+            assert sum(r["nit"] for r in row.meta["outer"]) == row.iterations
 
 
 class TestStalledInnerSolve:

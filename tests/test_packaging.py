@@ -148,9 +148,31 @@ def test_no_environment_knobs():
                         and any(a.name in knobs for a in node.names)), where
 
 
+def test_numpy_is_the_only_dependency():
+    # scipy is a test extra: no module of the package imports it
+    tomllib = pytest.importorskip("tomllib")    # standard library from Python 3.11
+    with PYPROJECT.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == ["numpy>=1.24"]
+    for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                       [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(m.split(".")[0] == "scipy" for m in modules), \
+                f"{path.name}:{node.lineno}"
+
+
+def run_fresh(script, timeout, **env):
+    """Run `script` in a fresh interpreter on this checkout's src."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 # run in a fresh interpreter: the test session has imported scipy already
-SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
-    import importlib, pkgutil, sys
+NO_SCIPY_AT_RUN_TIME = textwrap.dedent("""
+    import importlib, math, pkgutil, sys
     import medbound
     from medbound import bpdual, lattice, med, oracle
 
@@ -163,21 +185,42 @@ SCIPY_ONLY_WHEN_SOLVING = textwrap.dedent("""
     bpdual.bp_free_energy(bpdual.bp_fixed_point(q), q)
     terms, sites = lattice.build_lattice(lattice.LatticeSpec("chain", 4), heis)
     oracle.exact_free_energy(lattice.total_hamiltonian(terms, sites), 1.0)
+    prob = med.ti_problem(lattice.ti_chain_geometry(heis, 1))
+    assert med.solve(prob, 1.0).converged
+    assert math.isfinite(med.ground_energy_lower_bound(prob, [0.1, 0.3, 1.0]).bound)
     loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
     assert not loaded, loaded
-    assert med.solve(med.ti_problem(lattice.ti_chain_geometry(heis, 1)), 1.0).converged
-    assert "scipy.optimize" in sys.modules
 """)
 
 
-def test_scipy_loads_only_for_the_primal_solver():
+def test_no_scipy_module_loads_at_run_time():
     # importing medbound, a BP bound (both loop shapes: the TI pair and an
-    # open chain; the bound reads the primal layout, `med._Compiled`) and an
-    # exact free energy load no scipy module; the first primal solve imports
-    # scipy's optimizer
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, "-c", SCIPY_ONLY_WHEN_SOLVING], env=env,
-                         capture_output=True, text=True, timeout=300)
+    # open chain; the bound reads the primal layout, `med._Compiled`), an
+    # exact free energy, a primal solve and a ground-energy bound load no
+    # scipy module: the primal solver's L-BFGS is `medbound.lbfgs`
+    run = run_fresh(NO_SCIPY_AT_RUN_TIME, timeout=300)
+    assert run.returncode == 0, run.stderr
+
+
+# the limit is set before numpy is imported, so it holds the whole run
+IN_256_MIB = textwrap.dedent("""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+    from medbound import bpdual, lattice, med
+
+    heis = lattice.ModelSpec("heisenberg")
+    assert med.solve(med.ti_problem(lattice.ti_chain_geometry(heis, 2)), 1.0).converged
+    p = bpdual.bp_ti_problem(heis, 2, 1.0)
+    bpdual.bp_free_energy(bpdual.bp_fixed_point(p), p)
+""")
+
+
+def test_solves_run_in_256_mib_of_address_space():
+    # a primal solve and a BP bound fit a memory-limited sandbox; a process
+    # short of address space can spin in the BLAS's allocation retries, so
+    # the run has a hard timeout
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("RLIMIT_AS is not available")
+    run = run_fresh(IN_256_MIB, timeout=120, OPENBLAS_NUM_THREADS="1")
     assert run.returncode == 0, run.stderr
