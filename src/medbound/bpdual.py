@@ -63,11 +63,13 @@ Layout. A problem is compiled once per sector rule, into a `_Layout` cached
 on it: one cluster and one message `_Flat` of `medbound.layout`. Cluster
 logs, beliefs, messages and message logs are rows of flat vectors, and a
 matrix function is one batched call per block size over all the rows it acts
-on. Embedding an incoming log on the first or last n sites of a cluster is
-one gather, with a zero slot for the entries it does not reach; the partial
-trace onto those sites reads the same index map (`_Flat.trace_map`)
-backwards as one bincount. Dense matrices appear only at the interface: the
-logs of `BPState`, the messages `bp_update` returns and the beliefs.
+on. Each side of a cluster, its first or its last n sites, has one index
+map (`_Flat.trace_map`), built with the layout: embedding an incoming log on
+those sites is the map's gather, with a zero slot for the entries it does
+not reach, and the partial trace onto them is the same map read the other
+way, one bincount per row. No step builds a map. Dense matrices appear only
+at the interface: the logs of `BPState`, the messages `bp_update` returns
+and the beliefs.
 
 The restriction to sectors is exact. Here the charge is the total charge
 mod the modulus the sector rule picks (`layout._sector_rule`: U(1), then
@@ -252,7 +254,7 @@ def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> B
 
 class _Layout:
     """A BP problem laid out under one sector rule, built once and cached on
-    the problem (`_layout`); its per-step plans (`_step`) last as long.
+    the problem (`_layout`).
 
     - `cluster`/`msg`: block layouts of one (n+1)-site cluster matrix and
       one n-site message, used with one row per matrix; `lam` holds
@@ -263,11 +265,12 @@ class _Layout:
       each in `names` order, plus a zero row standing for "no message"
       (beyond an open end) and a zero column, the slot of the cluster
       entries an embedding does not reach.
-    - `traced`: per side ("L": the first n sites, "R": the last n), the
-      cluster entries the partial trace onto those sites reads, the message
-      entries they feed and their weights (`_Flat.trace_map`); `first`/
-      `last`: for every cluster entry, the message entry embedded there on
-      those sites (else the zero slot)."""
+    - `maps`: per side ("L": the first n sites, "R": the last n), the one
+      index map of the partial trace onto those sites (`_Flat.trace_map`):
+      the cluster entries it reads, the message entries they feed and
+      their weights, and its gather, for every cluster entry the message
+      entry embedded there (else the zero slot). A step builds no map:
+      `cluster_logs` gathers and `marginals` bincounts."""
 
     def __init__(self, problem: BPProblem, rule: _Rule):
         variables = problem.problem.variables
@@ -280,13 +283,10 @@ class _Layout:
         self.diag = (m.rows == m.cols).astype(float)
         self.lam = -c.from_dense([np.array([v.ham for v in variables])]) / problem.T
         labels = m.to_dense(np.arange(1.0, m.n + 1.0))[0]
-        self.traced, embedded = {}, []
+        self.maps = {}
         for side, axes in (("L", range(n)), ("R", range(1, n + 1))):
-            idx, hit, count = c.trace_map(0, labels, axes)
-            self.traced[side] = idx, hit, count / m.mult[hit]
-            at = c.embedding(0, labels, axes).astype(int)
-            embedded.append(np.where(at > 0, at - 1, m.n))
-        self.first, self.last = embedded
+            src, tgt, count, at = c.trace_map(0, labels, axes)
+            self.maps[side] = src, tgt, count / m.mult[tgt], np.where(at < 0, m.n, at)
 
         self.ti = problem.ti
         index = {k: i for i, k in enumerate(self.keys)}
@@ -303,7 +303,6 @@ class _Layout:
         for j, (a, b) in enumerate(self.edges):
             self.incoming[b, 0] = j
             self.incoming[a, 1] = len(self.edges) + j
-        self._steps: dict = {}
 
     def name(self, side: str, i: int):
         """The message cluster i sends to `side`."""
@@ -321,62 +320,31 @@ class _Layout:
         """Per row: the trace distance (1/2) ||a - b||_1."""
         return 0.5 * (np.abs(self.msg.eigvals(a - b)) * self.msg.eig_mult).sum(axis=-1)
 
-    def gathers(self, from_left, from_right):
-        """Flat store indices that embed the logs in the store rows
-        `from_left` (on the first n sites) and `from_right` (on the last n),
-        one cluster row per entry."""
-        width = self.msg.n + 1
-        return (from_left[:, None] * width + self.first,
-                from_right[:, None] * width + self.last)
+    def cluster_logs(self, store, rows: slice) -> np.ndarray:
+        """log Lambda plus the embedded incoming logs, one row per cluster of
+        the slice `rows`: the BP point G_k."""
+        left, right = self.incoming[rows].T
+        return (self.lam[rows] + store[left].take(self.maps["L"][3], axis=1)
+                + store[right].take(self.maps["R"][3], axis=1))
 
-    @staticmethod
-    def cluster_logs(store, lam, gathers) -> np.ndarray:
-        """log Lambda plus the embedded incoming logs."""
-        left, right = gathers
-        return lam + store.take(left) + store.take(right)
-
-    def belief_logs(self, store) -> np.ndarray:
-        """The cluster logs of every cluster, one row each: the BP point."""
-        return self.cluster_logs(store, self.lam,
-                                 self.gathers(self.incoming[:, 0], self.incoming[:, 1]))
-
-    def trace_plan(self, rows, sides):
-        """Index map of a batch of marginals: marginal j is the partial trace
-        of cluster row rows[j] onto the sites that side sides[j] sends on
-        ("L": the first n, "R": the last n)."""
-        src, tgt, weight = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
-        for j, (row, side) in enumerate(zip(rows, sides)):
-            idx, hit, w = self.traced[side]
-            src.append(idx + row * self.cluster.n)
-            tgt.append(hit + j * self.msg.n)
-            weight.append(w)
-        return tuple(map(np.concatenate, (src, tgt, weight))) + (len(sides),)
-
-    def trace(self, rho: np.ndarray, plan) -> np.ndarray:
-        src, tgt, weight, count = plan
-        return _scatter(tgt, rho.take(src) * weight,
-                        count * self.msg.n).reshape(count, self.msg.n)
-
-    def _step(self, i: int, sides):
-        plan = self._steps.get((i, sides))
-        if plan is None:
-            # one belief serves every side; each side divides out the
-            # message it received from the neighbour it sends to
-            left, right = self.incoming[i]
-            inverse = [left if side == "L" else right for side in sides]
-            plan = self._steps[i, sides] = (self.gathers(np.array([left]), np.array([right])),
-                                            self.trace_plan([0] * len(sides), sides),
-                                            np.array(inverse, dtype=int))
-        return plan
+    def marginals(self, rho, sides) -> np.ndarray:
+        """The partial trace of row j of `rho` onto the sites side sides[j]
+        sends on, one row each."""
+        out = np.empty((len(sides), self.msg.n), dtype=rho.dtype)
+        for j, (row, side) in enumerate(zip(rho, sides)):
+            src, tgt, weight, _ = self.maps[side]
+            out[j] = _scatter(tgt, row.take(src) * weight, self.msg.n)
+        return out
 
     def outgoing(self, store, i: int, sides) -> np.ndarray:
         """Logs (up to a scalar) of the messages cluster i sends to `sides`
-        ("L": its left neighbour, "R": its right one), one row per side."""
-        gathers, traced, inverse = self._step(i, sides)
-        rho = self.cluster.exp(self.cluster_logs(store, self.lam[i], gathers)).rho
-        vals, vecs = self.msg.eigh(self.trace(rho, traced))
+        ("L": its left neighbour, "R": its right one), one row per side. One
+        belief serves every side; each side divides out the message it
+        received from the neighbour it sends to."""
+        rho = self.cluster.exp(self.cluster_logs(store, slice(i, i + 1))).rho
+        vals, vecs = self.msg.eigh(self.marginals(rho.repeat(len(sides), axis=0), sides))
         logs = self.msg.from_eig(vecs, np.log(np.maximum(vals, EIG_FLOOR)))
-        return logs - store[inverse, :-1]
+        return logs - store[self.incoming[i, ["LR".index(side) for side in sides]], :-1]
 
     @staticmethod
     def mix(store, rows, out, alpha: float) -> None:
@@ -393,7 +361,7 @@ class _Layout:
     def beliefs(self, store):
         """All cluster beliefs and the overlap belief of every constraint,
         from the message logs in `store`."""
-        rho = self.cluster.exp(self.belief_logs(store)).rho
+        rho = self.cluster.exp(self.cluster_logs(store, slice(None))).rho
         # overlap j is crossed by the messages in store rows e + j ("L") and j ("R")
         e = len(self.edges)
         sigma = self.msg.exp(store[e:2 * e, :-1] + store[:e, :-1]).rho
@@ -563,7 +531,7 @@ def belief_consistency(state: BPState, problem: BPProblem) -> float:
     # both clusters of every overlap: the right one's first n sites and the
     # left one's last n against the overlap belief
     rows = [i for a, b in lay.edges for i in (b, a)]
-    marg = lay.trace(rho, lay.trace_plan(rows, ["L", "R"] * len(lay.edges)))
+    marg = lay.marginals(rho[rows], ["L", "R"] * len(lay.edges))
     return float(lay.distance(marg, np.repeat(sigma, 2, axis=0)).max(initial=0.0))
 
 
@@ -575,7 +543,7 @@ def bp_free_energy(state: BPState, problem: BPProblem) -> float:
                       RuntimeWarning, stacklevel=2)
     lay, store = _state_store(state, problem)
     comp = _compiled(problem.problem, lay.rule)
-    logs = lay.belief_logs(store)
+    logs = lay.cluster_logs(store, slice(None))
     # under one rule both layouts list a cluster's entries in the same order
     g = np.empty(comp.cl.n, dtype=logs.dtype)
     g[np.concatenate(comp.cl.sel)] = logs.ravel()

@@ -141,7 +141,6 @@ class Term:
 class Shield:
     """Markov shield of one site: the predecessors inside its neighborhood."""
 
-    site: object
     shield: tuple      # ordering-sorted predecessors in the neighborhood
     cluster: tuple     # shield + the site itself (site last)
 
@@ -284,7 +283,7 @@ def markov_shield(k, ordering, neighborhood) -> Shield:
     shield = tuple(sorted(before, key=pos.get))
     if not shield and pos[k] > 0:
         raise ValueError(f"empty shield at site {k!r}; only the first site may have one")
-    return Shield(site=k, shield=shield, cluster=shield + (k,))
+    return Shield(shield=shield, cluster=shield + (k,))
 
 
 def assign_terms(shields: dict, terms, ordering) -> dict:

@@ -35,8 +35,9 @@ one flat vector: the primal solver lays out all cluster states (and all
 shield marginals) as one; BP lays out one cluster and one message and runs
 several copies as rows. Its matrix functions (`eigh`, `eigvals`, `from_eig`,
 `exp`) take a flat vector, or an array of flat vectors with leading batch
-axes; `_scatter` and index gathers move entries between layouts (partial
-traces and embeddings).
+axes. One index map per partial trace (`_Flat.trace_map`) moves entries
+between layouts: read forward as a bincount (`_scatter`) it is the partial
+trace, read backward, as a bincount or as its gather, the embedding.
 """
 
 from __future__ import annotations
@@ -285,29 +286,31 @@ class _Flat:
         p = w / z.take(self.eig_owner, axis=-1)
         return _Eig(vecs, p, self.from_eig(vecs, p), gs, z, top)
 
-    def embedding(self, m: int, labels: np.ndarray, axes) -> np.ndarray:
-        """Per flat entry of matrix m: the entry of `labels`, a matrix on
-        `axes`, that embedding it puts there."""
-        sel = self.sel[m]
-        return embed_mat(labels, self.dims[m], axes)[self.rows[sel], self.cols[sel]]
-
     def trace_map(self, m: int, labels: np.ndarray, axes):
         """Index map of a partial trace of matrix m onto `axes`. `labels`, a
         matrix on those axes, holds on each entry the 1-based flat entry of
         the target layout that carries it (0: none), as that layout's
         `to_dense` of 1..n gives. Returns flat entries `src` of m, targets
         `tgt` (0-based) and `count`, the number of in-sector entries of m
-        carried by src that feed an entry carried by tgt.
+        carried by src that feed an entry carried by tgt; and `at`, per
+        flat entry of m (in `sel[m]` order), the target entry (0-based)
+        that embedding a matrix on `axes` puts at its own position, -1
+        where there is none.
 
         The partial trace at target t is the sum of count * rho[src] over
         its rows, divided by the multiplicity of t: the average of the
         entry and its mirror. Read backwards with count / mult[src], the
         map is the embedding averaged over an entry and its mirror, the
         adjoint of the partial trace in the inner products that count
-        multiplicity. Without mirror pairs every count is 1."""
+        multiplicity. Without mirror pairs every count is 1. `at` is the
+        embedding as a gather, exact for a flip-invariant matrix, which has
+        the same value on a target entry and its mirror: where a self-mirror
+        target sector reaches an entry through both, `at` is the one at the
+        entry's own position."""
         rows, cols, src = self.expansion(m)
         hit = embed_mat(labels, self.dims[m], axes)[rows, cols].astype(int)
         keep = hit > 0
         width = int(labels.max(initial=0)) + 1
         pairs, count = np.unique(src[keep] * width + hit[keep] - 1, return_counts=True)
-        return pairs // width, pairs % width, count
+        # the expansion lists the carried entries' own positions first
+        return pairs // width, pairs % width, count, hit[:self.sel[m].size] - 1

@@ -194,8 +194,10 @@ class MedProblem:
 class MedResult:
     """One solve's scalars; ``meta["warm"]`` is the point it ended at as the
     solver carries it, ``{"x": packed G, "y": multipliers}`` (`cluster_states`),
-    and ``meta["outer"]`` one row per outer iteration: its penalty, gradient
-    target, inner steps, constraint residual and whether the target was met."""
+    ``meta["outer"]`` one row per outer iteration: its penalty, gradient
+    target, inner steps, constraint residual, whether the target was met and
+    the inner solve's stop reason (`lbfgs.MinimizeResult.status`), and
+    ``meta["p_min"]`` the smallest eigenvalue of each cluster state there."""
 
     f_per_site: float
     e_per_site: float
@@ -340,7 +342,7 @@ class _Compiled:
         self.n_con = pos
         src, tgt, weight = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
         for m, axes, labels, s in traces:
-            reached, hit, count = cl.trace_map(m, labels, axes)
+            reached, hit, count, _ = cl.trace_map(m, labels, axes)
             src.append(reached)
             tgt.append(hit)
             weight.append(s * count)
@@ -618,7 +620,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
         res_inf = out["res_inf"]
         history.append({"penalty": pen, "gtol": gtol, "nit": int(res.nit),
-                        "res_inf": res_inf, "inner_ok": inner_ok})
+                        "res_inf": res_inf, "inner_ok": inner_ok, "status": res.status})
         # an inner solve that takes no step and misses its gradient target
         # would be repeated unchanged by every later outer iteration
         if res.nit == 0 and not inner_ok:
@@ -638,7 +640,8 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
             pen = min(pen * _PENALTY_GROWTH, 1e9)
 
     out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
-    tm = out["terms"]
+    tm, cl = out["terms"], comp.cl
+    p_min = np.minimum.reduceat(out["eig"].p.take(cl.eig_sort), cl.eig_starts)
     norm = problem.site_norm
     return MedResult(
         f_per_site=_total(tm.value) / norm,
@@ -648,7 +651,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         iterations=total_inner,
         converged=converged,
         T=T,
-        meta={"warm": {"x": x, "y": eq_mults}, "outer": history},
+        meta={"warm": {"x": x, "y": eq_mults}, "outer": history, "p_min": p_min.tolist()},
     )
 
 

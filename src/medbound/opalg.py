@@ -43,10 +43,9 @@ def sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-# reshape/transpose plans cached per (dims, axes): no solver loop calls these
-# kernels, but building a problem or layout embeds a few shapes many times, and
-# a cached plan embeds on 3 sites in 2.4 us against 7.8 (2-core AMD EPYC)
-_PTRACE_PLANS: dict = {}
+# reshape/transpose plans cached per (dims, axes): no solver loop calls
+# `embed_mat`, but building a problem or layout embeds a few shapes many times,
+# and a cached plan embeds on 3 sites in 2.4 us against 7.8 (2-core AMD EPYC)
 _EMBED_PLANS: dict = {}
 
 
@@ -56,17 +55,12 @@ def ptrace_mat(mat: np.ndarray, dims, keep) -> np.ndarray:
     keep = tuple(keep)
     if not keep:
         return np.array([[np.trace(mat)]], dtype=mat.dtype)
-    plan = _PTRACE_PLANS.get((dims, keep))
-    if plan is None:
-        n = len(dims)
-        drop = [i for i in range(n) if i not in keep]
-        perm = list(keep) + drop + [i + n for i in keep] + [i + n for i in drop]
-        dk = int(np.prod([dims[i] for i in keep], dtype=np.int64))
-        dd = int(np.prod([dims[i] for i in drop], dtype=np.int64)) if drop else 1
-        plan = (dims + dims, tuple(perm), dk, dd)
-        _PTRACE_PLANS[(dims, keep)] = plan
-    shape, perm, dk, dd = plan
-    t = mat.reshape(shape).transpose(perm).reshape(dk, dd, dk, dd)
+    n = len(dims)
+    drop = [i for i in range(n) if i not in keep]
+    perm = list(keep) + drop + [i + n for i in keep] + [i + n for i in drop]
+    dk = int(np.prod([dims[i] for i in keep], dtype=np.int64))
+    dd = int(np.prod([dims[i] for i in drop], dtype=np.int64)) if drop else 1
+    t = mat.reshape(dims + dims).transpose(perm).reshape(dk, dd, dk, dd)
     return np.trace(t, axis1=1, axis2=3)
 
 

@@ -978,6 +978,33 @@ class TestOneLayoutPerProblem:
         solve(prob.problem, 1.0)
         assert len(reads) == 1
 
+    @pytest.mark.parametrize("make", [
+        lambda: bp_ti_problem(HEIS, 4, 0.5),
+        lambda: bp_chain_problem(LatticeSpec("chain", 16), HEIS, 3, 0.5),
+    ], ids=["ti heis n=4", "open heis N=16 n=3"])
+    def test_second_run_builds_no_index_map(self, make, monkeypatch):
+        # the index maps are built with the cached layouts: no step of the
+        # loop, nor the bound, builds one
+        calls, embed, trace_map = [], layout.embed_mat, layout._Flat.trace_map
+
+        def counting_embed(*args):
+            calls.append("embed_mat")
+            return embed(*args)
+
+        def counting_trace_map(self, *args):
+            calls.append("trace_map")
+            return trace_map(self, *args)
+
+        monkeypatch.setattr(layout, "embed_mat", counting_embed)
+        monkeypatch.setattr(layout._Flat, "trace_map", counting_trace_map)
+        prob = make()
+        bp_free_energy(bp_fixed_point(prob), prob)
+        assert "embed_mat" in calls and "trace_map" in calls
+        calls.clear()
+        state = bp_fixed_point(prob)
+        bp_free_energy(state, prob)
+        assert state.converged and calls == []
+
     def test_flip_breaking_state_adds_one_layout(self, built):
         prob = bp_ti_problem(HEIS, 2, 0.5)
         state = bp_fixed_point(prob)

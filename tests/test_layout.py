@@ -39,8 +39,9 @@ class TestFlipLayout:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(data=st.data(), **CASES)
     def test_partial_trace_and_embedding(self, n, modulus, complex_, seed, data):
-        # the trace map against ptrace_mat, and read backwards against
-        # embed_mat: the embedding is the adjoint of the partial trace
+        # the trace map against ptrace_mat, and read backwards (and as its
+        # gather) against embed_mat: the embedding is the adjoint of the
+        # partial trace
         dims = (2,) * n
         rng = np.random.default_rng(seed)
         keep = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
@@ -49,7 +50,7 @@ class TestFlipLayout:
         w = _flip_symmetric_herm(rng, (2,) * len(keep), modulus, complex_)
         flat, marg = _Flat([dims], rule), _Flat([(2,) * len(keep)], rule)
         labels = marg.to_dense(np.arange(1.0, marg.n + 1.0))[0]
-        src, tgt, count = flat.trace_map(0, labels, keep)
+        src, tgt, count, at = flat.trace_map(0, labels, keep)
         rho = flat.from_dense([a])
         traced = _scatter(tgt, rho[src] * count / marg.mult[tgt], marg.n)
         expect = ptrace_mat(a, dims, keep)
@@ -59,6 +60,10 @@ class TestFlipLayout:
         expect = embed_mat(w, dims, keep)
         assert np.max(np.abs(flat.to_dense(embedded)[0] - expect)) <= 1e-13 * max(
             1.0, np.abs(expect).max())
+        # the gather: on every carried entry, the embedded entry at its own
+        # position, bit for bit, and 0 where nothing is embedded
+        gathered = np.where(at >= 0, marg.from_dense([w])[at], 0.0)
+        assert np.array_equal(gathered, flat.from_dense([expect]))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(**CASES)

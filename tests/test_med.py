@@ -335,6 +335,7 @@ class TestWarmStart:
             assert row.converged and again.converged
             assert again.iterations == 0
             assert again.f_per_site == row.f_per_site
+            assert all(r["status"] == "gtol" for r in again.meta["outer"])
 
 
 class TestClusterStates:
@@ -344,6 +345,13 @@ class TestClusterStates:
         states = cluster_states(prob, res)
         assert set(states) == {"ti"} and states["ti"].shape == (8, 8)
         assert abs(markov_free_energy(states, prob, 0.7) - res.f_per_site) <= 1e-12
+
+    def test_p_min_is_the_smallest_eigenvalue_of_each_state(self):
+        prob = ti_problem(ti_chain_geometry(HEIS, 2))
+        res = solve(prob, 1.0)
+        p_min = np.linalg.eigvalsh(cluster_states(prob, res)["ti"]).min()
+        assert res.meta["p_min"] == pytest.approx([p_min], rel=1e-12, abs=0.0)
+        assert json.loads(json.dumps(res.meta["p_min"])) == res.meta["p_min"]
 
     def test_other_problems_result_rejected(self):
         res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0)
@@ -366,7 +374,10 @@ class TestOuterReport:
         rows = res.meta["outer"]
         assert len(rows) > 1
         assert json.loads(json.dumps(rows)) == rows
-        assert all(set(r) == {"penalty", "gtol", "nit", "res_inf", "inner_ok"} for r in rows)
+        assert all(set(r) == {"penalty", "gtol", "nit", "res_inf", "inner_ok", "status"}
+                   for r in rows)
+        # the inner solve's stop reason (`lbfgs.MinimizeResult.status`)
+        assert all(r["status"] in ("gtol", "ftol", "maxiter", "line search") for r in rows)
         assert sum(r["nit"] for r in rows) == res.iterations
         assert rows[-1]["inner_ok"] and rows[-1]["res_inf"] == res.residual
 
@@ -385,7 +396,8 @@ class TestStalledInnerSolve:
 
         def minimize(fun, x0, **kwargs):
             calls.append(1)
-            return OptimizeResult(x=np.array(x0), nit=0, jac=np.full(len(x0), jac_value))
+            return OptimizeResult(x=np.array(x0), nit=0, jac=np.full(len(x0), jac_value),
+                                  status="gtol" if jac_value == 0.0 else "line search")
         monkeypatch.setattr(med, "_scipy_minimize", minimize)
         return calls
 
