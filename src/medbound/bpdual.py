@@ -22,10 +22,15 @@ when partial trace and the log-space product commute (classical case).
 Messages are positive definite operators on the n-site overlaps, carried as
 their logs. A BP state is the unit-trace logs of its messages, the
 multipliers of the consistency constraints. An update adds the incoming logs
-to log Lambda_k, takes one eigendecomposition of the cluster belief, logs
-the marginals it sends (the loop's one `EIG_FLOOR` clamp) and subtracts the
-incoming logs. Beliefs and the bound read the carried logs as they are.
-Open chains use identity messages beyond both ends.
+to log Lambda_k, takes one eigendecomposition U diag(p) U^dagger of the
+cluster belief, logs the marginals it sends and subtracts the incoming logs.
+A marginal is F F^dagger, F the eigen-factor U sqrt(p) with its rows
+gathered over the traced site; its log, from the SVD of F, keeps the small
+eigenvalues that a dense partial trace and eigh round off at about 1e-16
+absolute: at the TFIM n=4 T=0.1 fixed point the smallest, 2.76e-13, is
+within 3e-13 relative of a 40-digit value (dense: 2.5e-5). Beliefs and the
+bound read the carried logs as they are. Open chains use identity messages
+beyond both ends.
 
 Rounds. A round sends every message once. An open chain sweeps forward
 (right-moving messages), then backward, and each step writes its new logs
@@ -34,15 +39,17 @@ messages of the same round and the backward sweep left-moving ones, so no
 message feeds back into itself within a round (Leifer & Poulin, Ann. Phys.
 323, 1899 (2008)). The translation-invariant pair is updated jointly, from
 one belief, and its step writes the damped mix of old and new logs, with
-weight 0.5 (`_DAMPING`) on the new ones. Undamped, that pair keeps a
-period-2 mode the belief does not see: TFIM n=6 T=0.3 held residual 0.254
-from round 50 to 800, its bound within 6e-13 of the converged one; mixed,
-it stalled at 4-8e-8, the low-T floor of the clamped marginal logs. Steps
-leave their logs unnormalized: a scalar shift of an incoming log cancels in
-the normalized belief, so it changes the logs a step sends only by
-multiples of the identity. The round normalizes once, with one batched
-eigendecomposition of all message logs, which gives their unit-trace logs
-and the messages.
+weight 0.8 (`_DAMPING`) on the new ones, a measured weight. With dense,
+clamped marginal logs the undamped pair kept a period-2 mode (TFIM n=6
+T=0.3: residual 0.254 over rounds 50-800) and ran at 0.5; with the factor
+logs that plain round converges in 32 rounds. On the benchmark's 15 TI
+cases 0.5, 0.7, 0.8, 0.9 and 1.0 take 290, 250, 242, 237 and 236 rounds;
+in 3000 rounds TFIM n=4 T=0.1 converges at 0.8 (1604) but not at 0.5 or
+0.7, and n=6 T=0.1 at 0.8 (2436) but not at 1.0. Steps leave their logs
+unnormalized: a scalar shift of an incoming log cancels in the normalized
+belief, so it changes the logs a step sends only by multiples of the
+identity. The round normalizes once, with one batched eigendecomposition
+of all message logs, which gives their unit-trace logs and the messages.
 
 This round map G acts on the point x of all unit-trace message logs. The
 next point is not G(x) but its type-II Anderson mix (Walker & Ni, SIAM J.
@@ -67,9 +74,10 @@ on. Each side of a cluster, its first or its last n sites, has one index
 map (`_Flat.trace_map`), built with the layout: embedding an incoming log on
 those sites is the map's gather, with a zero slot for the entries it does
 not reach, and the partial trace onto them is the same map read the other
-way, one bincount per row. No step builds a map. Dense matrices appear only
-at the interface: the logs of `BPState`, the messages `bp_update` returns
-and the beliefs.
+way, one bincount per row. The marginals a step logs come from each side's
+factor map (`_Flat.factor_map`), built with it: one batched SVD per message
+stack. No step builds a map. Dense matrices appear only at the interface:
+the logs of `BPState`, the messages `bp_update` returns and the beliefs.
 
 The restriction to sectors is exact. Here the charge is the total charge
 mod the modulus the sector rule picks (`layout._sector_rule`: U(1), then
@@ -125,7 +133,6 @@ from medbound.med import (
     ti_problem,
 )
 from medbound.opalg import (  # noqa: F401
-    EIG_FLOOR,
     embed_mat,
     entropy_mat,
     logm_psd,
@@ -148,21 +155,20 @@ __all__ = [
 ]
 
 
-_DAMPING = 0.5      # log-space step toward the new message (TI pair)
+_DAMPING = 0.8      # log-space step toward the new message (TI pair)
 _HISTORY = 5        # depth of the Anderson mix of rounds
 
 
 @dataclass(frozen=True)
 class BPConfig:
     """`tol_residual` bounds the residual of a round, the largest trace
-    distance by which one plain round moves a message: on the TI chain half
-    the undamped step, on an open chain the full one. It does not bound how
-    far the bound lies from its value at the fixed point: on a TI n=2 chain
-    with a random complex Hermitian cluster Hamiltonian, where the loop
-    contracts slowly, stopping at residual 1e-8 left `bp_free_energy` 8.3e-9
-    (T = 1.0) and 1.6e-8 (T = 0.7) from it. A stop on the certified gap
-    would bound that (ROADMAP item 3). `max_iters` caps the number of
-    rounds."""
+    distance by which one plain round moves a message: on the TI chain the
+    damped step, on an open chain the full one. It does not bound how far
+    the bound lies from its value at the fixed point: on eight TI n=2 chains
+    with random complex Hermitian cluster Hamiltonians, stopping at 1e-8 left
+    `bp_free_energy` up to 3.8e-8 (T = 1.0) and 6.4e-8 (T = 0.7) from its
+    value at 1e-13. A stop on the certified gap would bound that (ROADMAP
+    item 3). `max_iters` caps the number of rounds."""
 
     tol_residual: float = 1e-8
     max_iters: int = 10000
@@ -177,12 +183,15 @@ class BPConfig:
 @dataclass(eq=False)
 class BPState:
     """The unit-trace message logs the loop carried, keyed by message name
-    ("L"/"R" on the TI chain, (side, sender key) on an open one)."""
+    ("L"/"R" on the TI chain, (side, sender key) on an open one); `status`,
+    the loop's stop: "tol", "max_iters" or "linalg" (LAPACK's eigh or svd
+    raised LinAlgError), None on a state built by hand."""
 
     logs: dict
     residual: float
     iterations: int
     converged: bool
+    status: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,12 +274,13 @@ class _Layout:
       each in `names` order, plus a zero row standing for "no message"
       (beyond an open end) and a zero column, the slot of the cluster
       entries an embedding does not reach.
-    - `maps`: per side ("L": the first n sites, "R": the last n), the one
-      index map of the partial trace onto those sites (`_Flat.trace_map`):
-      the cluster entries it reads, the message entries they feed and
-      their weights, and its gather, for every cluster entry the message
-      entry embedded there (else the zero slot). A step builds no map:
-      `cluster_logs` gathers and `marginals` bincounts."""
+    - `maps`: per side ("L": the first n sites, "R": the last n), the index
+      map of the partial trace onto those sites (`_Flat.trace_map`): the
+      cluster entries it reads, the message entries they feed, their
+      weights, and per cluster entry the message entry embedded there.
+    - `factors`: per tuple of sides a step sends to, their factor maps
+      (`_Flat.factor_map`), one (sides, k, b, C) array per message stack.
+      A step builds no map: it gathers, and `marginals` bincounts."""
 
     def __init__(self, problem: BPProblem, rule: _Rule):
         variables = problem.problem.variables
@@ -283,10 +293,14 @@ class _Layout:
         self.diag = (m.rows == m.cols).astype(float)
         self.lam = -c.from_dense([np.array([v.ham for v in variables])]) / problem.T
         labels = m.to_dense(np.arange(1.0, m.n + 1.0))[0]
-        self.maps = {}
+        self.maps, factors = {}, []
         for side, axes in (("L", range(n)), ("R", range(1, n + 1))):
             src, tgt, count, at = c.trace_map(0, labels, axes)
             self.maps[side] = src, tgt, count / m.mult[tgt], np.where(at < 0, m.n, at)
+            factors.append(c.factor_map(0, m, tuple(axes)))
+        both = [np.stack(pair) for pair in zip(*factors)]     # "L" and "R" per message stack
+        self.factors = {sides: [a[rows] for a in both] for sides, rows in zip(
+            [("L",), ("R",), ("L", "R")], [slice(1), slice(1, 2), slice(2)])}
 
         self.ti = problem.ti
         index = {k: i for i, k in enumerate(self.keys)}
@@ -339,11 +353,12 @@ class _Layout:
     def outgoing(self, store, i: int, sides) -> np.ndarray:
         """Logs (up to a scalar) of the messages cluster i sends to `sides`
         ("L": its left neighbour, "R": its right one), one row per side. One
-        belief serves every side; each side divides out the message it
-        received from the neighbour it sends to."""
-        rho = self.cluster.exp(self.cluster_logs(store, slice(i, i + 1))).rho
-        vals, vecs = self.msg.eigh(self.marginals(rho.repeat(len(sides), axis=0), sides))
-        logs = self.msg.from_eig(vecs, np.log(np.maximum(vals, EIG_FLOOR)))
+        eigendecomposition of the belief and one SVD per message stack serve
+        every side; each side divides out the message it received from the
+        neighbour it sends to."""
+        f = self.cluster.factor(self.cluster.spectrum(
+            self.cluster_logs(store, slice(i, i + 1))))[0]
+        logs = self.msg.log_gram([f[maps] for maps in self.factors[sides]])
         return logs - store[self.incoming[i, ["LR".index(side) for side in sides]], :-1]
 
     @staticmethod
@@ -405,6 +420,8 @@ def bp_update(k, state: BPState, problem: BPProblem) -> dict:
     lay, store = _state_store(state, problem)
     i = lay.keys.index(k)
     sides = tuple(side for side, row in zip("LR", lay.incoming[i]) if row != lay.none)
+    if not sides:
+        return {}
     out = lay.msg.exp(lay.outgoing(store, i, sides)).rho
     return {lay.name(side, i): mat for side, mat in zip(sides, lay.msg.to_dense(out)[0])}
 
@@ -417,8 +434,8 @@ def bp_fixed_point(problem: BPProblem, config: BPConfig | None = None) -> BPStat
     jointly and damped, and rounds are Anderson-mixed (module docstring).
     The residual is the largest trace-distance change of one plain round; a
     problem without messages (a single window) converges in one round. If
-    LAPACK's eigh fails, the loop ends with the last completed round (the
-    start messages and residual inf if there is none), unconverged.
+    LAPACK's eigh or svd fails, the loop ends with the last completed round
+    (the start messages and residual inf if there is none), unconverged.
     """
     return _iterate(_layout(problem), config or BPConfig())
 
@@ -442,7 +459,7 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
     accel = _Anderson(np.tile(np.repeat(np.sqrt(lay.msg.mult), width), n_msgs))
     # the open chain's forward-backward round is undamped (module docstring)
     damping = _DAMPING if lay.ti else 1.0
-    g, residual, done, converged = store[:-1, :-1].copy(), math.inf, 0, False
+    g, residual, done, status = store[:-1, :-1].copy(), math.inf, 0, "max_iters"
     try:
         for it in range(1, config.max_iters + 1):
             # one plain round from the unit-trace logs x in the store; a round
@@ -456,18 +473,19 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
             g, residual, done = new, float(lay.distance(out, msgs).max(initial=0.0)), it
             store[:-1, :-1], msgs = g, out
             if residual <= config.tol_residual:
-                converged = True
+                status = "tol"
                 break
             mixed = accel.step(x, g)
             if mixed is not g:
                 store[:-1, :-1], msgs = lay.normalize(mixed)
     except np.linalg.LinAlgError:
-        pass    # LAPACK's eigh failed: the last completed round, unconverged
+        status = "linalg"   # the last completed round, unconverged
     mats = lay.msg.to_dense(g)[0]
     if lay.rule.flip:
         mats = 0.5 * (mats + mats[:, ::-1, ::-1])
     logs = dict(zip(lay.names, mats))
-    return BPState(logs=logs, residual=residual, iterations=done, converged=converged)
+    return BPState(logs=logs, residual=residual, iterations=done, converged=status == "tol",
+                   status=status)
 
 
 class _Anderson:

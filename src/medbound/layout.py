@@ -37,7 +37,9 @@ several copies as rows. Its matrix functions (`eigh`, `eigvals`, `from_eig`,
 `exp`) take a flat vector, or an array of flat vectors with leading batch
 axes. One index map per partial trace (`_Flat.trace_map`) moves entries
 between layouts: read forward as a bincount (`_scatter`) it is the partial
-trace, read backward, as a bincount or as its gather, the embedding.
+trace, read backward, as a bincount or as its gather, the embedding. A
+factor map (`_Flat.factor_map`) gathers a state's eigen-factor U sqrt(p)
+into factors F of a partial trace F F^dagger, logged by `_Flat.log_gram`.
 """
 
 from __future__ import annotations
@@ -140,13 +142,13 @@ def _herm(a: np.ndarray) -> np.ndarray:
 
 class _Eig(NamedTuple):
     """Eigendata of the matrices of a `_Flat`: eigenvectors per stack, the
-    weights p and the states rho (flat). `_Flat.exp` also keeps the
-    eigenvalues gs of the log shifted by `top` to max 0 and the trace z of
-    exp(gs), per matrix: the unit-trace log is log - (top + ln z) I."""
+    weights p and the states rho (flat; None from `spectrum`). They also keep
+    the eigenvalues gs of the log shifted by `top` to max 0 and the trace z
+    of exp(gs), per matrix: the unit-trace log is log - (top + ln z) I."""
 
     vecs: list
     p: np.ndarray
-    rho: np.ndarray
+    rho: np.ndarray | None
     gs: np.ndarray | None = None
     z: np.ndarray | None = None
     top: np.ndarray | None = None
@@ -273,6 +275,11 @@ class _Flat:
 
     def exp(self, log: np.ndarray) -> _Eig:
         """exp(log) of every matrix, scaled to unit trace."""
+        eig = self.spectrum(log)
+        return eig._replace(rho=self.from_eig(eig.vecs, eig.p))
+
+    def spectrum(self, log: np.ndarray) -> _Eig:
+        """`exp` without the states: the eigenvectors and unit-trace weights."""
         vals, vecs = self.eigh(log)
         top = np.maximum.reduceat(vals.take(self.eig_sort, axis=-1), self.eig_starts, axis=-1)
         gs = vals - top.take(self.eig_owner, axis=-1)
@@ -284,7 +291,63 @@ class _Flat:
         z = np.bincount(own, (w * self.eig_mult).ravel(), rows * self.n_mats)
         z = z.reshape(lead + (self.n_mats,))
         p = w / z.take(self.eig_owner, axis=-1)
-        return _Eig(vecs, p, self.from_eig(vecs, p), gs, z, top)
+        return _Eig(vecs, p, None, gs, z, top)
+
+    def factor(self, eig: _Eig) -> np.ndarray:
+        """The eigen-factor, U[a, j] sqrt(p_j) on block entry (a, j), flat,
+        with a zero slot appended (index `n`)."""
+        w, lead = np.sqrt(eig.p), eig.p.shape[:-1]
+        parts = [(v * w[..., st.eig].reshape(v.shape[:-2] + (1, -1))).reshape(lead + (-1,))
+                 for st, v in zip(self.stacks, eig.vecs)]
+        return np.concatenate(parts + [np.zeros(lead + (1,))], axis=-1)
+
+    def log_gram(self, factors) -> np.ndarray:
+        """Flat blocks of log(F F^dagger), one factor F (..., k, b, C), C >= b,
+        per stack: 2 log sigma on the left singular vectors (1 x 1 blocks:
+        the row norm). An absolute error e in sigma is a relative 2 e / sigma
+        in sigma^2, so small eigenvalues keep digits an eigh of F F^dagger
+        loses (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
+        Only sigma = 0 is clamped, at the smallest normal float."""
+        vecs, sigma = [], []
+        for st, f in zip(self.stacks, factors):
+            u, s = ((np.ones(f.shape[:-1] + (1,), f.dtype), np.linalg.norm(f, axis=-1))
+                    if st.shape[1] == 1 else np.linalg.svd(f, full_matrices=False)[:2])
+            vecs.append(u)
+            sigma.append(s.reshape(s.shape[:-2] + (-1,)))
+        sigma = np.maximum(np.concatenate(sigma, axis=-1), np.finfo(float).tiny)
+        return self.from_eig(vecs, 2.0 * np.log(sigma))
+
+    def factor_map(self, m: int, target: _Flat, axes) -> list:
+        """Index map of the eigen-factor (`factor`) of matrix m onto its
+        partial trace to `axes`, the one matrix of `target`: per stack of
+        `target`, a (k, b, C) index array whose row r reads sqrt(p_j)
+        U[(r, s), j] over the traced states s and the eigen-indices j of the
+        block holding (r, s), padded with the zero slot. Under the flip a
+        state x of a block that is not carried reads row D - 1 - x of its
+        carried mirror, whose eigenvectors are its own in flipped order."""
+        dims, sel, size = self.dims[m], self.sel[m], self.size[m]
+        # x[r, s]: the basis state with kept part r and traced part s
+        x = np.moveaxis(np.arange(size).reshape(dims), list(axes), range(len(axes))).reshape(
+            target.size[0], -1)
+        # per basis state, the flat entry of its row's first column and the
+        # block size, read off the mirror state where it is not carried
+        first, width = np.full(size, -1), np.zeros(size, int)
+        row, at, count = np.unique(self.rows[sel], return_index=True, return_counts=True)
+        first[row], width[row] = sel[at], count
+        first, width = [np.where(first < 0, a[::-1], a) for a in (first, width)]
+        out, j = [], np.arange(width.max())
+        for st in target.stacks:
+            k, b, _ = st.shape
+            xs = x[target.rows[st.flat].reshape(k, b, b)[:, :, 0]]
+            cols = (first[xs][..., None] + j).reshape(k, b, -1)
+            keep = (j < width[xs][..., None]).reshape(k, b, -1)
+            # the valid columns first, in the same order on every row of a
+            # block, then the zero slot
+            order = np.argsort(~keep, axis=-1, kind="stable")
+            cols = np.where(np.take_along_axis(keep, order, -1),
+                            np.take_along_axis(cols, order, -1), self.n)
+            out.append(cols[..., :keep.sum(-1).max(initial=0)])
+        return out
 
     def trace_map(self, m: int, labels: np.ndarray, axes):
         """Index map of a partial trace of matrix m onto `axes`. `labels`, a

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -185,15 +186,38 @@ class TestFixedPoint:
         assert abs(f_bp - exact.f_total) <= 1e-8
 
     def test_tfim_n5_low_temperature_converges(self):
-        # the smallest message eigenvalues come close to EIG_FLOOR here, and
-        # the loop must still reach the residual tolerance; 200 sweeps guard
-        # the accelerated count (the plain damped loop needs 361)
+        # the smallest marginal eigenvalues are far below 1e-12 here; logged
+        # from the eigen-factor they stay accurate and the loop converges in
+        # 26 rounds (60 with the dense marginal logs)
         t = 0.3
         prob = bp_ti_problem(TFIM, 5, t)
         state = bp_fixed_point(prob, BPConfig(max_iters=200))
         assert state.converged
         f = bp_free_energy(state, prob)
         assert -1.2859632 < f < tfim_exact_f(t)
+
+    @pytest.mark.parametrize("n, t, rounds", [
+        (5, 0.2, 80),
+        (7, 0.5, 60),
+        pytest.param(8, 0.5, 60, marks=pytest.mark.slow),
+    ], ids=["n=5 T=0.2", "n=7 T=0.5", "n=8 T=0.5"])
+    def test_tfim_low_temperature_round_budget(self, n, t, rounds):
+        # the dense marginal logs took 156 rounds at n=7 and had not
+        # converged after 1500 at n=5 T=0.2 or 300 at n=8
+        prob = bp_ti_problem(TFIM, n, t)
+        state = bp_fixed_point(prob, BPConfig(max_iters=rounds))
+        assert state.converged and state.status == "tol"
+        assert bp_free_energy(state, prob) < tfim_exact_f(t)
+
+    @pytest.mark.parametrize("t", [0.15, 0.1])
+    def test_rotated_classical_chain_converges(self, t):
+        # -J sum XX is the classical Ising chain, one Hadamard per site: its
+        # parity blocks go through the factor logs, and the bound is exact
+        # (the dense marginal logs had not converged after 10000 rounds)
+        prob = bp_ti_problem(ModelSpec("tfim"), 4, t)
+        state = bp_fixed_point(prob, BPConfig(max_iters=30))
+        assert state.converged
+        assert abs(bp_free_energy(state, prob) - ising_transfer_free_energy(1.0, 0.0, t)) <= 1e-12
 
     def test_periodic_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -321,6 +345,7 @@ class TestUpdate:
     def test_identity_fixed_point_at_zero_hamiltonian(self):
         prob = bp_ti_problem(ModelSpec("classical_ising", J=0.0), 2, 1.0)
         state = identity_state(prob)
+        assert state.status is None     # built by hand
         out = bp_update("ti", state, prob)
         dim = 4
         for m in out.values():
@@ -598,6 +623,13 @@ class TestSectors:
         assert belief_consistency(state, prob) <= 1e-7
 
 
+@pytest.fixture(scope="module")
+def tfim_n4_cold():
+    """TFIM n=4 at T = 0.1 and its BP state, a slow fixed point read twice."""
+    prob = bp_ti_problem(TFIM, 4, 0.1)
+    return prob, bp_fixed_point(prob, BPConfig(max_iters=3000))
+
+
 class TestBeliefs:
     def test_identity_messages_give_bare_gibbs(self):
         t = 0.9
@@ -607,21 +639,41 @@ class TestBeliefs:
         ref = gibbs_state(cluster_hams(prob)["ti"], t)
         assert np.max(np.abs(beliefs["ti"] - ref)) <= 1e-10
 
-    def test_beliefs_use_the_carried_logs(self):
-        # at T = 0.1 the smallest message eigenvalues underflow in float64:
-        # the messages, logged again with the EIG_FLOOR clamp, would give
-        # beliefs off by 0.499 in trace distance and f = -1.3448; the state's
-        # carried logs keep them consistent. The accelerated loop converges
-        # here (the plain damped one stopped at residual 4.7e-7), so the
-        # free energy is read without a warning
-        prob = bp_ti_problem(TFIM, 4, 0.1)
-        state = bp_fixed_point(prob, BPConfig(max_iters=3000))
+    def test_beliefs_use_the_carried_logs(self, tfim_n4_cold):
+        # at T = 0.1 the smallest message eigenvalues underflow in float64,
+        # so a state carries logs: the messages, clamped at 1e-12 and logged
+        # again, would give beliefs off by 0.17 in trace distance and
+        # f = -1.3465. The loop converges here (in 1604 rounds; 2530 with
+        # the dense marginal logs), so the free energy is read without a
+        # warning
+        prob, state = tfim_n4_cold
         assert state.converged
         assert belief_consistency(state, prob) <= 1e-6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             f = bp_free_energy(state, prob)
         assert abs(f - (-1.28031)) <= 1e-4
+
+    def test_factor_logs_match_a_40_digit_marginal(self, tfim_n4_cold):
+        # at the BP point the "L" marginal of the belief has its smallest
+        # eigenvalue at 2.76e-13; its log from the eigen-factor keeps it to
+        # 1e-10 relative, where the dense trace and eigh missed it by 2.5e-5
+        prob, state = tfim_n4_cold
+        lay, store = bpdual._state_store(state, prob)
+        g = lay.cluster_logs(store, slice(0, 1))
+        with mpmath.workdps(40):
+            w, v = mpmath.eigsy(mpmath.matrix(lay.cluster.to_dense(g)[0][0].tolist()))
+            e = [mpmath.exp(x - max(w)) for x in w]
+            rho = v * mpmath.diag([x / sum(e) for x in e]) * v.T
+            d = rho.rows // 2
+            # the first n sites kept: state (r, s) of the cluster is 2 r + s
+            marg = mpmath.matrix([[rho[2 * r, 2 * c] + rho[2 * r + 1, 2 * c + 1]
+                                   for c in range(d)] for r in range(d)])
+            exact = float(min(mpmath.eigsy(marg, eigvals_only=True)))
+        assert 2.7e-13 < exact < 2.8e-13
+        f = lay.cluster.factor(lay.cluster.spectrum(g))[0]
+        logs = lay.msg.log_gram([f[cols] for cols in lay.factors[("L",)]])
+        assert abs(np.exp(lay.msg.eigvals(logs)).min() / exact - 1.0) <= 1e-10
 
     def test_product_hamiltonian_product_beliefs(self):
         t = 0.7
@@ -715,7 +767,7 @@ class TestAcceleration:
     # pair, the undamped forward-backward sweep on an open chain (the name
     # predates the undamped open round)
     @pytest.mark.parametrize("make, plain", [
-        (lambda: bp_ti_problem(HEIS, 4, 0.5), 31),
+        (lambda: bp_ti_problem(HEIS, 4, 0.5), 16),
         (lambda: bp_chain_problem(LatticeSpec("chain", 16), HEIS, 3, 0.5), 6),
     ], ids=["ti heis n=4", "open heis N=16 n=3"])
     def test_history_zero_is_the_plain_damped_iteration(self, make, plain, monkeypatch):
@@ -766,10 +818,11 @@ class TestAcceleration:
         assert acc.step(x, g) is g and not acc.df and not acc.dg
 
     def test_tfim_n6_low_temperature_converges(self):
-        # the plain damped iteration was unconverged after 2000 sweeps here
+        # the plain damped iteration with the dense marginal logs was
+        # unconverged after 2000 sweeps here, the mixed one took 654 rounds
         t = 0.3
         prob = bp_ti_problem(TFIM, 6, t)
-        state = bp_fixed_point(prob)
+        state = bp_fixed_point(prob, BPConfig(max_iters=60))
         assert state.converged
         assert bp_free_energy(state, prob) < tfim_exact_f(t)
 
@@ -812,9 +865,10 @@ class TestTreeSchedule:
 
 class TestSweepBudget:
     def test_rounds_over_fixed_tables(self):
-        # the benchmark's 15 TI cases (290 rounds) and 18 open chains (120;
-        # 286 under the damped open round): a change to the round or the mix
-        # that costs rounds fails here
+        # the benchmark's 15 TI cases (242 rounds; 290 with the dense
+        # marginal logs and the TI pair damped at 0.5) and 18 open chains
+        # (120; 286 under the damped open round): a change to the round or
+        # the mix that costs rounds fails here
         ti = ([(HEIS, n, t) for n in (4, 5, 6) for t in (0.3, 0.5, 1.0)]
               + [(TFIM, n, t) for n, t in ((4, 0.3), (4, 0.5), (4, 1.0),
                                            (5, 0.5), (5, 1.0), (6, 1.0))])
@@ -823,7 +877,7 @@ class TestSweepBudget:
                        for t in (1.0, 0.5, 0.3)]
         states = [bp_fixed_point(bp_ti_problem(*case)) for case in ti]
         assert all(s.converged for s in states)
-        assert sum(s.iterations for s in states) <= 290
+        assert sum(s.iterations for s in states) <= 242
         states = [bp_fixed_point(bp_chain_problem(spec, *case)) for case in open_chains]
         assert all(s.converged for s in states)
         assert sum(s.iterations for s in states) <= 130
@@ -833,7 +887,7 @@ class TestFlags:
     def test_nonconverged_state_warns(self):
         prob = bp_ti_problem(HEIS, 2, 0.5)
         state = bp_fixed_point(prob, BPConfig(max_iters=2))
-        assert not state.converged
+        assert not state.converged and state.status == "max_iters"
         with pytest.warns(RuntimeWarning):
             bp_free_energy(state, prob)
 
@@ -867,7 +921,7 @@ class TestFlags:
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
         state = bp_fixed_point(prob)
-        assert not state.converged
+        assert not state.converged and state.status == "linalg"
         assert all(np.isfinite(m).all() for m in state.logs.values())
         if fail_at == "first":
             # no round completed: the identity start messages
@@ -882,6 +936,15 @@ class TestFlags:
                 assert np.array_equal(state.logs[name], m)
         with pytest.warns(RuntimeWarning):
             assert np.isfinite(bp_free_energy(state, prob))
+
+    def test_svd_failure_stops_the_loop(self, monkeypatch):
+        # the message logs come from LAPACK's svd, which can fail too
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        state = bp_fixed_point(bp_ti_problem(HEIS, 2, 0.5))
+        assert (state.status, state.converged, state.iterations) == ("linalg", False, 0)
 
     def test_consistency_tracks_residual(self):
         prob = bp_ti_problem(HEIS, 2, 1.0)

@@ -4,18 +4,19 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from medbound.layout import _charges, _Flat, _Rule, _scatter
-from medbound.opalg import embed_mat, ptrace_mat
+from medbound.opalg import embed_mat, logm_psd, ptrace_mat
 
 
-def _flip_symmetric_herm(rng, dims, modulus, complex_):
+def _flip_symmetric_herm(rng, dims, modulus, complex_, flip=True):
     """A random Hermitian matrix in the sectors of `modulus`, invariant under
-    the global flip (i -> d - 1 - i)."""
+    the global flip (i -> d - 1 - i) unless `flip` is False."""
     d = int(np.prod(dims))
     a = rng.standard_normal((d, d))
     if complex_:
         a = a + 1j * rng.standard_normal((d, d))
     a = a + a.conj().T
-    a = a + a[::-1, ::-1]
+    if flip:
+        a = a + a[::-1, ::-1]
     q = _charges(dims, modulus)
     return np.where(q[:, None] == q[None, :], a, 0.0)
 
@@ -80,3 +81,35 @@ class TestFlipLayout:
         # dense spectrum
         assert np.allclose(np.sort(np.repeat(vals, flat.eig_mult.astype(int))), dense,
                            rtol=0.0, atol=1e-12 * scale)
+
+
+# the rules BP meets: Heisenberg, the TFIM and a charge-breaking complex model
+FACTOR_RULES = {"u1-flip": (_Rule(0, flip=True), False), "z2": (_Rule(2), False),
+                "one-complex": (_Rule(1), True)}
+
+
+class TestFactorLogs:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), rule=st.sampled_from(sorted(FACTOR_RULES)),
+           side=st.sampled_from("LR"), seed=st.integers(0, 2 ** 32 - 1))
+    def test_factor_logs_match_the_dense_marginal(self, n, rule, side, seed):
+        # the log of a marginal from the SVD of its eigen-factor against
+        # logm_psd of the dense partial trace, on states with every weight at
+        # least 1e-3 (where the dense route is accurate too)
+        rule, complex_ = FACTOR_RULES[rule]
+        dims = (2,) * (n + 1)
+        keep = tuple(range(n)) if side == "L" else tuple(range(1, n + 1))
+        g = _flip_symmetric_herm(np.random.default_rng(seed), dims, rule.modulus, complex_,
+                                 flip=rule.flip)
+        g /= np.abs(np.linalg.eigvalsh(g)).max()
+        cluster, marg = _Flat([dims], rule), _Flat([(2,) * n], rule)
+        eig = cluster.spectrum(cluster.from_dense([g]))
+        assert eig.p.min() >= 1e-3 and eig.rho is None
+        f = cluster.factor(eig)
+        logs = marg.log_gram([f[cols] for cols in cluster.factor_map(0, marg, keep)])
+        vals, vecs = np.linalg.eigh(g)
+        rho = (vecs * np.exp(vals)) @ vecs.conj().T
+        expect = logm_psd(ptrace_mat(rho / np.trace(rho).real, dims, keep))
+        got = marg.to_dense(logs)[0]
+        assert got.dtype == expect.dtype
+        assert np.max(np.abs(got - expect)) <= 1e-12
