@@ -4,11 +4,19 @@ The unconstrained path of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
 Comput. 16, 1190 (1995)) with its constants, step rules and stop tests, so a
 solve takes its iterates up to rounding: the direction -g without pairs, else
 -H g (`_Memory`); Moré & Thuente's line search from the step 1/|d| on the first
-iteration and 1 after; a direction that is not one of descent, or a search
-without a step in `MAXLS` evaluations, drops the pairs and starts again from
--g, and without pairs ends the solve; a pair is kept when s^T y > eps stp
-(-g^T d); stop after a step with max |g| <= gtol, a relative decrease of f of
-at most `FTOL`, or the `maxiter`-th step.
+iteration without pairs and 1 otherwise; a direction that is not one of
+descent, or a search without a step in `MAXLS` evaluations, drops the pairs
+and starts again from -g, and without pairs ends the solve; a pair is kept
+when s^T y > eps stp (-g^T d); stop after a step with max |g| <= gtol, a
+relative decrease of f of at most `FTOL`, or the `maxiter`-th step.
+
+A solve hands back the pairs it holds at its end (`MinimizeResult.pairs`, a
+(k, 2, n) array of (s, y), oldest first), and takes such pairs in
+(`pairs`): a later solve of a nearby problem then starts from their -H g
+with the step 1, which is L-BFGS-B's rule once its memory holds pairs,
+instead of relearning the curvature from -g. Each pair given must have
+s^T y > 0. Without pairs (None, or none) the iterates are those of a cold
+solve, bit for bit.
 
 `_dcsrch` and `_dcstep` port MINPACK-2's (Argonne National Laboratory and
 University of Minnesota: Jorge J. Moré, David J. Thuente, Brett M. Averick and
@@ -58,8 +66,9 @@ _STPMAX = 1e10
 _DECREASE, _CURVATURE, _XTOL = 1e-3, 0.9, 0.1   # dcsrch's ftol, gtol, xtol
 
 
-# `status`: the stop test met ("gtol", "ftol", "maxiter"), or "line search" for no step
-MinimizeResult = namedtuple("MinimizeResult", "x fun jac nit nfev status")
+# `status`: the stop test met ("gtol", "ftol", "maxiter"), or "line search" for no
+# step; `pairs`: the (s, y) pairs held at the end, a (k, 2, n) array, oldest first
+MinimizeResult = namedtuple("MinimizeResult", "x fun jac nit nfev status pairs")
 
 
 class _Memory:
@@ -91,6 +100,10 @@ class _Memory:
         self.yy[j, :k] = self.yy[:k, j] = dots[1::2]
         self.yy[j, j], self.sy[j], self.gamma = yy, sy, 1.0 / (yy / sy)
         self.k, self.slot = k, (j + 1) % MAXCOR
+
+    def pairs(self) -> np.ndarray:
+        """The pairs held, (k, 2, n), oldest first."""
+        return self.w[(self.slot - self.k + np.arange(self.k)) % MAXCOR]
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """-H g."""
@@ -208,12 +221,17 @@ def _dcsrch(phi, f0: float, g0: float, stp: float):
     return None, MAXLS
 
 
-def minimize(fun, x0, *, gtol: float, maxiter: int, callback=None) -> MinimizeResult:
+def minimize(fun, x0, *, gtol: float, maxiter: int, callback=None,
+             pairs=None) -> MinimizeResult:
     """Minimize `fun`, which returns (f, gradient), from `x0`; `callback(x)`
-    is called after every accepted step."""
+    is called after every accepted step. `pairs`, a (k, 2, n) array of (s, y)
+    oldest first as `MinimizeResult.pairs` holds them, fills the memory
+    before the first step (the newest `MAXCOR` of them)."""
     x = np.array(x0, dtype=float)
     f, g = fun(x)
     nfev, nit, mem, trial = 1, 0, _Memory(x.size), []
+    for s, y in ([] if pairs is None else pairs[-MAXCOR:]):
+        mem.add(s, y, float(s @ y), float(y @ y))
 
     def phi(stp):
         xt = stp * d + x
@@ -226,7 +244,8 @@ def minimize(fun, x0, *, gtol: float, maxiter: int, callback=None) -> MinimizeRe
         d = mem.direction(g) if mem.k else -g
         gd = float(g @ d)
         found, evals = (None, 0) if gd >= 0.0 else _dcsrch(
-            phi, f, gd, min(1.0 / math.sqrt(d @ d), _STPMAX) if nit == 0 else 1.0)
+            phi, f, gd,
+            min(1.0 / math.sqrt(d @ d), _STPMAX) if nit == 0 and not mem.k else 1.0)
         nfev += evals
         if found is None:
             status = None if mem.k else "line search"
@@ -247,4 +266,4 @@ def minimize(fun, x0, *, gtol: float, maxiter: int, callback=None) -> MinimizeRe
             sy, s, scale = (gd_new - gd) * stp, stp * d, -gd * stp
         if status is None and sy > _EPS * scale:
             mem.add(s, y, sy, float(y @ y))
-    return MinimizeResult(x, f, g, nit, nfev, status)
+    return MinimizeResult(x, f, g, nit, nfev, status, mem.pairs())

@@ -22,6 +22,21 @@ rescaling evens it out. When every cluster Hamiltonian is real the whole
 iteration stays in real symmetric matrices, which roughly halves the
 parameter count and speeds up the eigensolver.
 
+The inner solves share their curvature. After a multiplier update the next
+inner problem differs from the last only in its linear term, so the L-BFGS
+pairs (s, y) the last solve ended with go on to the next one instead of
+being learned again from a steepest-descent start (Byrd, Nocedal &
+Schnabel, Math. Prog. 63, 129 (1994)). They live in the last frame's
+coordinates, and the frames differ by a linear change of variables, so
+`_Frame.carry` maps them exactly: s to the same step of G, y to the same
+change of its gradient, which keeps s^T y. The initial inverse Hessian
+L-BFGS scales them against stays gamma I in the new frame's coordinates,
+i.e. the new frame's preconditioner. A penalty increase drops the pairs:
+the pen J^T J term of the Hessian (J the derivative of the constraint
+residuals) doubles, and pairs that saw the old penalty mislead (kept, they
+took the 7-site square-lattice solve of the benchmark from 379 inner
+iterations to 1266). A mapped pair with s^T y <= 0 is dropped too.
+
 When every cluster Hamiltonian conserves the charge q mod m (q the sum of
 the local basis indices of a basis state, the S^z count for spins; m = 0
 the plain sum), G is restricted to its charge sectors: only the in-sector
@@ -40,9 +55,12 @@ its flip is a flip-symmetric minimizer, and the layout carries one block of
 each mirror pair of sectors. The packed vector keeps both members of every
 flip pair of parameters: `unpack` averages them onto the carried block and
 `pack`, its adjoint, writes the block back to both, so the stop tests of
-L-BFGS read the vector they read without the flip. The rule is the one BP
-uses (`layout._sector_rule`: U(1), then Z2, then one sector per matrix,
-the plain dense iteration; the flip when every matrix keeps it).
+L-BFGS read the vector they read without the flip. A self-mirror block is
+carried whole, and `unpack` averages each of its entries with its mirror
+entry in the block too, so every packed vector is a flip-invariant G. The
+rule is the one BP uses (`layout._sector_rule`: U(1), then Z2, then one
+sector per matrix, the plain dense iteration; the flip when every matrix
+keeps it).
 
 Each problem is compiled once per sector rule, at its first solve or BP
 bound, into a block layout (`_Compiled`, on the `_Flat` class of
@@ -195,8 +213,10 @@ class MedResult:
     """One solve's scalars; ``meta["warm"]`` is the point it ended at as the
     solver carries it, ``{"x": packed G, "y": multipliers}`` (`cluster_states`),
     ``meta["outer"]`` one row per outer iteration: its penalty, gradient
-    target, inner steps, constraint residual, whether the target was met and
-    the inner solve's stop reason (`lbfgs.MinimizeResult.status`), and
+    target, inner steps ("nit"), inner objective evaluations ("nfev"), the
+    L-BFGS pairs carried into the inner solve ("pairs"), constraint
+    residual, whether the target was met and the inner solve's stop reason
+    (`lbfgs.MinimizeResult.status`), and
     ``meta["p_min"]`` the smallest eigenvalue of each cluster state there."""
 
     f_per_site: float
@@ -286,6 +306,17 @@ class _Terms(NamedTuple):
     R: np.ndarray
 
 
+def _gather_sum(x: np.ndarray, i: np.ndarray, a: np.ndarray, j: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """a x[..., i] + b x[..., j], with one temporary."""
+    out = x.take(i, axis=-1)
+    out *= a
+    tmp = x.take(j, axis=-1)
+    tmp *= b
+    out += tmp
+    return out
+
+
 class _Compiled:
     """A problem laid out once for the objective evaluation.
 
@@ -307,8 +338,12 @@ class _Compiled:
     - Packing: the real parameter vector holds, per cluster, the diagonal
       of G and its in-sector upper triangle sector by sector, imaginary
       parts after real ones, mirror sectors included.
-      `unpack` gathers the blocks of G from it, averaging each flip pair;
-      `pack` is its adjoint on Hermitian blocks.
+      `unpack_blocks` gathers the blocks from it, averaging each flip pair;
+      `pack_blocks` is its adjoint on Hermitian blocks. Those two are the
+      coordinates of a `_Frame`. `unpack` also averages every entry of a
+      self-mirror block with its mirror entry in the same block
+      (`flip_average`), so G is flip-invariant whatever the packed vector;
+      `pack`, its adjoint, averages before `pack_blocks`.
     Dense matrices appear only at the edges: the `_Flat` conversions."""
 
     def __init__(self, problem: MedProblem, rule: _Rule):
@@ -350,10 +385,10 @@ class _Compiled:
         # the residual entries are all carried, each with multiplicity 1
         self.fwd = weight / np.concatenate([sh.mult, np.ones(self.n_con)])[self.tgt]
         self.bwd = weight / cl.mult[self.src]
-        self._packing(variables)
+        self._packing(variables, rule.flip)
         self._last = None           # [G, its _Eig, T, their _Terms]: see `exp`
 
-    def _packing(self, variables):
+    def _packing(self, variables, flip: bool):
         width = 1 if self.real else 2
         off = 0
         up, lo, wu, wl = [], [], [], []     # pack: x = wu F[up] + wl F[lo]
@@ -361,6 +396,8 @@ class _Compiled:
         # parameters and its mirror's (its own again without one) at half weight
         self.u_src = np.zeros((2, width * self.cl.n), int)
         self.u_coef = np.zeros((2, width * self.cl.n))
+        # flip_average: the entries of self-mirror blocks and their mirrors
+        m_dst, m_src = [np.zeros(0, int)], [np.zeros(0, int)]
         for m, v in enumerate(variables):
             d = v.dim
             q = self.cl.blocks[m].charge
@@ -381,6 +418,9 @@ class _Compiled:
             r, c = self.cl.rows[sel], self.cl.cols[sel]
             pair = self.cl.mult[sel] > 1
             mirror = (np.where(pair, d - 1 - r, r), np.where(pair, d - 1 - c, c))
+            if flip:
+                m_dst.append(sel[~pair])
+                m_src.append(fpos[d - 1 - r[~pair], d - 1 - c[~pair]])
             for k, (rr, cc) in enumerate(((r, c), mirror)):
                 on_diag = rr == cc
                 re_src = off + np.where(on_diag, rr, d + rank[rr, cc])
@@ -407,6 +447,7 @@ class _Compiled:
                 wl += [half, np.full(n_off, -0.5 * _SQRT2)]
             off += d + width * n_off
         self.n = off
+        self.m_dst, self.m_src = np.concatenate(m_dst), np.concatenate(m_src)
         self.p_up = np.concatenate(up)
         self.p_lo = np.concatenate(lo)
         self.p_wu = np.concatenate(wu)
@@ -414,13 +455,29 @@ class _Compiled:
 
     # -- packed parameters ---------------------------------------------------
 
-    def unpack(self, x: np.ndarray) -> np.ndarray:
-        g = self.u_coef[0] * x[self.u_src[0]] + self.u_coef[1] * x[self.u_src[1]]
+    def unpack_blocks(self, x: np.ndarray) -> np.ndarray:
+        g = _gather_sum(x, self.u_src[0], self.u_coef[0], self.u_src[1], self.u_coef[1])
         return g if self.real else g.view(complex)
 
-    def pack(self, flat: np.ndarray) -> np.ndarray:
+    def pack_blocks(self, flat: np.ndarray) -> np.ndarray:
         f = flat if self.real else flat.view(float)
-        return self.p_wu * f[self.p_up] + self.p_wl * f[self.p_lo]
+        return _gather_sum(f, self.p_up, self.p_wu, self.p_lo, self.p_wl)
+
+    def flip_average(self, flat: np.ndarray) -> np.ndarray:
+        """Every entry of a self-mirror block averaged with its mirror entry,
+        which the flip maps it to in the same block; the other entries as
+        they are (the input itself when there is no such block)."""
+        if not self.m_dst.size:
+            return flat
+        out = flat.copy()
+        out[..., self.m_dst] = 0.5 * (flat[..., self.m_dst] + flat[..., self.m_src])
+        return out
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        return self.flip_average(self.unpack_blocks(x))
+
+    def pack(self, flat: np.ndarray) -> np.ndarray:
+        return self.pack_blocks(self.flip_average(flat))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -488,7 +545,7 @@ class _Compiled:
         }
         if want_grad:
             grad = self.pullback(eig, self.euclid(eig, tm, T, y + pen * R))
-            out["grad"] = self.pack(grad if frame is None else frame.grad(grad))
+            out["grad"] = self.pack(grad) if frame is None else frame.grad(grad)
         return out
 
 
@@ -509,7 +566,12 @@ class _Frame:
     term): directions along small eigenvalues of rho are nearly flat in G,
     and the frame stretches them to the curvature of the rest. The change is
     linear, so the inner problem stays smooth and convex; the gradient is
-    S o (U0^dagger grad_G U0)."""
+    S o (U0^dagger grad_G U0).
+
+    X is read block by block (`_Compiled.unpack_blocks`): in the eigenbasis
+    of G0 the flip is no index map, so the average of a self-mirror block
+    with its mirror is taken on the step of G and on the gradient instead
+    (`_Compiled.flip_average`)."""
 
     def __init__(self, comp: _Compiled, x0: np.ndarray):
         self.comp = comp
@@ -523,18 +585,40 @@ class _Frame:
             self.scales.append(1.0 / np.sqrt(np.maximum(kern, _FRAME_CAP ** -2)))
 
     def g(self, x: np.ndarray) -> np.ndarray:
+        """G at the packed inner variables x."""
         comp = self.comp
-        step = comp.unpack(x)
-        g = self.g0.copy()
+        step = comp.unpack_blocks(x)
         for st, v, S in zip(comp.cl.stacks, self.vecs, self.scales):
-            g[st.flat] += (v @ (S * step[st.flat].reshape(st.shape)) @ _dag(v)).ravel()
-        return g
+            step[st.flat] = (v @ (S * step[st.flat].reshape(st.shape)) @ _dag(v)).ravel()
+        return self.g0 + comp.flip_average(step)
 
     def grad(self, grad: np.ndarray) -> np.ndarray:
+        """The packed inner gradient of a gradient in G."""
+        grad = self.comp.flip_average(grad)
         out = np.empty_like(grad)
         for st, v, S in zip(self.comp.cl.stacks, self.vecs, self.scales):
             out[st.flat] = (S * (_dag(v) @ grad[st.flat].reshape(st.shape) @ v)).ravel()
-        return out
+        return self.comp.pack_blocks(out)
+
+    def carry(self, pairs: np.ndarray, old: _Frame) -> np.ndarray:
+        """L-BFGS pairs (k, 2, n) of an inner solve in the frame `old`, read
+        in this one: s the same step of G, y the same change of its gradient.
+        With Q = U1^dagger U0 per block, S0 and S1 the two frames' scales,
+        s' = (Q (S0 o s) Q^dagger) / S1 and y' = S1 o (Q (y / S0) Q^dagger),
+        so s'^T y' = s^T y. Pairs whose s'^T y' is not positive are dropped."""
+        comp, k = self.comp, len(pairs)
+        blocks = comp.unpack_blocks(pairs)
+        for st, v0, s0, v1, s1 in zip(comp.cl.stacks, old.vecs, old.scales,
+                                      self.vecs, self.scales):
+            q = _dag(v1) @ v0
+            # s and y of every pair as one (k, 2, blocks, b, b) view of
+            # `blocks`, mapped in place
+            a = blocks[..., st.flat].reshape((k, 2) + st.shape)
+            a *= np.stack([s0, 1.0 / s0])
+            np.matmul(q @ a, _dag(q), out=a)
+            a /= np.stack([s1, 1.0 / s1])
+        mapped = comp.pack_blocks(blocks)
+        return mapped[np.einsum("ij,ij->i", mapped[:, 0], mapped[:, 1]) > 0.0]
 
 
 def _total(x: np.ndarray) -> float:
@@ -595,6 +679,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     total_inner = 0
     history = []
     converged = False
+    frame = pairs = None        # pairs: the last inner solve's, kept for the next
 
     def make_fun(eq_m, p, frame):
         def fun(xv):
@@ -611,15 +696,20 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     n_outer = config.max_outer if have_cons else 1
     for outer in range(n_outer):
         gtol = max(omega, config.tol_gradient)
-        frame = _Frame(comp, x)
+        frame, old = _Frame(comp, x), frame
+        if pairs is not None:
+            pairs = frame.carry(pairs, old)
+            del res         # and the unmapped pairs it holds
         fun = make_fun(eq_mults, pen, frame)
-        res = _scipy_minimize(fun, np.zeros(comp.n), gtol=gtol, maxiter=config.max_inner)
+        res = _scipy_minimize(fun, np.zeros(comp.n), gtol=gtol, maxiter=config.max_inner,
+                              pairs=pairs)
         x = comp.pack(frame.g(res.x))
         total_inner += int(res.nit)
         inner_ok = float(np.max(np.abs(res.jac))) <= 5.0 * gtol
         out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
         res_inf = out["res_inf"]
         history.append({"penalty": pen, "gtol": gtol, "nit": int(res.nit),
+                        "nfev": int(res.nfev), "pairs": 0 if pairs is None else len(pairs),
                         "res_inf": res_inf, "inner_ok": inner_ok, "status": res.status})
         # an inner solve that takes no step and misses its gradient target
         # would be repeated unchanged by every later outer iteration
@@ -636,8 +726,11 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
             eq_mults = eq_mults + pen * out["eq_R"]
             omega = max(0.2 * omega, config.tol_gradient)
             eta = max(0.2 * eta, config.tol_constraint)
+            pairs = res.pairs
         else:
+            # the pen J^T J term of the Hessian grows with the penalty
             pen = min(pen * _PENALTY_GROWTH, 1e9)
+            pairs = None
 
     out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
     tm, cl = out["terms"], comp.cl

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize, rosen, rosen_der
 
-from medbound.lbfgs import FTOL, MAXCOR, MAXLS, minimize
+from medbound.lbfgs import FTOL, MAXCOR, MAXLS, _Memory, minimize
 
 
 def rosenbrock(x):
@@ -30,7 +30,7 @@ def reference(fun, x0, gtol, maxiter, callback=None):
 def test_rosenbrock_takes_l_bfgs_b_steps():
     x0 = np.array([-1.2, 1.0])
     ref = reference(rosenbrock, x0, 1e-8, 1000)
-    res = minimize(rosenbrock, x0, gtol=1e-8, maxiter=1000)
+    res = minimize(rosenbrock, x0, gtol=1e-8, maxiter=1000, pairs=None)
     assert res.status == "gtol" and ref.success
     assert (res.nit, res.nfev) == (ref.nit, ref.nfev)
     assert np.max(np.abs(res.x - ref.x)) <= 1e-12
@@ -112,3 +112,46 @@ def test_callback_once_per_accepted_step():
                    callback=lambda xk: seen.append(xk.copy()))
     assert len(seen) == res.nit
     assert np.array_equal(seen[-1], res.x)
+
+
+def test_pairs_are_the_newest_steps_oldest_first():
+    # more steps than the memory holds; the last step ends the solve and
+    # leaves no pair
+    fun, path = spd_quadratic(), [np.zeros(40)]
+    res = minimize(fun, path[0], gtol=1e-14, maxiter=MAXCOR + 10, callback=path.append)
+    assert res.status == "maxiter" and res.pairs.shape == (MAXCOR, 2, 40)
+    steps = np.diff(np.array(path), axis=0)[:-1][-MAXCOR:]
+    grads = np.diff(np.array([fun(x)[1] for x in path]), axis=0)[:-1][-MAXCOR:]
+    assert np.max(np.abs(res.pairs[:, 0] - steps)) <= 1e-12
+    assert np.max(np.abs(res.pairs[:, 1] - grads)) <= 1e-10
+
+
+def test_given_pairs_start_from_their_direction_with_step_one():
+    fun = spd_quadratic()
+    first = minimize(fun, np.zeros(40), gtol=1e-14, maxiter=8)
+    mem = _Memory(40)
+    for s, y in first.pairs:
+        mem.add(s, y, float(s @ y), float(y @ y))
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return fun(x)
+    minimize(recording, first.x, gtol=1e-14, maxiter=1, pairs=first.pairs)
+    expect = first.x + mem.direction(fun(first.x)[1])
+    assert np.max(np.abs(seen[1] - expect)) <= 1e-12
+
+
+def test_restart_with_pairs_beats_a_cold_restart():
+    # 87 steps cold, 71 from the first solve's pairs
+    fun = spd_quadratic(n=20)
+    first = minimize(fun, np.zeros(20), gtol=1e-6, maxiter=20)
+    assert first.status == "maxiter" and len(first.pairs) == 19
+    cold = minimize(fun, first.x, gtol=1e-6, maxiter=1000)
+    warm = minimize(fun, first.x, gtol=1e-6, maxiter=1000, pairs=first.pairs)
+    assert cold.status == warm.status == "gtol"
+    assert warm.nit < cold.nit
+    # no pairs given is the cold solve
+    empty = minimize(fun, first.x, gtol=1e-6, maxiter=1000, pairs=first.pairs[:0])
+    assert (empty.nit, empty.nfev) == (cold.nit, cold.nfev)
+    assert np.array_equal(empty.x, cold.x)
