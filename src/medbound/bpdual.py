@@ -101,8 +101,10 @@ The layout then carries each mirror pair of sector blocks once. The
 trace distance of the residual and the Anderson least squares count every
 carried entry by its multiplicity (components weighed by sqrt(mult)), so
 the iteration is the U(1) one in exact arithmetic. The returned logs are
-symmetrized, (m + flip(m)) / 2, since roundoff leaves a self-mirror block
-about 1e-13 off invariant: a state reads as the layout its loop ran on.
+symmetrized, each entry of a self-mirror block averaged with its mirror
+entry (`_Flat.flip_average`, the primal solver's average too), since
+roundoff leaves such a block about 1e-13 off invariant: a state reads as
+the layout its loop ran on.
 """
 
 from __future__ import annotations
@@ -290,7 +292,6 @@ class _Layout:
         self.msg = m = _Flat([variables[0].dims[:n]], rule)
         self.keys = [v.key for v in variables]
         self.dim = int(np.prod(variables[0].dims[:n]))
-        self.diag = (m.rows == m.cols).astype(float)
         self.lam = -c.from_dense([np.array([v.ham for v in variables])]) / problem.T
         labels = m.to_dense(np.arange(1.0, m.n + 1.0))[0]
         self.maps, factors = {}, []
@@ -371,7 +372,7 @@ class _Layout:
         """The unit-trace shift of message logs (one row each) and their
         normalized exponentials, from one batched eigendecomposition."""
         eig = self.msg.exp(logs)
-        return logs - (eig.top + np.log(eig.z)) * self.diag, eig.rho
+        return self.msg.unit_log(logs, eig), eig.rho
 
     def beliefs(self, store):
         """All cluster beliefs and the overlap belief of every constraint,
@@ -451,8 +452,8 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
     steps = [(i, sides, np.array([lay.row[lay.name(side, i)] for side in sides]))
              for i, sides in steps]
     n_msgs = len(lay.names)
-    store = lay.store(np.tile(-math.log(lay.dim) * lay.diag, (n_msgs, 1)))
-    msgs = np.tile(lay.diag / lay.dim, (n_msgs, 1)).astype(store.dtype)
+    store = lay.store(np.tile(-math.log(lay.dim) * lay.msg.diag, (n_msgs, 1)))
+    msgs = np.tile(lay.msg.diag / lay.dim, (n_msgs, 1)).astype(store.dtype)
     # weights sqrt(multiplicity) on every real component of the logs make
     # the mix's least squares sum over every entry of the dense logs
     width = 2 if np.iscomplexobj(store) else 1
@@ -480,10 +481,7 @@ def _iterate(lay: _Layout, config: BPConfig) -> BPState:
                 store[:-1, :-1], msgs = lay.normalize(mixed)
     except np.linalg.LinAlgError:
         status = "linalg"   # the last completed round, unconverged
-    mats = lay.msg.to_dense(g)[0]
-    if lay.rule.flip:
-        mats = 0.5 * (mats + mats[:, ::-1, ::-1])
-    logs = dict(zip(lay.names, mats))
+    logs = dict(zip(lay.names, lay.msg.to_dense(lay.msg.flip_average(g))[0]))
     return BPState(logs=logs, residual=residual, iterations=done, converged=status == "tol",
                    status=status)
 

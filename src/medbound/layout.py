@@ -20,7 +20,7 @@ one of higher charge (multiplicity 2), and every self-mirror sector whole
 mirror entries, and every sum over a matrix weighs a carried entry or
 eigenvalue by its multiplicity. Splitting a self-mirror sector into its
 flip-even and flip-odd halves would take a rotation, not an index map, and
-is not done.
+is not done: `_Flat.flip_average` averages such a block with its flip.
 
 One rule (`_sector_rule`) picks the layout for both solvers, a charge with
 a modulus: U(1), then Z2, then one sector, the first whose sectors hold
@@ -169,6 +169,7 @@ class _Flat:
         sizes = sorted({s.shape[1] for bl in self.blocks if bl is not None for s in bl.stacks})
         self.stacks = []
         owner, rows, cols, eig_owner, mult, eig_mult = ([np.zeros(0, int)] for _ in range(6))
+        m_dst, m_src = [np.zeros(0, int)], [np.zeros(0, int)]
         pos = epos = 0
         for b in sizes:
             parts = [(m, s, mu) for m, bl in enumerate(self.blocks) if bl is not None
@@ -185,11 +186,19 @@ class _Flat:
             eig_owner.append(np.repeat(own, b))
             mult.append(np.repeat(mu, b * b))
             eig_mult.append(np.repeat(mu, b))
+            if rule.flip:
+                # the flip reverses the ascending basis states of a
+                # self-mirror block: its flat entries, read backwards
+                start = pos + b * b * np.flatnonzero(mu == 1)[:, None]
+                m_dst.append((start + np.arange(b * b)).ravel())
+                m_src.append((start + np.arange(b * b)[::-1]).ravel())
             pos += k * b * b
             epos += k * b
         self.owner, self.rows, self.cols, self.eig_owner = map(
             np.concatenate, (owner, rows, cols, eig_owner))
         self.mult, self.eig_mult = (np.concatenate(v).astype(float) for v in (mult, eig_mult))
+        self.m_dst, self.m_src = np.concatenate(m_dst), np.concatenate(m_src)
+        self.diag = (self.rows == self.cols).astype(float)
         self.n, self.n_eig, self.n_mats = self.owner.size, self.eig_owner.size, len(self.dims)
         self.size = [0 if d is None else math.prod(d) for d in self.dims]
         self.sel = [np.flatnonzero(self.owner == m) for m in range(self.n_mats)]
@@ -206,6 +215,17 @@ class _Flat:
         return (np.concatenate([self.rows[sel], last - self.rows[pair]]),
                 np.concatenate([self.cols[sel], last - self.cols[pair]]),
                 np.concatenate([sel, pair]))
+
+    def flip_average(self, flat: np.ndarray) -> np.ndarray:
+        """Every entry of a self-mirror block averaged with its mirror entry,
+        which the flip maps it to in the same block; the other entries as
+        they are (the input itself when there is no such block). The dense
+        matrices of the result are (A + flip(A)) / 2 for those of the input."""
+        if not self.m_dst.size:
+            return flat
+        out = flat.copy()
+        out[..., self.m_dst] = 0.5 * (flat[..., self.m_dst] + flat[..., self.m_src])
+        return out
 
     def to_dense(self, flat: np.ndarray) -> list:
         """The dense matrices, one per matrix of the layout."""
@@ -292,6 +312,10 @@ class _Flat:
         z = z.reshape(lead + (self.n_mats,))
         p = w / z.take(self.eig_owner, axis=-1)
         return _Eig(vecs, p, None, gs, z, top)
+
+    def unit_log(self, log: np.ndarray, eig: _Eig) -> np.ndarray:
+        """log - (top + ln z) I: the log of `exp(log)`, given its `spectrum` `eig`."""
+        return log - (eig.top + np.log(eig.z)).take(self.owner, axis=-1) * self.diag
 
     def factor(self, eig: _Eig) -> np.ndarray:
         """The eigen-factor, U[a, j] sqrt(p_j) on block entry (a, j), flat,

@@ -52,27 +52,28 @@ every qubit), when every cluster Hamiltonian is invariant under it
 (Heisenberg and the classical Ising model, not the TFIM): the objective and
 the constraints are invariant under X^{(x)n}, so a minimizer averaged with
 its flip is a flip-symmetric minimizer, and the layout carries one block of
-each mirror pair of sectors. The packed vector keeps both members of every
-flip pair of parameters: `unpack` averages them onto the carried block and
-`pack`, its adjoint, writes the block back to both, so the stop tests of
-L-BFGS read the vector they read without the flip. A self-mirror block is
-carried whole, and `unpack` averages each of its entries with its mirror
-entry in the block too, so every packed vector is a flip-invariant G. The
-rule is the one BP uses (`layout._sector_rule`: U(1), then Z2, then one
-sector per matrix, the plain dense iteration; the flip when every matrix
-keeps it).
+each mirror pair of sectors, for G and for the constraint residuals and
+their multipliers alike. A self-mirror block is carried whole, and every
+step of G is averaged over the flip (`layout._Flat.flip_average`, which
+averages each entry of such a block with its mirror entry), so G stays
+flip-invariant. Packed parameters are only the inner coordinates of a
+`_Frame`: they keep both members of every flip pair, so the stop tests of
+L-BFGS read the vector they read without the flip. The rule is BP's
+(`layout._sector_rule`: U(1), then Z2, then one sector per matrix, the
+plain dense iteration; the flip when every matrix keeps it).
 
 Each problem is compiled once per sector rule, at its first solve or BP
 bound, into a block layout (`_Compiled`, on the `_Flat` class of
 `medbound.layout`, which the BP loop builds on too): G, the states, the
-shield marginals, the multipliers and the gradient are carried as
-charge-sector blocks, stacked by block size across all clusters, and the
-partial traces and their adjoint embeddings are index maps. One objective
-evaluation therefore makes a fixed number of batched calls per block size,
-however many clusters, constraints and sectors the problem has. A result
-holds the packed G, not dense states: dense matrices appear only at the
-interface, in `cluster_states` (a result's states, rebuilt from its packed
-G) and in the layout's dense reference objective, `markov_free_energy`.
+shield marginals, the residuals, the multipliers and the gradient are
+carried as charge-sector blocks, stacked by block size across all
+clusters, and the partial traces and their adjoint embeddings are index
+maps. One objective evaluation therefore makes a fixed number of batched
+calls per block size, however many clusters, constraints and sectors the
+problem has. The solver's point is G and the multipliers on those layouts,
+and a result holds them, not dense states: dense matrices appear only at
+the interface, in `cluster_states` (a result's states, rebuilt from its G)
+and in the layout's dense reference objective, `markov_free_energy`.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ from medbound.layout import (
     _Eig,
     _Flat,
     _Rule,
-    _charges,
     _dag,
     _herm,
     _neg_xlogx,
@@ -211,7 +211,8 @@ class MedProblem:
 @dataclass(eq=False)
 class MedResult:
     """One solve's scalars; ``meta["warm"]`` is the point it ended at as the
-    solver carries it, ``{"x": packed G, "y": multipliers}`` (`cluster_states`),
+    solver carries it, ``{"g": G, "y": multipliers}`` as flat vectors of the
+    problem's layout (`_Compiled.cl` and `.con`; `cluster_states`),
     ``meta["outer"]`` one row per outer iteration: its penalty, gradient
     target, inner steps ("nit"), inner objective evaluations ("nfev"), the
     L-BFGS pairs carried into the inner solve ("pairs"), constraint
@@ -296,7 +297,8 @@ def _exp_dd_kernel(gs: np.ndarray) -> np.ndarray:
 
 class _Terms(NamedTuple):
     """Per cluster: energy e, conditional entropy s and value e - T s; the
-    eigendata of the shield marginals and the constraint residuals R."""
+    eigendata of the shield marginals and the constraint residuals R (on
+    `_Compiled.con`)."""
 
     e: np.ndarray
     s: np.ndarray
@@ -324,8 +326,9 @@ class _Compiled:
       b from all clusters are read as one (k, b, b) stack, so one evaluation
       makes a fixed number of batched calls per block size.
     - Marginals: the shield marginals (a second `_Flat`, `sh`) and the
-      in-sector entries of every constraint residual form a second flat
-      vector. All partial traces onto it are one index map
+      constraint residuals (a third, `con`, one matrix per constraint on
+      its overlap, which carries the multipliers too) form one vector, `sh`
+      then `con`. All partial traces onto it are one index map
       (`_Flat.trace_map`): block entry `src` adds `fwd` times itself to
       marginal entry `tgt`. The embedding, its adjoint, reads the same map
       backwards with the weights `bwd`. Both are bincounts.
@@ -335,15 +338,12 @@ class _Compiled:
       a block that also stands for its mirror). The partial traces average
       an entry and its mirror (`fwd`), and the embedding is their adjoint
       in the inner products that count multiplicity (`bwd`).
-    - Packing: the real parameter vector holds, per cluster, the diagonal
-      of G and its in-sector upper triangle sector by sector, imaginary
-      parts after real ones, mirror sectors included.
-      `unpack_blocks` gathers the blocks from it, averaging each flip pair;
-      `pack_blocks` is its adjoint on Hermitian blocks. Those two are the
-      coordinates of a `_Frame`. `unpack` also averages every entry of a
-      self-mirror block with its mirror entry in the same block
-      (`flip_average`), so G is flip-invariant whatever the packed vector;
-      `pack`, its adjoint, averages before `pack_blocks`.
+    - Packing: the inner coordinates of a `_Frame`, a real vector of
+      `n` entries, hold per cluster the diagonal of a Hermitian matrix and
+      its in-sector upper triangle sector by sector, imaginary parts after
+      real ones, mirror sectors included. `unpack_blocks` gathers the
+      blocks from it, averaging each flip pair; `pack_blocks` is its
+      adjoint on Hermitian blocks.
     Dense matrices appear only at the edges: the `_Flat` conversions."""
 
     def __init__(self, problem: MedProblem, rule: _Rule):
@@ -357,24 +357,18 @@ class _Compiled:
         self.ham = cl.from_dense([np.zeros((v.dim, v.dim)) if v.ham is None else v.ham
                                   for v in variables], float if self.real else complex)
 
-        # shield marginals, then constraint residual entries: each partial
-        # trace is (cluster, axes, 1-based target labels, sign)
+        self.con = con = _Flat([[problem.var(c.left_key).dims[a] for a in c.left_axes]
+                                for c in problem.constraints], rule)
+        # shield marginals, then constraint residuals: each partial trace is
+        # (cluster, axes, 1-based target labels, sign)
         sh_labels = sh.to_dense(np.arange(1.0, sh.n + 1.0))
+        con_labels = con.to_dense(np.arange(sh.n + 1.0, sh.n + con.n + 1.0))
         traces = [(m, v.shield_axes, sh_labels[m], 1.0)
                   for m, v in enumerate(variables) if v.shield_axes]
         index = {k: m for m, k in enumerate(self.keys)}
-        pos = 0
-        for c in problem.constraints:
-            dims = [problem.var(c.left_key).dims[a] for a in c.left_axes]
-            d = int(np.prod(dims))
-            q = _charges(dims, rule.modulus)
-            ea, eb = np.nonzero(q[:, None] == q[None, :])
-            labels = np.zeros((d, d))
-            labels[ea, eb] = self.sh.n + pos + 1 + np.arange(ea.size)
+        for c, labels in zip(problem.constraints, con_labels):
             traces += [(index[c.left_key], c.left_axes, labels, 1.0),
                        (index[c.right_key], c.right_axes, labels, -1.0)]
-            pos += ea.size
-        self.n_con = pos
         src, tgt, weight = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
         for m, axes, labels, s in traces:
             reached, hit, count, _ = cl.trace_map(m, labels, axes)
@@ -382,13 +376,12 @@ class _Compiled:
             tgt.append(hit)
             weight.append(s * count)
         self.src, self.tgt, weight = map(np.concatenate, (src, tgt, weight))
-        # the residual entries are all carried, each with multiplicity 1
-        self.fwd = weight / np.concatenate([sh.mult, np.ones(self.n_con)])[self.tgt]
+        self.fwd = weight / np.concatenate([sh.mult, con.mult])[self.tgt]
         self.bwd = weight / cl.mult[self.src]
-        self._packing(variables, rule.flip)
+        self._packing(variables)
         self._last = None           # [G, its _Eig, T, their _Terms]: see `exp`
 
-    def _packing(self, variables, flip: bool):
+    def _packing(self, variables):
         width = 1 if self.real else 2
         off = 0
         up, lo, wu, wl = [], [], [], []     # pack: x = wu F[up] + wl F[lo]
@@ -396,8 +389,6 @@ class _Compiled:
         # parameters and its mirror's (its own again without one) at half weight
         self.u_src = np.zeros((2, width * self.cl.n), int)
         self.u_coef = np.zeros((2, width * self.cl.n))
-        # flip_average: the entries of self-mirror blocks and their mirrors
-        m_dst, m_src = [np.zeros(0, int)], [np.zeros(0, int)]
         for m, v in enumerate(variables):
             d = v.dim
             q = self.cl.blocks[m].charge
@@ -418,9 +409,6 @@ class _Compiled:
             r, c = self.cl.rows[sel], self.cl.cols[sel]
             pair = self.cl.mult[sel] > 1
             mirror = (np.where(pair, d - 1 - r, r), np.where(pair, d - 1 - c, c))
-            if flip:
-                m_dst.append(sel[~pair])
-                m_src.append(fpos[d - 1 - r[~pair], d - 1 - c[~pair]])
             for k, (rr, cc) in enumerate(((r, c), mirror)):
                 on_diag = rr == cc
                 re_src = off + np.where(on_diag, rr, d + rank[rr, cc])
@@ -447,7 +435,6 @@ class _Compiled:
                 wl += [half, np.full(n_off, -0.5 * _SQRT2)]
             off += d + width * n_off
         self.n = off
-        self.m_dst, self.m_src = np.concatenate(m_dst), np.concatenate(m_src)
         self.p_up = np.concatenate(up)
         self.p_lo = np.concatenate(lo)
         self.p_wu = np.concatenate(wu)
@@ -463,27 +450,11 @@ class _Compiled:
         f = flat if self.real else flat.view(float)
         return _gather_sum(f, self.p_up, self.p_wu, self.p_lo, self.p_wl)
 
-    def flip_average(self, flat: np.ndarray) -> np.ndarray:
-        """Every entry of a self-mirror block averaged with its mirror entry,
-        which the flip maps it to in the same block; the other entries as
-        they are (the input itself when there is no such block)."""
-        if not self.m_dst.size:
-            return flat
-        out = flat.copy()
-        out[..., self.m_dst] = 0.5 * (flat[..., self.m_dst] + flat[..., self.m_src])
-        return out
-
-    def unpack(self, x: np.ndarray) -> np.ndarray:
-        return self.flip_average(self.unpack_blocks(x))
-
-    def pack(self, flat: np.ndarray) -> np.ndarray:
-        return self.pack_blocks(self.flip_average(flat))
-
     # -- evaluation ------------------------------------------------------------
 
     def terms(self, eig: _Eig, T: float) -> _Terms:
         cl, sh = self.cl, self.sh
-        marg = _scatter(self.tgt, eig.rho[self.src] * self.fwd, sh.n + self.n_con)
+        marg = _scatter(self.tgt, eig.rho[self.src] * self.fwd, sh.n + self.con.n)
         sh_vals, sh_vecs = sh.eigh(marg)
         e = np.bincount(cl.owner, cl.mult * _re_prod(self.ham, eig.rho), self.n_vars)
         s = (np.bincount(cl.eig_owner, cl.eig_mult * _neg_xlogx(eig.p), self.n_vars)
@@ -492,8 +463,9 @@ class _Compiled:
 
     def exp(self, g: np.ndarray) -> _Eig:
         """`cl.exp(g)`, kept for the last G (with its terms, see `evaluate`):
-        one outer iteration of `solve` reads the same G three times, in its
-        feasibility check, in the next `_Frame` and at that frame's origin."""
+        one outer iteration of `solve` reads the G its inner solve evaluated
+        last three times more, in its feasibility check, in the next
+        `_Frame` and at that frame's origin."""
         last = self._last
         if last is None or not np.array_equal(last[0], g):
             last = self._last = [g, self.cl.exp(g), None, None]
@@ -507,12 +479,14 @@ class _Compiled:
             last[2:] = T, self.terms(eig, T)
         return eig, last[3]
 
-    def euclid(self, eig: _Eig, tm: _Terms, T: float, coef: np.ndarray) -> np.ndarray:
-        """Derivative wrt rho: H + T log rho - T embed log rho_shield, plus
-        the residual map's adjoint applied to `coef`."""
+    def euclid(self, g: np.ndarray, eig: _Eig, tm: _Terms, T: float,
+               coef: np.ndarray) -> np.ndarray:
+        """Derivative wrt rho = exp(G)/Tr exp(G) (`eig`): H + T log rho - T
+        embed log rho_shield, plus the residual map's adjoint applied to `coef`;
+        log rho is read off G (`_Flat.unit_log`), exact however small rho."""
         logs = self.sh.from_eig(tm.sh_vecs, np.log(np.maximum(tm.sh_vals, EIG_FLOOR)))
         weights = np.concatenate([-T * logs, coef])
-        own = self.ham + T * self.cl.from_eig(eig.vecs, np.log(np.maximum(eig.p, EIG_FLOOR)))
+        own = self.ham + T * self.cl.unit_log(g, eig)
         return own + _scatter(self.src, weights[self.tgt] * self.bwd, self.cl.n)
 
     def pullback(self, eig: _Eig, M: np.ndarray) -> np.ndarray:
@@ -528,14 +502,14 @@ class _Compiled:
             grad[st.flat] = _herm(w).ravel()
         return grad
 
-    def al_eval(self, x: np.ndarray, T: float, y: np.ndarray, pen: float,
-                want_grad: bool, frame: _Frame | None = None) -> dict:
-        """Augmented-Lagrangian value sum F_k + <y, R> + pen/2 <R, R> (and
-        its packed gradient) at x, read in the packed coordinates of G or,
-        with `frame`, in that frame's."""
-        eig, tm = self.evaluate(self.unpack(x) if frame is None else frame.g(x), T)
-        R = tm.R
-        al_con = trace_product(y, R) + 0.5 * pen * trace_product(R, R)
+    def al_eval(self, g: np.ndarray, T: float, y: np.ndarray, pen: float,
+                want_grad: bool) -> dict:
+        """Augmented-Lagrangian value sum F_k + <y, R> + pen/2 <R, R> at G
+        (and its gradient in G), the multipliers y and the residuals R on
+        `con`, whose inner products weigh every entry by its multiplicity."""
+        eig, tm = self.evaluate(g, T)
+        R, mult = tm.R, self.con.mult
+        al_con = float(mult @ _re_prod(y, R)) + 0.5 * pen * float(mult @ _re_prod(R, R))
         out = {
             "al": _total(tm.value) + al_con,
             "eq_R": R,
@@ -544,8 +518,7 @@ class _Compiled:
             "terms": tm,
         }
         if want_grad:
-            grad = self.pullback(eig, self.euclid(eig, tm, T, y + pen * R))
-            out["grad"] = self.pack(grad) if frame is None else frame.grad(grad)
+            out["grad"] = self.pullback(eig, self.euclid(g, eig, tm, T, y + pen * R))
         return out
 
 
@@ -568,15 +541,16 @@ class _Frame:
     linear, so the inner problem stays smooth and convex; the gradient is
     S o (U0^dagger grad_G U0).
 
-    X is read block by block (`_Compiled.unpack_blocks`): in the eigenbasis
-    of G0 the flip is no index map, so the average of a self-mirror block
-    with its mirror is taken on the step of G and on the gradient instead
-    (`_Compiled.flip_average`)."""
+    G0 is the solver's outer point, flat on `_Compiled.cl`. X is read block
+    by block (`_Compiled.unpack_blocks`): in the eigenbasis of G0 the flip
+    is no index map, so the average of a self-mirror block with its mirror
+    is taken on the step of G and on the gradient instead
+    (`_Flat.flip_average`)."""
 
-    def __init__(self, comp: _Compiled, x0: np.ndarray):
+    def __init__(self, comp: _Compiled, g0: np.ndarray):
         self.comp = comp
-        self.g0 = comp.unpack(x0)
-        eig = comp.exp(self.g0)
+        self.g0 = g0
+        eig = comp.exp(g0)
         self.vecs = eig.vecs
         self.scales = []
         for st in comp.cl.stacks:
@@ -590,11 +564,11 @@ class _Frame:
         step = comp.unpack_blocks(x)
         for st, v, S in zip(comp.cl.stacks, self.vecs, self.scales):
             step[st.flat] = (v @ (S * step[st.flat].reshape(st.shape)) @ _dag(v)).ravel()
-        return self.g0 + comp.flip_average(step)
+        return self.g0 + comp.cl.flip_average(step)
 
     def grad(self, grad: np.ndarray) -> np.ndarray:
         """The packed inner gradient of a gradient in G."""
-        grad = self.comp.flip_average(grad)
+        grad = self.comp.cl.flip_average(grad)
         out = np.empty_like(grad)
         for st, v, S in zip(self.comp.cl.stacks, self.vecs, self.scales):
             out[st.flat] = (S * (_dag(v) @ grad[st.flat].reshape(st.shape) @ v)).ravel()
@@ -649,12 +623,12 @@ def _scipy_minimize(fun, x0, **kwargs):
 
 
 def _warm_point(comp: _Compiled, warm: dict):
-    """The packed G and multipliers of a result's ``meta["warm"]``; those
-    of another problem raise ValueError."""
-    x, y = warm["x"], warm["y"]
-    if np.shape(x) != (comp.n,) or np.shape(y) != (comp.n_con,):
+    """G (on `comp.cl`) and the multipliers (on `comp.con`) of a result's
+    ``meta["warm"]``; those of another problem raise ValueError."""
+    g, y = warm["g"], warm["y"]
+    if np.shape(g) != (comp.cl.n,) or np.shape(y) != (comp.con.n,):
         raise ValueError("the warm start is for another problem")
-    return x, y
+    return g, y
 
 
 def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
@@ -662,18 +636,18 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     """Minimize the shield-local free energy at one temperature.
 
     `warm` is the ``meta['warm']`` entry of a previous result for the same
-    problem, ``{"x": packed G, "y": multipliers}`` as the solver carries
-    them; one of another problem raises ValueError.
+    problem, ``{"g": G, "y": multipliers}`` on the layout's `cl` and `con`;
+    one of another problem raises ValueError.
     """
     if not 0 <= T < math.inf:
         raise ValueError("temperature must be finite and nonnegative")
     config = config or SolverConfig()
     comp = _compiled(problem)
     if warm is None:
-        x = np.zeros(comp.n)
-        eq_mults = np.zeros(comp.n_con, dtype=float if comp.real else complex)
+        dtype = float if comp.real else complex
+        g, eq_mults = np.zeros(comp.cl.n, dtype), np.zeros(comp.con.n, dtype)
     else:
-        x, eq_mults = _warm_point(comp, warm)
+        g, eq_mults = _warm_point(comp, warm)
 
     pen = _PENALTY_INIT
     total_inner = 0
@@ -682,9 +656,9 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     frame = pairs = None        # pairs: the last inner solve's, kept for the next
 
     def make_fun(eq_m, p, frame):
-        def fun(xv):
-            out = comp.al_eval(xv, T, eq_m, p, want_grad=True, frame=frame)
-            return out["al"], out["grad"]
+        def fun(x):
+            out = comp.al_eval(frame.g(x), T, eq_m, p, want_grad=True)
+            return out["al"], frame.grad(out["grad"])
         return fun
 
     # tolerance schedule: the inner gradient target and the feasibility target
@@ -696,17 +670,19 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     n_outer = config.max_outer if have_cons else 1
     for outer in range(n_outer):
         gtol = max(omega, config.tol_gradient)
-        frame, old = _Frame(comp, x), frame
+        frame, old = _Frame(comp, g), frame
         if pairs is not None:
             pairs = frame.carry(pairs, old)
             del res         # and the unmapped pairs it holds
         fun = make_fun(eq_mults, pen, frame)
         res = _scipy_minimize(fun, np.zeros(comp.n), gtol=gtol, maxiter=config.max_inner,
                               pairs=pairs)
-        x = comp.pack(frame.g(res.x))
+        g = frame.g(res.x)
         total_inner += int(res.nit)
         inner_ok = float(np.max(np.abs(res.jac))) <= 5.0 * gtol
-        out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
+        # G of the inner solve's last evaluation (unless its last line
+        # search failed): `_Compiled.exp` reads it from its cache
+        out = comp.al_eval(g, T, eq_mults, pen, want_grad=False)
         res_inf = out["res_inf"]
         history.append({"penalty": pen, "gtol": gtol, "nit": int(res.nit),
                         "nfev": int(res.nfev), "pairs": 0 if pairs is None else len(pairs),
@@ -732,7 +708,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
             pen = min(pen * _PENALTY_GROWTH, 1e9)
             pairs = None
 
-    out = comp.al_eval(x, T, eq_mults, pen, want_grad=False)
+    out = comp.al_eval(g, T, eq_mults, pen, want_grad=False)
     tm, cl = out["terms"], comp.cl
     p_min = np.minimum.reduceat(out["eig"].p.take(cl.eig_sort), cl.eig_starts)
     norm = problem.site_norm
@@ -744,7 +720,7 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         iterations=total_inner,
         converged=converged,
         T=T,
-        meta={"warm": {"x": x, "y": eq_mults}, "outer": history, "p_min": p_min.tolist()},
+        meta={"warm": {"g": g, "y": eq_mults}, "outer": history, "p_min": p_min.tolist()},
     )
 
 
@@ -754,11 +730,11 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
 
 def cluster_states(problem: MedProblem, result: MedResult) -> dict:
     """The cluster states of a `solve` result on `problem`, keyed like its
-    variables: exp(G)/Tr exp(G) at the packed G of ``result.meta["warm"]``, bit
-    for bit those the solver evaluated last. Another problem's raise ValueError."""
+    variables: exp(G)/Tr exp(G) at the G of ``result.meta["warm"]``, bit for
+    bit those the solver evaluated last. Another problem's raise ValueError."""
     comp = _compiled(problem)
-    x, _ = _warm_point(comp, result.meta["warm"])
-    return dict(zip(comp.keys, comp.cl.to_dense(comp.cl.exp(comp.unpack(x)).rho)))
+    g, _ = _warm_point(comp, result.meta["warm"])
+    return dict(zip(comp.keys, comp.cl.to_dense(comp.cl.exp(g).rho)))
 
 
 def markov_free_energy(states: dict, problem: MedProblem, T: float) -> float:

@@ -82,6 +82,26 @@ class TestFlipLayout:
         assert np.allclose(np.sort(np.repeat(vals, flat.eig_mult.astype(int))), dense,
                            rtol=0.0, atol=1e-12 * scale)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(modulus=st.sampled_from([0, 2]), **{k: v for k, v in CASES.items() if k != "modulus"})
+    def test_flip_average_is_the_dense_average(self, n, modulus, complex_, seed):
+        # on any flat vector of a flip layout, U(1) or Z2 (random, so its
+        # self-mirror blocks are not invariant), the dense matrices of the
+        # average are (A + flip(A)) / 2 of the input's, bit for bit, for two
+        # matrices at once and with a batch axis; without the flip it is the
+        # identity
+        rng = np.random.default_rng(seed)
+        dims = [(2,) * n, (2,) * (n + 1)]
+        flat = _Flat(dims, _Rule(modulus, flip=True))
+        x = rng.standard_normal((3, flat.n))
+        if complex_:
+            x = x + 1j * rng.standard_normal((3, flat.n))
+        for got, a in zip(flat.to_dense(flat.flip_average(x)), flat.to_dense(x)):
+            assert np.array_equal(got, 0.5 * (a + a[..., ::-1, ::-1]))
+        plain = _Flat(dims, _Rule(modulus))
+        y = rng.standard_normal(plain.n)
+        assert plain.flip_average(y) is y
+
 
 # the rules BP meets: Heisenberg, the TFIM and a charge-breaking complex model
 FACTOR_RULES = {"u1-flip": (_Rule(0, flip=True), False), "z2": (_Rule(2), False),

@@ -74,6 +74,13 @@ def gibbs_chain_marginals(n, model, T, geo):
     return rho, states
 
 
+def random_g(comp, rng, scale=1.0):
+    """A random Hermitian G on the problem's layout, in its sectors and
+    flip-invariant: random frame coordinates read as blocks, averaged over
+    the flip."""
+    return comp.cl.flip_average(comp.unpack_blocks(scale * rng.standard_normal(comp.n)))
+
+
 class TestMarkovFreeEnergy:
     def test_maximally_mixed_ti_cluster(self):
         prob = ti_problem(ti_chain_geometry(HEIS, 2))
@@ -134,19 +141,20 @@ class TestMarkovFreeEnergy:
 
 class TestGradient:
     def test_finite_differences(self, rng):
-        # the objective without constraint terms, in the packed coordinates
-        # of G the solver runs in
+        # the objective without constraint terms against its gradient in G,
+        # paired as the dense matrices are: each carried entry counts as
+        # often as it occurs
         comp = _compiled(ti_problem(ti_chain_geometry(HEIS, 1)))
-        y = np.zeros(comp.n_con)
+        y = np.zeros(comp.con.n)
         for _ in range(5):
-            x = rng.standard_normal(comp.n)
-            grad = comp.al_eval(x, 0.8, y, 0.0, want_grad=True)["grad"]
-            direction = rng.standard_normal(comp.n)
+            g = random_g(comp, rng)
+            grad = comp.al_eval(g, 0.8, y, 0.0, want_grad=True)["grad"]
+            direction = random_g(comp, rng)
             eps = 1e-5
-            fp = comp.al_eval(x + eps * direction, 0.8, y, 0.0, want_grad=False)["al"]
-            fm = comp.al_eval(x - eps * direction, 0.8, y, 0.0, want_grad=False)["al"]
+            fp = comp.al_eval(g + eps * direction, 0.8, y, 0.0, want_grad=False)["al"]
+            fm = comp.al_eval(g - eps * direction, 0.8, y, 0.0, want_grad=False)["al"]
             numeric = (fp - fm) / (2 * eps)
-            analytic = float(grad @ direction)
+            analytic = float(np.real(np.vdot(comp.cl.mult * grad, direction)))
             assert abs(numeric - analytic) <= 1e-5 * max(1.0, abs(numeric))
 
     def test_vanishes_at_gibbs_single_cluster(self):
@@ -158,9 +166,31 @@ class TestGradient:
         var = VarSpec(key="c", dims=geo.dims, ham=geo.ham, shield_axes=())
         prob = MedProblem(variables=(var,), constraints=())
         comp = _compiled(prob)
-        x = comp.pack(comp.cl.from_dense([-geo.ham / t]))
-        grad = comp.al_eval(x, t, np.zeros(comp.n_con), 0.0, want_grad=True)["grad"]
+        g = comp.cl.from_dense([-geo.ham / t])
+        grad = comp.al_eval(g, t, np.zeros(comp.con.n), 0.0, want_grad=True)["grad"]
         assert np.max(np.abs(grad)) <= 1e-10
+
+    def test_log_rho_is_read_off_g(self, rng):
+        # weights down to e^-40, far below the 1e-12 a clamped log of the
+        # weights would stop at: without shields or constraints the
+        # derivative wrt rho is H + T log rho, and log rho is G - ln Tr e^G,
+        # cluster by cluster
+        from medbound.med import VarSpec
+        t = 0.6
+        variables = tuple(VarSpec(key=n, dims=geo.dims, ham=geo.ham)
+                          for n, geo in ((1, ti_chain_geometry(HEIS, 1)),
+                                         (2, ti_chain_geometry(HEIS, 2))))
+        comp = _compiled(MedProblem(variables=variables, constraints=()))
+        spread = [np.ptp(np.linalg.eigvalsh(v.ham)) for v in variables]
+        g = (comp.cl.from_dense([-50.0 * v.ham / w for v, w in zip(variables, spread)])
+             + random_g(comp, rng, 0.1))
+        eig, tm = comp.evaluate(g, t)
+        assert eig.p.min() <= math.exp(-40.0)
+        own = comp.euclid(g, eig, tm, t, np.zeros(comp.con.n)) - comp.ham
+        for got, gm in zip(comp.cl.to_dense(own), comp.cl.to_dense(g)):
+            w = np.linalg.eigvalsh(gm)
+            log_z = w.max() + math.log(np.sum(np.exp(w - w.max())))
+            assert np.max(np.abs(got - t * (gm - log_z * np.eye(len(gm))))) <= 1e-12
 
 
 class TestSolveTemperature:
@@ -358,14 +388,14 @@ class TestClusterStates:
         with pytest.raises(ValueError, match="another problem"):
             cluster_states(ti_problem(ti_chain_geometry(HEIS, 3)), res)
 
-    def test_result_holds_only_the_packed_point(self):
+    def test_result_holds_only_g_and_the_multipliers(self):
         prob = finite_problem(finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1))
         res = solve(prob, 1.0)
         comp = _compiled(prob)
         arrays = [k for k, v in vars(res).items() if isinstance(v, np.ndarray)]
         assert not arrays
-        assert res.meta["warm"]["x"].shape == (comp.n,)
-        assert res.meta["warm"]["y"].shape == (comp.n_con,)
+        assert res.meta["warm"]["g"].shape == (comp.cl.n,)
+        assert res.meta["warm"]["y"].shape == (comp.con.n,)
 
 
 class TestOuterReport:
@@ -452,6 +482,24 @@ class TestEvaluationReuse:
         res = solve(ti_problem(ti_chain_geometry(HEIS, 3)), 0.5)
         assert res.converged and len(seen) > 10
         assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+
+    def test_each_distinct_g_is_exponentiated_once(self, monkeypatch):
+        # each inner solve starts at its frame's origin, the G the last one
+        # ended at, which the feasibility check read from the cache: only
+        # its other evaluations are new Gs, so a solve from G = 0 makes at
+        # most 1 + sum(nfev - 1) exponentials (57 here; rounding the outer
+        # point through the packed coordinates adds one per outer iteration)
+        calls = []
+        flat_exp = _Flat.exp
+
+        def exp(self, log):
+            calls.append(1)
+            return flat_exp(self, log)
+        monkeypatch.setattr(_Flat, "exp", exp)
+        res = solve(ti_problem(ti_chain_geometry(HEIS, 3)), 0.5)
+        rows = res.meta["outer"]
+        assert res.converged and len(rows) > 1
+        assert len(calls) <= 1 + sum(r["nfev"] - 1 for r in rows)
 
 
 class TestGroundEnergyBound:
@@ -759,34 +807,48 @@ class TestSectors:
 
     @pytest.mark.parametrize("name", sorted(FLIP_PROBLEMS))
     def test_flip_layout_matches_u1_layout(self, name, rng):
-        # at flip-symmetric points the flip layout gives the U(1) layout's
-        # values and packed gradients, on the same packed vector
+        # at flip-symmetric G and multipliers the flip layout gives the U(1)
+        # layout's values and gradients in G, read as dense matrices; both
+        # G and the residuals carry each mirror pair once
         prob = self.FLIP_PROBLEMS[name]()
         flip, u1 = _compiled(prob), med._Compiled(prob, _Rule(0))
-        assert flip.n == u1.n and flip.n_con == u1.n_con
+        assert flip.n == u1.n
         assert flip.cl.mult.max() == 2 and flip.cl.mult.sum() == u1.cl.n
+        assert flip.con.mult.max() == 2 and flip.con.mult.sum() == u1.con.n
+
         def point():
-            g = u1.cl.to_dense(u1.unpack(0.5 * rng.standard_normal(u1.n)))
-            return u1.pack(u1.cl.from_dense([_flip_symmetric(m) for m in g]))
+            return [_flip_symmetric(m) for m in u1.cl.to_dense(random_g(u1, rng, 0.5))]
         for _ in range(3):
-            x = point()
-            y = u1.al_eval(point(), 1.0, np.zeros(u1.n_con), 0.0, want_grad=False)["eq_R"]
-            a = flip.al_eval(x, 0.7, y, 3.0, want_grad=True)
-            b = u1.al_eval(x, 0.7, y, 3.0, want_grad=True)
+            g = point()
+            R = u1.al_eval(u1.cl.from_dense(point()), 1.0, np.zeros(u1.con.n), 0.0,
+                           want_grad=False)["eq_R"]
+            y = [_flip_symmetric(m) for m in u1.con.to_dense(R)]
+            a = flip.al_eval(flip.cl.from_dense(g), 0.7, flip.con.from_dense(y), 3.0,
+                             want_grad=True)
+            b = u1.al_eval(u1.cl.from_dense(g), 0.7, u1.con.from_dense(y), 3.0, want_grad=True)
             assert abs(a["al"] - b["al"]) <= 1e-12 * max(1.0, abs(b["al"]))
-            assert np.max(np.abs(a["grad"] - b["grad"])) <= 1e-12
+            for ga, gb in zip(flip.cl.to_dense(a["grad"]), u1.cl.to_dense(b["grad"])):
+                assert np.max(np.abs(ga - gb)) <= 1e-12
+
+    @pytest.mark.parametrize("name, flip_n, u1_n", [("square6", 131, 258), ("ti n=4", 53, 70),
+                                                    ("ring N=6 r=2", 51, 74)])
+    def test_residuals_carry_each_mirror_pair_once(self, name, flip_n, u1_n):
+        # the constraint residuals and multipliers are a flip layout too
+        prob = self.FLIP_PROBLEMS[name]()
+        assert _compiled(prob).con.n == flip_n
+        assert med._Compiled(prob, _Rule(0)).con.n == u1_n
 
     def test_solve_keeps_flip_pairs_equal(self):
-        # unpack reads each mirror pair of parameters as one entry and pack
-        # writes it back to both: the packed point stays flip-symmetric
-        prob = ti_problem(ti_chain_geometry(HEIS, 4))
+        # a mirror pair of blocks is carried once, and every step of G is
+        # averaged over the flip (`_Flat.flip_average`), the self-mirror
+        # S^z = 0 block of the 4-site cluster included: the solver's G equals
+        # its flip exactly
+        prob = ti_problem(ti_chain_geometry(HEIS, 3))
         res = solve(prob, 0.5)
         comp = _compiled(prob)
-        pair = comp.cl.mult > 1
-        assert res.converged and pair.all()
-        x = res.meta["warm"]["x"]
-        assert np.array_equal(x[comp.u_src[0][pair]], x[comp.u_src[1][pair]])
-        assert not np.array_equal(comp.u_src[0], comp.u_src[1])
+        assert res.converged and comp.cl.mult.max() == 2 and comp.cl.m_dst.size
+        (g,) = comp.cl.to_dense(res.meta["warm"]["g"])
+        assert np.array_equal(g, g[::-1, ::-1])
 
     def test_iterates_stay_in_sectors(self):
         # dense iterates drift off the sectors by roundoff (3.1e-5 here);
@@ -820,17 +882,14 @@ class TestDenseReference:
     @given(seed=st.integers(0, 2 ** 32 - 1), T=st.sampled_from([0.0, 0.3, 1.0]),
            scale=st.sampled_from([0.3, 1.5]))
     def test_evaluate_matches_markov_free_energy(self, name, rule, seed, T, scale):
-        # the compiled objective at a random packed point against the dense
-        # objective of the same states; under the flip a self-mirror block is
-        # carried whole and the shield marginals average an entry and its
-        # mirror, so the layout is exact at flip-invariant points only and
-        # the point is symmetrized first
+        # the compiled objective at a random G against the dense objective
+        # of the same states; under the flip a self-mirror block is carried
+        # whole and the shield marginals average an entry and its mirror, so
+        # the layout is exact at flip-invariant points only, which `random_g`
+        # draws
         prob = self.PROBLEMS[name]()
         comp = _compiled(prob, rule)
-        x = scale * np.random.default_rng(seed).standard_normal(comp.n)
-        g = comp.unpack(x)
-        if rule.flip:
-            g = comp.cl.from_dense([_flip_symmetric(m) for m in comp.cl.to_dense(g)])
+        g = random_g(comp, np.random.default_rng(seed), scale)
         eig, tm = comp.evaluate(g, T)
         value = med._total(tm.value)
         states = dict(zip(comp.keys, comp.cl.to_dense(eig.rho)))
@@ -838,24 +897,25 @@ class TestDenseReference:
 
     def test_self_mirror_block_is_averaged_with_its_mirror(self):
         # the S^z = 0 sector of the 4-site cluster is its own mirror and is
-        # carried whole: unpack averages each of its entries with its mirror
-        # entry, so any packed point is a flip-invariant G and the compiled
-        # objective is the dense one there
+        # carried whole: `flip_average` averages each of its entries with
+        # its mirror entry, so any G it returns is flip-invariant and the
+        # compiled objective is the dense one there
         prob = self.PROBLEMS["heis n=3"]()
         comp = _compiled(prob)
-        assert comp.cl.mult.min() == 1 and comp.m_dst.size
-        x = 0.3 * np.random.default_rng(0).standard_normal(comp.n)
-        eig, tm = comp.evaluate(comp.unpack(x), 0.3)
+        assert comp.cl.mult.min() == 1 and comp.cl.m_dst.size
+        a = comp.unpack_blocks(0.3 * np.random.default_rng(0).standard_normal(comp.n))
+        g = comp.cl.flip_average(a)
+        eig, tm = comp.evaluate(g, 0.3)
         value = med._total(tm.value)
         states = dict(zip(comp.keys, comp.cl.to_dense(eig.rho)))
         assert abs(markov_free_energy(states, prob, 0.3) - value) <= 1e-12 * max(1.0, abs(value))
-        # pack is the adjoint of unpack and keeps every vector it returns
-        y = np.random.default_rng(1).standard_normal(comp.n)
-        lhs = float(np.dot(comp.pack(comp.unpack(x)), y))
-        assert abs(lhs - float(np.real(np.vdot(comp.cl.mult * comp.unpack(x),
-                                                comp.unpack(y))))) <= 1e-12
-        v = comp.pack(comp.unpack(x))
-        assert np.max(np.abs(comp.pack(comp.unpack(v)) - v)) <= 1e-15
+        # the average is its own adjoint in the inner product that counts
+        # multiplicity, and keeps every vector it returns
+        b = comp.unpack_blocks(np.random.default_rng(1).standard_normal(comp.n))
+        lhs = float(np.real(np.vdot(comp.cl.mult * g, b)))
+        assert abs(lhs - float(np.real(np.vdot(comp.cl.mult * a,
+                                                comp.cl.flip_average(b))))) <= 1e-12
+        assert np.array_equal(comp.cl.flip_average(g), g)
 
 
 def _ptrace(rho, dims, keep):
@@ -938,35 +998,6 @@ def _flip_symmetric(mat):
     return 0.5 * (mat + mat[::-1, ::-1])
 
 
-def _pack_reference(problem, mats):
-    """Per cluster: the diagonal, then the in-sector upper triangle sector by
-    sector (times sqrt 2), then its imaginary parts for complex problems."""
-    modulus = _modulus(problem)
-    complex_ = any(np.iscomplexobj(v.ham) for v in problem.variables)
-    parts = []
-    for v in problem.variables:
-        m = mats[v.key]
-        q = charges(len(v.dims), modulus)
-        i, j = np.triu_indices(v.dim, 1)
-        keep = q[i] == q[j]
-        order = np.argsort(q[i][keep], kind="stable")
-        i, j = i[keep][order], j[keep][order]
-        parts += [np.real(np.diagonal(m)), math.sqrt(2.0) * np.real(m[i, j])]
-        if complex_:
-            parts.append(math.sqrt(2.0) * np.imag(m[i, j]))
-    return np.concatenate(parts)
-
-
-def _flat_mults(problem, mults):
-    """Dense multipliers as the solver's flat vector: per constraint, its
-    in-sector entries in row-major order."""
-    modulus = _modulus(problem)
-    complex_ = any(np.iscomplexobj(v.ham) for v in problem.variables)
-    parts = [y[~off_sector(len(c.left_axes), modulus)]
-             for c, y in zip(problem.constraints, mults)]
-    return np.concatenate(parts).astype(complex if complex_ else float)
-
-
 def _rotated(geo, phase=math.pi / 4):
     """The same cluster with every site rotated by diag(1, e^{i phase})."""
     n = len(geo.dims)
@@ -1025,11 +1056,11 @@ class TestSectorEvaluation:
         comp = _compiled(prob)
         if _modulus(prob) != 1:
             assert all(len(sector_sizes(s[0])) > 1 for s in sectors(comp).values())
-        out = comp.al_eval(_pack_reference(prob, gmats), T, _flat_mults(prob, mults),
-                           pen, want_grad=True)
+        out = comp.al_eval(comp.cl.from_dense([gmats[k] for k in comp.keys]), T,
+                           comp.con.from_dense(mults), pen, want_grad=True)
         value, grads = _dense_al_reference(prob, T, gmats, mults, pen)
         assert abs(out["al"] - value) <= 1e-12 * max(1.0, abs(value))
-        expect = _pack_reference(prob, grads)
+        expect = comp.cl.from_dense([grads[k] for k in comp.keys])
         assert np.max(np.abs(out["grad"] - expect)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["ring N=6 r=2", "complex heis n=2"])
@@ -1039,7 +1070,7 @@ class TestSectorEvaluation:
         prob = self.PROBLEMS[name]()
         comp = _compiled(prob)
         gmats, mults = self._point(prob, rng, 1.5)
-        frame = _Frame(comp, _pack_reference(prob, gmats))
+        frame = _Frame(comp, comp.cl.from_dense([gmats[k] for k in comp.keys]))
         step = 0.1 * rng.standard_normal(comp.n)
         gamma = comp.cl.from_dense([rng.standard_normal(g.shape) for g in gmats.values()],
                                    frame.g0.dtype)
@@ -1050,14 +1081,16 @@ class TestSectorEvaluation:
         # as often as it occurs
         rhs = float(np.real(np.vdot(comp.cl.mult * gamma, frame.g(step) - frame.g0)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-        y = _flat_mults(prob, mults)
+        y = comp.con.from_dense(mults)
+
+        def al(x, want_grad=False):
+            return comp.al_eval(frame.g(x), 0.7, y, 3.0, want_grad)
         x0 = np.zeros(comp.n)
-        out = comp.al_eval(x0, 0.7, y, 3.0, want_grad=True, frame=frame)
+        grad = frame.grad(al(x0, want_grad=True)["grad"])
         d = rng.standard_normal(comp.n)
         eps = 1e-6
-        fp = comp.al_eval(x0 + eps * d, 0.7, y, 3.0, want_grad=False, frame=frame)["al"]
-        fm = comp.al_eval(x0 - eps * d, 0.7, y, 3.0, want_grad=False, frame=frame)["al"]
-        assert abs((fp - fm) / (2 * eps) - out["grad"] @ d) <= 1e-6 * max(1.0, abs(fp))
+        fp, fm = al(x0 + eps * d)["al"], al(x0 - eps * d)["al"]
+        assert abs((fp - fm) / (2 * eps) - grad @ d) <= 1e-6 * max(1.0, abs(fp))
 
 
 class TestCarriedPairs:
@@ -1077,8 +1110,7 @@ class TestCarriedPairs:
         members of a flip pair of parameters equal and y = s + noise, so
         s^T y > 0 is of the order of |s| |y|, as on a convex objective."""
         rng = np.random.default_rng(seed)
-        a, b = (_Frame(comp, comp.pack(comp.unpack(rng.standard_normal(comp.n))))
-                for _ in range(2))
+        a, b = (_Frame(comp, random_g(comp, rng)) for _ in range(2))
         pairs = rng.standard_normal((k, 2, comp.n))
         pairs[:, 1] = pairs[:, 0] + 0.5 * pairs[:, 1]
         pairs = comp.pack_blocks(comp.unpack_blocks(pairs))
@@ -1109,7 +1141,7 @@ class TestCarriedPairs:
         comp = self.LAYOUTS[name]()
         a, b, _ = self.frames_and_pairs(comp, 5, 1)
         rng = np.random.default_rng(6)
-        changes = [comp.unpack(rng.standard_normal(comp.n)) for _ in range(3)]
+        changes = [random_g(comp, rng) for _ in range(3)]
         y = np.array([a.grad(c) for c in changes])
         mapped = b.carry(np.stack([y, y], axis=1), a)
         assert len(mapped) == len(changes)
