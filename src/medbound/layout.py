@@ -33,13 +33,16 @@ no option and no environment setting.
 `_Flat`, the one layout class, holds the blocks of one or more matrices in
 one flat vector: the primal solver lays out all cluster states (and all
 shield marginals) as one; BP lays out one cluster and one message and runs
-several copies as rows. Its matrix functions (`eigh`, `eigvals`, `from_eig`,
-`exp`) take a flat vector, or an array of flat vectors with leading batch
-axes. One index map per partial trace (`_Flat.trace_map`) moves entries
-between layouts: read forward as a bincount (`_scatter`) it is the partial
-trace, read backward, as a bincount or as its gather, the embedding. A
-factor map (`_Flat.factor_map`) gathers a state's eigen-factor U sqrt(p)
-into factors F of a partial trace F F^dagger, logged by `_Flat.log_gram`.
+several copies as rows. Per flat entry it lists the matrix, row, column,
+multiplicity and the flat entry of the transpose (`_Flat.transpose`), from
+which the primal solver reads its inner coordinates. Its matrix functions
+(`eigh`, `eigvals`, `from_eig`, `exp`) take a flat vector, or an array of
+flat vectors with leading batch axes. One index map per partial trace
+(`_Flat.trace_map`) moves entries between layouts: read forward as a
+bincount (`_scatter`) it is the partial trace, read backward, as a bincount
+or as its gather, the embedding. A factor map (`_Flat.factor_map`) gathers
+a state's eigen-factor U sqrt(p) into factors F of a partial trace
+F F^dagger, logged by `_Flat.log_gram`.
 """
 
 from __future__ import annotations
@@ -159,7 +162,8 @@ class _Flat:
     dimensions `dims` (None: no matrix) in one flat vector: blocks of equal
     size next to each other, each matrix's blocks in its own order. Per
     flat entry `owner`, `rows`, `cols` and `mult` give its matrix, row,
-    column and multiplicity, `eig_owner` and `eig_mult` the same per
+    column and multiplicity, and `transpose` the flat entry at (col, row);
+    `eig_owner` and `eig_mult` give the matrix and multiplicity per
     eigenvalue, and `sel` the flat entries of each matrix. Every method also
     takes an array of flat vectors with leading batch axes."""
 
@@ -168,7 +172,8 @@ class _Flat:
         self.blocks = [None if d is None else _Blocks(d, rule) for d in self.dims]
         sizes = sorted({s.shape[1] for bl in self.blocks if bl is not None for s in bl.stacks})
         self.stacks = []
-        owner, rows, cols, eig_owner, mult, eig_mult = ([np.zeros(0, int)] for _ in range(6))
+        owner, rows, cols, transpose, eig_owner, mult, eig_mult = (
+            [np.zeros(0, int)] for _ in range(7))
         m_dst, m_src = [np.zeros(0, int)], [np.zeros(0, int)]
         pos = epos = 0
         for b in sizes:
@@ -182,6 +187,7 @@ class _Flat:
                                       slice(epos, epos + k * b), own))
             rows.append(np.broadcast_to(idx[:, :, None], (k, b, b)).ravel())
             cols.append(np.broadcast_to(idx[:, None, :], (k, b, b)).ravel())
+            transpose.append(pos + np.arange(k * b * b).reshape(k, b, b).swapaxes(1, 2).ravel())
             owner.append(np.repeat(own, b * b))
             eig_owner.append(np.repeat(own, b))
             mult.append(np.repeat(mu, b * b))
@@ -194,8 +200,8 @@ class _Flat:
                 m_src.append((start + np.arange(b * b)[::-1]).ravel())
             pos += k * b * b
             epos += k * b
-        self.owner, self.rows, self.cols, self.eig_owner = map(
-            np.concatenate, (owner, rows, cols, eig_owner))
+        self.owner, self.rows, self.cols, self.transpose, self.eig_owner = map(
+            np.concatenate, (owner, rows, cols, transpose, eig_owner))
         self.mult, self.eig_mult = (np.concatenate(v).astype(float) for v in (mult, eig_mult))
         self.m_dst, self.m_src = np.concatenate(m_dst), np.concatenate(m_src)
         self.diag = (self.rows == self.cols).astype(float)

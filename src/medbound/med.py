@@ -57,8 +57,11 @@ their multipliers alike. A self-mirror block is carried whole, and every
 step of G is averaged over the flip (`layout._Flat.flip_average`, which
 averages each entry of such a block with its mirror entry), so G stays
 flip-invariant. Packed parameters are only the inner coordinates of a
-`_Frame`: they keep both members of every flip pair, so the stop tests of
-L-BFGS read the vector they read without the flip. The rule is BP's
+`_Frame`, read off the layout: the upper triangle of each carried block,
+off-diagonal entries times sqrt 2, a mirror-pair block's twice. They are
+orthonormal in the inner product that counts multiplicity, and the
+duplicates keep the max-norm stop test of L-BFGS on the vector it reads
+without the flip. The rule is BP's
 (`layout._sector_rule`: U(1), then Z2, then one sector per matrix, the
 plain dense iteration; the flip when every matrix keeps it).
 
@@ -181,6 +184,14 @@ class Constraint:
     right_axes: tuple
 
 
+def _axis_dims(dims, axes) -> tuple:
+    """The local dimensions on `axes`; axes out of range or repeated raise
+    ValueError."""
+    if len(set(axes)) != len(axes) or not all(0 <= a < len(dims) for a in axes):
+        raise ValueError(f"axes {tuple(axes)} are out of range or repeated on dims {dims}")
+    return tuple(dims[a] for a in axes)
+
+
 @dataclass(frozen=True, eq=False)
 class MedProblem:
     variables: tuple
@@ -195,6 +206,18 @@ class MedProblem:
         object.__setattr__(self, "_vmap", {v.key: v for v in self.variables})
         if len(self._vmap) != len(self.variables):
             raise ValueError("duplicate cluster variable keys")
+        if not 0 < self.site_norm < math.inf:
+            raise ValueError("site_norm must be positive and finite")
+        for v in self.variables:
+            if v.ham is not None and np.shape(v.ham) != (v.dim, v.dim):
+                raise ValueError(f"the Hamiltonian of {v.key!r} is not {v.dim} x {v.dim}")
+            _axis_dims(v.dims, v.shield_axes)
+        for c in self.constraints:
+            if c.left_key not in self._vmap or c.right_key not in self._vmap:
+                raise ValueError(f"constraint on unknown cluster variables {c}")
+            if (_axis_dims(self.var(c.left_key).dims, c.left_axes)
+                    != _axis_dims(self.var(c.right_key).dims, c.right_axes)):
+                raise ValueError(f"the two sides of {c} differ in length or local dims")
 
     def var(self, key) -> VarSpec:
         try:
@@ -339,11 +362,13 @@ class _Compiled:
       an entry and its mirror (`fwd`), and the embedding is their adjoint
       in the inner products that count multiplicity (`bwd`).
     - Packing: the inner coordinates of a `_Frame`, a real vector of
-      `n` entries, hold per cluster the diagonal of a Hermitian matrix and
-      its in-sector upper triangle sector by sector, imaginary parts after
-      real ones, mirror sectors included. `unpack_blocks` gathers the
-      blocks from it, averaging each flip pair; `pack_blocks` is its
-      adjoint on Hermitian blocks.
+      `n` entries, are the carried entries on and above the block
+      diagonals, the real view's for complex blocks, then again those of
+      the blocks of multiplicity 2; off-diagonal entries are scaled by
+      sqrt 2. `pack_blocks` reads each as the mean of the entry and its
+      transpose (`_Flat.transpose`); `unpack_blocks`, its adjoint in the
+      inner product that counts multiplicity, gives each entry the mean of
+      its upper entry's coordinate and that coordinate's duplicate.
     Dense matrices appear only at the edges: the `_Flat` conversions."""
 
     def __init__(self, problem: MedProblem, rule: _Rule):
@@ -378,77 +403,42 @@ class _Compiled:
         self.src, self.tgt, weight = map(np.concatenate, (src, tgt, weight))
         self.fwd = weight / np.concatenate([sh.mult, con.mult])[self.tgt]
         self.bwd = weight / cl.mult[self.src]
-        self._packing(variables)
-        self._last = None           # [G, its _Eig, T, their _Terms]: see `exp`
 
-    def _packing(self, variables):
-        width = 1 if self.real else 2
-        off = 0
-        up, lo, wu, wl = [], [], [], []     # pack: x = wu F[up] + wl F[lo]
-        # unpack: F = sum over two rows of u_coef x[u_src], an entry's own
-        # parameters and its mirror's (its own again without one) at half weight
-        self.u_src = np.zeros((2, width * self.cl.n), int)
-        self.u_coef = np.zeros((2, width * self.cl.n))
-        for m, v in enumerate(variables):
-            d = v.dim
-            q = self.cl.blocks[m].charge
-            i, j = np.triu_indices(d, 1)
-            keep = q[i] == q[j]
-            order = np.argsort(q[i][keep], kind="stable")
-            i, j = i[keep][order], j[keep][order]
-            n_off = i.size
-            # the flat entry that carries each in-sector entry
-            fpos = np.full((d, d), -1)
-            rows, cols, src = self.cl.expansion(m)
-            fpos[rows, cols] = src
-            diag = fpos[np.arange(d), np.arange(d)]
-            half = np.concatenate([np.full(d, 0.5), np.full(n_off, 0.5 * _SQRT2)])
-            rank = np.zeros((d, d), int)
-            rank[i, j] = rank[j, i] = np.arange(n_off)
-            sel = self.cl.sel[m]
-            r, c = self.cl.rows[sel], self.cl.cols[sel]
-            pair = self.cl.mult[sel] > 1
-            mirror = (np.where(pair, d - 1 - r, r), np.where(pair, d - 1 - c, c))
-            for k, (rr, cc) in enumerate(((r, c), mirror)):
-                on_diag = rr == cc
-                re_src = off + np.where(on_diag, rr, d + rank[rr, cc])
-                re_coef = np.where(on_diag, 0.5, 0.5 / _SQRT2)
-                if self.real:
-                    self.u_src[k, sel] = re_src
-                    self.u_coef[k, sel] = re_coef
-                else:
-                    self.u_src[k, 2 * sel] = re_src
-                    self.u_coef[k, 2 * sel] = re_coef
-                    self.u_src[k, 2 * sel + 1] = np.where(on_diag, re_src,
-                                                          off + d + n_off + rank[rr, cc])
-                    self.u_coef[k, 2 * sel + 1] = np.where(on_diag, 0.0,
-                                                           np.where(rr < cc, 0.5, -0.5) / _SQRT2)
-            if self.real:
-                up += [diag, fpos[i, j]]
-                lo += [diag, fpos[j, i]]
-                wu.append(half)
-                wl.append(half)
-            else:
-                up += [2 * diag, 2 * fpos[i, j], 2 * fpos[i, j] + 1]
-                lo += [2 * diag, 2 * fpos[j, i], 2 * fpos[j, i] + 1]
-                wu += [half, np.full(n_off, 0.5 * _SQRT2)]
-                wl += [half, np.full(n_off, -0.5 * _SQRT2)]
-            off += d + width * n_off
-        self.n = off
-        self.p_up = np.concatenate(up)
-        self.p_lo = np.concatenate(lo)
-        self.p_wu = np.concatenate(wu)
-        self.p_wl = np.concatenate(wl)
+        # the inner coordinates of a `_Frame` (Packing, above)
+        rows, cols, mult, tr, sign = cl.rows, cl.cols, cl.mult, cl.transpose, np.ones(cl.n)
+        if not self.real:
+            # the real view: entry k's real part at 2k and its imaginary
+            # part at 2k + 1, read negated on a lower entry and as 0 on the
+            # diagonal, where it has no coordinate
+            rows, cols, mult = (np.repeat(a, 2) for a in (rows, cols, mult))
+            tr = (2 * tr[:, None] + np.arange(2)).ravel()
+            sign = np.stack([sign, np.sign(cl.cols - cl.rows)], axis=-1).ravel()
+        upper = np.flatnonzero((rows <= cols) & (sign != 0))
+        pair = upper[mult[upper] > 1]
+        read = np.concatenate([upper, pair])
+        scale = np.where(rows == cols, 1.0, _SQRT2)
+        self.n = read.size
+        w = 0.5 * scale[read]
+        self.pack_map = read, w * sign[read], tr[read], w * sign[tr[read]]
+        # per entry, its upper entry's coordinate and that coordinate's
+        # duplicate, the same one again where it has none
+        at = np.zeros((2, rows.size), int)
+        at[:, upper] = np.arange(upper.size)
+        at[1, pair] = np.arange(upper.size, read.size)
+        up = np.where(rows <= cols, np.arange(rows.size), tr)
+        coef = 0.5 / scale * sign
+        self.unpack_map = at[0, up], coef, at[1, up], coef
+        self._last = None           # [G, its _Eig, T, their _Terms]: see `exp`
 
     # -- packed parameters ---------------------------------------------------
 
     def unpack_blocks(self, x: np.ndarray) -> np.ndarray:
-        g = _gather_sum(x, self.u_src[0], self.u_coef[0], self.u_src[1], self.u_coef[1])
+        g = _gather_sum(x, *self.unpack_map)
         return g if self.real else g.view(complex)
 
     def pack_blocks(self, flat: np.ndarray) -> np.ndarray:
         f = flat if self.real else flat.view(float)
-        return _gather_sum(f, self.p_up, self.p_wu, self.p_lo, self.p_wl)
+        return _gather_sum(f, *self.pack_map)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -542,7 +532,9 @@ class _Frame:
     S o (U0^dagger grad_G U0).
 
     G0 is the solver's outer point, flat on `_Compiled.cl`. X is read block
-    by block (`_Compiled.unpack_blocks`): in the eigenbasis of G0 the flip
+    by block (`_Compiled.unpack_blocks`) from orthonormal coordinates, a
+    mirror-pair block's upper triangle twice, so the max-norm stop test
+    reads what it reads without the flip. In the eigenbasis of G0 the flip
     is no index map, so the average of a self-mirror block with its mirror
     is taken on the step of G and on the gradient instead
     (`_Flat.flip_average`)."""

@@ -224,3 +224,16 @@ def test_solves_run_in_256_mib_of_address_space():
         pytest.skip("RLIMIT_AS is not available")
     run = run_fresh(IN_256_MIB, timeout=120, OPENBLAS_NUM_THREADS="1")
     assert run.returncode == 0, run.stderr
+
+
+def test_only_layout_reads_the_sector_blocks():
+    # the charge of each basis state, the sector blocks of each matrix and
+    # their expansion onto mirror entries are the layout's decisions: every
+    # other module reads a `_Flat` through its flat arrays and methods
+    for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
+        if path.name == "layout.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("blocks", "charge", "expansion")), \
+                f"{path.name}:{node.lineno} reads .{node.attr}"
