@@ -14,23 +14,25 @@ log-space product,
     m_{k -> k+1}  prop  Tr_first(Lambda_k o m_{k+1->k} o m_{k-1->k}) o m_{k+1->k}^{-1}
     rho_k         prop  Lambda_k o m_{k+1->k} o m_{k-1->k}
 
-The bound is the MED objective at the BP point G_k = log Lambda_k + the
-incoming logs, on the primal solver's cached layout (`med._Compiled`): both
-solvers read one problem description. The inverse factors only drop out
-when partial trace and the log-space product commute (classical case).
+The inverse factors only drop out when partial trace and the log-space
+product commute (classical case).
 
 Messages are positive definite operators on the n-site overlaps, carried as
-their logs. A BP state is the unit-trace logs of its messages, the
-multipliers of the consistency constraints. An update adds the incoming logs
-to log Lambda_k, takes one eigendecomposition U diag(p) U^dagger of the
-cluster belief, logs the marginals it sends and subtracts the incoming logs.
-A marginal is F F^dagger, F the eigen-factor U sqrt(p) with its rows
-gathered over the traced site; its log, from the SVD of F, keeps the small
-eigenvalues that a dense partial trace and eigh round off at about 1e-16
-absolute: at the TFIM n=4 T=0.1 fixed point the smallest, 2.76e-13, is
-within 3e-13 relative of a 40-digit value (dense: 2.5e-5). Beliefs and the
-bound read the carried logs as they are. Open chains use identity messages
-beyond both ends.
+their logs. A BP state is the unit-trace logs of its messages. The message
+equations are the stationarity conditions of the MED objective, so a state
+is a primal point (`bp_point`) on the primal solver's cached layout
+(`med._Compiled`): G_k = log Lambda_k plus the incoming logs, and -T times
+the unit-trace log of its "L" message on constraint j. The bound, the
+beliefs and the consistency are read off it, so both solvers read one
+problem description. An update adds the incoming logs to log Lambda_k, takes
+one eigendecomposition U diag(p) U^dagger of the cluster belief, logs the
+marginals it sends and subtracts the incoming logs. A marginal is
+F F^dagger, F the eigen-factor U sqrt(p) with its rows gathered over the
+traced site; its log, from the SVD of F, keeps the small eigenvalues that a
+dense partial trace and eigh round off at about 1e-16 absolute: at the TFIM
+n=4 T=0.1 fixed point the smallest, 2.76e-13, is within 3e-13 relative of a
+40-digit value (dense: 2.5e-5). Beliefs and the bound read the carried logs
+as they are. Open chains use identity messages beyond both ends.
 
 Rounds. A round sends every message once. An open chain sweeps forward
 (right-moving messages), then backward, and each step writes its new logs
@@ -68,16 +70,14 @@ round's output G(x), so both read as they would without the mix.
 
 Layout. A problem is compiled once per sector rule, into a `_Layout` cached
 on it: one cluster and one message `_Flat` of `medbound.layout`. Cluster
-logs, beliefs, messages and message logs are rows of flat vectors, and a
-matrix function is one batched call per block size over all the rows it acts
-on. Each side of a cluster, its first or its last n sites, has one index
-map (`_Flat.trace_map`), built with the layout: embedding an incoming log on
-those sites is the map's gather, with a zero slot for the entries it does
-not reach, and the partial trace onto them is the same map read the other
-way, one bincount per row. The marginals a step logs come from each side's
-factor map (`_Flat.factor_map`), built with it: one batched SVD per message
-stack. No step builds a map. Dense matrices appear only at the interface:
-the logs of `BPState`, the messages `bp_update` returns and the beliefs.
+logs, messages and message logs are rows of flat vectors, and a matrix
+function is one batched call per block size over all the rows it acts on.
+Each side of a cluster, its first or its last n sites, has an embedding
+gather (`_Flat.trace_map`'s `at`, with a zero slot for the entries it does
+not reach) and a factor map (`_Flat.factor_map`, one batched SVD per
+message stack), both built with the layout, so no step builds a map. Dense
+matrices appear only at the interface: the logs of `BPState`, the messages
+`bp_update` returns and the beliefs.
 
 The restriction to sectors is exact. Here the charge is the total charge
 mod the modulus the sector rule picks (`layout._sector_rule`: U(1), then
@@ -125,7 +125,7 @@ from medbound.lattice import (  # noqa: F401
     finite_geometry,
     ti_chain_geometry,
 )
-from medbound.layout import _Flat, _Rule, _scatter, _sector_rule
+from medbound.layout import _Flat, _Rule, _sector_rule
 from medbound.med import (
     Constraint,
     MedProblem,
@@ -151,6 +151,7 @@ __all__ = [
     "bp_chain_problem",
     "bp_update",
     "bp_fixed_point",
+    "bp_point",
     "beliefs_from_messages",
     "belief_consistency",
     "bp_free_energy",
@@ -170,7 +171,7 @@ class BPConfig:
     with random complex Hermitian cluster Hamiltonians, stopping at 1e-8 left
     `bp_free_energy` up to 3.8e-8 (T = 1.0) and 6.4e-8 (T = 0.7) from its
     value at 1e-13. A stop on the certified gap would bound that (ROADMAP
-    item 3). `max_iters` caps the number of rounds."""
+    item 5). `max_iters` caps the number of rounds."""
 
     tol_residual: float = 1e-8
     max_iters: int = 10000
@@ -276,13 +277,12 @@ class _Layout:
       each in `names` order, plus a zero row standing for "no message"
       (beyond an open end) and a zero column, the slot of the cluster
       entries an embedding does not reach.
-    - `maps`: per side ("L": the first n sites, "R": the last n), the index
-      map of the partial trace onto those sites (`_Flat.trace_map`): the
-      cluster entries it reads, the message entries they feed, their
-      weights, and per cluster entry the message entry embedded there.
+    - `embed`: per side ("L": the first n sites, "R": the last n), the
+      message entry embedded at each cluster entry (`_Flat.trace_map`'s
+      `at`), the zero column where there is none.
     - `factors`: per tuple of sides a step sends to, their factor maps
       (`_Flat.factor_map`), one (sides, k, b, C) array per message stack.
-      A step builds no map: it gathers, and `marginals` bincounts."""
+      A step builds no map: it gathers."""
 
     def __init__(self, problem: BPProblem, rule: _Rule):
         variables = problem.problem.variables
@@ -294,10 +294,9 @@ class _Layout:
         self.dim = int(np.prod(variables[0].dims[:n]))
         self.lam = -c.from_dense([np.array([v.ham for v in variables])]) / problem.T
         labels = m.to_dense(np.arange(1.0, m.n + 1.0))[0]
-        self.maps, factors = {}, []
+        self.embed, factors = {}, []
         for side, axes in (("L", range(n)), ("R", range(1, n + 1))):
-            src, tgt, count, at = c.trace_map(0, labels, axes)
-            self.maps[side] = src, tgt, count / m.mult[tgt], np.where(at < 0, m.n, at)
+            self.embed[side] = np.where((at := c.trace_map(0, labels, axes)[3]) < 0, m.n, at)
             factors.append(c.factor_map(0, m, tuple(axes)))
         both = [np.stack(pair) for pair in zip(*factors)]     # "L" and "R" per message stack
         self.factors = {sides: [a[rows] for a in both] for sides, rows in zip(
@@ -339,17 +338,8 @@ class _Layout:
         """log Lambda plus the embedded incoming logs, one row per cluster of
         the slice `rows`: the BP point G_k."""
         left, right = self.incoming[rows].T
-        return (self.lam[rows] + store[left].take(self.maps["L"][3], axis=1)
-                + store[right].take(self.maps["R"][3], axis=1))
-
-    def marginals(self, rho, sides) -> np.ndarray:
-        """The partial trace of row j of `rho` onto the sites side sides[j]
-        sends on, one row each."""
-        out = np.empty((len(sides), self.msg.n), dtype=rho.dtype)
-        for j, (row, side) in enumerate(zip(rho, sides)):
-            src, tgt, weight, _ = self.maps[side]
-            out[j] = _scatter(tgt, row.take(src) * weight, self.msg.n)
-        return out
+        return (self.lam[rows] + store[left].take(self.embed["L"], axis=1)
+                + store[right].take(self.embed["R"], axis=1))
 
     def outgoing(self, store, i: int, sides) -> np.ndarray:
         """Logs (up to a scalar) of the messages cluster i sends to `sides`
@@ -373,15 +363,6 @@ class _Layout:
         normalized exponentials, from one batched eigendecomposition."""
         eig = self.msg.exp(logs)
         return self.msg.unit_log(logs, eig), eig.rho
-
-    def beliefs(self, store):
-        """All cluster beliefs and the overlap belief of every constraint,
-        from the message logs in `store`."""
-        rho = self.cluster.exp(self.cluster_logs(store, slice(None))).rho
-        # overlap j is crossed by the messages in store rows e + j ("L") and j ("R")
-        e = len(self.edges)
-        sigma = self.msg.exp(store[e:2 * e, :-1] + store[:e, :-1]).rho
-        return rho, sigma
 
 
 def _layout(problem: BPProblem, logs=()) -> _Layout:
@@ -521,46 +502,61 @@ class _Anderson:
 
 
 # ---------------------------------------------------------------------------
-# beliefs and the free energy
+# the BP point and what is read off it
 # ---------------------------------------------------------------------------
 
-def beliefs_from_messages(state: BPState, problem: BPProblem):
-    """Cluster beliefs rho_k and overlap beliefs sigma_k (keyed by the
-    cluster right of the overlap).
+def _point(lay: _Layout, store: np.ndarray, problem: BPProblem):
+    """The primal layout of `lay`'s rule and the BP point of the logs in
+    `store` on it (`bp_point`): under one rule, one-matrix layouts list a
+    matrix's entries in the primal layout's order. "L" of constraint j is
+    store row e + j."""
+    comp, e, point = _compiled(problem.problem, lay.rule), len(lay.edges), {}
+    for name, flat, rows in (("g", comp.cl, lay.cluster_logs(store, slice(None))),
+                             ("y", comp.con, -problem.T * store[e:2 * e, :-1])):
+        point[name] = np.empty(flat.n, dtype=rows.dtype)
+        point[name][np.argsort(flat.owner, kind="stable")] = rows.ravel()
+    return comp, point
 
-    rho_k is the normalized exponential of log Lambda_k plus the logs of
-    the messages it receives, sigma_k that of the logs of the two messages
-    crossing the edge (the stationarity condition for the overlap state),
-    both read from the state's carried logs."""
+
+def bp_point(state: BPState, problem: BPProblem) -> dict:
+    """A BP state as a primal point ``{"g": G, "y": multipliers}``, in the
+    shape of `med.solve`'s ``meta["warm"]``, on the primal layout of the
+    state's sector rule (module docstring); at a fixed point the primal
+    Lagrangian is stationary there. `med.solve` and `med.cluster_states`
+    take it when the logs keep the Hamiltonians' rule, as loop output does."""
+    return _point(*_state_store(state, problem), problem)[1]
+
+
+def beliefs_from_messages(state: BPState, problem: BPProblem):
+    """Cluster beliefs rho_k, exp(G_k) normalized at the BP point
+    (`bp_point`), and overlap beliefs sigma_k, keyed by the cluster right of
+    the overlap: the normalized exponential of the logs of the two messages
+    crossing it (the stationarity condition for the overlap state)."""
     lay, store = _state_store(state, problem)
-    rho, sigma = lay.beliefs(store)
-    beliefs = dict(zip(lay.keys, lay.cluster.to_dense(rho)[0]))
-    edges = [lay.keys[b] for _, b in lay.edges]
-    return beliefs, dict(zip(edges, lay.msg.to_dense(sigma)[0]))
+    comp, point = _point(lay, store, problem)
+    # overlap j is crossed by the messages in store rows e + j ("L") and j ("R")
+    e = len(lay.edges)
+    sigma = lay.msg.to_dense(lay.msg.exp(store[e:2 * e, :-1] + store[:e, :-1]).rho)[0]
+    return (dict(zip(comp.keys, comp.cl.to_dense(comp.cl.exp(point["g"]).rho))),
+            dict(zip([lay.keys[b] for _, b in lay.edges], sigma)))
 
 
 def belief_consistency(state: BPState, problem: BPProblem) -> float:
-    """Largest trace distance between cluster marginals and the overlap
-    beliefs; at an exact fixed point this vanishes."""
-    lay, store = _state_store(state, problem)
-    rho, sigma = lay.beliefs(store)
-    # both clusters of every overlap: the right one's first n sites and the
-    # left one's last n against the overlap belief
-    rows = [i for a, b in lay.edges for i in (b, a)]
-    marg = lay.marginals(rho[rows], ["L", "R"] * len(lay.edges))
-    return float(lay.distance(marg, np.repeat(sigma, 2, axis=0)).max(initial=0.0))
+    """Largest trace distance between the two cluster marginals of an
+    overlap at the BP point, half the trace norm of the constraint's primal
+    residual (`med._Terms.R`); at an exact fixed point this vanishes."""
+    comp, point = _point(*_state_store(state, problem), problem)
+    con = comp.con
+    residual = comp.terms(comp.cl.exp(point["g"]), problem.T).R
+    norm = np.bincount(con.eig_owner, con.eig_mult * np.abs(con.eigvals(residual)), con.n_mats)
+    return float(0.5 * norm.max(initial=0.0))
 
 
 def bp_free_energy(state: BPState, problem: BPProblem) -> float:
-    """The MED objective of the problem at the BP point (per site for the
-    translation-invariant chain, total for a finite chain)."""
+    """The MED objective of the problem at the BP point (`bp_point`), per
+    site for the translation-invariant chain, total for a finite chain."""
     if not state.converged:
         warnings.warn("evaluating the free energy on a non-converged state",
                       RuntimeWarning, stacklevel=2)
-    lay, store = _state_store(state, problem)
-    comp = _compiled(problem.problem, lay.rule)
-    logs = lay.cluster_logs(store, slice(None))
-    # under one rule both layouts list a cluster's entries in the same order
-    g = np.empty(comp.cl.n, dtype=logs.dtype)
-    g[np.concatenate(comp.cl.sel)] = logs.ravel()
-    return _total(comp.terms(comp.cl.exp(g), problem.T).value)
+    comp, point = _point(*_state_store(state, problem), problem)
+    return _total(comp.terms(comp.cl.exp(point["g"]), problem.T).value)

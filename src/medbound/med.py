@@ -75,8 +75,8 @@ maps. One objective evaluation therefore makes a fixed number of batched
 calls per block size, however many clusters, constraints and sectors the
 problem has. The solver's point is G and the multipliers on those layouts,
 and a result holds them, not dense states: dense matrices appear only at
-the interface, in `cluster_states` (a result's states, rebuilt from its G)
-and in the layout's dense reference objective, `markov_free_energy`.
+the interface, in `cluster_states` (the states at a result's or a BP
+state's point) and in the dense reference objective, `markov_free_energy`.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ from medbound.lattice import (
     FiniteGeometry,
     TIGeometry,
     _is_count,
+    _is_int,
 )
 from medbound.layout import (
     _Eig,
@@ -185,10 +186,10 @@ class Constraint:
 
 
 def _axis_dims(dims, axes) -> tuple:
-    """The local dimensions on `axes`; axes out of range or repeated raise
-    ValueError."""
-    if len(set(axes)) != len(axes) or not all(0 <= a < len(dims) for a in axes):
-        raise ValueError(f"axes {tuple(axes)} are out of range or repeated on dims {dims}")
+    """The local dimensions on `axes`; axes that are not integers, out of
+    range or repeated raise ValueError."""
+    if len(set(axes)) != len(axes) or not all(_is_int(a) and 0 <= a < len(dims) for a in axes):
+        raise ValueError(f"axes {tuple(axes)} of {dims}: non-integer, out of range or repeated")
     return tuple(dims[a] for a in axes)
 
 
@@ -209,6 +210,8 @@ class MedProblem:
         if not 0 < self.site_norm < math.inf:
             raise ValueError("site_norm must be positive and finite")
         for v in self.variables:
+            if not all(_is_count(d) for d in v.dims):
+                raise ValueError(f"the dims of {v.key!r} are not integers >= 1: {v.dims}")
             if v.ham is not None and np.shape(v.ham) != (v.dim, v.dim):
                 raise ValueError(f"the Hamiltonian of {v.key!r} is not {v.dim} x {v.dim}")
             _axis_dims(v.dims, v.shield_axes)
@@ -615,8 +618,8 @@ def _scipy_minimize(fun, x0, **kwargs):
 
 
 def _warm_point(comp: _Compiled, warm: dict):
-    """G (on `comp.cl`) and the multipliers (on `comp.con`) of a result's
-    ``meta["warm"]``; those of another problem raise ValueError."""
+    """G (on `comp.cl`) and the multipliers (on `comp.con`) of a point (a
+    ``meta["warm"]`` or `bp_point`); another problem's raise ValueError."""
     g, y = warm["g"], warm["y"]
     if np.shape(g) != (comp.cl.n,) or np.shape(y) != (comp.con.n,):
         raise ValueError("the warm start is for another problem")
@@ -720,12 +723,12 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
 # dense states
 # ---------------------------------------------------------------------------
 
-def cluster_states(problem: MedProblem, result: MedResult) -> dict:
-    """The cluster states of a `solve` result on `problem`, keyed like its
-    variables: exp(G)/Tr exp(G) at the G of ``result.meta["warm"]``, bit for
-    bit those the solver evaluated last. Another problem's raise ValueError."""
+def cluster_states(problem: MedProblem, point: dict) -> dict:
+    """The states exp(G)/Tr exp(G), keyed like the variables, at a point of
+    `problem`: a result's ``meta["warm"]`` (bit for bit the states it read
+    last) or a `bpdual.bp_point`. Another problem's raise ValueError."""
     comp = _compiled(problem)
-    g, _ = _warm_point(comp, result.meta["warm"])
+    g, _ = _warm_point(comp, point)
     return dict(zip(comp.keys, comp.cl.to_dense(comp.cl.exp(g).rho)))
 
 

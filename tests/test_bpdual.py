@@ -22,6 +22,7 @@ from medbound.bpdual import (
     bp_chain_problem,
     bp_fixed_point,
     bp_free_energy,
+    bp_point,
     bp_ti_problem,
     bp_update,
 )
@@ -235,6 +236,11 @@ class TestFixedPoint:
         terms, sites = build_lattice(spec, HEIS)
         exact = exact_free_energy(total_hamiltonian(terms, sites), 1.0).f_total
         assert abs(bp_free_energy(state, prob) - exact) <= 1e-12
+        # no constraint: the point has no multipliers, and nothing to tie
+        point = bp_point(state, prob)
+        assert point["y"].shape == (0,) and belief_consistency(state, prob) == 0.0
+        states = cluster_states(prob.problem, point)
+        assert abs(markov_free_energy(states, prob.problem, 1.0) - exact) <= 1e-12
         if n_sites == 3:
             assert abs(exact - (-2.288758575298)) <= 1e-12
 
@@ -695,7 +701,7 @@ class TestBeliefs:
         primal = finite_problem(finite_geometry(spec, ISING, radius=1))
         res = solve(primal, t, SolverConfig(tol_gradient=1e-8, tol_constraint=1e-9,
                                             max_inner=3000))
-        states = cluster_states(primal, res)
+        states = cluster_states(primal, res.meta["warm"])
         for k, rho in beliefs.items():
             assert trace_distance(rho, states[k]) <= 1e-8
 
@@ -729,6 +735,11 @@ class TestBoundAtTheBPPoint:
         ref = markov_free_energy(beliefs, prob.problem, prob.T)
         assert abs(bp_free_energy(broken, prob) - ref) <= 1e-12
         assert set(prob.problem._layouts) == {_Rule(0, flip=True), _Rule(0, flip=False)}
+        # its point lies on that layout, not on the one `solve` reads
+        point = bp_point(broken, prob)
+        assert point["g"].shape == (_compiled(prob.problem, _Rule(0, flip=False)).cl.n,)
+        with pytest.raises(ValueError, match="another problem"):
+            cluster_states(prob.problem, point)
 
     @pytest.mark.parametrize("make", [
         *(lambda n=n: bp_ti_problem(HEIS, n, 0.5) for n in (2, 3, 4, 5, 6)),
@@ -749,6 +760,60 @@ class TestBoundAtTheBPPoint:
         bp_free_energy(state, prob)
         layouts = list(prob.problem._layouts.values())
         assert len(layouts) == 1 and layouts[0] is _compiled(prob.problem)
+
+
+# the benchmark's BP cases: 15 translation-invariant chains and three open
+# N=16 Heisenberg chains
+BP_CHAIN_CASES = (
+    [(HEIS, n, t) for n in (4, 5, 6) for t in (0.3, 0.5, 1.0)]
+    + [(TFIM, n, t) for n, t in ((4, 0.3), (4, 0.5), (4, 1.0), (5, 0.5), (5, 1.0), (6, 1.0))]
+    + [(LatticeSpec("chain", 16), HEIS, n, 0.5) for n in (2, 3, 4)])
+
+
+def _case_id(case):
+    *spec, model, n, t = case
+    return f"{'open N=16 ' if spec else 'ti '}{model.name[:4]} n={n} T={t}"
+
+
+@pytest.fixture(scope="module", params=BP_CHAIN_CASES, ids=_case_id)
+def bp_case(request):
+    """A benchmark BP problem and its fixed point."""
+    *spec, model, n, t = request.param
+    prob = bp_chain_problem(*spec, model, n, t) if spec else bp_ti_problem(model, n, t)
+    return prob, bp_fixed_point(prob)
+
+
+class TestBPPoint:
+    """A BP fixed point is a primal point: G, and on each constraint -T
+    times the unit-trace log of its "L" message (the one its right cluster
+    sends its left one), on the primal layout."""
+
+    def test_primal_lagrangian_is_stationary(self, bp_case):
+        # measured at most 8.8e-10; the "R" log or the opposite sign gives
+        # about 1e-2
+        prob, state = bp_case
+        assert state.converged
+        point = bp_point(state, prob)
+        comp = _compiled(prob.problem)
+        grad = comp.al_eval(point["g"], prob.T, point["y"], 0.0, True)["grad"]
+        assert np.max(np.abs(grad)) <= 1e-8
+
+    def test_states_at_the_point_give_the_bound(self, bp_case):
+        # measured at most 2.7e-15
+        prob, state = bp_case
+        states = cluster_states(prob.problem, bp_point(state, prob))
+        f = markov_free_energy(states, prob.problem, prob.T)
+        assert abs(f - bp_free_energy(state, prob)) <= 1e-12
+
+    @pytest.mark.parametrize("model", [HEIS, TFIM], ids=["heis", "tfim"])
+    def test_primal_solve_from_the_point_takes_no_step(self, model):
+        # a cold start takes 94 inner iterations on Heisenberg; on the TFIM
+        # it ends unconverged after 17,306
+        prob = bp_ti_problem(model, 4, 0.5)
+        state = bp_fixed_point(prob)
+        res = solve(prob.problem, prob.T, warm=bp_point(state, prob))
+        assert res.converged and res.iterations == 0
+        assert res.f_per_site == bp_free_energy(state, prob)
 
 
 class TestInverseFactors:
@@ -968,6 +1033,15 @@ class TestStateOfAnotherProblem:
         with pytest.raises(ValueError, match="another problem"):
             beliefs_from_messages(state, prob)
 
+    def test_point_of_another_problem_rejected(self):
+        state = bp_fixed_point(bp_ti_problem(HEIS, 4, 0.5))
+        with pytest.raises(ValueError, match="another problem"):
+            bp_point(state, bp_ti_problem(HEIS, 2, 0.5))
+        prob = bp_ti_problem(HEIS, 2, 0.5)
+        point = bp_point(bp_fixed_point(prob), prob)
+        with pytest.raises(ValueError, match="another problem"):
+            solve(bp_ti_problem(HEIS, 3, 0.5).problem, 0.5, warm=point)
+
     def test_open_chain_names_checked(self):
         prob = bp_chain_problem(LatticeSpec("chain", 5), HEIS, 2, 0.5)
         state = bp_fixed_point(prob)
@@ -980,7 +1054,8 @@ class TestStateOfAnotherProblem:
         beliefs_from_messages,
         belief_consistency,
         bp_free_energy,
-    ], ids=["update", "beliefs", "consistency", "free energy"])
+        bp_point,
+    ], ids=["update", "beliefs", "consistency", "free energy", "point"])
     def test_nonfinite_logs_rejected(self, read, bad):
         # before: a NaN log raised LinAlgError "Eigenvalues did not
         # converge" from LAPACK, and an infinite one gave a bound of nan
@@ -1016,6 +1091,7 @@ class TestOneLayoutPerProblem:
         beliefs_from_messages(state, prob)
         belief_consistency(state, prob)
         bp_free_energy(state, prob)
+        bp_point(state, prob)
         assert built == [_Rule(0, flip=True)]
         assert list(prob._layouts) == built
 
@@ -1078,6 +1154,7 @@ class TestOneLayoutPerProblem:
             beliefs_from_messages(s, prob)
             belief_consistency(s, prob)
             bp_free_energy(s, prob)
+            bp_point(s, prob)
         assert built == [_Rule(0, flip=True), _Rule(0, flip=False)]
 
     @pytest.mark.parametrize("make", [

@@ -243,12 +243,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="not 8 x 8"):
             self.problem(dataclasses.replace(self.VAR, ham=np.zeros(shape)))
 
-    @pytest.mark.parametrize("axes", [(0, 3), (-1,), (1, 1)])
+    @pytest.mark.parametrize("dims", [(2, 0), (2, 2.5)])
+    def test_bad_dims_rejected(self, dims):
+        # before: both were accepted, and (2, 0) failed inside `solve` with
+        # an IndexError from `maximum.reduceat`
+        with pytest.raises(ValueError, match="dims of 'a' are not integers"):
+            self.problem(VarSpec("a", dims))
+
+    @pytest.mark.parametrize("axes", [(0, 3), (-1,), (1, 1), (1.5,)])
     def test_bad_shield_axes_rejected(self, axes):
+        # before: 1.5 raised TypeError from `dims[a]`
         with pytest.raises(ValueError, match="out of range or repeated"):
             self.problem(dataclasses.replace(self.VAR, shield_axes=axes))
 
-    @pytest.mark.parametrize("left, right", [((1, 3), (0, 1)), ((1, 2), (0, 0))])
+    @pytest.mark.parametrize("left, right", [((1, 3), (0, 1)), ((1, 2), (0, 0)),
+                                             ((1, 2), (0, 1.0))])
     def test_bad_constraint_axes_rejected(self, left, right):
         with pytest.raises(ValueError, match="out of range or repeated"):
             self.problem(constraints=[Constraint("a", left, "a", right)])
@@ -420,21 +429,21 @@ class TestClusterStates:
     def test_states_give_the_result_value(self):
         prob = ti_problem(ti_chain_geometry(HEIS, 2))
         res = solve(prob, 0.7)
-        states = cluster_states(prob, res)
+        states = cluster_states(prob, res.meta["warm"])
         assert set(states) == {"ti"} and states["ti"].shape == (8, 8)
         assert abs(markov_free_energy(states, prob, 0.7) - res.f_per_site) <= 1e-12
 
     def test_p_min_is_the_smallest_eigenvalue_of_each_state(self):
         prob = ti_problem(ti_chain_geometry(HEIS, 2))
         res = solve(prob, 1.0)
-        p_min = np.linalg.eigvalsh(cluster_states(prob, res)["ti"]).min()
+        p_min = np.linalg.eigvalsh(cluster_states(prob, res.meta["warm"])["ti"]).min()
         assert res.meta["p_min"] == pytest.approx([p_min], rel=1e-12, abs=0.0)
         assert json.loads(json.dumps(res.meta["p_min"])) == res.meta["p_min"]
 
     def test_other_problems_result_rejected(self):
         res = solve(ti_problem(ti_chain_geometry(HEIS, 2)), 1.0)
         with pytest.raises(ValueError, match="another problem"):
-            cluster_states(ti_problem(ti_chain_geometry(HEIS, 3)), res)
+            cluster_states(ti_problem(ti_chain_geometry(HEIS, 3)), res.meta["warm"])
 
     def test_result_holds_only_g_and_the_multipliers(self):
         prob = finite_problem(finite_geometry(LatticeSpec("chain", 4), HEIS, radius=1))
@@ -902,7 +911,7 @@ class TestSectors:
         prob = ti_problem(ti_chain_geometry(HEIS, 4))
         res = solve(prob, 0.5)
         assert res.converged
-        assert np.all(cluster_states(prob, res)["ti"][off_sector(5)] == 0.0)
+        assert np.all(cluster_states(prob, res.meta["warm"])["ti"][off_sector(5)] == 0.0)
         assert abs(res.f_per_site - (-0.5385956078726468)) <= 1e-6
 
 
@@ -1288,6 +1297,6 @@ class TestComplexMode:
         rot_prob = ti_problem(rot)
         cplx = solve(rot_prob, 1.0, TIGHT)
         assert real.converged and cplx.converged
-        assert np.iscomplexobj(cluster_states(rot_prob, cplx)["ti"])
+        assert np.iscomplexobj(cluster_states(rot_prob, cplx.meta["warm"])["ti"])
         assert np.iscomplexobj(cplx.meta["warm"]["y"])
         assert abs(cplx.f_per_site - real.f_per_site) <= 2e-7
