@@ -68,10 +68,11 @@ The residual is the largest trace distance that one plain round moves a
 message from the point the round started at, and the returned state is that
 round's output G(x), so both read as they would without the mix.
 
-Layout. A problem is compiled once per sector rule, into a `_Layout` cached
-on it: one cluster and one message `_Flat` of `medbound.layout`. Cluster
-logs, messages and message logs are rows of flat vectors, and a matrix
-function is one batched call per block size over all the rows it acts on.
+Layout. A problem is compiled once, under its Hamiltonians' sector rule,
+into a `_Layout` cached on it: one cluster and one message `_Flat` of
+`medbound.layout`. Cluster logs, messages and message logs are rows of
+flat vectors, and a matrix function is one batched call per block size
+over all the rows it acts on.
 Each side of a cluster, its first or its last n sites, has an embedding
 gather (`_Flat.trace_map`'s `at`, with a zero slot for the entries it does
 not reach) and a factor map (`_Flat.factor_map`, one batched SVD per
@@ -88,22 +89,22 @@ charge-commuting state commutes with the charge of the sites it keeps, and
 logs, differences, real combinations (damping and Anderson mixes) and
 normalization keep that. The dense iteration would therefore stay block
 diagonal in exact arithmetic; the block iteration keeps the off-sector
-zeros exact. The rule is the primal solver's, with the message logs a
-caller passes in checked too; with one sector the same code runs on one
-block per matrix.
+zeros exact. The rule is the primal solver's; with one sector the same
+code runs on one block per matrix. A state's logs must lie on the layout:
+an entry off its sectors, or a flip it keeps broken, raises ValueError.
 
 The global flip of the local index (X on every qubit) is exact in the same
-way: when every log Lambda_k and every given log is invariant under it,
-so is every iterate, since the identity start messages are, and sums of
-logs, exponentials, partial traces (the flip acts site by site), logs and
-real combinations map flip-invariant operators to flip-invariant ones.
+way: when every log Lambda_k is invariant under it, so is every iterate,
+since the identity start messages are, and sums of logs, exponentials,
+partial traces (the flip acts site by site), logs and real combinations
+map flip-invariant operators to flip-invariant ones.
 The layout then carries each mirror pair of sector blocks once. The
 trace distance of the residual and the Anderson least squares count every
 carried entry by its multiplicity (components weighed by sqrt(mult)), so
 the iteration is the U(1) one in exact arithmetic. The returned logs are
 symmetrized, each entry of a self-mirror block averaged with its mirror
 entry (`_Flat.flip_average`, the primal solver's average too), since
-roundoff leaves such a block about 1e-13 off invariant: a state reads as
+roundoff leaves such a block about 1e-13 off invariant: a state lies on
 the layout its loop ran on.
 """
 
@@ -112,6 +113,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,11 +127,12 @@ from medbound.lattice import (  # noqa: F401
     finite_geometry,
     ti_chain_geometry,
 )
-from medbound.layout import _Flat, _Rule, _sector_rule
+from medbound.layout import _Flat, _Rule
 from medbound.med import (
     Constraint,
     MedProblem,
     VarSpec,
+    _Compiled,
     _compiled,
     _total,
     ti_problem,
@@ -202,7 +205,6 @@ class BPProblem:
     problem: MedProblem     # chain windows and their overlap constraints
     T: float
     ti: bool = field(init=False, repr=False)    # one window tied to itself
-    _layouts: dict = field(default_factory=dict, init=False, repr=False)  # by rule (`_layout`)
 
     def __post_init__(self):
         """Reject any other shape: windows of n+1 sites on one dims tuple
@@ -227,6 +229,11 @@ class BPProblem:
                         and tuple(v.shield_axes) == (first if self.ti or i else ())
                         for i, v in enumerate(variables))):
             raise ValueError("BP runs on chain windows tied last n sites to first n")
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        """The layout of the Hamiltonians' rule (`MedProblem._rule`)."""
+        return _Layout(self, self.problem._rule)
 
 
 def bp_ti_problem(model: ModelSpec, n: int, T: float) -> BPProblem:
@@ -265,8 +272,8 @@ def bp_chain_problem(spec: LatticeSpec, model: ModelSpec, n: int, T: float) -> B
 # ---------------------------------------------------------------------------
 
 class _Layout:
-    """A BP problem laid out under one sector rule, built once and cached on
-    the problem (`_layout`).
+    """A BP problem laid out under one sector rule; the problem caches the
+    one of its Hamiltonians' rule (`_layout`).
 
     - `cluster`/`msg`: block layouts of one (n+1)-site cluster matrix and
       one n-site message, used with one row per matrix; `lam` holds
@@ -286,7 +293,6 @@ class _Layout:
 
     def __init__(self, problem: BPProblem, rule: _Rule):
         variables = problem.problem.variables
-        self.rule = rule
         n = len(variables[0].dims) - 1
         self.cluster = c = _Flat([variables[0].dims], rule)
         self.msg = m = _Flat([variables[0].dims[:n]], rule)
@@ -365,31 +371,28 @@ class _Layout:
         return self.msg.unit_log(logs, eig), eig.rho
 
 
-def _layout(problem: BPProblem, logs=()) -> _Layout:
-    """The layout under the sector rule of the cluster Hamiltonians (read
-    once per problem, `MedProblem._rule`) and the given message logs, cached
-    on the problem."""
-    dims = problem.problem.variables[0].dims[1:]
-    rule = _sector_rule([(m, dims) for m in logs], problem.problem._rule)
-    lay = problem._layouts.get(rule)
-    if lay is None:
-        lay = problem._layouts[rule] = _Layout(problem, rule)
-    return lay
+def _layout(problem: BPProblem) -> _Layout:
+    """The problem's one layout (`BPProblem._layout`), built at first use."""
+    return problem._layout
 
 
 def _state_store(state: BPState, problem: BPProblem):
     """The layout of a state's problem and the store of its message logs.
     Logs of another problem (other names, or not dim x dim on the problem's
-    n-site overlap) or not finite raise ValueError."""
+    n-site overlap), not finite, or off the layout (an entry off its sectors
+    or moved by the flip it keeps: `to_dense` drops the one, `flip_average`
+    of a self-mirror block, carried whole, moves the other) raise ValueError."""
     lay = _layout(problem)
     if (set(state.logs) != set(lay.names)
             or any(np.shape(m) != (lay.dim, lay.dim) for m in state.logs.values())):
         raise ValueError("the message logs are for another problem")
     if not all(np.isfinite(m).all() for m in state.logs.values()):
         raise ValueError("the message logs are not finite")
-    lay = _layout(problem, state.logs.values())
     rows = np.reshape([state.logs[name] for name in lay.names], (-1, lay.dim, lay.dim))
-    return lay, lay.store(lay.msg.from_dense([rows]))
+    flat = lay.msg.from_dense([rows])
+    if not np.array_equal(lay.msg.to_dense(lay.msg.flip_average(flat))[0], rows):
+        raise ValueError("the message logs break a symmetry of the problem's Hamiltonians")
+    return lay, lay.store(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -505,26 +508,32 @@ class _Anderson:
 # the BP point and what is read off it
 # ---------------------------------------------------------------------------
 
-def _point(lay: _Layout, store: np.ndarray, problem: BPProblem):
-    """The primal layout of `lay`'s rule and the BP point of the logs in
-    `store` on it (`bp_point`): under one rule, one-matrix layouts list a
-    matrix's entries in the primal layout's order. "L" of constraint j is
-    store row e + j."""
-    comp, e, point = _compiled(problem.problem, lay.rule), len(lay.edges), {}
+def _point(lay: _Layout, store: np.ndarray, comp: _Compiled, T: float) -> dict:
+    """The BP point (`bp_point`) at temperature T of the logs in `store`, on
+    `comp`, the primal layout (`med._Compiled`) of `lay`'s rule: under one
+    rule, one-matrix layouts list a matrix's entries in the primal layout's
+    order. "L" of constraint j is store row e + j."""
+    e, point = len(lay.edges), {}
     for name, flat, rows in (("g", comp.cl, lay.cluster_logs(store, slice(None))),
-                             ("y", comp.con, -problem.T * store[e:2 * e, :-1])):
+                             ("y", comp.con, -T * store[e:2 * e, :-1])):
         point[name] = np.empty(flat.n, dtype=rows.dtype)
         point[name][np.argsort(flat.owner, kind="stable")] = rows.ravel()
-    return comp, point
+    return point
+
+
+def _read(state: BPState, problem: BPProblem):
+    """`_state_store`, the problem's primal layout and the BP point on it."""
+    lay, store = _state_store(state, problem)
+    comp = _compiled(problem.problem)
+    return lay, store, comp, _point(lay, store, comp, problem.T)
 
 
 def bp_point(state: BPState, problem: BPProblem) -> dict:
     """A BP state as a primal point ``{"g": G, "y": multipliers}``, in the
-    shape of `med.solve`'s ``meta["warm"]``, on the primal layout of the
-    state's sector rule (module docstring); at a fixed point the primal
-    Lagrangian is stationary there. `med.solve` and `med.cluster_states`
-    take it when the logs keep the Hamiltonians' rule, as loop output does."""
-    return _point(*_state_store(state, problem), problem)[1]
+    shape of `med.solve`'s ``meta["warm"]``, on the problem's primal layout
+    (module docstring); at a fixed point the primal Lagrangian is stationary
+    there, and `med.solve` and `med.cluster_states` take it."""
+    return _read(state, problem)[3]
 
 
 def beliefs_from_messages(state: BPState, problem: BPProblem):
@@ -532,8 +541,7 @@ def beliefs_from_messages(state: BPState, problem: BPProblem):
     (`bp_point`), and overlap beliefs sigma_k, keyed by the cluster right of
     the overlap: the normalized exponential of the logs of the two messages
     crossing it (the stationarity condition for the overlap state)."""
-    lay, store = _state_store(state, problem)
-    comp, point = _point(lay, store, problem)
+    lay, store, comp, point = _read(state, problem)
     # overlap j is crossed by the messages in store rows e + j ("L") and j ("R")
     e = len(lay.edges)
     sigma = lay.msg.to_dense(lay.msg.exp(store[e:2 * e, :-1] + store[:e, :-1]).rho)[0]
@@ -545,7 +553,7 @@ def belief_consistency(state: BPState, problem: BPProblem) -> float:
     """Largest trace distance between the two cluster marginals of an
     overlap at the BP point, half the trace norm of the constraint's primal
     residual (`med._Terms.R`); at an exact fixed point this vanishes."""
-    comp, point = _point(*_state_store(state, problem), problem)
+    _, _, comp, point = _read(state, problem)
     con = comp.con
     residual = comp.terms(comp.cl.exp(point["g"]), problem.T).R
     norm = np.bincount(con.eig_owner, con.eig_mult * np.abs(con.eigvals(residual)), con.n_mats)
@@ -558,5 +566,5 @@ def bp_free_energy(state: BPState, problem: BPProblem) -> float:
     if not state.converged:
         warnings.warn("evaluating the free energy on a non-converged state",
                       RuntimeWarning, stacklevel=2)
-    comp, point = _point(*_state_store(state, problem), problem)
+    _, _, comp, point = _read(state, problem)
     return _total(comp.terms(comp.cl.exp(point["g"]), problem.T).value)

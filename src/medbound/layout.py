@@ -24,11 +24,12 @@ is not done: `_Flat.flip_average` averages such a block with its flip.
 
 One rule (`_sector_rule`) picks the layout for both solvers, a charge with
 a modulus: U(1), then Z2, then one sector, the first whose sectors hold
-every cluster Hamiltonian and every message log a BP state brings in; the
-flip is added when every one of those matrices is exactly invariant under
-it. Heisenberg and the classical Ising model are, bit for bit; the TFIM
-(its field is diagonal) is not. The rule reads the inputs alone: there is
-no option and no environment setting.
+every cluster Hamiltonian; the flip is added when every one of them is
+exactly invariant under it. Heisenberg and the classical Ising model are,
+bit for bit; the TFIM (its field is diagonal) is not. A problem has that
+one layout: what it is given to read (a BP state's message logs, a warm
+start) must lie on it. The rule reads the Hamiltonians alone: there is no
+option and no environment setting.
 
 `_Flat`, the one layout class, holds the blocks of one or more matrices in
 one flat vector: the primal solver lays out all cluster states (and all
@@ -94,16 +95,15 @@ def _charges(dims, m: int) -> np.ndarray:
     return q % m if m else q
 
 
-def _sector_rule(pairs, base: _Rule = _Rule(0, True)) -> _Rule:
+def _sector_rule(pairs) -> _Rule:
     """The sector rule of both solvers, a charge with a modulus: U(1)
     (m = 0), then Z2 (m = 2), then one sector (m = 1), the first m whose
     sectors hold every matrix (None: no matrix) of the (matrix, dims) pairs,
     i.e. that is exactly 0 off them; with the flip when every matrix is
-    exactly invariant under it. `base` is the rule of further matrices read
-    before: the search starts at its modulus, and its flip must hold too."""
+    exactly invariant under it."""
     mats = [(np.asarray(mat), dims) for mat, dims in pairs if mat is not None]
-    flip = base.flip and all(np.array_equal(mat, mat[::-1, ::-1]) for mat, _ in mats)
-    for m in (0, 2)[(0, 2, 1).index(base.modulus):]:
+    flip = all(np.array_equal(mat, mat[::-1, ::-1]) for mat, _ in mats)
+    for m in (0, 2):
         if not any(np.any(mat[(q := _charges(dims, m))[:, None] != q[None, :]])
                    for mat, dims in mats):
             return _Rule(m, flip)

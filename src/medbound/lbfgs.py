@@ -221,12 +221,11 @@ def _dcsrch(phi, f0: float, g0: float, stp: float):
     return None, MAXLS
 
 
-def minimize(fun, x0, *, gtol: float, maxiter: int, callback=None,
-             pairs=None) -> MinimizeResult:
-    """Minimize `fun`, which returns (f, gradient), from `x0`; `callback(x)`
-    is called after every accepted step. `pairs`, a (k, 2, n) array of (s, y)
-    oldest first as `MinimizeResult.pairs` holds them, fills the memory
-    before the first step (the newest `MAXCOR` of them)."""
+def minimize(fun, x0, *, gtol: float, maxiter: int, pairs=None) -> MinimizeResult:
+    """Minimize `fun`, which returns (f, gradient), from `x0`. `pairs`, a
+    (k, 2, n) array of (s, y) oldest first as `MinimizeResult.pairs` holds
+    them, fills the memory before the first step (the newest `MAXCOR` of
+    them)."""
     x = np.array(x0, dtype=float)
     f, g = fun(x)
     nfev, nit, mem, trial = 1, 0, _Memory(x.size), []
@@ -254,8 +253,6 @@ def minimize(fun, x0, *, gtol: float, maxiter: int, callback=None,
         (stp, gd_new), f_old, g_old = found, f, g
         x, f, g = trial
         nit += 1
-        if callback is not None:
-            callback(x)
         status = ("gtol" if float(np.max(np.abs(g))) <= gtol
                   else "ftol" if f_old - f <= FTOL * max(abs(f_old), abs(f), 1.0)
                   else "maxiter" if nit >= maxiter else None)

@@ -65,8 +65,8 @@ without the flip. The rule is BP's
 (`layout._sector_rule`: U(1), then Z2, then one sector per matrix, the
 plain dense iteration; the flip when every matrix keeps it).
 
-Each problem is compiled once per sector rule, at its first solve or BP
-bound, into a block layout (`_Compiled`, on the `_Flat` class of
+Each problem is compiled once, under its Hamiltonians' rule, at its first
+solve or BP bound, into a block layout (`_Compiled`, on the `_Flat` class of
 `medbound.layout`, which the BP loop builds on too): G, the states, the
 shield marginals, the residuals, the multipliers and the gradient are
 carried as charge-sector blocks, stacked by block size across all
@@ -198,8 +198,6 @@ class MedProblem:
     variables: tuple
     constraints: tuple
     site_norm: float = 1.0      # divide totals by this for per-site numbers
-    # layouts built by `_compiled`, keyed by their sector rule
-    _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -232,6 +230,11 @@ class MedProblem:
     def _rule(self) -> _Rule:
         """The sector rule of the cluster Hamiltonians (`layout._sector_rule`)."""
         return _sector_rule([(v.ham, v.dims) for v in self.variables])
+
+    @cached_property
+    def _layout(self) -> _Compiled:
+        """The problem compiled under `_rule`, its one layout (`_compiled`)."""
+        return _Compiled(self, self._rule)
 
 
 @dataclass(eq=False)
@@ -595,14 +598,9 @@ def _total(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1])
 
 
-def _compiled(problem: MedProblem, rule: _Rule | None = None) -> _Compiled:
-    """The problem's layout under `rule` (by default the Hamiltonians',
-    `MedProblem._rule`), built on first use and cached on the problem."""
-    rule = problem._rule if rule is None else rule
-    comp = problem._layouts.get(rule)
-    if comp is None:
-        comp = problem._layouts[rule] = _Compiled(problem, rule)
-    return comp
+def _compiled(problem: MedProblem) -> _Compiled:
+    """The problem's one layout (`MedProblem._layout`), built at first use."""
+    return problem._layout
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +657,9 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
     # tolerance schedule: the inner gradient target and the feasibility target
     # tighten geometrically after successful multiplier updates; the penalty
     # grows only when feasibility misses its current target
-    have_cons = bool(problem.constraints)
-    omega = max(1e-2, config.tol_gradient) if have_cons else config.tol_gradient
+    omega = max(1e-2, config.tol_gradient)
     eta = max(1e-1, config.tol_constraint)
-    n_outer = config.max_outer if have_cons else 1
-    for outer in range(n_outer):
+    for outer in range(config.max_outer):
         gtol = max(omega, config.tol_gradient)
         frame, old = _Frame(comp, g), frame
         if pairs is not None:
@@ -685,9 +681,6 @@ def solve(problem: MedProblem, T: float, config: SolverConfig | None = None,
         # an inner solve that takes no step and misses its gradient target
         # would be repeated unchanged by every later outer iteration
         if res.nit == 0 and not inner_ok:
-            break
-        if not have_cons:
-            converged = inner_ok
             break
         if res_inf <= max(eta, config.tol_constraint):
             if (res_inf <= config.tol_constraint and inner_ok

@@ -28,6 +28,7 @@ from medbound.bpdual import (
 )
 from medbound.layout import _Rule
 from medbound.lattice import (
+    PAULI_X,
     LatticeSpec,
     ModelSpec,
     build_lattice,
@@ -88,6 +89,22 @@ def open_chain_with(edit):
     med = bp_chain_problem(LatticeSpec("chain", 6), HEIS, 2, 1.0).problem
     variables, constraints = edit(med.variables, med.constraints)
     return MedProblem(variables, constraints, site_norm=med.site_norm)
+
+
+def with_field_on_top(problem, field):
+    """A translation-invariant chain with `field` added on the top site of
+    its window."""
+    ham = cluster_hams(problem)["ti"]
+    return with_hams(problem, {"ti": ham + np.kron(np.eye(len(ham) // len(field)), field)})
+
+
+def bound_on(prob, rule, state):
+    """`bp_free_energy` of a state read on the BP and primal layouts of
+    `rule` (`_Layout`, `med._Compiled`) instead of the problem's own."""
+    lay, comp = _Layout(prob, rule), med._Compiled(prob.problem, rule)
+    rows = np.array([state.logs[name] for name in lay.names])
+    point = bpdual._point(lay, lay.store(lay.msg.from_dense([rows])), comp, prob.T)
+    return med._total(comp.terms(comp.cl.exp(point["g"]), prob.T).value)
 
 
 def identity_state(problem):
@@ -387,10 +404,14 @@ class TestUpdate:
         ref_right /= np.trace(ref_right).real
         return ref_left, ref_right
 
-    def check_against_multiplier_form(self, prob, m_left, m_right):
-        # "L" arrives from the right, "R" from the left
-        state = BPState(logs=message_logs({"L": m_left, "R": m_right}), residual=math.inf,
-                        iterations=0, converged=False)
+    def check_against_multiplier_form(self, prob, m_left, m_right, flip=False):
+        # "L" arrives from the right, "R" from the left; with `flip`, the
+        # logs of flip-invariant messages are averaged with their flip, which
+        # moves them by the roundoff of `logm` only
+        logs = message_logs({"L": m_left, "R": m_right})
+        if flip:
+            logs = {name: 0.5 * (m + m[::-1, ::-1]) for name, m in logs.items()}
+        state = BPState(logs=logs, residual=math.inf, iterations=0, converged=False)
         out = bp_update("ti", state, prob)
         ref_left, ref_right = self.multiplier_form(prob, m_left, m_right)
         assert np.max(np.abs(out["L"] - ref_left)) <= 1e-10
@@ -415,13 +436,19 @@ class TestUpdate:
                                            _random_positive(rng, 2))
 
     def test_charge_breaking_message_takes_one_sector(self, rng):
-        prob = bp_ti_problem(HEIS, 1, 0.7)
-        m_left = _random_positive(rng, 2)
-        m_right = np.diag([0.3, 0.7])
-        logs = message_logs({"L": m_left, "R": m_right})
-        assert _layout(prob, [logs["R"]]).msg.n == 2    # two 1 x 1 sectors
-        assert _layout(prob, logs.values()).msg.n == 4
-        self.check_against_multiplier_form(prob, m_left, m_right)
+        # X on the top site breaks the charge and keeps the flip: one sector,
+        # a self-mirror 2 x 2 message block carried whole, which takes
+        # flip-invariant messages that break the charge; Heisenberg's two
+        # 1 x 1 sectors, a mirror pair carried once, reject them
+        heis = bp_ti_problem(HEIS, 1, 0.7)
+        prob = with_field_on_top(heis, PAULI_X)
+        assert _layout(heis).msg.n == 1 and _layout(prob).msg.n == 4
+        assert _layout(prob).msg.m_dst.size
+        m_left, m_right = (_random_positive(rng, 2) for _ in range(2))
+        m_left, m_right = (0.5 * (m + m[::-1, ::-1]) for m in (m_left, m_right))
+        self.check_against_multiplier_form(prob, m_left, m_right, flip=True)
+        with pytest.raises(ValueError, match="symmetry"):
+            self.check_against_multiplier_form(heis, m_left, m_right, flip=True)
 
 
 def _random_positive(rng, dim, mask=None):
@@ -574,7 +601,7 @@ class TestSectors:
         assert sectors.iterations == dense.iterations
         for name, log in sectors.logs.items():
             assert np.max(np.abs(log - dense.logs[name])) <= 1e-12
-        assert abs(bp_free_energy(sectors, prob) - bp_free_energy(dense, prob)) <= 1e-12
+        assert abs(bp_free_energy(sectors, prob) - bound_on(prob, _Rule(1), dense)) <= 1e-12
 
     @pytest.mark.parametrize("make", [
         lambda: bp_ti_problem(HEIS, 4, 0.5),
@@ -595,23 +622,24 @@ class TestSectors:
         assert flip.iterations == plain.iterations
         for name, log in flip.logs.items():
             assert np.max(np.abs(log - plain.logs[name])) <= 1e-12
-        assert abs(bp_free_energy(flip, prob) - bp_free_energy(plain, prob)) <= 1e-12
+        assert abs(bp_free_energy(flip, prob) - bound_on(prob, _Rule(0), plain)) <= 1e-12
 
-    def test_flip_breaking_logs_turn_the_flip_off(self):
-        # messages from the Gibbs state of Heisenberg plus a staggered field
-        # keep S^z but not the flip, and so neither does the layout
+    def test_flip_breaking_field_turns_the_flip_off(self):
+        # Heisenberg plus a staggered field keeps S^z but not the flip, and
+        # so neither does the layout; it takes the messages of the field's
+        # Gibbs state, which Heisenberg's layout rejects
         t = 0.7
-        prob = bp_ti_problem(HEIS, 1, t)
+        heis = bp_ti_problem(HEIS, 1, t)
         field = 0.4 * (np.kron(np.diag([1.0, -1.0]), np.eye(2))
                        - np.kron(np.eye(2), np.diag([1.0, -1.0])))
-        rho = gibbs_state(cluster_hams(prob)["ti"] + field, t)
+        prob = with_hams(heis, {"ti": cluster_hams(heis)["ti"] + field})
+        assert _layout(heis).msg.mult.max() == 2
+        assert _layout(prob).msg.mult.max() == 1 and _layout(prob).msg.n == 2
+        rho = gibbs_state(cluster_hams(prob)["ti"], t)
         m_left, m_right = ptrace_mat(rho, (2, 2), (0,)), ptrace_mat(rho, (2, 2), (1,))
-        logs = message_logs({"L": m_left, "R": m_right})
-        state = BPState(logs=logs, residual=math.inf, iterations=0, converged=False)
-        assert _layout(prob).msg.mult.max() == 2
-        lay, _ = bpdual._state_store(state, prob)
-        assert lay.msg.mult.max() == 1 and lay.msg.n == 2
         TestUpdate().check_against_multiplier_form(prob, m_left, m_right)
+        with pytest.raises(ValueError, match="symmetry"):
+            TestUpdate().check_against_multiplier_form(heis, m_left, m_right)
 
     @pytest.mark.parametrize("model", [HEIS, TFIM], ids=["heis", "tfim"])
     def test_rotated_problem_matches_real(self, model):
@@ -708,7 +736,7 @@ class TestBeliefs:
 
 class TestBoundAtTheBPPoint:
     """The bound is the primal objective at the BP point, read on the
-    primal layout of the state's sector rule."""
+    problem's primal layout."""
 
     @pytest.mark.parametrize("make", [
         lambda: bp_ti_problem(HEIS, 4, 0.5),
@@ -722,24 +750,23 @@ class TestBoundAtTheBPPoint:
         ref = markov_free_energy(beliefs, prob.problem, prob.T)
         assert abs(bp_free_energy(state, prob) - ref) <= 1e-12
 
-    def test_flip_breaking_state_gets_its_own_layout(self):
-        # a staggered shift of the logs keeps S^z but breaks the flip: the
-        # bound compiles a second primal layout, without the flip
-        prob = bp_ti_problem(HEIS, 2, 0.5)
+    def test_flip_breaking_problem_gets_its_own_layout(self):
+        # -h Z on the top site keeps S^z and breaks the flip: the problem's
+        # one layout has no flip, and its loop state reads on it, its point
+        # taken by `cluster_states` and `solve`
+        heis = bp_ti_problem(HEIS, 2, 0.5)
+        prob = with_field_on_top(heis, np.diag([-0.3, 0.3]))
+        assert prob.problem._rule == _Rule(0, flip=False)
+        assert _compiled(prob.problem).cl.n > _compiled(heis.problem).cl.n
         state = bp_fixed_point(prob)
-        bp_free_energy(state, prob)
-        stagger = 0.3 * np.diag([0.0, 1.0, -1.0, 0.0])
-        broken = BPState(logs={k: m + stagger for k, m in state.logs.items()},
-                         residual=math.inf, iterations=0, converged=True)
-        beliefs, _ = beliefs_from_messages(broken, prob)
+        beliefs, _ = beliefs_from_messages(state, prob)
         ref = markov_free_energy(beliefs, prob.problem, prob.T)
-        assert abs(bp_free_energy(broken, prob) - ref) <= 1e-12
-        assert set(prob.problem._layouts) == {_Rule(0, flip=True), _Rule(0, flip=False)}
-        # its point lies on that layout, not on the one `solve` reads
-        point = bp_point(broken, prob)
-        assert point["g"].shape == (_compiled(prob.problem, _Rule(0, flip=False)).cl.n,)
-        with pytest.raises(ValueError, match="another problem"):
-            cluster_states(prob.problem, point)
+        assert abs(bp_free_energy(state, prob) - ref) <= 1e-12
+        point = bp_point(state, prob)
+        states = cluster_states(prob.problem, point)
+        assert trace_distance(states["ti"], beliefs["ti"]) <= 1e-12
+        res = solve(prob.problem, prob.T, warm=point)
+        assert res.converged and res.iterations == 0
 
     @pytest.mark.parametrize("make", [
         *(lambda n=n: bp_ti_problem(HEIS, n, 0.5) for n in (2, 3, 4, 5, 6)),
@@ -748,18 +775,14 @@ class TestBoundAtTheBPPoint:
     ], ids=[f"ti n={n}" for n in (2, 3, 4, 5, 6)] + [f"open N=16 n={n}" for n in (2, 3, 4)])
     def test_states_are_flip_invariant(self, make):
         # the self-mirror blocks drift off flip-invariance by roundoff; the
-        # returned logs are symmetrized, so the state reads as the layout
-        # its loop ran on, and the bound leaves one primal layout, the one
-        # `solve` uses
+        # returned logs are symmetrized, so the state lies on the layout its
+        # loop ran on, which every reader requires
         prob = make()
         state = bp_fixed_point(prob)
         assert state.converged
         for m in state.logs.values():
             assert np.array_equal(m, m[::-1, ::-1])
-        assert bpdual._state_store(state, prob)[0].rule == _layout(prob).rule
         bp_free_energy(state, prob)
-        layouts = list(prob.problem._layouts.values())
-        assert len(layouts) == 1 and layouts[0] is _compiled(prob.problem)
 
 
 # the benchmark's BP cases: 15 translation-invariant chains and three open
@@ -1018,6 +1041,12 @@ class TestFlags:
             assert belief_consistency(state, prob) <= 10 * tol
 
 
+# every call that reads a BP state of a translation-invariant chain
+READERS = [lambda state, prob: bp_update("ti", state, prob), beliefs_from_messages,
+           belief_consistency, bp_free_energy, bp_point]
+READER_IDS = ["update", "beliefs", "consistency", "free energy", "point"]
+
+
 class TestStateOfAnotherProblem:
     def test_other_window_rejected(self):
         # before: IndexError from a boolean index of the wrong size
@@ -1049,13 +1078,7 @@ class TestStateOfAnotherProblem:
             belief_consistency(state, bp_chain_problem(LatticeSpec("chain", 6), HEIS, 2, 0.5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("read", [
-        lambda state, prob: bp_update("ti", state, prob),
-        beliefs_from_messages,
-        belief_consistency,
-        bp_free_energy,
-        bp_point,
-    ], ids=["update", "beliefs", "consistency", "free energy", "point"])
+    @pytest.mark.parametrize("read", READERS, ids=READER_IDS)
     def test_nonfinite_logs_rejected(self, read, bad):
         # before: a NaN log raised LinAlgError "Eigenvalues did not
         # converge" from LAPACK, and an infinite one gave a bound of nan
@@ -1064,24 +1087,25 @@ class TestStateOfAnotherProblem:
         state.logs["L"][1, 1] = bad
         with pytest.raises(ValueError, match="not finite"):
             read(state, prob)
-        # and the rejected logs leave no layout behind
-        assert len(prob._layouts) == 1
+        # and the rejected logs leave no primal layout behind
+        assert "_layout" not in vars(prob.problem)
 
 
 class TestOneLayoutPerProblem:
-    """Every public call reads the layout cached on the problem under the
-    state's sector rule, built once."""
+    """Every public call reads the one layout cached on the problem, under
+    its Hamiltonians' rule, built once."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        rules, init = [], _Layout.__init__
-
-        def counting(self, problem, rule):
-            rules.append(rule)
-            init(self, problem, rule)
-
-        monkeypatch.setattr(_Layout, "__init__", counting)
-        return rules
+        """The layouts built, in order: (class name, rule) of each `_Layout`
+        (BP) and `med._Compiled` (primal)."""
+        built = []
+        for cls in (_Layout, med._Compiled):
+            def counting(self, problem, rule, init=cls.__init__, name=cls.__name__):
+                built.append((name, rule))
+                init(self, problem, rule)
+            monkeypatch.setattr(cls, "__init__", counting)
+        return built
 
     def test_every_entry_point_reads_one_layout(self, built):
         # before: at least one layout per call, five here
@@ -1091,9 +1115,10 @@ class TestOneLayoutPerProblem:
         beliefs_from_messages(state, prob)
         belief_consistency(state, prob)
         bp_free_energy(state, prob)
-        bp_point(state, prob)
-        assert built == [_Rule(0, flip=True)]
-        assert list(prob._layouts) == built
+        point = bp_point(state, prob)
+        solve(prob.problem, prob.T, warm=point)
+        solve(prob.problem, 1.0)
+        assert built == [("_Layout", _Rule(0, flip=True)), ("_Compiled", _Rule(0, flip=True))]
 
     def test_hamiltonians_rule_is_read_once_per_problem(self, monkeypatch):
         # before: once per BP call, twice per state read and once per solve,
@@ -1102,14 +1127,13 @@ class TestOneLayoutPerProblem:
         hams = [v.ham for v in prob.problem.variables]
         reads, sector_rule = [], layout._sector_rule
 
-        def counting(pairs, *args):
+        def counting(pairs):
             pairs = list(pairs)
             if any(m is h for m, _ in pairs for h in hams):
                 reads.append(1)
-            return sector_rule(pairs, *args)
+            return sector_rule(pairs)
 
         monkeypatch.setattr(med, "_sector_rule", counting)
-        monkeypatch.setattr(bpdual, "_sector_rule", counting)
         state = bp_fixed_point(prob)
         bp_free_energy(state, prob)
         beliefs_from_messages(state, prob)
@@ -1144,18 +1168,24 @@ class TestOneLayoutPerProblem:
         bp_free_energy(state, prob)
         assert state.converged and calls == []
 
-    def test_flip_breaking_state_adds_one_layout(self, built):
+    @pytest.mark.parametrize("read", READERS, ids=READER_IDS)
+    @pytest.mark.parametrize("shift", [
+        # S^z = 0 and 1 mixed: off the sectors
+        1e-3 * (np.eye(4, k=1) + np.eye(4, k=-1)),
+        # the mirror blocks of |00> and |11> differ
+        np.diag([0.3, 0.0, 0.0, 0.0]),
+        # the self-mirror S^z = 1 block, carried whole, is not flip-invariant
+        np.diag([0.0, 0.3, -0.3, 0.0]),
+    ], ids=["charge", "pair", "self-mirror"])
+    def test_broken_state_adds_no_layout(self, built, read, shift):
+        # before: the state's own rule compiled a second BP and primal layout
         prob = bp_ti_problem(HEIS, 2, 0.5)
         state = bp_fixed_point(prob)
-        stagger = 0.3 * np.diag([0.0, 1.0, -1.0, 0.0])
-        broken = BPState(logs={k: m + stagger for k, m in state.logs.items()},
+        broken = BPState(logs={k: m + shift for k, m in state.logs.items()},
                          residual=math.inf, iterations=0, converged=True)
-        for s in (broken, state, broken):
-            beliefs_from_messages(s, prob)
-            belief_consistency(s, prob)
-            bp_free_energy(s, prob)
-            bp_point(s, prob)
-        assert built == [_Rule(0, flip=True), _Rule(0, flip=False)]
+        with pytest.raises(ValueError, match="symmetry"):
+            read(broken, prob)
+        assert built == [("_Layout", _Rule(0, flip=True))]
 
     @pytest.mark.parametrize("make", [
         lambda: bp_ti_problem(HEIS, 4, 0.5),

@@ -52,6 +52,13 @@ class TestBuildLattice:
         with pytest.raises(ValueError):
             LatticeSpec("ti_chain")
 
+    @pytest.mark.parametrize("boundary, extent, match", [("twisted", 4, "boundary"),
+                                                         ("open", 1, "at least 2 sites")],
+                             ids=["boundary", "one site"])
+    def test_bad_boundary_and_single_site_rejected(self, boundary, extent, match):
+        with pytest.raises(ValueError, match=match):
+            LatticeSpec("chain", extent, boundary=boundary)
+
     def test_every_term_within_locality(self):
         spec = LatticeSpec("square", (3, 4), boundary="periodic")
         terms, _ = build_lattice(spec, HEIS)
@@ -83,6 +90,14 @@ class TestBuildLattice:
 
 
 class TestModelTerms:
+    @pytest.mark.parametrize("name, J, g, match", [("xxz", 1.0, 0.0, "unknown model"),
+                                                   ("tfim", 1.0, np.inf, "finite"),
+                                                   ("heisenberg", np.nan, 0.0, "finite")],
+                             ids=["name", "field", "coupling"])
+    def test_bad_model_rejected(self, name, J, g, match):
+        with pytest.raises(ValueError, match=match):
+            ModelSpec(name, J=J, g=g)
+
     def test_heisenberg_bond_spectrum(self):
         vals = np.linalg.eigvalsh(model_term(HEIS))
         assert np.allclose(vals, [-0.75, 0.25, 0.25, 0.25])
@@ -121,6 +136,20 @@ class TestShields:
         sh = markov_shield(5, tuple(range(10)), nbh[5])
         assert sh.shield == (3, 4)
         assert sh.cluster == (3, 4, 5)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"radius": 1, "template": (-1,)}],
+                             ids=["neither", "both"])
+    def test_neighborhood_takes_radius_or_template(self, kwargs):
+        with pytest.raises(ValueError, match="exactly one of radius or template"):
+            neighborhood_map(LatticeSpec("chain", 4), **kwargs)
+
+    def test_bad_shield_site_rejected(self):
+        nbh = neighborhood_map(LatticeSpec("chain", 4), radius=1)
+        with pytest.raises(ValueError, match="not in the ordering"):
+            markov_shield(7, tuple(range(4)), nbh[0])
+        # site 2 comes second, and its neighbourhood holds no earlier site
+        with pytest.raises(ValueError, match="empty shield at site 2"):
+            markov_shield(2, (0, 2, 1, 3), nbh[2] - {1})
 
     def test_first_site_empty_shield(self):
         spec = LatticeSpec("chain", 4)
@@ -223,6 +252,11 @@ class TestTIGeometries:
         # a bool is no size and a fraction no offset: neither is rounded to one
         with pytest.raises(ValueError, match="shield"):
             ti_chain_geometry(HEIS, shield)
+
+    def test_chain_shield_without_the_bond_rejected(self):
+        # the cluster's bond ends at the top site and starts at offset -1
+        with pytest.raises(ShieldTooSmallError, match="contain -1"):
+            ti_chain_geometry(HEIS, (-3, -2))
 
     def test_chain_shield_numpy_integers_accepted(self):
         assert ti_chain_geometry(HEIS, np.int64(2)).labels == (-2, -1, 0)

@@ -50,6 +50,11 @@ class TestGibbsState:
         with pytest.raises(ValueError, match="temperature"):
             gibbs_state(chain_hamiltonian(HEIS, 2), t)
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            gibbs_state(np.zeros(shape), 1.0)
+
     def test_dimension_guard(self):
         # a zero-stride view has the oversize shape but allocates nothing, so
         # only the guard's shape check stands between it and a dense copy

@@ -99,23 +99,27 @@ def test_no_unused_parameters():
 
 
 def test_layout_caches_sit_on_frozen_dataclasses():
-    # a `_layouts` cache holds what was compiled from the problem's fields:
-    # only a frozen dataclass keeps those from being reassigned under it
-    found = set()
+    # a `cached_property` holds what was computed from the object's fields,
+    # the problems' one layout (`_layout`) among them: only a frozen
+    # dataclass keeps those from being reassigned under it
+    layouts = set()
     for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.ClassDef) and any(
-                    isinstance(n, ast.AnnAssign) and getattr(n.target, "id", None) == "_layouts"
-                    or isinstance(n, ast.Attribute) and n.attr == "_layouts"
-                    and isinstance(n.ctx, ast.Store) for n in ast.walk(node))):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            found.add(node.name)
+            cached = {f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                      and any(getattr(d, "id", None) == "cached_property"
+                              for d in f.decorator_list)}
+            if not cached:
+                continue
+            if "_layout" in cached:
+                layouts.add(node.name)
             frozen = any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
                          and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
                                  for k in d.keywords)
                          for d in node.decorator_list)
-            assert frozen, f"{path.name}:{node.lineno} {node.name} caches layouts but is not frozen"
-    assert {"MedProblem", "BPProblem"} <= found
+            assert frozen, f"{path.name}:{node.lineno} {node.name} caches but is not frozen"
+    assert layouts == {"MedProblem", "BPProblem"}
 
 
 def test_library_prints_nothing():
@@ -136,8 +140,8 @@ def test_library_prints_nothing():
 
 def test_no_environment_knobs():
     # the library's behaviour follows from its inputs alone (the sector
-    # layout, for one, is read off the Hamiltonians and the given message
-    # logs): no module reads or writes the process environment
+    # layout, for one, is read off the Hamiltonians alone): no module reads
+    # or writes the process environment
     knobs = {"environ", "getenv", "putenv"}
     for path in sorted((ROOT / "src" / "medbound").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
